@@ -23,10 +23,7 @@ from .geometry import (
     ProximityInstance,
     contains,
     distance_between,
-    norm,
     project,
-    project_many,
-    proximal_membership,
 )
 from .instances import (
     BuiltInstance,
@@ -40,13 +37,16 @@ from .instances import (
 )
 from .mappings import (
     ContractionCertificate,
+    MapCertificate,
     MapSpec,
     ModeCheck,
     NonexpansiveCheck,
-    apply,
+    certificate_of,
+    certify,
     certify_contraction,
     certify_mode,
     certify_relatively_nonexpansive,
+    contraction_of,
     flip_mode,
 )
 from .operators import (
@@ -57,7 +57,6 @@ from .operators import (
     ProximalProjector,
     check_commutation,
     compose_with_projector,
-    proximal_project,
     verify_projector_properties,
 )
 from .solvers import (

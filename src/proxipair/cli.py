@@ -15,7 +15,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .errors import ProjectionConvergenceError, ProxipairError
+from .errors import PreconditionError, ProjectionConvergenceError, ProxipairError
 from .instances import (
     BUILTIN_INSTANCES,
     GENERATOR_FAMILIES,
@@ -48,7 +48,7 @@ def _load(ref: str):
 
 def _cmd_solve(args) -> int:
     doc = _load(args.instance)
-    built = build(doc)
+    built = build(doc, seed=args.seed)
     run_names = args.run or sorted(built.runs)
     if not run_names:
         print(f"instance {doc.name!r} declares no runs", file=sys.stderr)
@@ -56,8 +56,7 @@ def _cmd_solve(args) -> int:
     out = _out_dir(args)
     worst = EXIT_OK
     for name in run_names:
-        result = built.run(name, tol=args.tol, max_iter=args.max_iter,
-                           seed=args.seed)
+        result = built.run(name, tol=args.tol, max_iter=args.max_iter)
         stem = f"{doc.name}-{name}"
         trace_path = out / f"{stem}.trace.csv"
         with open(trace_path, "w", encoding="utf-8") as handle:
@@ -80,7 +79,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     doc = _load(args.instance)
-    built = build(doc)
+    built = build(doc, seed=args.seed)
     report = run_verification(built, samples=args.samples, seed=args.seed)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -113,34 +112,57 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _error_code(exc: ProxipairError) -> int:
+    if isinstance(exc, ProjectionConvergenceError):
+        return EXIT_NOT_CONVERGED
+    return EXIT_INPUT
+
+
 def _cmd_bench(args) -> int:
+    """Solve every run of a generated batch.  An instance that raises is
+    recorded with its error and the rest still run; the exit code is the
+    largest one `main` would give for a single instance."""
+    if args.jobs < 1:
+        raise PreconditionError(f"--jobs must be at least 1, got {args.jobs}")
     docs = [generate_random_instance(seed, dim=args.dim, p=args.p,
                                      family=args.family)
             for seed in range(args.seed, args.seed + args.count)]
 
     def solve_all(doc):
         started = time.perf_counter()
-        built = build(doc)
-        results = {name: built.run(name) for name in built.runs}
-        return doc.name, time.perf_counter() - started, results
+        try:
+            built = build(doc)
+            results = {name: built.run(name) for name in built.runs}
+        except ProxipairError as exc:
+            return doc.name, time.perf_counter() - started, None, exc
+        return doc.name, time.perf_counter() - started, results, None
 
     rows = []
+    code = EXIT_OK
+    started = time.perf_counter()
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for name, elapsed, results in pool.map(solve_all, docs):
-            ok = all(r.converged for r in results.values())
-            worst = max((r.residual for r in results.values()), default=0.0)
-            rows.append({"instance": name, "seconds": elapsed,
-                         "converged": ok, "worst_residual": worst})
-            print(f"{name}: {'ok' if ok else 'FAILED'} "
-                  f"{elapsed * 1000:.1f} ms worst_residual={worst:.2e}")
+        for name, elapsed, results, error in pool.map(solve_all, docs):
+            if error is None:
+                ok = all(r.converged for r in results.values())
+                worst = max((r.residual for r in results.values()), default=0.0)
+                code = max(code, EXIT_OK if ok else EXIT_NOT_CONVERGED)
+                print(f"{name}: {'ok' if ok else 'FAILED'} "
+                      f"{elapsed * 1000:.1f} ms worst_residual={worst:.2e}")
+            else:
+                ok, worst = False, None
+                code = max(code, _error_code(error))
+                print(f"{name}: error: {error}")
+            rows.append({"instance": name, "seconds": elapsed, "converged": ok,
+                         "worst_residual": worst,
+                         "error": None if error is None else str(error)})
+    wall = time.perf_counter() - started
     out = _out_dir(args)
     path = out / f"bench-{args.family}.json"
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(rows, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    total = sum(r["seconds"] for r in rows)
-    print(f"{len(rows)} instances in {total:.2f} s (cumulative) -> {path}")
-    return EXIT_OK if all(r["converged"] for r in rows) else EXIT_NOT_CONVERGED
+    print(f"{len(rows)} instances in {wall:.2f} s (wall) -> {path}")
+    return code
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -153,7 +175,10 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="out",
                         help="output directory (env PROXIPAIR_OUT overrides)")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
+    common.add_argument("--seed", type=int, default=0,
+                        help="random seed: of the generator for gen and bench; of "
+                             "map certification at build for solve and verify, "
+                             "and of the checks for verify")
 
     solve = sub.add_parser("solve", parents=[common],
                            help="run declared solver runs, write traces and summaries")
@@ -202,10 +227,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ProjectionConvergenceError as exc:
+    except ProxipairError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    except (ProxipairError, OSError) as exc:
+        return _error_code(exc)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DomainError,
+    InstanceFormatError,
     ProjectionConvergenceError,
     UnboundedBodyError,
     UnsupportedProjectionError,
@@ -53,10 +54,10 @@ class LpSpace:
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
+            raise InstanceFormatError(f"dim must be a positive integer, got {self.dim!r}")
         p = float(self.p)
         if not math.isfinite(p) or not p > 1.0:
-            raise ValueError(f"p must satisfy 1 < p < inf, got {self.p!r}")
+            raise InstanceFormatError(f"p must satisfy 1 < p < inf, got {self.p!r}")
         object.__setattr__(self, "p", p)
 
     def check_vector(self, x) -> np.ndarray:
@@ -78,11 +79,6 @@ class LpSpace:
 
     def distance(self, x, y) -> float:
         return float(self.norms(self.check_vector(x) - self.check_vector(y)))
-
-
-def norm(space: LpSpace, x) -> float:
-    """Norm of x in the given space."""
-    return space.norm(x)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -370,14 +366,19 @@ class Polytope(ConvexBody):
             object.__setattr__(self, "_hull_edge_cache", cached)
         return cached
 
-    def _face_halfspaces(self) -> list[tuple[np.ndarray, float]]:
+    def _face_halfspaces(self) -> tuple[tuple[np.ndarray, float], ...]:
         if self.halfspaces is not None:
-            return list(self.halfspaces)
-        edges = self._hull_edges()
-        if edges is not None:
-            return _edges_to_halfspaces(edges)
-        raise UnsupportedProjectionError(
-            "polytope with >= 3 vertices needs dim == 2 or an explicit halfspace list")
+            return self.halfspaces
+        cached = getattr(self, "_face_cache", None)
+        if cached is None:
+            edges = self._hull_edges()
+            if edges is None:
+                raise UnsupportedProjectionError(
+                    "polytope with >= 3 vertices needs dim == 2 or an explicit "
+                    "halfspace list")
+            cached = tuple(_edges_to_halfspaces(edges))
+            object.__setattr__(self, "_face_cache", cached)
+        return cached
 
     def project_many(self, X, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         X = _as_matrix(X, self.space.dim)
@@ -593,11 +594,6 @@ def project(body: ConvexBody, x, tol: float = DEFAULT_TOL,
     return body.project_many(x[None, :], tol, max_iter)[0]
 
 
-def project_many(body: ConvexBody, X, tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
-    return body.project_many(X, tol, max_iter)
-
-
 def contains(body: ConvexBody, x, tol: float = DEFAULT_TOL) -> bool:
     """Projection-based membership: distance to the body at most tol."""
     x = body.space.check_vector(x)
@@ -732,9 +728,3 @@ class ProximityInstance:
         own = self.realizing_pair[0 if side == "A" else 1]
         X = np.vstack([own[None, :], X])[:n]
         return self.proximalize(X, side, max_sweeps)
-
-
-def proximal_membership(instance: ProximityInstance, x, side: Side,
-                        slack: float = 1.0) -> bool:
-    """Module-level alias for ProximityInstance.proximal_membership."""
-    return instance.proximal_membership(x, side, slack)

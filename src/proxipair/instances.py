@@ -2,9 +2,10 @@
 
 A document names an lp space, two convex bodies, a list of maps with their
 declared modes, and a list of solver runs.  Parsing validates shape and
-reports the offending field; building re-certifies every declared mode
-against the actual bodies, so a mislabeled document is rejected at load
-time rather than producing quiet nonsense.
+reports the offending field; building certifies every declared mode
+against the actual bodies and keeps the certificate on the map, so a
+mislabeled document is rejected at load time rather than producing quiet
+nonsense, and no solver checks the mode again.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import InstanceFormatError
 from .geometry import Ball, Box, ConvexBody, LpSpace, Polytope, ProximityInstance
-from .mappings import MapSpec, certify_mode
+from .mappings import MapSpec, certify as certify_map
 from .solvers import (
     SolveResult,
     noncyclic_projection_iteration,
@@ -288,7 +289,8 @@ class BuiltInstance:
     runs: dict
 
     def run(self, name: str, tol: float | None = None, max_iter: int = 10_000,
-            seed: int = 0, certificate=None) -> SolveResult:
+            x0=None) -> SolveResult:
+        """Run a declared solver run, from its declared start unless x0 is given."""
         if name not in self.runs:
             raise InstanceFormatError(
                 f"unknown run {name!r}; instance {self.doc.name!r} defines "
@@ -297,12 +299,18 @@ class BuiltInstance:
         solver = SOLVERS[spec["solver"]]
         mapping = self.maps[spec["map"]]
         effective = self.doc.tol if tol is None else tol
-        return solver(mapping, spec["x0"], tol=effective, max_iter=max_iter,
-                      seed=seed, certificate=certificate)
+        return solver(mapping, spec["x0"] if x0 is None else x0, tol=effective,
+                      max_iter=max_iter)
 
 
 def build(doc: InstanceDoc, certify: bool = True, seed: int = 0) -> BuiltInstance:
-    """Realize a document; re-certifies each map's declared mode by default."""
+    """Realize a document.
+
+    By default each map's declared mode is certified with `seed` and the
+    certificate kept on the map; the contraction estimate is added, with the
+    same seed, when a solver first needs it.  With certify=False the maps
+    are certified on first use, with seed 0.
+    """
     space = LpSpace(doc.space["dim"], doc.space["p"])
     A = _build_body(doc.bodies["A"], space, "bodies.A")
     B = _build_body(doc.bodies["B"], space, "bodies.B")
@@ -311,7 +319,7 @@ def build(doc: InstanceDoc, certify: bool = True, seed: int = 0) -> BuiltInstanc
     for spec in doc.maps:
         m = _build_map(spec, instance)
         if certify:
-            check = certify_mode(m, seed=seed)
+            check = certify_map(m, seed=seed).mode
             if not check:
                 raise InstanceFormatError(
                     f"map {spec['name']!r} is declared {spec['mode']} but failed "

@@ -8,11 +8,15 @@ declared mode, relative nonexpansiveness, and the contraction modulus
     d(Tx, Ty) <= alpha * d(x, y) + (1 - alpha) * dist(A, B)
 
 over cross pairs, reporting the smallest alpha consistent with the samples.
+
+Each map keeps one `MapCertificate`: `certify` checks the declared mode and
+stores the result on the map, and `contraction_of` estimates the modulus the
+first time a caller needs it and stores that too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
@@ -48,8 +52,9 @@ def flip_mode(mode: Mode) -> Mode:
 class MapSpec:
     """A self-map of A union B, either affine (matrix, offset) or a callable.
 
-    `mode` is the declared behavior; use certify_mode to check it.  Affine
-    maps evaluate as x @ matrix.T + offset and vectorize over stacks.
+    `mode` is the declared behavior; `certify` checks it and keeps the
+    result in `certificate`.  Affine maps evaluate as x @ matrix.T + offset
+    and vectorize over stacks.
     """
 
     instance: ProximityInstance
@@ -58,6 +63,7 @@ class MapSpec:
     matrix: np.ndarray | None = None
     offset: np.ndarray | None = None
     func: Callable[[np.ndarray], np.ndarray] | None = None
+    certificate: "MapCertificate | None" = field(default=None, init=False, repr=False)
 
     domain = "full"
 
@@ -109,11 +115,6 @@ class MapSpec:
         return np.array([self.apply(x) for x in X])
 
 
-def apply(m, x) -> np.ndarray:
-    """Evaluate the map at a point."""
-    return m.apply(x)
-
-
 def _vertex_set(body: ConvexBody) -> np.ndarray | None:
     """Enumerable extreme points, when the body has them (box / polytope)."""
     if isinstance(body, Box):
@@ -125,7 +126,7 @@ def _vertex_set(body: ConvexBody) -> np.ndarray | None:
 
 def _sample_domain(m, side: Side, n: int, rng: np.random.Generator) -> np.ndarray:
     inst = m.instance
-    if getattr(m, "domain", "full") == "proximal":
+    if m.domain == "proximal":
         return inst.sample_proximal(side, n, rng)
     return inst.body(side).sample(rng, n)
 
@@ -137,7 +138,7 @@ def _target_deviations(m, side: Side, images: np.ndarray) -> np.ndarray:
     body = inst.body(target)
     proj = body.project_many(images, inst.tol, inst.max_iter)
     dev = inst.space.norms(images - proj, axis=1)
-    if getattr(m, "domain", "full") == "proximal":
+    if m.domain == "proximal":
         gaps = np.maximum(0.0, inst.proximal_gaps(images, target))
         dev = np.maximum(dev, gaps)
     return dev
@@ -173,7 +174,7 @@ def certify_mode(m, samples: int = DEFAULT_MODE_SAMPLES, seed: int = 0,
     witness = None
     for side in ("A", "B"):
         pts = None
-        if m.is_affine and getattr(m, "domain", "full") == "full":
+        if m.is_affine and m.domain == "full":
             pts = _vertex_set(inst.body(side))
         if pts is None:
             pts = _sample_domain(m, side, samples, rng)
@@ -205,7 +206,7 @@ def _cross_pairs(m, samples: int, rng: np.random.Generator
                  ) -> tuple[np.ndarray, np.ndarray]:
     xs = _sample_domain(m, "A", samples, rng)
     ys = _sample_domain(m, "B", samples, rng)
-    if m.is_affine and getattr(m, "domain", "full") == "full":
+    if m.is_affine and m.domain == "full":
         vx = _vertex_set(m.instance.A)
         vy = _vertex_set(m.instance.B)
         if vx is not None and vy is not None and len(vx) * len(vy) <= 4096:
@@ -233,18 +234,25 @@ def certify_relatively_nonexpansive(m, samples: int = DEFAULT_MODE_SAMPLES,
                              witness=None if ok else (xs[i], ys[i]))
 
 
+ContractionMethod = Literal["grid", "sampled", "inherited"]
+
+
 @dataclass
 class ContractionCertificate:
     """Smallest contraction modulus consistent with the evaluated cross pairs.
 
-    exact is True only on the affine + grid-able path (dense cross-pair grid
-    refined around the worst pair); degenerate flags instances where every
-    cross pair already realizes dist(A, B), so no ratio is defined.
+    `method` says where alpha_hat comes from: "grid" when a dense cross-pair
+    grid refined around the worst pair was searched (affine maps on boxes
+    and segments), "sampled" when only sampled pairs were, and "inherited"
+    when it was carried over from the outer map of a composition with the
+    proximal projection.  Each is a lower estimate of the true modulus.
+    degenerate flags instances where every cross pair already realizes
+    dist(A, B), so no ratio is defined.
     """
 
     alpha_hat: float
     samples: int
-    exact: bool
+    method: ContractionMethod
     degenerate: bool
     worst_pair: tuple[np.ndarray, np.ndarray] | None
 
@@ -312,7 +320,7 @@ def certify_contraction(m, samples: int = DEFAULT_CONTRACTION_SAMPLES, seed: int
 
     Sampled pairs always contribute; affine maps on boxes / segments also get
     a dense cross-pair grid with local refinement around the worst pair,
-    which marks the certificate exact.
+    which sets the method to "grid".
     """
     inst = m.instance
     tol = inst.tol if tol is None else tol
@@ -333,12 +341,12 @@ def certify_contraction(m, samples: int = DEFAULT_CONTRACTION_SAMPLES, seed: int
         idx = np.nonzero(valid)[0][i]
         worst_pair = (xs[idx], ys[idx])
 
-    exact = False
-    if m.is_affine and getattr(m, "domain", "full") == "full":
+    method: ContractionMethod = "sampled"
+    if m.is_affine and m.domain == "full":
         gx = _grid_points(inst.A, None, None)
         gy = _grid_points(inst.B, None, None)
         if gx is not None and gy is not None:
-            exact = True
+            method = "grid"
             extent_x = np.ptp(gx, axis=0)
             extent_y = np.ptp(gy, axis=0)
             a, pair = _pairwise_alpha(m, gx, gy, dist, tol)
@@ -358,5 +366,39 @@ def certify_contraction(m, samples: int = DEFAULT_CONTRACTION_SAMPLES, seed: int
 
     degenerate = worst_pair is None
     return ContractionCertificate(alpha_hat=max(alpha, 0.0), samples=evaluated,
-                                  exact=exact, degenerate=degenerate,
+                                  method=method, degenerate=degenerate,
                                   worst_pair=worst_pair)
+
+
+@dataclass
+class MapCertificate:
+    """What has been established about one map, kept on the map.
+
+    `mode` is the check of the declared mode.  `contraction` is filled in by
+    `contraction_of` the first time a caller needs the modulus, with the
+    same seed as the mode check.
+    """
+
+    seed: int
+    mode: ModeCheck
+    contraction: ContractionCertificate | None = None
+
+
+def certify(m, seed: int = 0) -> MapCertificate:
+    """Check m's declared mode and keep the result on m as its certificate."""
+    cert = MapCertificate(seed=seed, mode=certify_mode(m, seed=seed))
+    object.__setattr__(m, "certificate", cert)
+    return cert
+
+
+def certificate_of(m) -> MapCertificate:
+    """m's certificate; a map not yet certified is certified now, with seed 0."""
+    return m.certificate if m.certificate is not None else certify(m)
+
+
+def contraction_of(m) -> ContractionCertificate:
+    """m's contraction estimate, computed on first use and kept."""
+    cert = certificate_of(m)
+    if cert.contraction is None:
+        cert.contraction = certify_contraction(m, seed=cert.seed)
+    return cert.contraction

@@ -8,6 +8,12 @@ between them.  `verify_projector_properties` checks all of that numerically;
 `compose_with_projector` uses it to flip a map's mode while preserving its
 contraction behavior, and `check_commutation` measures how far a map is from
 commuting with the projector.
+
+Because P is an isometry between the proximal sets that swaps them, the
+composed map's certificate follows from the outer map's: for x in A0 and
+y in B0, d(TPx, TPy) <= alpha d(Px, Py) + (1 - alpha) dist(A, B), and
+d(Px, Py) = d(x, y).  So T after P has the opposite mode and modulus at
+most alpha, and is never re-sampled to establish either.
 """
 
 from __future__ import annotations
@@ -20,7 +26,17 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .geometry import ProximityInstance, Side, _as_matrix
-from .mappings import Mode, certify_relatively_nonexpansive, flip_mode, opposite
+from .mappings import (
+    ContractionCertificate,
+    MapCertificate,
+    Mode,
+    ModeCheck,
+    certificate_of,
+    certify_relatively_nonexpansive,
+    contraction_of,
+    flip_mode,
+    opposite,
+)
 
 PROPERTY_TOL = 1e-8
 DOMAIN_SLACK = 10.0
@@ -96,11 +112,6 @@ class ProximalProjector:
 
     def __call__(self, x) -> np.ndarray:
         return self.project(x)
-
-
-def proximal_project(projector: ProximalProjector, x) -> np.ndarray:
-    """Image of x under the proximal projection operator."""
-    return projector.project(x)
 
 
 @dataclass
@@ -253,12 +264,14 @@ class ComposedMap:
     """outer applied after the proximal projection; flips the outer's mode.
 
     Lives on the proximal sets only (domain 'proximal'): iterating it only
-    makes sense from points that realize dist(A, B).
+    makes sense from points that realize dist(A, B).  Its certificate is
+    derived from the outer map's by `compose_with_projector`.
     """
 
     outer: Any
     projector: ProximalProjector
     mode: Mode
+    certificate: MapCertificate
     name: str = ""
 
     domain = "proximal"
@@ -279,11 +292,15 @@ class ComposedMap:
 
 
 def compose_with_projector(outer, projector: ProximalProjector | None = None,
-                           samples: int = 200, seed: int = 0) -> ComposedMap:
+                           samples: int = 200) -> ComposedMap:
     """Build the map x -> outer(P(x)) after checking it is legitimate.
 
     Requires outer to be relatively nonexpansive and to preserve the proximal
-    sets (sampled); the result's mode is the opposite of outer's.
+    sets, both sampled with the seed of outer's certificate.  The result's
+    certificate is derived from outer's: the mode is flipped, its mode check
+    is the proximal-preservation check (outer's images of A0 and B0 are the
+    composition's images of B0 and A0), and alpha_hat is outer's, with
+    method "inherited".
     """
     inst = outer.instance
     if projector is None:
@@ -291,6 +308,7 @@ def compose_with_projector(outer, projector: ProximalProjector | None = None,
     if projector.instance is not inst:
         raise PreconditionError("projector and map belong to different instances")
 
+    seed = certificate_of(outer).seed
     nonexp = certify_relatively_nonexpansive(outer, samples=samples, seed=seed)
     if not nonexp:
         raise PreconditionError(
@@ -299,6 +317,7 @@ def compose_with_projector(outer, projector: ProximalProjector | None = None,
 
     rng = np.random.default_rng(seed)
     window = projector.slack * inst.tol
+    worst = 0.0
     for side in ("A", "B"):
         pts = inst.sample_proximal(side, samples, rng)
         imgs = outer.apply_many(pts)
@@ -313,10 +332,19 @@ def compose_with_projector(outer, projector: ProximalProjector | None = None,
             raise PreconditionError(
                 f"map does not preserve the proximal sets: point {pts[i].tolist()} "
                 f"maps {devs[i]:.3e} away from the proximal part of side {target}")
+        worst = max(worst, float(devs[i]))
 
     mode: Mode = flip_mode(outer.mode)
+    modulus = contraction_of(outer)
+    certificate = MapCertificate(
+        seed=seed,
+        mode=ModeCheck(ok=True, mode=mode, exact=False, worst_deviation=worst),
+        contraction=ContractionCertificate(
+            alpha_hat=modulus.alpha_hat, samples=0, method="inherited",
+            degenerate=modulus.degenerate, worst_pair=None))
     name = f"{outer.name or 'map'}*P"
-    return ComposedMap(outer=outer, projector=projector, mode=mode, name=name)
+    return ComposedMap(outer=outer, projector=projector, mode=mode,
+                       certificate=certificate, name=name)
 
 
 @dataclass

@@ -3,7 +3,8 @@
 Two direct solvers (Picard iteration for cyclic contractions, map-then-
 project iteration for noncyclic ones) and two reductions that route one kind
 of problem through the other by composing with the proximal projector.  All
-solvers certify their preconditions, record a full trace with the gap
+solvers check their preconditions against the map's certificate (made on
+first use when the map has none), record a full trace with the gap
 d(x_n, companion_n) - dist(A, B), and flag non-convergence instead of
 raising.
 """
@@ -18,7 +19,12 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .geometry import ProximityInstance, Side, contains
-from .mappings import ContractionCertificate, certify_contraction, certify_mode
+from .mappings import (
+    ContractionCertificate,
+    ContractionMethod,
+    certificate_of,
+    contraction_of,
+)
 from .operators import ProximalProjector, compose_with_projector
 
 DEFAULT_TOL = 1e-9
@@ -74,6 +80,7 @@ class SolveResult:
     converged: bool
     trace: IterationTrace
     alpha_hat: float
+    alpha_method: ContractionMethod
     map_name: str = ""
     x_star: np.ndarray | None = None
     pair: tuple[np.ndarray, np.ndarray] | None = None
@@ -92,6 +99,7 @@ class SolveResult:
             "predicted_iterations": self.trace.predicted_iterations,
             "residual": float(self.residual),
             "alpha_hat": float(self.alpha_hat),
+            "alpha_method": self.alpha_method,
             "dist": float(self.trace.dist),
             "final_gap": float(self.trace.steps[-1].gap),
         }
@@ -106,17 +114,21 @@ class SolveResult:
         return out
 
 
-def _require_contraction(m, expected_mode: str, certificate, seed: int
-                         ) -> ContractionCertificate:
+def _require_tol(tol: float) -> None:
+    if not tol > 0.0:
+        raise PreconditionError(f"tol must be positive, got {tol!r}")
+
+
+def _require_contraction(m, expected_mode: str) -> ContractionCertificate:
     if m.mode != expected_mode:
         raise PreconditionError(
             f"solver needs a {expected_mode} map, got mode {m.mode!r}")
-    mode_check = certify_mode(m, seed=seed)
+    mode_check = certificate_of(m).mode
     if not mode_check:
         raise PreconditionError(
             f"map failed {expected_mode} mode certification "
             f"(worst deviation {mode_check.worst_deviation:.3e})")
-    cert = certificate if certificate is not None else certify_contraction(m, seed=seed)
+    cert = contraction_of(m)
     if not cert.alpha_hat < 1.0:
         raise PreconditionError(
             f"map is not a contraction on cross pairs (alpha_hat={cert.alpha_hat})")
@@ -126,7 +138,7 @@ def _require_contraction(m, expected_mode: str, certificate, seed: int
 def _require_start_in_A(m, x0) -> np.ndarray:
     inst = m.instance
     x0 = inst.space.check_vector(x0)
-    if getattr(m, "domain", "full") == "proximal":
+    if m.domain == "proximal":
         return _require_proximal_start(inst, x0)
     if not contains(inst.A, x0, inst.tol):
         raise PreconditionError(f"start {x0.tolist()} is not a point of A")
@@ -157,9 +169,8 @@ def _predict_iterations(gap0: float, alpha: float, tol: float) -> int | None:
     return int(math.ceil(math.log(tol / gap0) / math.log(alpha)))
 
 
-def picard_cyclic(m, x0, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                  certificate: ContractionCertificate | None = None,
-                  seed: int = 0) -> SolveResult:
+def picard_cyclic(m, x0, tol: float = DEFAULT_TOL,
+                  max_iter: int = DEFAULT_MAX_ITER) -> SolveResult:
     """Iterate x_{n+1} = T(x_n) for a certified cyclic contraction.
 
     Stops when an even iterate repeats within tol and the running gap has
@@ -167,7 +178,8 @@ def picard_cyclic(m, x0, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_I
     Hitting max_iter returns the best even iterate with converged=False.
     """
     inst = m.instance
-    cert = _require_contraction(m, "cyclic", certificate, seed)
+    _require_tol(tol)
+    cert = _require_contraction(m, "cyclic")
     x = _require_start_in_A(m, x0)
     space = inst.space
 
@@ -200,13 +212,11 @@ def picard_cyclic(m, x0, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_I
                                steps[0].gap, cert.alpha_hat, tol))
     return SolveResult(kind="best_proximity_point", residual=residual,
                        converged=converged, trace=trace, alpha_hat=cert.alpha_hat,
-                       map_name=getattr(m, "name", ""), x_star=x_star)
+                       alpha_method=cert.method, map_name=m.name, x_star=x_star)
 
 
 def noncyclic_projection_iteration(m, x0, tol: float = DEFAULT_TOL,
                                    max_iter: int = DEFAULT_MAX_ITER,
-                                   certificate: ContractionCertificate | None = None,
-                                   seed: int = 0,
                                    projector: ProximalProjector | None = None
                                    ) -> SolveResult:
     """Iterate x_n = T^n(x0) in A0 with companions y_n = P(x_n) in B0.
@@ -216,7 +226,8 @@ def noncyclic_projection_iteration(m, x0, tol: float = DEFAULT_TOL,
     certified noncyclic contraction.
     """
     inst = m.instance
-    cert = _require_contraction(m, "noncyclic", certificate, seed)
+    _require_tol(tol)
+    cert = _require_contraction(m, "noncyclic")
     x = _require_proximal_start(inst, x0)
     if projector is None:
         projector = ProximalProjector(inst)
@@ -247,7 +258,7 @@ def noncyclic_projection_iteration(m, x0, tol: float = DEFAULT_TOL,
                                cert.alpha_hat, tol))
     return SolveResult(kind="best_proximity_pair", residual=residual,
                        converged=converged, trace=trace, alpha_hat=cert.alpha_hat,
-                       map_name=getattr(m, "name", ""), pair=(x, y))
+                       alpha_method=cert.method, map_name=m.name, pair=(x, y))
 
 
 def _orbit(m, x0: np.ndarray, count: int) -> list[np.ndarray]:
@@ -268,8 +279,6 @@ def _even_identity_deviation(composed, outer, x0: np.ndarray, terms: int,
 
 def solve_cyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
                                max_iter: int = DEFAULT_MAX_ITER,
-                               certificate: ContractionCertificate | None = None,
-                               seed: int = 0,
                                identity_terms: int = IDENTITY_TERMS) -> SolveResult:
     """Solve a cyclic contraction by running the noncyclic solver on m after P.
 
@@ -278,25 +287,24 @@ def solve_cyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
     identity (composition iterated 2n times vs m iterated 2n times).
     """
     inst = m.instance
-    _require_contraction(m, "cyclic", certificate, seed)
+    _require_tol(tol)
+    _require_contraction(m, "cyclic")
     x0 = _require_proximal_start(inst, x0)
     projector = ProximalProjector(inst)
-    composed = compose_with_projector(m, projector, seed=seed)
+    composed = compose_with_projector(m, projector)
     inner = noncyclic_projection_iteration(composed, x0, tol=tol, max_iter=max_iter,
-                                           seed=seed, projector=projector)
+                                           projector=projector)
     p = inner.pair[0]
     residual = abs(inst.space.distance(p, m.apply(p)) - inst.dist)
     identity = _even_identity_deviation(composed, m, x0, identity_terms, inst.space)
     return SolveResult(kind="best_proximity_point", residual=residual,
                        converged=inner.converged, trace=inner.trace,
-                       alpha_hat=inner.alpha_hat, map_name=getattr(m, "name", ""),
-                       x_star=p, identity_deviation=identity)
+                       alpha_hat=inner.alpha_hat, alpha_method=inner.alpha_method,
+                       map_name=m.name, x_star=p, identity_deviation=identity)
 
 
 def solve_noncyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
                                   max_iter: int = DEFAULT_MAX_ITER,
-                                  certificate: ContractionCertificate | None = None,
-                                  seed: int = 0,
                                   identity_terms: int = IDENTITY_TERMS) -> SolveResult:
     """Solve a noncyclic contraction by running Picard on m after P.
 
@@ -306,11 +314,12 @@ def solve_noncyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
     composition stray from the proximal part of B.
     """
     inst = m.instance
-    _require_contraction(m, "noncyclic", certificate, seed)
+    _require_tol(tol)
+    _require_contraction(m, "noncyclic")
     x0 = _require_proximal_start(inst, x0)
     projector = ProximalProjector(inst)
-    composed = compose_with_projector(m, projector, seed=seed)
-    inner = picard_cyclic(composed, x0, tol=tol, max_iter=max_iter, seed=seed)
+    composed = compose_with_projector(m, projector)
+    inner = picard_cyclic(composed, x0, tol=tol, max_iter=max_iter)
     p = inner.x_star
     q = projector.project(p, "A")
     space = inst.space
@@ -326,6 +335,6 @@ def solve_noncyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
     odd_dev = float(np.max(np.maximum(body_res, gaps)))
     return SolveResult(kind="best_proximity_pair", residual=residual,
                        converged=inner.converged, trace=inner.trace,
-                       alpha_hat=inner.alpha_hat, map_name=getattr(m, "name", ""),
-                       pair=(p, q), identity_deviation=identity,
+                       alpha_hat=inner.alpha_hat, alpha_method=inner.alpha_method,
+                       map_name=m.name, pair=(p, q), identity_deviation=identity,
                        odd_membership_deviation=odd_dev)

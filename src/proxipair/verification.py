@@ -1,10 +1,10 @@
 """Instance-level verification: every structural claim checked numerically.
 
-Given a built instance this runs the projector property suite, commutation
-and mode-flip checks for the declared maps, executes the declared solver
-runs, and validates the orbit identities the reductions rely on.  Each
-check reports its worst observed deviation against an explicit threshold;
-the report is JSON-ready for the command line.
+Given a built instance this runs the projector property suite, commutation,
+mode-flip and inherited-modulus checks for the declared maps, executes the
+declared solver runs, and validates the orbit identities the reductions rely
+on.  Each check reports its worst observed deviation against an explicit
+threshold; the report is JSON-ready for the command line.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ProxipairError
+from .errors import PreconditionError, ProxipairError
 from .instances import BuiltInstance
-from .mappings import certify_contraction, certify_mode, flip_mode
+from .mappings import certify_contraction, certify_mode, contraction_of, flip_mode
 from .operators import (
     ProximalProjector,
     check_commutation,
@@ -30,6 +30,7 @@ ODD_MEMBERSHIP_THRESHOLD = 1e-8
 UNIQUENESS_THRESHOLD = 1e-6
 UNIQUENESS_STARTS = 5
 GAP_DECAY_SLACK = 1e-9
+INHERITED_MODULUS_SLACK = 1e-6
 
 PROJECTOR_TAGS = {
     "cyclic_distance": "projection-realizes-distance",
@@ -101,10 +102,15 @@ def _projector_checks(built: BuiltInstance, samples: int, seed: int) -> list:
     return out
 
 
-def _map_checks(built: BuiltInstance, samples: int, seed: int) -> tuple[list, dict]:
-    """Commutation for noncyclic maps, mode flip for certified contractions."""
+def _map_checks(built: BuiltInstance, samples: int, seed: int) -> list:
+    """Commutation for noncyclic maps; mode flip and inherited modulus for
+    certified contractions.
+
+    The inherited-modulus check re-samples the composed map and compares its
+    modulus with the one it inherited from the outer map, which keeps the
+    inheritance claim itself under test.
+    """
     checks = []
-    certificates = {}
     projector = ProximalProjector(built.instance)
     for name, m in built.maps.items():
         if m.mode == "noncyclic":
@@ -116,37 +122,40 @@ def _map_checks(built: BuiltInstance, samples: int, seed: int) -> tuple[list, di
                 worst_deviation=commutation.max_deviation,
                 threshold=COMMUTATION_THRESHOLD,
                 details=f"max over {commutation.samples} proximal points per side"))
-        cert = certify_contraction(m, seed=seed)
-        certificates[name] = cert
-        if not cert:
+        if not contraction_of(m):
             continue
+        flip = CheckResult(name=f"map-{name}-mode-flip", tag="composition-flips-mode",
+                           passed=False, worst_deviation=float("inf"),
+                           threshold=built.instance.tol * 10.0)
+        modulus = CheckResult(name=f"map-{name}-inherited-modulus",
+                              tag="composition-keeps-modulus", passed=False,
+                              worst_deviation=float("inf"),
+                              threshold=INHERITED_MODULUS_SLACK)
         try:
-            composed = compose_with_projector(m, projector, seed=seed)
+            composed = compose_with_projector(m, projector)
             flipped = certify_mode(composed, seed=seed)
-            passed = flipped.ok and composed.mode == flip_mode(m.mode)
-            deviation = flipped.worst_deviation
-            details = f"composed map certifies as {composed.mode}"
+            inherited = composed.certificate.contraction.alpha_hat
+            resampled = certify_contraction(composed, seed=seed).alpha_hat
         except ProxipairError as exc:
-            passed, deviation, details = False, float("inf"), str(exc)
-        checks.append(CheckResult(
-            name=f"map-{name}-mode-flip",
-            tag="composition-flips-mode",
-            passed=passed,
-            worst_deviation=deviation,
-            threshold=built.instance.tol * 10.0,
-            details=details))
-    return checks, certificates
+            flip.details = modulus.details = str(exc)
+        else:
+            flip.passed = flipped.ok and composed.mode == flip_mode(m.mode)
+            flip.worst_deviation = flipped.worst_deviation
+            flip.details = f"composed map certifies as {composed.mode}"
+            modulus.passed = resampled <= inherited + INHERITED_MODULUS_SLACK
+            modulus.worst_deviation = max(resampled - inherited, 0.0)
+            modulus.details = (f"re-sampled alpha {resampled:.6g}, "
+                               f"inherited alpha {inherited:.6g}")
+        checks += [flip, modulus]
+    return checks
 
 
-def _run_checks(built: BuiltInstance, certificates: dict, seed: int) -> list:
+def _run_checks(built: BuiltInstance) -> list:
     checks = []
     residual_threshold = built.doc.tol * 10.0
     for run_name in built.runs:
-        spec = built.runs[run_name]
-        cert = certificates[spec["map"]]
-        alpha = cert.alpha_hat
         try:
-            result = built.run(run_name, seed=seed, certificate=cert)
+            result = built.run(run_name)
         except ProxipairError as exc:
             checks.append(CheckResult(
                 name=f"run-{run_name}-converges", tag="solver-run-converges",
@@ -162,6 +171,7 @@ def _run_checks(built: BuiltInstance, certificates: dict, seed: int) -> list:
             details=f"{result.trace.iterations_used} iterations, "
                     f"alpha_hat={result.alpha_hat:.4f}"))
 
+        alpha = result.alpha_hat
         gaps = result.trace.gaps()
         excess = gaps[1:] - (alpha * gaps[:-1] + GAP_DECAY_SLACK)
         worst = float(np.max(excess)) if len(excess) else 0.0
@@ -192,7 +202,7 @@ def _run_checks(built: BuiltInstance, certificates: dict, seed: int) -> list:
     return checks
 
 
-def _uniqueness_checks(built: BuiltInstance, certificates: dict, seed: int) -> list:
+def _uniqueness_checks(built: BuiltInstance, seed: int) -> list:
     checks = []
     inst = built.instance
     rng = np.random.default_rng(seed)
@@ -205,10 +215,9 @@ def _uniqueness_checks(built: BuiltInstance, certificates: dict, seed: int) -> l
         details = ""
         passed = True
         worst = 0.0
-        cert = certificates[spec["map"]]
         for x0 in starts:
             try:
-                result = _run_from(built, spec, x0, seed, cert)
+                result = built.run(run_name, x0=x0)
             except ProxipairError as exc:
                 passed, worst, details = False, float("inf"), str(exc)
                 break
@@ -229,19 +238,17 @@ def _uniqueness_checks(built: BuiltInstance, certificates: dict, seed: int) -> l
     return checks
 
 
-def _run_from(built: BuiltInstance, spec: dict, x0, seed: int, certificate=None):
-    from .instances import SOLVERS
-    solver = SOLVERS[spec["solver"]]
-    return solver(built.maps[spec["map"]], x0, tol=built.doc.tol, seed=seed,
-                  certificate=certificate)
-
-
 def run_verification(built: BuiltInstance, samples: int = 1000,
                      seed: int = 0) -> VerificationReport:
-    """Full check battery; failing maps produce failing checks, not errors."""
+    """Full check battery; failing maps produce failing checks, not errors.
+
+    `seed` drives the checks' own sampling.  The maps' certificates were
+    made, with their own seed, when the instance was built.
+    """
+    if samples < 1:
+        raise PreconditionError(f"samples must be at least 1, got {samples}")
     checks = _projector_checks(built, samples, seed)
-    map_checks, certificates = _map_checks(built, samples, seed)
-    checks.extend(map_checks)
-    checks.extend(_run_checks(built, certificates, seed))
-    checks.extend(_uniqueness_checks(built, certificates, seed))
+    checks.extend(_map_checks(built, samples, seed))
+    checks.extend(_run_checks(built))
+    checks.extend(_uniqueness_checks(built, seed))
     return VerificationReport(instance_name=built.doc.name, checks=checks)

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from proxipair.geometry import distance_between
 from proxipair.instances import build, builtin_instance, generate_random_instance
-from proxipair.mappings import certify_contraction
+from proxipair.mappings import contraction_of
 from proxipair.operators import (
     ProximalProjector,
     check_commutation,
@@ -36,18 +36,17 @@ def _report(criterion: int, detail: str):
 @pytest.fixture(scope="module")
 def segpair():
     built = build(builtin_instance("segpair"))
-    certs = {name: certify_contraction(m) for name, m in built.maps.items()}
+    certs = {name: contraction_of(m) for name, m in built.maps.items()}
     # warm-up so the timed criteria measure the solver, not import-time setup
-    picard_cyclic(built.maps["T"], [2.0, 0.0], certificate=certs["T"])
-    noncyclic_projection_iteration(built.maps["S"], [2.0, 0.0],
-                                   certificate=certs["S"])
+    picard_cyclic(built.maps["T"], [2.0, 0.0])
+    noncyclic_projection_iteration(built.maps["S"], [2.0, 0.0])
     return built, certs
 
 
 @pytest.fixture(scope="module")
 def ballpair():
     built = build(builtin_instance("ballpair"))
-    certs = {name: certify_contraction(m) for name, m in built.maps.items()}
+    certs = {name: contraction_of(m) for name, m in built.maps.items()}
     return built, certs
 
 
@@ -59,7 +58,7 @@ def generated():
         doc = generate_random_instance(17 + i, dim=2 + i % 2, p=EXPONENTS[i],
                                        family=family)
         built = build(doc)
-        certs = {name: certify_contraction(m) for name, m in built.maps.items()}
+        certs = {name: contraction_of(m) for name, m in built.maps.items()}
         out.append((built, certs))
     return out
 
@@ -77,7 +76,7 @@ def test_criterion_01_picard_cyclic_closed_form(segpair):
     built, certs = segpair
     T = built.maps["T"]
     elapsed, res = _timed_best(
-        lambda: picard_cyclic(T, [2.0, 0.0], certificate=certs["T"]))
+        lambda: picard_cyclic(T, [2.0, 0.0]))
     assert res.converged
     for step in res.trace.steps:
         if step.index % 2 == 0 and step.index <= 30:
@@ -93,8 +92,7 @@ def test_criterion_02_noncyclic_pair_closed_form(segpair):
     built, certs = segpair
     S = built.maps["S"]
     elapsed, res = _timed_best(
-        lambda: noncyclic_projection_iteration(S, [2.0, 0.0],
-                                               certificate=certs["S"]))
+        lambda: noncyclic_projection_iteration(S, [2.0, 0.0]))
     assert res.converged
     for step in res.trace.steps:
         n = step.index
@@ -147,10 +145,8 @@ def test_criterion_04_commutation(segpair, ballpair, generated):
 
 def test_criterion_05_reduction_identities(segpair):
     built, certs = segpair
-    cyc = solve_cyclic_via_reduction(built.maps["T"], [2.0, 0.0],
-                                     certificate=certs["T"], identity_terms=20)
-    non = solve_noncyclic_via_reduction(built.maps["S"], [2.0, 0.0],
-                                        certificate=certs["S"], identity_terms=20)
+    cyc = solve_cyclic_via_reduction(built.maps["T"], [2.0, 0.0], identity_terms=20)
+    non = solve_noncyclic_via_reduction(built.maps["S"], [2.0, 0.0], identity_terms=20)
     assert cyc.identity_deviation <= 1e-9
     assert non.identity_deviation <= 1e-9
     assert non.odd_membership_deviation <= 1e-8
@@ -168,17 +164,14 @@ def test_criterion_06_solver_equivalence(segpair, ballpair, generated):
         x0 = next(spec["x0"] for spec in built.runs.values()
                   if spec["solver"].startswith("reduce"))
         for name in cyclic:
-            direct = picard_cyclic(built.maps[name], x0, certificate=certs[name])
-            reduced = solve_cyclic_via_reduction(built.maps[name], x0,
-                                                 certificate=certs[name])
+            direct = picard_cyclic(built.maps[name], x0)
+            reduced = solve_cyclic_via_reduction(built.maps[name], x0)
             dev = float(np.max(np.abs(direct.x_star - reduced.x_star)))
             assert dev <= 1e-6, (built.doc.name, name)
             worst = max(worst, dev)
         for name in noncyc:
-            direct = noncyclic_projection_iteration(built.maps[name], x0,
-                                                    certificate=certs[name])
-            reduced = solve_noncyclic_via_reduction(built.maps[name], x0,
-                                                    certificate=certs[name])
+            direct = noncyclic_projection_iteration(built.maps[name], x0)
+            reduced = solve_noncyclic_via_reduction(built.maps[name], x0)
             dev = float(np.max(np.abs(np.array(direct.pair) - np.array(reduced.pair))))
             assert dev <= 1e-6, (built.doc.name, name)
             worst = max(worst, dev)
@@ -189,11 +182,10 @@ def test_criterion_06_solver_equivalence(segpair, ballpair, generated):
 def test_criterion_07_uniqueness(segpair):
     built, certs = segpair
     starts = ([1.0, 0.0], [1.3, 0.0], [1.5, 0.0], [1.8, 0.0], [2.0, 0.0])
-    points = [picard_cyclic(built.maps["T"], x0, certificate=certs["T"]).x_star
+    points = [picard_cyclic(built.maps["T"], x0).x_star
               for x0 in starts]
     spread_pt = max(float(np.max(np.abs(p - points[0]))) for p in points)
-    pairs = [noncyclic_projection_iteration(built.maps["S"], x0,
-                                            certificate=certs["S"]).pair
+    pairs = [noncyclic_projection_iteration(built.maps["S"], x0).pair
              for x0 in starts]
     spread_pair = max(float(np.max(np.abs(np.array(q) - np.array(pairs[0]))))
                       for q in pairs)
@@ -224,7 +216,7 @@ def test_criterion_09_gap_decay(segpair, ballpair, generated):
             cert = certs[spec["map"]]
             if not cert:
                 continue
-            result = built.run(run_name, certificate=cert)
+            result = built.run(run_name)
             gaps = result.trace.gaps()
             excess = gaps[1:] - (cert.alpha_hat * gaps[:-1] + 1e-9)
             assert np.all(excess <= 0.0), (built.doc.name, run_name)

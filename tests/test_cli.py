@@ -1,9 +1,14 @@
+import collections
 import json
+import sys
 
 import pytest
 
+from proxipair import cli, mappings
 from proxipair.cli import main
+from proxipair.errors import InstanceFormatError
 from proxipair.instances import builtin_instance, parse_instance, serialize_instance
+from proxipair.operators import ComposedMap
 
 
 def run_cli(*argv):
@@ -26,6 +31,11 @@ def test_solve_segpair_writes_everything(tmp_path, capsys):
         assert summary["trace"] == trace_path.name
         header = trace_path.read_text().splitlines()[0]
         assert header == "index,side,x0,x1,y0,y1,gap"
+    direct = json.loads((tmp_path / "segpair-picard-T.summary.json").read_text())
+    reduced = json.loads((tmp_path / "segpair-reduce-T.summary.json").read_text())
+    assert direct["alpha_method"] == "grid"
+    assert reduced["alpha_method"] == "inherited"
+    assert reduced["alpha_hat"] == direct["alpha_hat"]
 
 
 def test_solve_single_run_selection(tmp_path):
@@ -139,6 +149,77 @@ def test_bench_runs_batch(tmp_path, capsys):
     assert len(rows) == 3
     assert all(r["converged"] for r in rows)
     assert capsys.readouterr().out.count(": ok") == 3
+
+
+def test_bench_records_a_failing_instance_and_goes_on(tmp_path, capsys, monkeypatch):
+    real_build = cli.build
+
+    def build(doc, *args, **kwargs):
+        if doc.metadata["seed"] == 6:
+            raise InstanceFormatError("planted failure")
+        return real_build(doc, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build", build)
+    code = run_cli("bench", "--count", "3", "--jobs", "2", "--seed", "5",
+                   "--out", str(tmp_path))
+    assert code == 1
+    rows = json.loads((tmp_path / "bench-separated-boxes.json").read_text())
+    assert [r["error"] for r in rows] == [None, "planted failure", None]
+    assert [r["converged"] for r in rows] == [True, False, True]
+    out = capsys.readouterr().out
+    assert out.count(": ok") == 2
+    assert "3 instances in" in out and "(wall)" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "segpair", "--samples", "0"),
+    ("solve", "segpair", "--tol", "0"),
+    ("solve", "segpair", "--tol", "-1"),
+    ("gen", "--dim", "0"),
+    ("gen", "--p", "1.0"),
+    ("bench", "--jobs", "0"),
+])
+def test_invalid_arguments_give_one_error_line(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def _count_certifier_calls(monkeypatch, *argv):
+    """Run the CLI with every binding of the two certifiers wrapped."""
+    counts = collections.Counter()
+    modules = [m for n, m in sys.modules.items() if n.startswith("proxipair")]
+    for fname in ("certify_mode", "certify_contraction"):
+        original = getattr(mappings, fname)
+
+        def counted(m, *args, _original=original, _name=fname, **kwargs):
+            counts[_name] += 1
+            if isinstance(m, ComposedMap):
+                counts[f"{_name} on a composed map"] += 1
+            return _original(m, *args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    assert run_cli(*argv) == 0
+    return counts
+
+
+@pytest.mark.parametrize("command,instance,expected", [
+    ("solve", "ballpair", {"certify_mode": 2, "certify_contraction": 2}),
+    ("solve", "segpair", {"certify_mode": 4, "certify_contraction": 2}),
+    # verify re-samples each composed contraction once for the mode-flip
+    # check and once for the inherited-modulus check
+    ("verify", "segpair", {"certify_mode": 6, "certify_contraction": 6,
+                           "certify_mode on a composed map": 2,
+                           "certify_contraction on a composed map": 2}),
+])
+def test_each_map_is_certified_once(tmp_path, monkeypatch, command, instance,
+                                    expected):
+    counts = _count_certifier_calls(monkeypatch, command, instance,
+                                    "--out", str(tmp_path))
+    assert counts == expected
 
 
 def test_bad_family_is_usage_error(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from proxipair import geometry
 from proxipair.errors import (
     DimensionMismatchError,
     DomainError,
@@ -21,10 +22,7 @@ from proxipair.geometry import (
     ProximityInstance,
     contains,
     distance_between,
-    norm,
     project,
-    project_many,
-    proximal_membership,
 )
 
 P_GRID = [1.5, 2.0, 3.0]
@@ -39,18 +37,18 @@ def segment(space, a, b):
 
 def test_norm_euclidean_345():
     sp = LpSpace(2, 2.0)
-    assert norm(sp, [3.0, 4.0]) == 5.0
+    assert sp.norm([3.0, 4.0]) == 5.0
 
 
 def test_norm_p4_diagonal():
     # (1^4 + 1^4)^(1/4) = 2^(1/4)
     sp = LpSpace(2, 4.0)
-    assert_allclose(norm(sp, [1.0, 1.0]), 2.0 ** 0.25, atol=1e-15)
+    assert_allclose(sp.norm([1.0, 1.0]), 2.0 ** 0.25, atol=1e-15)
 
 
 def test_norm_zero_vector():
     sp = LpSpace(3, 1.7)
-    assert norm(sp, [0.0, 0.0, 0.0]) == 0.0
+    assert sp.norm([0.0, 0.0, 0.0]) == 0.0
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5, 0.0, -2.0, math.inf, math.nan])
@@ -68,7 +66,7 @@ def test_space_rejects_bad_dims(dim):
 def test_norm_dimension_mismatch():
     sp = LpSpace(3, 2.0)
     with pytest.raises(DimensionMismatchError):
-        norm(sp, [1.0, 2.0])
+        sp.norm([1.0, 2.0])
 
 
 @pytest.mark.parametrize("p", P_GRID)
@@ -78,9 +76,9 @@ def test_norm_axioms_sampled(p, rng):
         x = rng.normal(size=4)
         y = rng.normal(size=4)
         t = rng.uniform(-3, 3)
-        assert norm(sp, x) >= 0.0
-        assert_allclose(norm(sp, t * x), abs(t) * norm(sp, x), rtol=1e-12)
-        assert norm(sp, x + y) <= norm(sp, x) + norm(sp, y) + 1e-12
+        assert sp.norm(x) >= 0.0
+        assert_allclose(sp.norm(t * x), abs(t) * sp.norm(x), rtol=1e-12)
+        assert sp.norm(x + y) <= sp.norm(x) + sp.norm(y) + 1e-12
 
 
 @pytest.mark.parametrize("p", P_GRID)
@@ -92,9 +90,9 @@ def test_strict_convexity_of_midpoints(p, rng):
         y = rng.normal(size=3)
         x = x / sp.norms(x)
         y = y / sp.norms(y)
-        if norm(sp, x - y) < 1e-6:
+        if sp.norm(x - y) < 1e-6:
             continue
-        assert norm(sp, (x + y) / 2.0) < 1.0
+        assert sp.norm((x + y) / 2.0) < 1.0
 
 
 # ------------------------------------------------------------ projections
@@ -295,7 +293,7 @@ def test_projection_idempotent(p, rng):
         for _ in range(50):
             x = rng.uniform(-4, 4, 3)
             y = project(body, x)
-            assert norm(sp, project(body, y) - y) <= 1e-9
+            assert sp.norm(project(body, y) - y) <= 1e-9
 
 
 def test_projection_variational_characterization_p2(rng):
@@ -316,17 +314,30 @@ def test_projection_nonexpansive_p2(rng):
         for _ in range(50):
             x = rng.uniform(-4, 4, 3)
             y = rng.uniform(-4, 4, 3)
-            assert (norm(sp, project(body, x) - project(body, y))
-                    <= norm(sp, x - y) + 1e-12)
+            assert (sp.norm(project(body, x) - project(body, y))
+                    <= sp.norm(x - y) + 1e-12)
 
 
 def test_project_many_matches_pointwise(rng):
     sp = LpSpace(2, 2.0)
     tri = Polytope(sp, [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     X = rng.uniform(-3, 3, (25, 2))
-    batch = project_many(tri, X)
+    batch = tri.project_many(X)
     single = np.array([project(tri, x) for x in X])
     assert_allclose(batch, single, atol=1e-9)
+
+
+def test_polygon_face_halfspaces_are_built_once(monkeypatch):
+    sp = LpSpace(2, 2.0)
+    tri = Polytope(sp, [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    assert tri.member([0.5, 0.5])
+    calls = []
+    real = geometry._edges_to_halfspaces
+    monkeypatch.setattr(geometry, "_edges_to_halfspaces",
+                        lambda edges: calls.append(1) or real(edges))
+    assert tri.member([0.5, 0.5])
+    assert not tri.member([2.0, 2.0])
+    assert calls == []
 
 
 def test_body_validation():
@@ -426,27 +437,27 @@ def test_instance_caches_distance():
     inst = seg_instance()
     assert_allclose(inst.dist, 1.0, atol=1e-9)
     a, b = inst.realizing_pair
-    assert_allclose(norm(inst.space, a - b), inst.dist, atol=1e-9)
+    assert_allclose(inst.space.norm(a - b), inst.dist, atol=1e-9)
 
 
 def test_proximal_membership_segment_pair():
     inst = seg_instance()
-    assert proximal_membership(inst, [1.5, 0.0], "A")
-    assert proximal_membership(inst, [2.0, 0.0], "A")
-    assert proximal_membership(inst, [1.0, 1.0], "B")
+    assert inst.proximal_membership([1.5, 0.0], "A")
+    assert inst.proximal_membership([2.0, 0.0], "A")
+    assert inst.proximal_membership([1.0, 1.0], "B")
 
 
 def test_proximal_membership_ball_pair():
     inst = ball_instance()
-    assert proximal_membership(inst, [-1.0, 0.0], "A", slack=100.0)
+    assert inst.proximal_membership([-1.0, 0.0], "A", slack=100.0)
     # boundary point of A that does not realize the distance
-    assert not proximal_membership(inst, [-3.0, 0.0], "A")
+    assert not inst.proximal_membership([-3.0, 0.0], "A")
 
 
 def test_proximal_membership_outside_side_raises():
     inst = seg_instance()
     with pytest.raises(DomainError):
-        proximal_membership(inst, [1.5, 0.5], "A")
+        inst.proximal_membership([1.5, 0.5], "A")
 
 
 def test_sample_proximal_segment_pair(rng):

@@ -175,6 +175,15 @@ def test_build_rejects_mislabeled_mode():
         build(doc)
 
 
+def test_build_keeps_the_mode_certificate():
+    built = build(builtin_instance("segpair"), seed=3)
+    cert = built.maps["T"].certificate
+    assert cert.seed == 3 and cert.mode.ok
+    assert cert.contraction is None  # estimated when a solver first needs it
+    built.run("picard-T")
+    assert cert.contraction.method == "grid"
+
+
 def test_build_certify_false_skips_the_gate():
     doc = builtin_instance("segpair")
     doc.maps[0]["mode"] = "noncyclic"

@@ -8,7 +8,6 @@ from proxipair.errors import DimensionMismatchError
 from proxipair.geometry import Ball, Box, LpSpace, Polytope, ProximityInstance
 from proxipair.mappings import (
     MapSpec,
-    apply,
     certify_contraction,
     certify_mode,
     certify_relatively_nonexpansive,
@@ -56,8 +55,8 @@ def const_maps(balls):
 
 def test_affine_apply(seg):
     T = map_T(seg)
-    assert_allclose(apply(T, [2.0, 0.0]), [1.5, 1.0], atol=0)
-    assert_allclose(apply(T, [1.5, 1.0]), [1.25, 0.0], atol=0)
+    assert_allclose(T.apply([2.0, 0.0]), [1.5, 1.0], atol=0)
+    assert_allclose(T.apply([1.5, 1.0]), [1.25, 0.0], atol=0)
 
 
 def test_apply_many_matches_apply(seg, rng):
@@ -142,7 +141,7 @@ def segpair_alpha_oracle():
 
 def test_contraction_modulus_matches_grid_oracle(seg):
     cert = certify_contraction(map_T(seg))
-    assert cert.exact
+    assert cert.method == "grid"
     assert not cert.degenerate
     assert_allclose(cert.alpha_hat, segpair_alpha_oracle(), atol=1e-6)
     # closed form of the maximum, attained at the endpoint pair
@@ -178,7 +177,7 @@ def test_constant_map_contracts_to_zero(balls):
     cyc, _ = const_maps(balls)
     cert = certify_contraction(cyc, samples=2000)
     assert cert.alpha_hat == 0.0
-    assert not cert.exact
+    assert cert.method == "sampled"
     assert not cert.degenerate
     assert cert
 
@@ -229,5 +228,5 @@ def test_box_pair_affine_contraction_certifies(rng):
     S = MapSpec.affine(inst, "noncyclic", M, (np.eye(3) - M) @ anchor)
     assert certify_mode(S).exact
     cert = certify_contraction(S, samples=2000)
-    assert cert.exact
+    assert cert.method == "grid"
     assert 0.0 < cert.alpha_hat < 1.0

@@ -9,7 +9,6 @@ from proxipair.operators import (
     ProximalProjector,
     check_commutation,
     compose_with_projector,
-    proximal_project,
     verify_projector_properties,
 )
 
@@ -42,7 +41,7 @@ def map_T(seg):
 
 def test_projector_on_segment_pair(seg):
     P = ProximalProjector(seg)
-    assert_allclose(proximal_project(P, [1.5, 0.0]), [1.5, 1.0], atol=1e-12)
+    assert_allclose(P.project([1.5, 0.0]), [1.5, 1.0], atol=1e-12)
     assert_allclose(P([1.25, 1.0]), [1.25, 0.0], atol=1e-12)
 
 
@@ -147,6 +146,15 @@ def test_composed_identity_equals_projector(seg, rng):
     P = ProximalProjector(seg)
     pts = seg.sample_proximal("A", 50, rng)
     assert_allclose(IP.apply_many(pts), P.project_many(pts, "A"), atol=1e-12)
+
+
+def test_composed_map_inherits_certificate(seg):
+    for outer in (map_S(seg), map_T(seg)):
+        composed = compose_with_projector(outer)
+        cert = composed.certificate
+        assert cert.mode.ok and cert.mode.mode == composed.mode != outer.mode
+        assert cert.contraction.method == "inherited"
+        assert cert.contraction.alpha_hat == outer.certificate.contraction.alpha_hat
 
 
 def test_composed_map_keeps_contraction_modulus(seg):

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from proxipair.errors import PreconditionError
 from proxipair.geometry import Ball, LpSpace, Polytope, ProximityInstance, contains
-from proxipair.mappings import MapSpec, certify_contraction
+from proxipair.mappings import MapSpec, certificate_of, contraction_of
 from proxipair.solvers import (
     noncyclic_projection_iteration,
     picard_cyclic,
@@ -110,10 +110,11 @@ def test_picard_trivial_start_stops_immediately(seg):
 
 def test_picard_accepts_precomputed_certificate(seg):
     T = map_T(seg)
-    cert = certify_contraction(T)
-    res = picard_cyclic(T, [2.0, 0.0], certificate=cert)
+    cert = contraction_of(T)
+    res = picard_cyclic(T, [2.0, 0.0])
     assert res.converged
     assert res.alpha_hat == cert.alpha_hat
+    assert certificate_of(T).contraction is cert
 
 
 def test_picard_rejects_isometry(seg):
@@ -232,6 +233,21 @@ def test_noncyclic_reduction_matches_direct_solver(seg):
     assert reduced.residual <= 1e-9
     assert reduced.identity_deviation <= 1e-9
     assert reduced.odd_membership_deviation <= 1e-8
+
+
+def test_reductions_report_the_inherited_modulus(seg):
+    T, S = map_T(seg), map_S(seg)
+    for solve, m in ((solve_cyclic_via_reduction, T),
+                     (solve_noncyclic_via_reduction, S)):
+        res = solve(m, [2.0, 0.0])
+        assert res.alpha_method == "inherited"
+        assert res.alpha_hat == contraction_of(m).alpha_hat
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_solvers_reject_nonpositive_tol(seg, tol):
+    with pytest.raises(PreconditionError, match="tol"):
+        picard_cyclic(map_T(seg), [2.0, 0.0], tol=tol)
 
 
 def test_reductions_on_constant_ball_maps(balls):

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from proxipair.instances import build, builtin_instance, generate_random_instance, parse_instance
+from proxipair.mappings import certificate_of, contraction_of
 from proxipair.verification import run_verification
 
 
@@ -38,6 +40,27 @@ def test_mode_flip_checks_present_for_contractions_only():
     flips = {c.name for c in report.checks if c.tag == "composition-flips-mode"}
     # swap and identity are isometries, not contractions, so no flip check
     assert flips == {"map-T-mode-flip", "map-S-mode-flip"}
+
+
+def test_inherited_modulus_checks_present_for_contractions_only():
+    report = run_verification(build(builtin_instance("segpair")))
+    checks = [c for c in report.checks if c.tag == "composition-keeps-modulus"]
+    assert {c.name for c in checks} == {"map-T-inherited-modulus",
+                                        "map-S-inherited-modulus"}
+    assert all(c.passed for c in checks)
+
+
+def test_understated_certificate_fails_inherited_modulus():
+    built = build(builtin_instance("segpair"))
+    T = built.maps["T"]
+    planted = dataclasses.replace(contraction_of(T), alpha_hat=0.1)  # true ~0.285
+    certificate_of(T).contraction = planted
+    report = run_verification(built, samples=200)
+    check = next(c for c in report.checks if c.name == "map-T-inherited-modulus")
+    assert not check.passed
+    assert check.worst_deviation > 0.1
+    assert next(c for c in report.checks
+                if c.name == "map-S-inherited-modulus").passed
 
 
 def test_ballpair_verifies_with_degenerate_flag():
