@@ -12,10 +12,9 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .errors import PreconditionError, ProjectionConvergenceError, ProxipairError
+from .errors import ProjectionConvergenceError, ProxipairError
 from .instances import (
     BUILTIN_INSTANCES,
     GENERATOR_FAMILIES,
@@ -122,39 +121,32 @@ def _cmd_bench(args) -> int:
     """Solve every run of a generated batch.  An instance that raises is
     recorded with its error and the rest still run; the exit code is the
     largest one `main` would give for a single instance."""
-    if args.jobs < 1:
-        raise PreconditionError(f"--jobs must be at least 1, got {args.jobs}")
     docs = [generate_random_instance(seed, dim=args.dim, p=args.p,
                                      family=args.family)
             for seed in range(args.seed, args.seed + args.count)]
-
-    def solve_all(doc):
-        started = time.perf_counter()
+    rows = []
+    code = EXIT_OK
+    started = time.perf_counter()
+    for doc in docs:
+        doc_started = time.perf_counter()
         try:
             built = build(doc)
             results = {name: built.run(name) for name in built.runs}
         except ProxipairError as exc:
-            return doc.name, time.perf_counter() - started, None, exc
-        return doc.name, time.perf_counter() - started, results, None
-
-    rows = []
-    code = EXIT_OK
-    started = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for name, elapsed, results, error in pool.map(solve_all, docs):
-            if error is None:
-                ok = all(r.converged for r in results.values())
-                worst = max((r.residual for r in results.values()), default=0.0)
-                code = max(code, EXIT_OK if ok else EXIT_NOT_CONVERGED)
-                print(f"{name}: {'ok' if ok else 'FAILED'} "
-                      f"{elapsed * 1000:.1f} ms worst_residual={worst:.2e}")
-            else:
-                ok, worst = False, None
-                code = max(code, _error_code(error))
-                print(f"{name}: error: {error}")
-            rows.append({"instance": name, "seconds": elapsed, "converged": ok,
-                         "worst_residual": worst,
-                         "error": None if error is None else str(error)})
+            elapsed = time.perf_counter() - doc_started
+            ok, worst, error = False, None, str(exc)
+            code = max(code, _error_code(exc))
+            print(f"{doc.name}: error: {exc}")
+        else:
+            elapsed = time.perf_counter() - doc_started
+            ok = all(r.converged for r in results.values())
+            worst = max((r.residual for r in results.values()), default=0.0)
+            error = None
+            code = max(code, EXIT_OK if ok else EXIT_NOT_CONVERGED)
+            print(f"{doc.name}: {'ok' if ok else 'FAILED'} "
+                  f"{elapsed * 1000:.1f} ms worst_residual={worst:.2e}")
+        rows.append({"instance": doc.name, "seconds": elapsed, "converged": ok,
+                     "worst_residual": worst, "error": error})
     wall = time.perf_counter() - started
     out = _out_dir(args)
     path = out / f"bench-{args.family}.json"
@@ -218,7 +210,6 @@ def _parser() -> argparse.ArgumentParser:
     bench.add_argument("--dim", type=int, default=2)
     bench.add_argument("--p", type=float, default=2.0)
     bench.add_argument("--count", type=int, default=8)
-    bench.add_argument("--jobs", type=int, default=4)
     bench.set_defaults(func=_cmd_bench)
     return parser
 

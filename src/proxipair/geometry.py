@@ -178,6 +178,18 @@ class Ball(ConvexBody):
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
 
+    def sample(self, rng, n):
+        # Exact and uniform at every dimension (Barthe, Guedon, Mendelson and
+        # Naor, Ann. Probab. 2005): with g_i = +-G_i^(1/p), G_i ~ Gamma(1/p, 1)
+        # and W ~ Exp(1), g / (||g||_p^p + W)^(1/p) is uniform in the unit lp
+        # ball.  Here ||g||_p^p = sum G_i.
+        p, dim = self.space.p, self.space.dim
+        G = rng.gamma(1.0 / p, 1.0, size=(n, dim))
+        signs = rng.choice((-1.0, 1.0), size=(n, dim))
+        W = rng.exponential(1.0, size=n)
+        unit = signs * (G / (G.sum(axis=1) + W)[:, None]) ** (1.0 / p)
+        return self.center + self.radius * unit
+
     def anchor(self):
         return np.array(self.center)
 
@@ -408,7 +420,7 @@ class Polytope(ConvexBody):
         if edges is None:
             raise UnsupportedProjectionError(
                 "polytope with >= 3 vertices needs dim == 2 or an explicit halfspace list")
-        return _project_polygon_edges(self.space, edges, X)
+        return _project_polygon_edges(self.space, edges, self._face_halfspaces(), X)
 
     def member(self, x, tol=DEFAULT_TOL):
         x = self.space.check_vector(x)
@@ -427,6 +439,23 @@ class Polytope(ConvexBody):
             if (x @ a - b) / np.linalg.norm(a) > tol:
                 return False
         return True
+
+    def member_many(self, X, tol=DEFAULT_TOL):
+        X = _as_matrix(X, self.space.dim)
+        W = self._distinct
+        if len(W) == 1:
+            return np.max(np.abs(X - W[0]), axis=1) <= tol
+        seg = self._segment()
+        if seg is not None:
+            v0, v1 = seg
+            d = v1 - v0
+            t = (X - v0) @ d / (d @ d)
+            nearest = v0 + np.clip(t, 0, 1)[:, None] * d
+            return ((-tol <= t) & (t <= 1.0 + tol)
+                    & (np.max(np.abs(X - nearest), axis=1) <= tol))
+        normals, offsets = (np.array(v) for v in zip(*self._face_halfspaces()))
+        excess = (X @ normals.T - offsets) / np.linalg.norm(normals, axis=1)
+        return np.all(excess <= tol, axis=1)
 
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -532,16 +561,16 @@ def _dykstra(projectors: list[Callable[[np.ndarray], np.ndarray]],
 
 
 def _project_polygon_edges(space: LpSpace, edges: list[tuple[np.ndarray, np.ndarray]],
+                           faces: Sequence[tuple[np.ndarray, float]],
                            X: np.ndarray) -> np.ndarray:
     """Exact p=2 projection onto a 2-D polygon via its hull edges.
 
-    Points inside stay put; for points outside the nearest point lies on the
-    boundary, so it is the best of the per-edge segment projections.  Unlike
-    halfspace-Dykstra this does not degrade on sliver polygons.
+    Points inside the face halfspaces stay put; for points outside the
+    nearest point lies on the boundary, so it is the best of the per-edge
+    segment projections.  Unlike halfspace-Dykstra this does not degrade on
+    sliver polygons.
     """
-    normals, offsets = zip(*_edges_to_halfspaces(edges))
-    normals = np.array(normals)
-    offsets = np.array(offsets)
+    normals, offsets = (np.array(v) for v in zip(*faces))
     inside = np.all(X @ normals.T - offsets <= 0.0, axis=1)
     out = np.array(X, dtype=float)
     todo = ~inside

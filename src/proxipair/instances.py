@@ -37,7 +37,6 @@ SOLVERS = {
     "reduce-noncyclic": solve_noncyclic_via_reduction,
 }
 GENERATOR_FAMILIES = ("separated-boxes", "separated-balls", "parallel-polytopes")
-MEMBER_TOL = 1e-7
 
 
 @dataclass
@@ -254,29 +253,23 @@ def _build_body(spec: dict, space: LpSpace, path: str) -> ConvexBody:
 
 
 def _build_map(spec: dict, instance: ProximityInstance) -> MapSpec:
+    """Lower a map spec to a MapSpec.
+
+    A constant-pair map is a sidewise-affine map with zero matrices: the
+    cyclic one sends A to b and B to a, the noncyclic one A to a and B to b.
+    """
     if spec["kind"] == "affine":
         return MapSpec.affine(instance, spec["mode"], spec["matrix"], spec["offset"],
                               name=spec["name"])
     if spec["kind"] == "constant-pair":
-        a, b = np.array(spec["a"]), np.array(spec["b"])
-        body_a = instance.A
+        zero = np.zeros((instance.space.dim, instance.space.dim))
+        on_a, on_b = spec["a"], spec["b"]
         if spec["mode"] == "cyclic":
-            def func(x, _a=a, _b=b, _A=body_a):
-                return _b if _A.member(x, MEMBER_TOL) else _a
-        else:
-            def func(x, _a=a, _b=b, _A=body_a):
-                return _a if _A.member(x, MEMBER_TOL) else _b
-        return MapSpec.blackbox(instance, spec["mode"], func, name=spec["name"])
-    ma, oa = np.array(spec["matrix_a"]), np.array(spec["offset_a"])
-    mb, ob = np.array(spec["matrix_b"]), np.array(spec["offset_b"])
-    body_a = instance.A
-
-    def func(x, _A=body_a):
-        if _A.member(x, MEMBER_TOL):
-            return ma @ x + oa
-        return mb @ x + ob
-
-    return MapSpec.blackbox(instance, spec["mode"], func, name=spec["name"])
+            on_a, on_b = on_b, on_a
+        return MapSpec.sidewise(instance, spec["mode"], zero, on_a, zero, on_b,
+                                name=spec["name"])
+    return MapSpec.sidewise(instance, spec["mode"], spec["matrix_a"], spec["offset_a"],
+                            spec["matrix_b"], spec["offset_b"], name=spec["name"])
 
 
 @dataclass

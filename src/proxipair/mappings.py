@@ -38,6 +38,9 @@ DEFAULT_MODE_SAMPLES = 1000
 DEFAULT_CONTRACTION_SAMPLES = 10_000
 GRID_BUDGET = 1024
 REFINE_ROUNDS = 3
+# how far outside A a point may lie and still take a two-piece map's A-side
+# piece; it absorbs the rounding of points computed to lie on A's boundary
+MEMBER_TOL = 1e-7
 
 
 def opposite(side: Side) -> Side:
@@ -50,11 +53,17 @@ def flip_mode(mode: Mode) -> Mode:
 
 @dataclass(frozen=True, eq=False)
 class MapSpec:
-    """A self-map of A union B, either affine (matrix, offset) or a callable.
+    """A self-map of A union B: one affine piece, two affine pieces, or a callable.
+
+    A one-piece map is x @ matrix.T + offset everywhere.  A two-piece map
+    sends the points of A (within MEMBER_TOL) through (matrix, offset) and
+    every other point through (matrix_b, offset_b); it is how the map kinds
+    whose value depends on the side (`constant-pair`, `sidewise-affine`)
+    are represented.  Both evaluate a whole stack at once.  A callable is
+    evaluated one row at a time.
 
     `mode` is the declared behavior; `certify` checks it and keeps the
-    result in `certificate`.  Affine maps evaluate as x @ matrix.T + offset
-    and vectorize over stacks.
+    result in `certificate`.
     """
 
     instance: ProximityInstance
@@ -62,6 +71,8 @@ class MapSpec:
     name: str = ""
     matrix: np.ndarray | None = None
     offset: np.ndarray | None = None
+    matrix_b: np.ndarray | None = None
+    offset_b: np.ndarray | None = None
     func: Callable[[np.ndarray], np.ndarray] | None = None
     certificate: "MapCertificate | None" = field(default=None, init=False, repr=False)
 
@@ -73,18 +84,23 @@ class MapSpec:
         has_affine = self.matrix is not None
         if has_affine == (self.func is not None):
             raise ValueError("exactly one of (matrix, offset) or func is required")
-        if has_affine:
-            dim = self.instance.space.dim
-            M = np.asarray(self.matrix, dtype=float)
-            if M.shape != (dim, dim):
-                raise DimensionMismatchError(
-                    f"matrix must be ({dim}, {dim}), got {M.shape}")
-            b = self.instance.space.check_vector(
-                np.zeros(dim) if self.offset is None else self.offset)
-            M.setflags(write=False)
-            b.setflags(write=False)
-            object.__setattr__(self, "matrix", M)
-            object.__setattr__(self, "offset", b)
+        if self.matrix_b is not None and not has_affine:
+            raise ValueError("a B-side piece needs an A-side (matrix, offset)")
+        for m_key, o_key in (("matrix", "offset"), ("matrix_b", "offset_b")):
+            if getattr(self, m_key) is not None:
+                M, b = self._piece(getattr(self, m_key), getattr(self, o_key))
+                object.__setattr__(self, m_key, M)
+                object.__setattr__(self, o_key, b)
+
+    def _piece(self, matrix, offset) -> tuple[np.ndarray, np.ndarray]:
+        dim = self.instance.space.dim
+        M = np.asarray(matrix, dtype=float)
+        if M.shape != (dim, dim):
+            raise DimensionMismatchError(f"matrix must be ({dim}, {dim}), got {M.shape}")
+        b = self.instance.space.check_vector(np.zeros(dim) if offset is None else offset)
+        M.setflags(write=False)
+        b.setflags(write=False)
+        return M, b
 
     @classmethod
     def affine(cls, instance: ProximityInstance, mode: Mode, matrix, offset=None,
@@ -93,26 +109,39 @@ class MapSpec:
                    offset=offset)
 
     @classmethod
+    def sidewise(cls, instance: ProximityInstance, mode: Mode, matrix_a, offset_a,
+                 matrix_b, offset_b, name: str = "") -> "MapSpec":
+        """x -> matrix_a x + offset_a on A, matrix_b x + offset_b elsewhere."""
+        return cls(instance, mode, name=name, matrix=matrix_a, offset=offset_a,
+                   matrix_b=matrix_b, offset_b=offset_b)
+
+    @classmethod
     def blackbox(cls, instance: ProximityInstance, mode: Mode,
                  func: Callable[[np.ndarray], np.ndarray], name: str = "") -> "MapSpec":
         return cls(instance, mode, name=name, func=func)
 
     @property
     def is_affine(self) -> bool:
-        return self.matrix is not None
+        """One affine piece on the whole of A union B."""
+        return self.matrix is not None and self.matrix_b is None
 
     def apply(self, x) -> np.ndarray:
         x = self.instance.space.check_vector(x)
         if self.is_affine:
             return self.matrix @ x + self.offset
-        out = self.instance.space.check_vector(self.func(x))
-        return out
+        if self.func is None:
+            return self.apply_many(x[None, :])[0]
+        return self.instance.space.check_vector(self.func(x))
 
     def apply_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if self.is_affine:
-            return X @ self.matrix.T + self.offset
-        return np.array([self.apply(x) for x in X])
+        if self.func is not None:
+            return np.array([self.apply(x) for x in X])
+        on_a = X @ self.matrix.T + self.offset
+        if self.matrix_b is None:
+            return on_a
+        in_a = self.instance.A.member_many(X, MEMBER_TOL)
+        return np.where(in_a[:, None], on_a, X @ self.matrix_b.T + self.offset_b)
 
 
 def _vertex_set(body: ConvexBody) -> np.ndarray | None:

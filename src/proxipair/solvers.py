@@ -268,12 +268,13 @@ def _orbit(m, x0: np.ndarray, count: int) -> list[np.ndarray]:
     return pts
 
 
-def _even_identity_deviation(composed, outer, x0: np.ndarray, terms: int,
+def _even_identity_deviation(composed_orbit: list[np.ndarray], outer, terms: int,
                              space) -> float:
-    k = 2 * terms
-    orb_c = _orbit(composed, x0, k)
-    orb_o = _orbit(outer, x0, k)
-    devs = [space.distance(orb_c[2 * n], orb_o[2 * n]) for n in range(1, terms + 1)]
+    """Max over n <= terms of d(composed^2n x0, outer^2n x0), where
+    composed_orbit is the composition's orbit from x0 = composed_orbit[0]."""
+    outer_orbit = _orbit(outer, composed_orbit[0], 2 * terms)
+    devs = [space.distance(composed_orbit[2 * n], outer_orbit[2 * n])
+            for n in range(1, terms + 1)]
     return float(max(devs))
 
 
@@ -296,7 +297,8 @@ def solve_cyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
                                            projector=projector)
     p = inner.pair[0]
     residual = abs(inst.space.distance(p, m.apply(p)) - inst.dist)
-    identity = _even_identity_deviation(composed, m, x0, identity_terms, inst.space)
+    orb = _orbit(composed, x0, 2 * identity_terms)
+    identity = _even_identity_deviation(orb, m, identity_terms, inst.space)
     return SolveResult(kind="best_proximity_point", residual=residual,
                        converged=inner.converged, trace=inner.trace,
                        alpha_hat=inner.alpha_hat, alpha_method=inner.alpha_method,
@@ -326,8 +328,8 @@ def solve_noncyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
     residual = max(space.distance(p, m.apply(p)),
                    space.distance(q, m.apply(q)),
                    abs(space.distance(p, q) - inst.dist))
-    identity = _even_identity_deviation(composed, m, x0, identity_terms, space)
     orb = _orbit(composed, x0, 2 * identity_terms + 1)
+    identity = _even_identity_deviation(orb, m, identity_terms, space)
     odd = np.array([orb[2 * n + 1] for n in range(identity_terms + 1)])
     body_res = space.norms(odd - inst.B.project_many(odd, inst.tol, inst.max_iter),
                            axis=1)

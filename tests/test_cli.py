@@ -132,6 +132,26 @@ def test_gen_then_solve(tmp_path):
     assert summary["converged"] is True
 
 
+def test_gen_then_solve_dim16_balls(tmp_path):
+    assert run_cli("gen", "--seed", "0", "--dim", "16", "--family", "separated-balls",
+                   "--out", str(tmp_path)) == 0
+    path = tmp_path / "separated-balls-0000.json"
+    assert run_cli("solve", str(path), "--out", str(tmp_path)) == 0
+
+
+def test_solve_ballpair_evaluates_no_map_row_by_row(tmp_path, monkeypatch):
+    calls = collections.Counter()
+    real_apply = mappings.MapSpec.apply
+
+    def apply(m, x):
+        calls["rowwise" if m.func is not None else "vectorized"] += 1
+        return real_apply(m, x)
+
+    monkeypatch.setattr(mappings.MapSpec, "apply", apply)
+    assert run_cli("solve", "ballpair", "--out", str(tmp_path)) == 0
+    assert calls["vectorized"] > 0 and calls["rowwise"] == 0
+
+
 def test_env_overrides_out_flag(tmp_path, monkeypatch):
     env_dir = tmp_path / "from-env"
     monkeypatch.setenv("PROXIPAIR_OUT", str(env_dir))
@@ -142,7 +162,7 @@ def test_env_overrides_out_flag(tmp_path, monkeypatch):
 
 
 def test_bench_runs_batch(tmp_path, capsys):
-    code = run_cli("bench", "--count", "3", "--jobs", "2", "--seed", "5",
+    code = run_cli("bench", "--count", "3", "--seed", "5",
                    "--out", str(tmp_path))
     assert code == 0
     rows = json.loads((tmp_path / "bench-separated-boxes.json").read_text())
@@ -160,7 +180,7 @@ def test_bench_records_a_failing_instance_and_goes_on(tmp_path, capsys, monkeypa
         return real_build(doc, *args, **kwargs)
 
     monkeypatch.setattr(cli, "build", build)
-    code = run_cli("bench", "--count", "3", "--jobs", "2", "--seed", "5",
+    code = run_cli("bench", "--count", "3", "--seed", "5",
                    "--out", str(tmp_path))
     assert code == 1
     rows = json.loads((tmp_path / "bench-separated-boxes.json").read_text())
@@ -177,7 +197,6 @@ def test_bench_records_a_failing_instance_and_goes_on(tmp_path, capsys, monkeypa
     ("solve", "segpair", "--tol", "-1"),
     ("gen", "--dim", "0"),
     ("gen", "--p", "1.0"),
-    ("bench", "--jobs", "0"),
 ])
 def test_invalid_arguments_give_one_error_line(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(tmp_path)) == 1

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from proxipair import geometry
 from proxipair.errors import (
@@ -331,13 +331,49 @@ def test_polygon_face_halfspaces_are_built_once(monkeypatch):
     sp = LpSpace(2, 2.0)
     tri = Polytope(sp, [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     assert tri.member([0.5, 0.5])
+    tri.project_many([[2.0, 2.0]])
     calls = []
     real = geometry._edges_to_halfspaces
     monkeypatch.setattr(geometry, "_edges_to_halfspaces",
                         lambda edges: calls.append(1) or real(edges))
     assert tri.member([0.5, 0.5])
     assert not tri.member([2.0, 2.0])
+    assert_allclose(tri.project_many([[2.0, 2.0], [0.5, 0.5]]),
+                    [[1.0, 1.0], [0.5, 0.5]], atol=1e-12)
     assert calls == []
+
+
+def _polytope_shapes():
+    sp2, sp3 = LpSpace(2, 2.0), LpSpace(3, 2.0)
+    simplex_faces = [([-1.0, 0.0, 0.0], 0.0), ([0.0, -1.0, 0.0], 0.0),
+                     ([0.0, 0.0, -1.0], 0.0), ([1.0, 1.0, 1.0], 1.0)]
+    return {
+        "point": Polytope(sp2, [[1.0, -1.0], [1.0, -1.0]]),
+        "axis-segment": Polytope(sp3, [[0.0, 1.0, 2.0], [0.0, 4.0, 2.0]]),
+        "segment": Polytope(sp2, [[0.0, 0.0], [2.0, 1.0]]),
+        "polygon": Polytope(sp2, [[0.0, 0.0], [2.0, 0.0], [2.5, 1.5], [0.0, 2.0]]),
+        "halfspaces": Polytope(sp3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                               halfspaces=simplex_faces),
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(_polytope_shapes()))
+@pytest.mark.parametrize("tol", [1e-12, 1e-7])
+def test_polytope_member_many_matches_member(shape, tol, rng):
+    body = _polytope_shapes()[shape]
+    V = body.distinct_vertices
+    lo, hi = body.bounding_box()
+    random = rng.uniform(lo - 1.0, hi + 1.0, (200, body.space.dim))
+    # vertices, points on segments between vertex pairs (hull edges among
+    # them), and the same points pushed off by half and twice the tolerance
+    i, j = rng.integers(0, len(V), (2, 200))
+    lam = rng.uniform(0.0, 1.0, (200, 1))
+    boundary = np.vstack([V, lam * V[i] + (1.0 - lam) * V[j]])
+    push = rng.normal(size=boundary.shape)
+    push /= np.linalg.norm(push, axis=1, keepdims=True)
+    X = np.vstack([random, boundary, boundary + 0.5 * tol * push,
+                   boundary + 2.0 * tol * push])
+    assert_array_equal(body.member_many(X, tol), [body.member(x, tol) for x in X])
 
 
 def test_body_validation():
@@ -481,3 +517,16 @@ def test_unbounded_body_has_no_samples(rng):
     hs = Halfspace(sp, [1.0, 0.0], 0.0)
     with pytest.raises(UnboundedBodyError):
         hs.sample(rng, 4)
+
+
+@pytest.mark.parametrize("dim,p", [(3, 3.0), (16, 2.0)])
+def test_ball_sample_is_uniform(dim, p, rng):
+    # for a uniform point of a dim-dimensional ball, (||x - c|| / r)^dim is
+    # uniform on [0, 1]; over 20k samples its mean is 0.5 within 0.002 (1 sd)
+    sp = LpSpace(dim, p)
+    ball = Ball(sp, np.linspace(-1.0, 1.0, dim), 1.5)
+    X = ball.sample(rng, 20_000)
+    assert X.shape == (20_000, dim)
+    assert ball.member_many(X, 0.0).all()
+    fraction = (sp.norms(X - ball.center, axis=1) / ball.radius) ** dim
+    assert abs(float(np.mean(fraction)) - 0.5) <= 0.02

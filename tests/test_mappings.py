@@ -6,7 +6,9 @@ from numpy.testing import assert_allclose
 
 from proxipair.errors import DimensionMismatchError
 from proxipair.geometry import Ball, Box, LpSpace, Polytope, ProximityInstance
+from proxipair.instances import build, parse_instance
 from proxipair.mappings import (
+    MEMBER_TOL,
     MapSpec,
     certify_contraction,
     certify_mode,
@@ -80,6 +82,76 @@ def test_mapspec_validation(seg):
         MapSpec(seg, "cyclic", matrix=np.eye(2), func=lambda x: x)
     with pytest.raises(DimensionMismatchError):
         MapSpec.affine(seg, "cyclic", np.eye(3))
+    with pytest.raises(ValueError):
+        MapSpec(seg, "cyclic", matrix_b=np.eye(2), offset_b=np.zeros(2))
+    with pytest.raises(DimensionMismatchError):
+        MapSpec.sidewise(seg, "cyclic", np.eye(2), np.zeros(2), np.eye(3), np.zeros(3))
+
+
+# Every map kind an instance file can declare, on each body kind.  The
+# reference evaluates one row at a time, the way the kinds are defined.
+DECLARED_BODIES = {
+    "balls": (3.0, {"kind": "ball", "center": [-2.0, 0.0], "radius": 1.0},
+              {"kind": "ball", "center": [2.0, 0.0], "radius": 1.0}),
+    "boxes": (1.5, {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+              {"kind": "box", "lower": [2.0, 0.0], "upper": [3.0, 1.0]}),
+    "segments": (2.0, {"kind": "polytope", "vertices": [[1.0, 0.0], [2.0, 0.0]]},
+                 {"kind": "polytope", "vertices": [[1.0, 1.0], [2.0, 1.0]]}),
+    "polygons": (2.0, {"kind": "polytope",
+                       "vertices": [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]},
+                 {"kind": "polytope",
+                  "vertices": [[3.0, 3.0], [5.0, 3.0], [3.0, 5.0]]}),
+}
+DECLARED_MAPS = {
+    "affine": {"kind": "affine", "mode": "noncyclic",
+               "matrix": [[0.5, 0.25], [-0.5, 1.0]], "offset": [0.1, -0.2]},
+    "constant-pair-cyclic": {"kind": "constant-pair", "mode": "cyclic",
+                             "a": [-1.0, 0.0], "b": [1.0, 0.5]},
+    "constant-pair-noncyclic": {"kind": "constant-pair", "mode": "noncyclic",
+                                "a": [-1.0, 0.0], "b": [1.0, 0.5]},
+    "sidewise-affine": {"kind": "sidewise-affine", "mode": "noncyclic",
+                        "matrix_a": [[0.5, 0.0], [0.25, 0.5]], "offset_a": [0.0, 1.0],
+                        "matrix_b": [[1.0, -0.5], [0.0, 0.75]], "offset_b": [2.0, 0.0]},
+}
+
+
+def _reference_map(spec: dict, A):
+    def f(x):
+        in_a = A.member(x, MEMBER_TOL)
+        if spec["kind"] == "affine":
+            return np.array(spec["matrix"]) @ x + spec["offset"]
+        if spec["kind"] == "constant-pair":
+            first, second = (("b", "a") if spec["mode"] == "cyclic" else ("a", "b"))
+            return np.array(spec[first] if in_a else spec[second])
+        side = "a" if in_a else "b"
+        return np.array(spec[f"matrix_{side}"]) @ x + spec[f"offset_{side}"]
+    return f
+
+
+@pytest.mark.parametrize("kind", sorted(DECLARED_MAPS))
+@pytest.mark.parametrize("bodies", sorted(DECLARED_BODIES))
+def test_declared_maps_match_rowwise_reference(bodies, kind, rng):
+    p, body_a, body_b = DECLARED_BODIES[bodies]
+    spec = dict(DECLARED_MAPS[kind], name="m")
+    doc = parse_instance({"name": "x", "space": {"dim": 2, "p": p},
+                          "bodies": {"A": body_a, "B": body_b}, "maps": [spec]})
+    m = build(doc, certify=False).maps["m"]
+    A = m.instance.A
+    assert m.func is None
+    assert m.is_affine == (kind == "affine")
+    # points just outside A: nearest points of A to far points, pushed
+    # outward by half of MEMBER_TOL; they count as A
+    angle = rng.uniform(0.0, 2.0 * np.pi, 100)
+    far = 20.0 * np.column_stack([np.cos(angle), np.sin(angle)])
+    edge = A.project_many(far)
+    out = far - edge
+    near = edge + 0.5 * MEMBER_TOL * out / np.linalg.norm(out, axis=1, keepdims=True)
+    X = np.vstack([A.sample(rng, 100), m.instance.B.sample(rng, 100),
+                   rng.uniform(-4.0, 6.0, (100, 2)), near])
+    assert all(A.member(x, MEMBER_TOL) and not A.member(x, 0.0) for x in near)
+    want = np.array([_reference_map(spec, A)(x) for x in X])
+    assert_allclose(m.apply_many(X), want, rtol=1e-14, atol=1e-14)
+    assert_allclose(np.array([m.apply(x) for x in X]), want, rtol=1e-14, atol=1e-14)
 
 
 # ------------------------------------------------------------------- mode

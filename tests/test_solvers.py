@@ -9,7 +9,9 @@ from numpy.testing import assert_allclose
 from proxipair.errors import PreconditionError
 from proxipair.geometry import Ball, LpSpace, Polytope, ProximityInstance, contains
 from proxipair.mappings import MapSpec, certificate_of, contraction_of
+from proxipair.operators import ComposedMap, compose_with_projector
 from proxipair.solvers import (
+    IDENTITY_TERMS,
     noncyclic_projection_iteration,
     picard_cyclic,
     solve_cyclic_via_reduction,
@@ -233,6 +235,21 @@ def test_noncyclic_reduction_matches_direct_solver(seg):
     assert reduced.residual <= 1e-9
     assert reduced.identity_deviation <= 1e-9
     assert reduced.odd_membership_deviation <= 1e-8
+
+
+def test_noncyclic_reduction_builds_its_orbit_once(seg, monkeypatch):
+    # the inner Picard run, then one composed orbit of 2 * IDENTITY_TERMS + 1
+    # steps shared by the identity and odd-membership measurements
+    S = map_S(seg)
+    calls = []
+    real = ComposedMap.apply
+    monkeypatch.setattr(ComposedMap, "apply",
+                        lambda m, x: calls.append(1) or real(m, x))
+    picard_cyclic(compose_with_projector(S), [2.0, 0.0])
+    inner = len(calls)
+    calls.clear()
+    solve_noncyclic_via_reduction(S, [2.0, 0.0])
+    assert len(calls) == inner + 2 * IDENTITY_TERMS + 1
 
 
 def test_reductions_report_the_inherited_modulus(seg):
