@@ -7,7 +7,6 @@ from .errors import (
     PreconditionError,
     ProjectionConvergenceError,
     ProxipairError,
-    UnboundedBodyError,
     UnsupportedProjectionError,
 )
 from .geometry import (
@@ -15,13 +14,9 @@ from .geometry import (
     Box,
     ConvexBody,
     DistanceResult,
-    Halfspace,
-    Hyperplane,
-    Intersection,
     LpSpace,
     Polytope,
     ProximityInstance,
-    contains,
     distance_between,
     project,
 )

@@ -13,10 +13,6 @@ class UnsupportedProjectionError(ProxipairError):
     """No projection routine exists for this body / exponent combination."""
 
 
-class UnboundedBodyError(ProxipairError):
-    """Operation needs a bounded body (bounding box, sampling)."""
-
-
 class ProjectionConvergenceError(ProxipairError):
     """An iterative projection hit its iteration cap before tolerance.
 

@@ -3,8 +3,9 @@
 Everything downstream (projectors, solvers, certification) reduces to three
 primitives defined here: the lp norm, the metric projection onto a convex
 body, and the distance between a pair of bodies computed by alternating
-projections.  Projections come in closed form wherever possible and fall back
-to Dykstra's scheme for intersections and 2-D polygons at p = 2.
+projections.  Projections come in closed form for balls, boxes, points,
+segments and 2-D polygons; a polytope of dimension >= 3 given by its face
+halfspaces is projected at p = 2 by Dykstra's scheme over those halfspaces.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .errors import (
     DomainError,
     InstanceFormatError,
     ProjectionConvergenceError,
-    UnboundedBodyError,
     UnsupportedProjectionError,
 )
 
@@ -110,35 +110,13 @@ class ConvexBody:
         X = _as_matrix(X, self.space.dim)
         return np.array([self.member(x, tol) for x in X], dtype=bool)
 
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        raise UnboundedBodyError(f"{type(self).__name__} has no bounding box")
-
-    def is_bounded(self) -> bool:
-        try:
-            self.bounding_box()
-            return True
-        except UnboundedBodyError:
-            return False
-
     def anchor(self) -> np.ndarray:
         """Some point of the body, used to seed iterations."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n points of the body, uniform-ish.  Default: bounding-box rejection."""
-        lo, hi = self.bounding_box()
-        out = np.empty((n, self.space.dim))
-        have = 0
-        for _ in range(10_000):
-            batch = rng.uniform(lo, hi, size=(max(n, 32), self.space.dim))
-            keep = self.member_many(batch, 1e-12)
-            took = batch[keep][: n - have]
-            out[have:have + len(took)] = took
-            have += len(took)
-            if have == n:
-                return out
-        raise RuntimeError(
-            f"rejection sampling failed to hit {type(self).__name__}")  # pragma: no cover
+        """n points of the body, spread over all of it."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,9 +152,6 @@ class Ball(ConvexBody):
     def member_many(self, X, tol=DEFAULT_TOL):
         X = _as_matrix(X, self.space.dim)
         return self.space.norms(X - self.center, axis=1) <= self.radius + tol
-
-    def bounding_box(self):
-        return self.center - self.radius, self.center + self.radius
 
     def sample(self, rng, n):
         # Exact and uniform at every dimension (Barthe, Guedon, Mendelson and
@@ -223,9 +198,6 @@ class Box(ConvexBody):
         X = _as_matrix(X, self.space.dim)
         return np.all((X >= self.lo - tol) & (X <= self.hi + tol), axis=1)
 
-    def bounding_box(self):
-        return np.array(self.lo), np.array(self.hi)
-
     def anchor(self):
         return (self.lo + self.hi) / 2.0
 
@@ -237,72 +209,6 @@ class Box(ConvexBody):
             return None
         cols = [(self.lo[i], self.hi[i]) for i in range(self.space.dim)]
         return np.array(list(itertools.product(*cols)))
-
-
-@dataclass(frozen=True, eq=False)
-class Halfspace(ConvexBody):
-    """{x : normal . x <= offset}."""
-
-    space: LpSpace
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        a = self.space.check_vector(self.normal)
-        if not np.any(a != 0.0):
-            raise ValueError("halfspace normal must be nonzero")
-        object.__setattr__(self, "normal", _readonly(a))
-        object.__setattr__(self, "offset", float(self.offset))
-
-    def project_many(self, X, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-        if self.space.p != 2.0:
-            raise UnsupportedProjectionError(
-                f"halfspace projection only available at p=2, space has p={self.space.p}")
-        X = _as_matrix(X, self.space.dim)
-        a = self.normal
-        excess = np.maximum(0.0, X @ a - self.offset) / float(a @ a)
-        return X - excess[:, None] * a
-
-    def member(self, x, tol=DEFAULT_TOL):
-        x = self.space.check_vector(x)
-        return (x @ self.normal - self.offset) / np.linalg.norm(self.normal) <= tol
-
-    def anchor(self):
-        a = self.normal
-        return (self.offset / float(a @ a)) * a
-
-
-@dataclass(frozen=True, eq=False)
-class Hyperplane(ConvexBody):
-    """{x : normal . x == offset}."""
-
-    space: LpSpace
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        a = self.space.check_vector(self.normal)
-        if not np.any(a != 0.0):
-            raise ValueError("hyperplane normal must be nonzero")
-        object.__setattr__(self, "normal", _readonly(a))
-        object.__setattr__(self, "offset", float(self.offset))
-
-    def project_many(self, X, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-        if self.space.p != 2.0:
-            raise UnsupportedProjectionError(
-                f"hyperplane projection only available at p=2, space has p={self.space.p}")
-        X = _as_matrix(X, self.space.dim)
-        a = self.normal
-        res = (X @ a - self.offset) / float(a @ a)
-        return X - res[:, None] * a
-
-    def member(self, x, tol=DEFAULT_TOL):
-        x = self.space.check_vector(x)
-        return abs(x @ self.normal - self.offset) / np.linalg.norm(self.normal) <= tol
-
-    def anchor(self):
-        a = self.normal
-        return (self.offset / float(a @ a)) * a
 
 
 def _hull_edges_2d(vertices: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
@@ -415,7 +321,7 @@ class Polytope(ConvexBody):
             raise UnsupportedProjectionError(
                 f"polytope projection only available at p=2, got p={self.space.p}")
         if self.halfspaces is not None:
-            return _dykstra_halfspaces(self.space, list(self.halfspaces), X, tol, max_iter)
+            return _dykstra_halfspaces(self.halfspaces, X, tol, max_iter)
         edges = self._hull_edges()
         if edges is None:
             raise UnsupportedProjectionError(
@@ -457,107 +363,20 @@ class Polytope(ConvexBody):
         excess = (X @ normals.T - offsets) / np.linalg.norm(normals, axis=1)
         return np.all(excess <= tol, axis=1)
 
-    def bounding_box(self):
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
     def anchor(self):
         return self.vertices.mean(axis=0)
 
     def sample(self, rng, n):
+        """Convex combinations of the distinct vertices, flat-Dirichlet weights.
+
+        One rule for a point, a segment, a polygon and a halfspace-listed
+        polytope.  The draw is uniform on a segment (and on any simplex),
+        but not on larger polytopes, where it crowds towards the vertex
+        centroid.  Certifying a map only needs samples that cover the body,
+        not uniform ones.
+        """
         W = self._distinct
-        if len(W) == 1:
-            return np.tile(W[0], (n, 1))
-        seg = self._segment()
-        if seg is not None:
-            v0, v1 = seg
-            t = rng.uniform(0.0, 1.0, size=n)
-            return v0 + t[:, None] * (v1 - v0)
-        return super().sample(rng, n)
-
-
-@dataclass(frozen=True, eq=False)
-class Intersection(ConvexBody):
-    """Intersection of member bodies, with a feasible witness point.
-
-    The witness certifies nonemptiness at construction and seeds iterations.
-    """
-
-    space: LpSpace
-    bodies: tuple[ConvexBody, ...]
-    witness: np.ndarray
-
-    def __post_init__(self):
-        if len(self.bodies) < 1:
-            raise ValueError("intersection needs at least one body")
-        for body in self.bodies:
-            if body.space != self.space:
-                raise DimensionMismatchError("intersection members live in different spaces")
-        w = self.space.check_vector(self.witness)
-        for i, body in enumerate(self.bodies):
-            if not body.member(w, 1e-7):
-                raise ValueError(f"witness is not a member of intersection body {i}")
-        object.__setattr__(self, "bodies", tuple(self.bodies))
-        object.__setattr__(self, "witness", _readonly(w))
-
-    def project_many(self, X, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-        X = _as_matrix(X, self.space.dim)
-        if all(isinstance(b, Box) for b in self.bodies):
-            lo = np.max([b.lo for b in self.bodies], axis=0)
-            hi = np.min([b.hi for b in self.bodies], axis=0)
-            return np.clip(X, lo, hi)
-        if self.space.p != 2.0:
-            raise UnsupportedProjectionError(
-                f"general intersection projection only available at p=2, got p={self.space.p}")
-        projs = [lambda Y, b=b: b.project_many(Y, tol, max_iter) for b in self.bodies]
-
-        def violation(Y):
-            return max(float(np.max(self.space.norms(Y - P(Y), axis=1))) for P in projs)
-
-        return _dykstra(projs, X, violation, tol, max_iter)
-
-    def member(self, x, tol=DEFAULT_TOL):
-        return all(b.member(x, tol) for b in self.bodies)
-
-    def bounding_box(self):
-        boxes = []
-        for b in self.bodies:
-            try:
-                boxes.append(b.bounding_box())
-            except UnboundedBodyError:
-                continue
-        if not boxes:
-            raise UnboundedBodyError("no bounded member to bound the intersection")
-        lo = np.max([lo for lo, _ in boxes], axis=0)
-        hi = np.min([hi for _, hi in boxes], axis=0)
-        return lo, hi
-
-    def anchor(self):
-        return np.array(self.witness)
-
-
-def _dykstra(projectors: list[Callable[[np.ndarray], np.ndarray]],
-             X0: np.ndarray, violation: Callable[[np.ndarray], float],
-             tol: float, max_iter: int) -> np.ndarray:
-    """Dykstra's alternating scheme with per-set increments, batched over rows.
-
-    Stops when one full sweep moves nothing (within tol*1e-3) and the iterate
-    is feasible within tol for every member set.
-    """
-    X = np.array(X0, dtype=float)
-    increments = [np.zeros_like(X) for _ in projectors]
-    inner_tol = tol * 1e-3
-    for sweep in range(max_iter):
-        X_prev = X
-        for i, proj in enumerate(projectors):
-            Y = X + increments[i]
-            X = proj(Y)
-            increments[i] = Y - X
-        disp = float(np.max(np.abs(X - X_prev)))
-        if disp < inner_tol and violation(X) <= tol:
-            return X
-    raise ProjectionConvergenceError(
-        f"Dykstra hit the iteration cap ({max_iter}) before tolerance",
-        achieved_gap=violation(X), iterations=max_iter)
+        return rng.dirichlet(np.ones(len(W)), n) @ W
 
 
 def _project_polygon_edges(space: LpSpace, edges: list[tuple[np.ndarray, np.ndarray]],
@@ -594,26 +413,33 @@ def _project_polygon_edges(space: LpSpace, edges: list[tuple[np.ndarray, np.ndar
     return out
 
 
-def _dykstra_halfspaces(space: LpSpace, faces: list[tuple[np.ndarray, float]],
-                        X: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    normals = np.array([a for a, _ in faces])
-    offsets = np.array([b for _, b in faces])
+def _dykstra_halfspaces(faces: Sequence[tuple[np.ndarray, float]],
+                        X0: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """p=2 projection onto an intersection of halfspaces by Dykstra's scheme.
+
+    Keeps one increment per face, batched over rows.  Stops when one full
+    sweep moves nothing (within tol*1e-3) and every row is within tol of
+    every face.
+    """
+    normals, offsets = (np.array(v) for v in zip(*faces))
     scales = np.linalg.norm(normals, axis=1)
 
-    def proj_face(i):
-        a, b = normals[i], offsets[i]
-        aa = float(a @ a)
-
-        def proj(Y):
-            excess = np.maximum(0.0, Y @ a - b) / aa
-            return Y - excess[:, None] * a
-        return proj
-
     def violation(Y):
-        res = np.maximum(0.0, Y @ normals.T - offsets) / scales
-        return float(np.max(res))
+        return float(np.max(np.maximum(0.0, Y @ normals.T - offsets) / scales))
 
-    return _dykstra([proj_face(i) for i in range(len(faces))], X, violation, tol, max_iter)
+    X = np.array(X0, dtype=float)
+    increments = [np.zeros_like(X) for _ in faces]
+    for _ in range(max_iter):
+        X_prev = X
+        for i, (a, b) in enumerate(zip(normals, offsets)):
+            Y = X + increments[i]
+            X = Y - (np.maximum(0.0, Y @ a - b) / float(a @ a))[:, None] * a
+            increments[i] = Y - X
+        if float(np.max(np.abs(X - X_prev))) < tol * 1e-3 and violation(X) <= tol:
+            return X
+    raise ProjectionConvergenceError(
+        f"Dykstra hit the iteration cap ({max_iter}) before tolerance",
+        achieved_gap=violation(X), iterations=max_iter)
 
 
 def project(body: ConvexBody, x, tol: float = DEFAULT_TOL,
@@ -621,12 +447,6 @@ def project(body: ConvexBody, x, tol: float = DEFAULT_TOL,
     """Nearest point of `body` to x in the body's own lp norm."""
     x = body.space.check_vector(x)
     return body.project_many(x[None, :], tol, max_iter)[0]
-
-
-def contains(body: ConvexBody, x, tol: float = DEFAULT_TOL) -> bool:
-    """Projection-based membership: distance to the body at most tol."""
-    x = body.space.check_vector(x)
-    return body.space.distance(x, project(body, x, tol)) <= tol
 
 
 @dataclass
@@ -721,7 +541,7 @@ class ProximityInstance:
         """
         x = self.space.check_vector(x)
         body = self.body(side)
-        if not contains(body, x, self.tol):
+        if not body.member(x, self.tol):
             d = self.space.distance(x, project(body, x, self.tol, self.max_iter))
             raise DomainError(
                 f"point is not in side {side} (distance {d:.3e} exceeds tol {self.tol:.1e})")

@@ -18,7 +18,7 @@ from typing import IO, Literal
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .geometry import ProximityInstance, Side, contains
+from .geometry import ProximityInstance, Side
 from .mappings import (
     ContractionCertificate,
     ContractionMethod,
@@ -140,7 +140,7 @@ def _require_start_in_A(m, x0) -> np.ndarray:
     x0 = inst.space.check_vector(x0)
     if m.domain == "proximal":
         return _require_proximal_start(inst, x0)
-    if not contains(inst.A, x0, inst.tol):
+    if not inst.A.member(x0, inst.tol):
         raise PreconditionError(f"start {x0.tolist()} is not a point of A")
     return x0
 

@@ -17,6 +17,7 @@ from .errors import PreconditionError, ProxipairError
 from .instances import BuiltInstance
 from .mappings import certify_contraction, certify_mode, contraction_of, flip_mode
 from .operators import (
+    ProjectorReport,
     ProximalProjector,
     check_commutation,
     compose_with_projector,
@@ -83,11 +84,7 @@ class VerificationReport:
         }
 
 
-def _projector_checks(built: BuiltInstance, samples: int, seed: int) -> list:
-    report = verify_projector_properties(ProximalProjector(built.instance),
-                                         samples=samples, seed=seed,
-                                         tol=PROPERTY_THRESHOLD)
-    flags = ["degenerate"] if report.degenerate else []
+def _projector_checks(report: ProjectorReport, flags: list) -> list:
     out = []
     for key, check in report.checks().items():
         out.append(CheckResult(
@@ -102,13 +99,14 @@ def _projector_checks(built: BuiltInstance, samples: int, seed: int) -> list:
     return out
 
 
-def _map_checks(built: BuiltInstance, samples: int, seed: int) -> list:
+def _map_checks(built: BuiltInstance, samples: int, seed: int, flags: list) -> list:
     """Commutation for noncyclic maps; mode flip and inherited modulus for
     certified contractions.
 
     The inherited-modulus check re-samples the composed map and compares its
     modulus with the one it inherited from the outer map, which keeps the
-    inheritance claim itself under test.
+    inheritance claim itself under test.  Every check here samples the
+    proximal sets, so each carries `flags`.
     """
     checks = []
     projector = ProximalProjector(built.instance)
@@ -121,16 +119,17 @@ def _map_checks(built: BuiltInstance, samples: int, seed: int) -> list:
                 passed=commutation.max_deviation <= COMMUTATION_THRESHOLD,
                 worst_deviation=commutation.max_deviation,
                 threshold=COMMUTATION_THRESHOLD,
+                flags=list(flags),
                 details=f"max over {commutation.samples} proximal points per side"))
         if not contraction_of(m):
             continue
         flip = CheckResult(name=f"map-{name}-mode-flip", tag="composition-flips-mode",
                            passed=False, worst_deviation=float("inf"),
-                           threshold=built.instance.tol * 10.0)
+                           threshold=built.instance.tol * 10.0, flags=list(flags))
         modulus = CheckResult(name=f"map-{name}-inherited-modulus",
                               tag="composition-keeps-modulus", passed=False,
                               worst_deviation=float("inf"),
-                              threshold=INHERITED_MODULUS_SLACK)
+                              threshold=INHERITED_MODULUS_SLACK, flags=list(flags))
         try:
             composed = compose_with_projector(m, projector)
             flipped = certify_mode(composed, seed=seed)
@@ -202,7 +201,7 @@ def _run_checks(built: BuiltInstance) -> list:
     return checks
 
 
-def _uniqueness_checks(built: BuiltInstance, seed: int) -> list:
+def _uniqueness_checks(built: BuiltInstance, seed: int, flags: list) -> list:
     checks = []
     inst = built.instance
     rng = np.random.default_rng(seed)
@@ -234,6 +233,7 @@ def _uniqueness_checks(built: BuiltInstance, seed: int) -> list:
             passed=passed,
             worst_deviation=worst,
             threshold=UNIQUENESS_THRESHOLD,
+            flags=list(flags),
             details=details))
     return checks
 
@@ -247,8 +247,13 @@ def run_verification(built: BuiltInstance, samples: int = 1000,
     """
     if samples < 1:
         raise PreconditionError(f"samples must be at least 1, got {samples}")
-    checks = _projector_checks(built, samples, seed)
-    checks.extend(_map_checks(built, samples, seed))
+    report = verify_projector_properties(ProximalProjector(built.instance),
+                                         samples=samples, seed=seed,
+                                         tol=PROPERTY_THRESHOLD)
+    # Singleton proximal sets make every check that samples them vacuous.
+    flags = ["degenerate"] if report.degenerate else []
+    checks = _projector_checks(report, flags)
+    checks.extend(_map_checks(built, samples, seed, flags))
     checks.extend(_run_checks(built))
-    checks.extend(_uniqueness_checks(built, seed))
+    checks.extend(_uniqueness_checks(built, seed, flags))
     return VerificationReport(instance_name=built.doc.name, checks=checks)

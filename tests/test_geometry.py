@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,19 +9,14 @@ from proxipair import geometry
 from proxipair.errors import (
     DimensionMismatchError,
     DomainError,
-    UnboundedBodyError,
     UnsupportedProjectionError,
 )
 from proxipair.geometry import (
     Ball,
     Box,
-    Halfspace,
-    Hyperplane,
-    Intersection,
     LpSpace,
     Polytope,
     ProximityInstance,
-    contains,
     distance_between,
     project,
 )
@@ -141,27 +137,6 @@ def test_box_projection_is_clamp(p):
     assert_allclose(project(box, [0.25, 0.75]), [0.25, 0.75], atol=0)
 
 
-def test_halfspace_projection_p2():
-    sp = LpSpace(2, 2.0)
-    hs = Halfspace(sp, [1.0, 1.0], 1.0)
-    y = project(hs, [2.0, 2.0])
-    assert_allclose(y, [0.5, 0.5], atol=1e-15)
-    assert hs.member(y, 1e-12)
-
-
-def test_hyperplane_projection_p2():
-    sp = LpSpace(3, 2.0)
-    hp = Hyperplane(sp, [0.0, 0.0, 2.0], 4.0)
-    assert_allclose(project(hp, [7.0, -1.0, 5.0]), [7.0, -1.0, 2.0], atol=1e-15)
-
-
-def test_halfspace_projection_unsupported_off_p2():
-    sp = LpSpace(2, 3.0)
-    hs = Halfspace(sp, [1.0, 0.0], 0.0)
-    with pytest.raises(UnsupportedProjectionError):
-        project(hs, [1.0, 1.0])
-
-
 def test_triangle_projection():
     # active face x+y <= 2 gives the closed form used as oracle
     sp = LpSpace(2, 2.0)
@@ -257,27 +232,6 @@ def test_polytope_dim3_needs_halfspaces():
     assert_allclose(project(simplex, [1.0, 1.0, 1.0]), [1 / 3, 1 / 3, 1 / 3], atol=1e-9)
 
 
-def test_intersection_box_halfspace():
-    sp = LpSpace(2, 2.0)
-    inter = Intersection(sp, (Box(sp, [0, 0], [1, 1]), Halfspace(sp, [1.0, 1.0], 1.0)),
-                         witness=[0.0, 0.0])
-    assert_allclose(project(inter, [2.0, 2.0]), [0.5, 0.5], atol=1e-9)
-
-
-@pytest.mark.parametrize("p", P_GRID)
-def test_intersection_of_boxes_any_p(p):
-    sp = LpSpace(2, p)
-    inter = Intersection(sp, (Box(sp, [0, 0], [2, 2]), Box(sp, [1, -1], [3, 1])),
-                         witness=[1.5, 0.5])
-    assert_allclose(project(inter, [0.0, 3.0]), [1.0, 1.0], atol=0)
-
-
-def test_intersection_witness_must_be_feasible():
-    sp = LpSpace(2, 2.0)
-    with pytest.raises(ValueError):
-        Intersection(sp, (Box(sp, [0, 0], [1, 1]),), witness=[5.0, 5.0])
-
-
 def _random_bodies(sp, rng):
     yield Ball(sp, rng.uniform(-2, 2, sp.dim), rng.uniform(0.5, 2.0))
     lo = rng.uniform(-2, 0, sp.dim)
@@ -362,8 +316,7 @@ def _polytope_shapes():
 def test_polytope_member_many_matches_member(shape, tol, rng):
     body = _polytope_shapes()[shape]
     V = body.distinct_vertices
-    lo, hi = body.bounding_box()
-    random = rng.uniform(lo - 1.0, hi + 1.0, (200, body.space.dim))
+    random = rng.uniform(V.min(axis=0) - 1.0, V.max(axis=0) + 1.0, (200, body.space.dim))
     # vertices, points on segments between vertex pairs (hull edges among
     # them), and the same points pushed off by half and twice the tolerance
     i, j = rng.integers(0, len(V), (2, 200))
@@ -383,8 +336,6 @@ def test_body_validation():
     with pytest.raises(ValueError):
         Box(sp, [1.0, 0.0], [0.0, 1.0])
     with pytest.raises(ValueError):
-        Halfspace(sp, [0.0, 0.0], 1.0)
-    with pytest.raises(ValueError):
         Polytope(sp, np.empty((0, 2)))
     with pytest.raises(DimensionMismatchError):
         Ball(sp, [0.0, 0.0, 0.0], 1.0)
@@ -396,11 +347,11 @@ def test_body_validation():
 def test_contains_examples():
     sp = LpSpace(2, 2.0)
     ball = Ball(sp, [0.0, 0.0], 1.0)
-    assert contains(ball, [0.0, 0.0])
-    assert not contains(ball, [2.0, 0.0])
+    assert ball.member([0.0, 0.0])
+    assert not ball.member([2.0, 0.0])
     box = Box(sp, [0.0, 0.0], [1.0, 1.0])
-    assert contains(box, [1.0 + 1e-12, 0.5], tol=1e-9)
-    assert not contains(box, [1.1, 0.5], tol=1e-9)
+    assert box.member([1.0 + 1e-12, 0.5], tol=1e-9)
+    assert not box.member([1.1, 0.5], tol=1e-9)
 
 
 # -------------------------------------------------------------- distances
@@ -512,11 +463,25 @@ def test_sample_proximal_ball_pair_collapses(rng):
     assert_allclose(xs, np.tile([-1.0, 0.0], (32, 1)), atol=1e-6)
 
 
-def test_unbounded_body_has_no_samples(rng):
+@pytest.mark.parametrize("shape", sorted(_polytope_shapes()))
+def test_polytope_sample_covers_the_body(shape, rng):
+    # Dirichlet vertex weights stay inside the hull and reach every vertex
+    body = _polytope_shapes()[shape]
+    X = body.sample(rng, 1000)
+    assert X.shape == (1000, body.space.dim)
+    assert body.member_many(X, 1e-12).all()
+    for v in body.distinct_vertices:
+        assert float(np.min(body.space.norms(X - v, axis=1))) < 0.3
+
+
+def test_sliver_triangle_samples_quickly(rng):
+    # about one bounding-box draw in 200,000 lands in this triangle
     sp = LpSpace(2, 2.0)
-    hs = Halfspace(sp, [1.0, 0.0], 0.0)
-    with pytest.raises(UnboundedBodyError):
-        hs.sample(rng, 4)
+    tri = Polytope(sp, [[0.0, 0.0], [10.0, 10.0], [10.0, 10.0001]])
+    start = time.perf_counter()
+    X = tri.sample(rng, 1000)
+    assert time.perf_counter() - start < 1.0
+    assert tri.member_many(X).all()
 
 
 @pytest.mark.parametrize("dim,p", [(3, 3.0), (16, 2.0)])

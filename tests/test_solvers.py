@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from proxipair.errors import PreconditionError
-from proxipair.geometry import Ball, LpSpace, Polytope, ProximityInstance, contains
+from proxipair.geometry import Ball, LpSpace, Polytope, ProximityInstance
 from proxipair.mappings import MapSpec, certificate_of, contraction_of
 from proxipair.operators import ComposedMap, compose_with_projector
 from proxipair.solvers import (
@@ -84,7 +84,7 @@ def test_picard_alternates_sides(seg):
     for step in res.trace.steps:
         body = seg.A if step.index % 2 == 0 else seg.B
         assert step.side == ("A" if step.index % 2 == 0 else "B")
-        assert contains(body, step.point, 1e-9)
+        assert body.member(step.point, 1e-9)
 
 
 def test_picard_gap_decays_at_certified_rate(seg):

@@ -70,6 +70,30 @@ def test_ballpair_verifies_with_degenerate_flag():
     assert all("degenerate" in c.flags for c in projector_checks)
 
 
+def _sampling_checks(report):
+    """The checks that draw their points from the proximal sets."""
+    return [c for c in report.checks
+            if c.name.startswith(("projector-", "map-")) or c.name.endswith("-uniqueness")]
+
+
+def test_singleton_proximal_sets_flag_every_sampling_check():
+    # on ballpair every proximal sample is a* or b*: no cross pair is valid
+    # for the inherited modulus and every uniqueness start is a*
+    report = run_verification(build(builtin_instance("ballpair")))
+    checks = _sampling_checks(report)
+    names = {c.name for c in checks}
+    assert {"map-const-cyclic-inherited-modulus", "map-const-noncyclic-commutation",
+            "run-picard-const-uniqueness", "run-project-const-uniqueness"} <= names
+    assert all("degenerate" in c.flags for c in checks)
+    assert not any(c.flags for c in report.checks if c not in checks)
+
+
+def test_spread_proximal_sets_flag_nothing():
+    report = run_verification(build(builtin_instance("segpair")))
+    assert len(_sampling_checks(report)) == 13
+    assert not any(c.flags for c in report.checks)
+
+
 def test_skew_map_fails_commutation():
     report = run_verification(build(skew_doc()))
     assert not report.passed
