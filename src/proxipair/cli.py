@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import ProjectionConvergenceError, ProxipairError
+from .errors import PreconditionError, ProjectionConvergenceError, ProxipairError
 from .instances import (
     BUILTIN_INSTANCES,
     GENERATOR_FAMILIES,
@@ -121,6 +121,8 @@ def _cmd_bench(args) -> int:
     """Solve every run of a generated batch.  An instance that raises is
     recorded with its error and the rest still run; the exit code is the
     largest one `main` would give for a single instance."""
+    if args.count < 1:
+        raise PreconditionError(f"count must be at least 1, got {args.count}")
     docs = [generate_random_instance(seed, dim=args.dim, p=args.p,
                                      family=args.family)
             for seed in range(args.seed, args.seed + args.count)]
@@ -217,6 +219,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise PreconditionError(f"seed must be at least 0, got {args.seed}")
         return args.func(args)
     except ProxipairError as exc:
         print(f"error: {exc}", file=sys.stderr)

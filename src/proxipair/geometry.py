@@ -340,7 +340,7 @@ class Polytope(ConvexBody):
             t = float((x - v0) @ d / (d @ d))
             if not (-tol <= t <= 1.0 + tol):
                 return False
-            return bool(np.max(np.abs(x - (v0 + np.clip(t, 0, 1) * d))) <= tol)
+            return bool(np.abs(x - (v0 + min(max(t, 0.0), 1.0) * d)).max() <= tol)
         for a, b in self._face_halfspaces():
             if (x @ a - b) / np.linalg.norm(a) > tol:
                 return False

@@ -505,8 +505,8 @@ def generate_random_instance(seed: int, dim: int = 2, p: float = 2.0,
     space = LpSpace(dim, p)
     rng = np.random.default_rng(seed)
     g = float(rng.uniform(0.5, 3.0)) if gap is None else float(gap)
-    if not g > 0:
-        raise InstanceFormatError(f"gap must be positive, got {g}")
+    if not (math.isfinite(g) and g > 0):
+        raise InstanceFormatError(f"gap must be positive and finite, got {g}")
     if family == "separated-boxes":
         bodies, maps, runs, _ = _gen_separated_boxes(rng, dim, g)
     elif family == "separated-balls":

@@ -9,6 +9,19 @@ between them.  `verify_projector_properties` checks all of that numerically;
 contraction behavior, and `check_commutation` measures how far a map is from
 commuting with the projector.
 
+The lp norm with 1 < p < inf is strictly convex, so every pair realizing
+dist(A, B) has the same difference v = b* - a*: if two pairs had different
+differences, the midpoints of the two pairs would lie in A and B at less
+than d.  So P is the translation x -> x + v on A0 and x -> x - v on B0 (the
+P-property of Sankar Raj, Nonlinear Anal. 74, 2011).  `project`, the
+single-point call that composed maps make on every step, evaluates exactly
+that, after checking with the bodies' own membership tests that x is in its
+side and that its translate is in the other body.  It makes no body
+projection.  `project_many`, which the property checks, commutation and the
+certifiers call on whole stacks, stays the nearest-point projection onto
+the opposite body, so the check battery computes P by a path that does not
+go through v, and compares the two.
+
 Because P is an isometry between the proximal sets that swaps them, the
 composed map's certificate follows from the outer map's: for x in A0 and
 y in B0, d(TPx, TPy) <= alpha d(Px, Py) + (1 - alpha) dist(A, B), and
@@ -19,7 +32,7 @@ most alpha, and is never re-sampled to establish either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -48,12 +61,19 @@ class ProximalProjector:
     """Projection onto the opposite body, restricted to the proximal sets.
 
     Accepts points within `slack` * tol of realizing dist(A, B); everything
-    else raises DomainError.  Callable on single points; `project_many`
-    handles stacks with a known or row-detected side.
+    else raises DomainError.  `project` (and calling the projector) takes
+    one point and translates it by v = b* - a*, the difference of the
+    instance's realizing pair; `project_many` takes a stack with a known or
+    row-detected side and projects it onto the opposite body.
     """
 
     instance: ProximityInstance
     slack: float = DOMAIN_SLACK
+    v: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        a_star, b_star = self.instance.realizing_pair
+        object.__setattr__(self, "v", b_star - a_star)
 
     def _window(self) -> float:
         return self.slack * self.instance.tol
@@ -107,8 +127,30 @@ class ProximalProjector:
         return out
 
     def project(self, x, side: Side | None = None) -> np.ndarray:
-        x = self.instance.space.check_vector(x)
-        return self.project_many(x[None, :], side)[0]
+        """P(x) = x + v on A0 and x - v on B0, with the same domain errors
+        as `project_many` but checked by membership, not by projection."""
+        inst = self.instance
+        x = inst.space.check_vector(x)
+        window = self._window()
+        if side is None:
+            if inst.A.member(x, window):
+                side = "A"
+            elif inst.B.member(x, window):
+                side = "B"
+            else:
+                raise DomainError(
+                    f"point {x.tolist()} is in neither body (window {window:.1e})")
+        elif not inst.body(side).member(x, window):
+            raise DomainError(
+                f"point {x.tolist()} is not in side {side} "
+                f"(it lies outside by more than window {window:.1e})")
+        image = x + self.v if side == "A" else x - self.v
+        if not inst.opposite_body(side).member(image, window):
+            raise DomainError(
+                f"point {x.tolist()} is in side {side} but does not realize "
+                f"dist(A, B): its translate by b* - a* misses the other body "
+                f"by more than window {window:.1e}")
+        return image
 
     def __call__(self, x) -> np.ndarray:
         return self.project(x)
@@ -181,8 +223,9 @@ def verify_projector_properties(projector: ProximalProjector, samples: int = 100
                                 ) -> ProjectorReport:
     """Numerically certify the five defining properties of the projector.
 
-    1. cyclic_distance: images land in the opposite proximal set and realize
-       dist(A, B);
+    1. cyclic_distance: images land in the opposite proximal set, realize
+       dist(A, B), and equal the translates x + v (y - v) that `project`
+       returns;
     2. isometry: cross-pair distances are preserved;
     3. affine: images of proximal segments' midcombinations match the
        combinations of the images;
@@ -204,16 +247,20 @@ def verify_projector_properties(projector: ProximalProjector, samples: int = 100
     p_xs = projector.project_many(xs, "A")
     p_ys = projector.project_many(ys, "B")
 
-    # 1: cyclicity and distance realization, both sides at once
-    def landing_devs(points, images, target: Side):
+    # 1: cyclicity and distance realization, both sides at once; the
+    # nearest-point images must also be the translates x + v and y - v
+    # that `project` returns
+    def landing_devs(points, images, target: Side, translates):
         body = inst.body(target)
         res = inst.space.norms(
             images - body.project_many(images, inst.tol, inst.max_iter), axis=1)
         gap = np.abs(inst.proximal_gaps(images, target))
         realize = np.abs(inst.space.norms(points - images, axis=1) - inst.dist)
-        return np.maximum(res, np.maximum(gap, realize))
+        shift = inst.space.norms(images - translates, axis=1)
+        return np.maximum.reduce([res, gap, realize, shift])
 
-    dev1 = np.concatenate([landing_devs(xs, p_xs, "B"), landing_devs(ys, p_ys, "A")])
+    dev1 = np.concatenate([landing_devs(xs, p_xs, "B", xs + projector.v),
+                           landing_devs(ys, p_ys, "A", ys - projector.v)])
     check1 = _check(dev1, (np.vstack([xs, ys]), np.vstack([p_xs, p_ys])), tol)
 
     # 2: isometry over randomly matched cross pairs

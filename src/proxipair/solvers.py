@@ -7,6 +7,14 @@ solvers check their preconditions against the map's certificate (made on
 first use when the map has none), record a full trace with the gap
 d(x_n, companion_n) - dist(A, B), and flag non-convergence instead of
 raising.
+
+No solver loop projects onto a body.  Inside the reductions P is evaluated
+one point at a time as the translation x + v or x - v, with v = b* - a*
+(see `operators`), and each step checks by membership that the iterate is
+in its side and its translate in the other body.  The projection iteration
+iterates x alone and takes every companion y_n = P(x_n) from one stacked
+nearest-point projection after the loop, which checks the whole run's
+iterates against the proximal set of A at once.
 """
 
 from __future__ import annotations
@@ -114,9 +122,11 @@ class SolveResult:
         return out
 
 
-def _require_tol(tol: float) -> None:
-    if not tol > 0.0:
-        raise PreconditionError(f"tol must be positive, got {tol!r}")
+def _require_limits(tol: float, max_iter: int) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise PreconditionError(f"tol must be positive and finite, got {tol!r}")
+    if max_iter < 0:
+        raise PreconditionError(f"max_iter must be at least 0, got {max_iter!r}")
 
 
 def _require_contraction(m, expected_mode: str) -> ContractionCertificate:
@@ -178,7 +188,7 @@ def picard_cyclic(m, x0, tol: float = DEFAULT_TOL,
     Hitting max_iter returns the best even iterate with converged=False.
     """
     inst = m.instance
-    _require_tol(tol)
+    _require_limits(tol, max_iter)
     cert = _require_contraction(m, "cyclic")
     x = _require_start_in_A(m, x0)
     space = inst.space
@@ -223,31 +233,36 @@ def noncyclic_projection_iteration(m, x0, tol: float = DEFAULT_TOL,
 
     The start must already realize dist(A, B); it is never projected
     implicitly.  (x_n, y_n) converges to a best proximity pair when T is a
-    certified noncyclic contraction.
+    certified noncyclic contraction.  The loop iterates x alone; the
+    companions of the whole run come from one `project_many` call after it,
+    which also checks that every iterate stayed in A0.
     """
     inst = m.instance
-    _require_tol(tol)
+    _require_limits(tol, max_iter)
     cert = _require_contraction(m, "noncyclic")
     x = _require_proximal_start(inst, x0)
     if projector is None:
         projector = ProximalProjector(inst)
     space = inst.space
 
-    y = projector.project(x, "A")
-    steps = [TraceStep(0, "A", x, y, space.distance(x, y) - inst.dist)]
+    iterates = [x]
     converged = False
     n = 0
     while n < max_iter:
         n += 1
         x_next = m.apply(x)
-        y_next = projector.project(x_next, "A")
-        steps.append(TraceStep(n, "A", x_next, y_next,
-                               space.distance(x_next, y_next) - inst.dist))
+        iterates.append(x_next)
         moved = space.distance(x_next, x)
-        x, y = x_next, y_next
+        x = x_next
         if moved < tol:
             converged = True
             break
+    # every companion, and the domain check of every iterate, in one call
+    X = np.array(iterates)
+    Y = projector.project_many(X, "A")
+    gaps = space.norms(X - Y, axis=1) - inst.dist
+    steps = [TraceStep(i, "A", X[i], Y[i], float(gaps[i])) for i in range(len(X))]
+    x, y = X[-1], Y[-1]
     residual = max(space.distance(x, m.apply(x)),
                    space.distance(y, m.apply(y)),
                    abs(space.distance(x, y) - inst.dist))
@@ -288,7 +303,7 @@ def solve_cyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
     identity (composition iterated 2n times vs m iterated 2n times).
     """
     inst = m.instance
-    _require_tol(tol)
+    _require_limits(tol, max_iter)
     _require_contraction(m, "cyclic")
     x0 = _require_proximal_start(inst, x0)
     projector = ProximalProjector(inst)
@@ -316,7 +331,7 @@ def solve_noncyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
     composition stray from the proximal part of B.
     """
     inst = m.instance
-    _require_tol(tol)
+    _require_limits(tol, max_iter)
     _require_contraction(m, "noncyclic")
     x0 = _require_proximal_start(inst, x0)
     projector = ProximalProjector(inst)

@@ -2,6 +2,7 @@ import collections
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from proxipair import cli, mappings
@@ -197,11 +198,43 @@ def test_bench_records_a_failing_instance_and_goes_on(tmp_path, capsys, monkeypa
     ("solve", "segpair", "--tol", "-1"),
     ("gen", "--dim", "0"),
     ("gen", "--p", "1.0"),
+    ("solve", "segpair", "--tol", "inf"),
+    ("solve", "segpair", "--tol", "nan"),
+    ("solve", "segpair", "--max-iter", "-1"),
+    ("bench", "--count", "0"),
+    ("bench", "--count", "-1"),
+    ("solve", "segpair", "--seed", "-1"),
+    ("gen", "--gap", "inf"),
 ])
 def test_invalid_arguments_give_one_error_line(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(tmp_path)) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("run", ["reduce-T", "reduce-S"])
+def test_iterate_off_the_proximal_sets_gives_one_error_line(tmp_path, capsys,
+                                                           monkeypatch, run):
+    # the map of the run sends P(x0) = (2, 1) to (1.5, 0.5), in neither body;
+    # sampled certification never draws that one point
+    real_build = cli.build
+
+    def build(doc, *args, **kwargs):
+        built = real_build(doc, *args, **kwargs)
+        for name in ("T", "S"):
+            m = built.maps[name]
+
+            def func(x, m=m):
+                return np.array([1.5, 0.5]) if np.array_equal(x, [2.0, 1.0]) else m.apply(x)
+
+            built.maps[name] = mappings.MapSpec.blackbox(built.instance, m.mode, func,
+                                                         name=name)
+        return built
+
+    monkeypatch.setattr(cli, "build", build)
+    assert run_cli("solve", "segpair", "--run", run, "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "neither body" in err[0]
 
 
 def _count_certifier_calls(monkeypatch, *argv):

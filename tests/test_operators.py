@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -78,6 +80,79 @@ def test_projector_batch_infers_sides(seg, rng):
     out = P.project_many(mixed)
     assert_allclose(out[:20], P.project_many(xs, "A"), atol=0)
     assert_allclose(out[20:], P.project_many(ys, "B"), atol=0)
+
+
+def _translation_cases():
+    sp2, sp15, sp3 = LpSpace(2, 2.0), LpSpace(2, 1.5), LpSpace(3, 3.0)
+    square = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]
+    return {
+        "segments": ProximityInstance(Polytope(sp2, [[1.0, 0.0], [2.0, 0.0]]),
+                                      Polytope(sp2, [[1.0, 1.0], [2.0, 1.0]])),
+        "boxes-p1.5": ProximityInstance(Box(sp15, [0.0, 0.0], [1.0, 1.0]),
+                                        Box(sp15, [3.0, 0.5], [4.0, 2.0])),
+        # the realizing pair of two balls, and so v, comes from alternating
+        # projections and is only as exact as the instance tol: at the
+        # default 1e-9 the two evaluations of P differ by up to ~3e-10
+        "balls-p3": ProximityInstance(Ball(sp3, [0.0, 0.0, 0.0], 1.0),
+                                      Ball(sp3, [3.0, 1.0, -0.5], 1.5), tol=1e-12),
+        "polygons": ProximityInstance(Polytope(sp2, square),
+                                      Polytope(sp2, [[0.5, 1.5], [1.5, 1.5],
+                                                     [1.5, 3.0], [0.5, 3.0]])),
+        "overlapping": ProximityInstance(Box(sp2, [0.0, 0.0], [2.0, 2.0]),
+                                         Box(sp2, [1.0, 1.0], [3.0, 3.0])),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_translation_cases()))
+def test_project_is_the_translation_by_v(name, rng):
+    inst = _translation_cases()[name]
+    P = ProximalProjector(inst)
+    a_star, b_star = inst.realizing_pair
+    assert_allclose(P.v, b_star - a_star, atol=0)
+    if name == "overlapping":
+        assert inst.dist == 0.0 and not np.any(P.v)
+    for side in ("A", "B"):
+        for x in inst.sample_proximal(side, 40, rng):
+            nearest = P.project_many(x[None, :])[0]
+            assert_allclose(P.project(x), nearest, atol=1e-12, rtol=0)
+            assert_allclose(P.project(x, side), nearest, atol=1e-12, rtol=0)
+
+
+def test_project_makes_no_body_projection(seg, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("body projection")
+
+    monkeypatch.setattr(Polytope, "project_many", forbidden)
+    P = ProximalProjector(seg)
+    assert_allclose(P.project([1.25, 0.0]), [1.25, 1.0], atol=0)
+    assert_allclose(P.project([1.25, 1.0], "B"), [1.25, 0.0], atol=0)
+    with pytest.raises(DomainError):
+        P.project([1.5, 0.5])
+
+
+def test_project_domain_errors(seg, balls):
+    P = ProximalProjector(seg)
+    with pytest.raises(DomainError, match="in neither body"):
+        P.project([1.5, 0.5])
+    with pytest.raises(DomainError, match="not in side A"):
+        P.project([1.5, 1.0], "A")
+    with pytest.raises(DomainError, match=r"does not realize dist\(A, B\)"):
+        ProximalProjector(balls).project([-2.0, 0.0])
+
+
+def test_planted_wrong_v_fails_the_landing_check(seg):
+    # shifting b* along the segments moves v by 1e-6; every translate still
+    # lands in B, so `project` cannot see it, but the nearest-point images
+    # of the stack path no longer equal x + v
+    planted = copy.copy(seg)
+    a_star, b_star = seg.realizing_pair
+    planted.realizing_pair = (a_star, b_star + np.array([1e-6, 0.0]))
+    P = ProximalProjector(planted)
+    assert_allclose(P.project([1.5, 0.0]), [1.5 + 1e-6, 1.0], atol=1e-15)
+    report = verify_projector_properties(P, samples=200)
+    assert not report.cyclic_distance.holds
+    assert report.cyclic_distance.worst_deviation == pytest.approx(1e-6, rel=1e-6)
+    assert verify_projector_properties(ProximalProjector(seg), samples=200).all_hold
 
 
 # ------------------------------------------------------- property report

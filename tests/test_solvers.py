@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from proxipair.errors import PreconditionError
+from proxipair.errors import DomainError, PreconditionError
 from proxipair.geometry import Ball, LpSpace, Polytope, ProximityInstance
 from proxipair.mappings import MapSpec, certificate_of, contraction_of
 from proxipair.operators import ComposedMap, compose_with_projector
 from proxipair.solvers import (
+    DEFAULT_MAX_ITER,
     IDENTITY_TERMS,
     noncyclic_projection_iteration,
     picard_cyclic,
@@ -42,6 +43,18 @@ def map_S(seg):
 
 def map_swap(seg):
     return MapSpec.affine(seg, "cyclic", [[1.0, 0.0], [0.0, -1.0]], [0.0, 1.0], name="swap")
+
+
+def with_hole(inst, mode, matrix, offset, hole, image, name):
+    """The affine map x -> matrix x + offset, except that it sends the single
+    point `hole` to `image`.  Sampled certification never draws that point,
+    so the map certifies as a contraction of its mode."""
+    matrix, offset = np.array(matrix), np.array(offset)
+
+    def func(x):
+        return np.array(image) if np.array_equal(x, hole) else matrix @ x + offset
+
+    return MapSpec.blackbox(inst, mode, func, name=name)
 
 
 def const_maps(balls):
@@ -205,6 +218,30 @@ def test_noncyclic_rejects_start_off_body(seg):
         noncyclic_projection_iteration(map_S(seg), [2.0, 0.5])
 
 
+def test_noncyclic_companions_cost_the_same_whatever_the_run_length(seg, monkeypatch):
+    S = map_S(seg)
+    contraction_of(S)  # certify first; certification projects too
+    calls = []
+    real = Polytope.project_many
+    monkeypatch.setattr(Polytope, "project_many",
+                        lambda body, *a, **k: calls.append(1) or real(body, *a, **k))
+    counts = {}
+    for max_iter in (1, 5, DEFAULT_MAX_ITER):
+        calls.clear()
+        res = noncyclic_projection_iteration(S, [2.0, 0.0], max_iter=max_iter)
+        counts[res.trace.iterations_used] = len(calls)
+    assert sorted(counts) == [1, 5, 30]
+    assert len(set(counts.values())) == 1
+
+
+def test_noncyclic_iterate_off_the_proximal_set_raises(seg):
+    # S would keep (2, 0.5) on the line y = 0.5, outside A
+    holed = with_hole(seg, "noncyclic", [[0.5, 0.0], [0.0, 1.0]], [0.5, 0.0],
+                      hole=[1.5, 0.0], image=[2.0, 0.5], name="S-holed")
+    with pytest.raises(DomainError, match="not in side A"):
+        noncyclic_projection_iteration(holed, [2.0, 0.0])
+
+
 def test_noncyclic_constant_map_on_balls(balls):
     _, non = const_maps(balls)
     res = noncyclic_projection_iteration(non, [-1.0, 0.0])
@@ -261,10 +298,29 @@ def test_reductions_report_the_inherited_modulus(seg):
         assert res.alpha_hat == contraction_of(m).alpha_hat
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
 def test_solvers_reject_nonpositive_tol(seg, tol):
     with pytest.raises(PreconditionError, match="tol"):
         picard_cyclic(map_T(seg), [2.0, 0.0], tol=tol)
+
+
+@pytest.mark.parametrize("max_iter", [-1, -10])
+def test_solvers_reject_negative_max_iter(seg, max_iter):
+    with pytest.raises(PreconditionError, match="max_iter"):
+        noncyclic_projection_iteration(map_S(seg), [2.0, 0.0], max_iter=max_iter)
+
+
+def test_reductions_raise_on_an_iterate_off_the_proximal_sets(seg):
+    # P(2, 0) = (2, 1); the holed maps send it to (1.5, 0.5), which is in
+    # neither body, and the next composed step must refuse it
+    T = with_hole(seg, "cyclic", [[0.5, 0.0], [0.0, -1.0]], [0.5, 1.0],
+                  hole=[2.0, 1.0], image=[1.5, 0.5], name="T-holed")
+    S = with_hole(seg, "noncyclic", [[0.5, 0.0], [0.0, 1.0]], [0.5, 0.0],
+                  hole=[2.0, 1.0], image=[1.5, 0.5], name="S-holed")
+    for solve, m in ((solve_cyclic_via_reduction, T),
+                     (solve_noncyclic_via_reduction, S)):
+        with pytest.raises(DomainError, match="in neither body"):
+            solve(m, [2.0, 0.0])
 
 
 def test_reductions_on_constant_ball_maps(balls):

@@ -85,13 +85,28 @@ def test_singleton_proximal_sets_flag_every_sampling_check():
     assert {"map-const-cyclic-inherited-modulus", "map-const-noncyclic-commutation",
             "run-picard-const-uniqueness", "run-project-const-uniqueness"} <= names
     assert all("degenerate" in c.flags for c in checks)
-    assert not any(c.flags for c in report.checks if c not in checks)
+    # the other flags are those of the gap-decay checks on closed traces
+    others = {c.name: c.flags for c in report.checks if c not in checks and c.flags}
+    assert others == {f"run-{run}-gap-decay": ["vacuous"] for run in
+                      ("project-const", "reduce-const-cyclic", "reduce-const-noncyclic")}
 
 
 def test_spread_proximal_sets_flag_nothing():
     report = run_verification(build(builtin_instance("segpair")))
     assert len(_sampling_checks(report)) == 13
-    assert not any(c.flags for c in report.checks)
+    assert not any("degenerate" in c.flags for c in report.checks)
+
+
+def test_gap_decay_on_a_closed_trace_is_flagged_vacuous():
+    # project-S and reduce-T iterate inside the proximal sets, so every gap
+    # is 0 and their gap-decay checks cannot fail
+    report = run_verification(build(builtin_instance("segpair")), samples=200)
+    flagged = {c.name: c.flags for c in report.checks if c.flags}
+    assert flagged == {"run-project-S-gap-decay": ["vacuous"],
+                       "run-reduce-T-gap-decay": ["vacuous"]}
+    for name in ("run-picard-T-gap-decay", "run-reduce-S-gap-decay"):
+        check = next(c for c in report.checks if c.name == name)
+        assert check.passed and not check.flags
 
 
 def test_skew_map_fails_commutation():
