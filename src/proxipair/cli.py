@@ -1,8 +1,8 @@
 """Command line front end: solve, verify, gen, and bench over instance files.
 
 Exit codes: 0 on success, 1 on input errors (bad files, unknown names,
-failed preconditions), 2 when a solver fails to converge or a verification
-check fails.
+failed preconditions, inputs too large for memory), 2 when a solver fails to
+converge or a verification check fails.
 """
 
 from __future__ import annotations
@@ -227,6 +227,10 @@ def main(argv=None) -> int:
         return _error_code(exc)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        # e.g. `gen --dim 100000`, whose dense dim x dim map matrices do not fit
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

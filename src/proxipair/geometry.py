@@ -27,6 +27,7 @@ from .errors import (
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 Side = Literal["A", "B"]
 
@@ -68,11 +69,33 @@ class LpSpace:
         return arr
 
     def norms(self, X: np.ndarray, axis: int = -1) -> np.ndarray:
-        """lp norms along `axis`; works on single vectors and stacks alike."""
+        """lp norms along `axis`; works on single vectors and stacks alike.
+
+        The sum of |x_i|^p is taken directly.  Where it leaves the normal
+        floats (at p = 1000 that happens for |x_i| all below 1/2 or one above
+        2), the norm is recomputed as m ||x / m||_p, with m the largest |x_i|.
+        """
         X = np.asarray(X, dtype=float)
         if self.p == 2.0:
             return np.sqrt(np.sum(X * X, axis=axis))
-        return np.sum(np.abs(X) ** self.p, axis=axis) ** (1.0 / self.p)
+        A = np.abs(X)
+        with np.errstate(over="ignore"):
+            s = np.sum(A ** self.p, axis=axis)
+        out = s ** (1.0 / self.p)
+        if s.size == 1:  # one vector, or a stack of one
+            if _TINY <= s.item() < math.inf or not A.any():
+                return out
+        elif s.size == 0 or (s.min() >= _TINY and s.max() < math.inf):
+            return out
+        # rows of zeros, or with an entry that is not finite, keep the direct sum
+        m = np.max(A, axis=axis)
+        redo = ((s < _TINY) & (m > 0.0)) | ((s == math.inf) & (m < math.inf))
+        if not redo.any():
+            return out
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            scaled = m * np.sum((A / np.expand_dims(m, axis)) ** self.p,
+                                axis=axis) ** (1.0 / self.p)
+        return np.where(redo, scaled, out)[()]
 
     def norm(self, x) -> float:
         return float(self.norms(self.check_vector(x)))
@@ -496,7 +519,8 @@ class ProximityInstance:
 
     The distance and a realizing pair are computed once at construction;
     proximal membership and proximal sampling are answered against that
-    cache.  `tol` is this instance's default tolerance for membership.
+    cache.  The certifiers' samples are kept too (`cross_samples`).  `tol`
+    is this instance's default tolerance for membership.
     """
 
     def __init__(self, A: ConvexBody, B: ConvexBody, tol: float = DEFAULT_TOL,
@@ -515,6 +539,7 @@ class ProximityInstance:
                 achieved_gap=res.dist, iterations=res.iterations)
         self.dist = res.dist
         self.realizing_pair = (_readonly(res.a), _readonly(res.b))
+        self._cross_samples: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def body(self, side: Side) -> ConvexBody:
         if side == "A":
@@ -570,10 +595,39 @@ class ProximityInstance:
 
         Starts spread over the full body and runs the batched alternating
         scheme until the batch stops moving; each limit realizes dist(A, B).
-        The realizing pair's point is always included.
+        The realizing pair's point is always included.  When A or B is a
+        ball and the bodies are apart, the proximal sets are the single
+        points a*, b*: the result is n copies of this side's point, and
+        nothing is drawn from `rng`.
         """
+        own = self.realizing_pair[0 if side == "A" else 1]
+        if self.dist > self.tol and any(isinstance(b, Ball) for b in (self.A, self.B)):
+            # A0, the intersection of A and B - v, is convex and (dist > 0) on A's
+            # boundary: one point if A is strictly convex. B0 = A0 + v; same for B.
+            return np.tile(own, (n, 1))
         body = self.body(side)
         X = body.sample(rng, max(n - 1, 0))
-        own = self.realizing_pair[0 if side == "A" else 1]
         X = np.vstack([own[None, :], X])[:n]
         return self.proximalize(X, side, max_sweeps)
+
+    def cross_samples(self, n: int, seed: int, proximal: bool = False
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """n points of A and n points of B, drawn once per (n, seed, proximal).
+
+        One `np.random.default_rng(seed)` draws A's points, then B's: body
+        samples, or proximal samples when `proximal`.  Every certifier that
+        samples with the same seed shares the pair, so it is kept read-only
+        and handed out without a copy.
+        """
+        key = (int(n), int(seed), bool(proximal))
+        pair = self._cross_samples.get(key)
+        if pair is None:
+            rng = np.random.default_rng(seed)
+            if proximal:
+                pair = tuple(self.sample_proximal(side, n, rng) for side in ("A", "B"))
+            else:
+                pair = tuple(self.body(side).sample(rng, n) for side in ("A", "B"))
+            for X in pair:
+                X.setflags(write=False)
+            self._cross_samples[key] = pair
+        return pair

@@ -9,6 +9,12 @@ declared mode, relative nonexpansiveness, and the contraction modulus
 
 over cross pairs, reporting the smallest alpha consistent with the samples.
 
+The samples come from the instance: `ProximityInstance.cross_samples(n,
+seed, proximal)` draws n points of A and then n of B, of the bodies or of
+their proximal sets (for a map of domain "proximal"), once per instance.
+Every map of an instance certified with the same seed and sample count is
+checked on the same points.
+
 Each map keeps one `MapCertificate`: `certify` checks the declared mode and
 stores the result on the map, and `contraction_of` estimates the modulus the
 first time a caller needs it and stores that too.
@@ -153,13 +159,6 @@ def _vertex_set(body: ConvexBody) -> np.ndarray | None:
     return None
 
 
-def _sample_domain(m, side: Side, n: int, rng: np.random.Generator) -> np.ndarray:
-    inst = m.instance
-    if m.domain == "proximal":
-        return inst.sample_proximal(side, n, rng)
-    return inst.body(side).sample(rng, n)
-
-
 def _target_deviations(m, side: Side, images: np.ndarray) -> np.ndarray:
     """How far each image is from where the declared mode says it must land."""
     inst = m.instance
@@ -193,20 +192,20 @@ def certify_mode(m, samples: int = DEFAULT_MODE_SAMPLES, seed: int = 0,
 
     Affine maps on vertex-enumerable bodies are checked exactly through
     vertex images (the image of a hull is the hull of the images, and a hull
-    lies in a convex target iff its vertices do); everything else is sampled.
+    lies in a convex target iff its vertices do); every other side is checked
+    on its half of the instance's `cross_samples(samples, seed, ...)`.
     """
     inst = m.instance
     tol = 10.0 * inst.tol if tol is None else tol
-    rng = np.random.default_rng(seed)
     exact = True
     worst = 0.0
     witness = None
-    for side in ("A", "B"):
+    for k, side in enumerate(("A", "B")):
         pts = None
         if m.is_affine and m.domain == "full":
             pts = _vertex_set(inst.body(side))
         if pts is None:
-            pts = _sample_domain(m, side, samples, rng)
+            pts = inst.cross_samples(samples, seed, m.domain == "proximal")[k]
             exact = False
         imgs = m.apply_many(pts)
         devs = _target_deviations(m, side, imgs)
@@ -231,10 +230,8 @@ class NonexpansiveCheck:
         return self.ok
 
 
-def _cross_pairs(m, samples: int, rng: np.random.Generator
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    xs = _sample_domain(m, "A", samples, rng)
-    ys = _sample_domain(m, "B", samples, rng)
+def _cross_pairs(m, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    xs, ys = m.instance.cross_samples(samples, seed, m.domain == "proximal")
     if m.is_affine and m.domain == "full":
         vx = _vertex_set(m.instance.A)
         vy = _vertex_set(m.instance.B)
@@ -251,8 +248,7 @@ def certify_relatively_nonexpansive(m, samples: int = DEFAULT_MODE_SAMPLES,
     """d(Tx, Ty) <= d(x, y) over sampled cross pairs (plus vertex pairs)."""
     inst = m.instance
     tol = inst.tol if tol is None else tol
-    rng = np.random.default_rng(seed)
-    xs, ys = _cross_pairs(m, samples, rng)
+    xs, ys = _cross_pairs(m, samples, seed)
     before = inst.space.norms(xs - ys, axis=1)
     after = inst.space.norms(m.apply_many(xs) - m.apply_many(ys), axis=1)
     excess = after - before
@@ -270,13 +266,17 @@ ContractionMethod = Literal["grid", "sampled", "inherited"]
 class ContractionCertificate:
     """Smallest contraction modulus consistent with the evaluated cross pairs.
 
-    `method` says where alpha_hat comes from: "grid" when a dense cross-pair
-    grid refined around the worst pair was searched (affine maps on boxes
-    and segments), "sampled" when only sampled pairs were, and "inherited"
-    when it was carried over from the outer map of a composition with the
-    proximal projection.  Each is a lower estimate of the true modulus.
-    degenerate flags instances where every cross pair already realizes
-    dist(A, B), so no ratio is defined.
+    The sampled pairs are row i of A's and of B's points in the instance's
+    `cross_samples` for the certificate's seed, the same points for every
+    map of the instance.  `method` says where alpha_hat comes from: "grid"
+    when a dense cross-pair grid refined around the worst pair was also
+    searched (affine maps on boxes and segments), "sampled" when only
+    sampled pairs (plus vertex pairs, for affine maps on polytopal bodies)
+    were, and "inherited" when it was carried over from the outer map of a
+    composition with the proximal projection.  Each is a lower estimate of
+    the true modulus.  `samples` counts the pairs evaluated, 0 when
+    inherited.  degenerate flags instances where every cross pair already
+    realizes dist(A, B), so no ratio is defined.
     """
 
     alpha_hat: float
@@ -353,10 +353,9 @@ def certify_contraction(m, samples: int = DEFAULT_CONTRACTION_SAMPLES, seed: int
     """
     inst = m.instance
     tol = inst.tol if tol is None else tol
-    rng = np.random.default_rng(seed)
     dist = inst.dist
 
-    xs, ys = _cross_pairs(m, samples, rng)
+    xs, ys = _cross_pairs(m, samples, seed)
     before = inst.space.norms(xs - ys, axis=1)
     after = inst.space.norms(m.apply_many(xs) - m.apply_many(ys), axis=1)
     valid = before - dist > tol

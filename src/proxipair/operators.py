@@ -343,7 +343,8 @@ def compose_with_projector(outer, projector: ProximalProjector | None = None,
     """Build the map x -> outer(P(x)) after checking it is legitimate.
 
     Requires outer to be relatively nonexpansive and to preserve the proximal
-    sets, both sampled with the seed of outer's certificate.  The result's
+    sets, both checked on the instance's `cross_samples` for the seed of
+    outer's certificate (body and proximal samples respectively).  The result's
     certificate is derived from outer's: the mode is flipped, its mode check
     is the proximal-preservation check (outer's images of A0 and B0 are the
     composition's images of B0 and A0), and alpha_hat is outer's, with
@@ -362,11 +363,9 @@ def compose_with_projector(outer, projector: ProximalProjector | None = None,
             "map is not relatively nonexpansive "
             f"(worst excess {nonexp.worst_excess:.3e} at {nonexp.witness})")
 
-    rng = np.random.default_rng(seed)
     window = projector.slack * inst.tol
     worst = 0.0
-    for side in ("A", "B"):
-        pts = inst.sample_proximal(side, samples, rng)
+    for side, pts in zip(("A", "B"), inst.cross_samples(samples, seed, proximal=True)):
         imgs = outer.apply_many(pts)
         target: Side = side if outer.mode == "noncyclic" else opposite(side)
         body = inst.body(target)
@@ -408,15 +407,14 @@ class CommutationReport:
 
 def check_commutation(m, projector: ProximalProjector | None = None,
                       samples: int = 1000, seed: int = 0) -> CommutationReport:
-    """Measure max ||T(Px) - P(Tx)|| over proximal samples of both sides."""
+    """Measure max ||T(Px) - P(Tx)|| over the instance's proximal
+    `cross_samples(samples, seed, proximal=True)` of both sides."""
     inst = m.instance
     if projector is None:
         projector = ProximalProjector(inst)
-    rng = np.random.default_rng(seed)
     worst = 0.0
     witness = None
-    for side in ("A", "B"):
-        pts = inst.sample_proximal(side, samples, rng)
+    for side, pts in zip(("A", "B"), inst.cross_samples(samples, seed, proximal=True)):
         t_p = m.apply_many(projector.project_many(pts, side))
         try:
             p_t = projector.project_many(m.apply_many(pts))

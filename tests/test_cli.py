@@ -8,7 +8,13 @@ import pytest
 from proxipair import cli, mappings
 from proxipair.cli import main
 from proxipair.errors import InstanceFormatError
-from proxipair.instances import builtin_instance, parse_instance, serialize_instance
+from proxipair.geometry import Ball, ProximityInstance
+from proxipair.instances import (
+    builtin_instance,
+    generate_random_instance,
+    parse_instance,
+    serialize_instance,
+)
 from proxipair.operators import ComposedMap
 
 
@@ -153,6 +159,32 @@ def test_solve_ballpair_evaluates_no_map_row_by_row(tmp_path, monkeypatch):
     assert calls["vectorized"] > 0 and calls["rowwise"] == 0
 
 
+def test_solve_balls_draws_each_sample_once(tmp_path, monkeypatch):
+    # one draw of A and one of B for each sample size the certifiers use:
+    # 1000 points for the mode checks, 10,000 for the contraction estimates
+    # and 200 for the nonexpansiveness precondition of the compositions.
+    # The proximal sets of two balls are the points a*, b*, so no proximal
+    # sample needs alternating projections.
+    doc = generate_random_instance(0, dim=3, p=3.0, family="separated-balls")
+    path = tmp_path / "balls.json"
+    path.write_text(serialize_instance(doc))
+    calls = collections.Counter()
+    real_sample, real_proximalize = Ball.sample, ProximityInstance.proximalize
+
+    def sample(body, *args, **kwargs):
+        calls["Ball.sample"] += 1
+        return real_sample(body, *args, **kwargs)
+
+    def proximalize(inst, *args, **kwargs):
+        calls["proximalize"] += 1
+        return real_proximalize(inst, *args, **kwargs)
+
+    monkeypatch.setattr(Ball, "sample", sample)
+    monkeypatch.setattr(ProximityInstance, "proximalize", proximalize)
+    assert run_cli("solve", str(path), "--out", str(tmp_path)) == 0
+    assert calls == {"Ball.sample": 6}
+
+
 def test_env_overrides_out_flag(tmp_path, monkeypatch):
     env_dir = tmp_path / "from-env"
     monkeypatch.setenv("PROXIPAIR_OUT", str(env_dir))
@@ -210,6 +242,16 @@ def test_invalid_arguments_give_one_error_line(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(tmp_path)) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_out_of_memory_gives_one_error_line(tmp_path, capsys, monkeypatch):
+    def generate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli, "generate_random_instance", generate)
+    assert run_cli("gen", "--dim", "100000", "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "74.5 GiB" in err[0]
 
 
 @pytest.mark.parametrize("run", ["reduce-T", "reduce-S"])

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,31 @@ def segment(space, a, b):
 def test_norm_euclidean_345():
     sp = LpSpace(2, 2.0)
     assert sp.norm([3.0, 4.0]) == 5.0
+
+
+@pytest.mark.parametrize("p", [1000.0, 1e300])
+def test_norm_at_large_p_neither_overflows_nor_underflows(p):
+    # |5|^1000 overflows and |1e-3|^1000 underflows; both norms are finite,
+    # nonzero and right, and nothing warns
+    X = np.array([[5.0, 5.0, 1.0], [1e-3, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = LpSpace(3, p).norms(X, axis=1)
+        by_column = LpSpace(3, p).norms(X.T, axis=0)
+    assert_allclose(norms, [5.0 * 2.0 ** (1.0 / p), 1e-3, 0.0], rtol=1e-14)
+    assert_array_equal(by_column, norms)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 64.0])
+def test_norm_is_the_direct_sum_where_that_is_normal(p, rng):
+    X = rng.uniform(-3.0, 3.0, (200, 4))
+    assert_array_equal(LpSpace(4, p).norms(X, axis=1),
+                       np.sum(np.abs(X) ** p, axis=1) ** (1.0 / p))
+
+
+def test_norm_keeps_infinite_and_nan_entries():
+    norms = LpSpace(2, 3.0).norms(np.array([[np.inf, 1.0], [np.nan, 0.0]]), axis=1)
+    assert norms[0] == np.inf and np.isnan(norms[1])
 
 
 def test_norm_p4_diagonal():
@@ -461,6 +487,52 @@ def test_sample_proximal_ball_pair_collapses(rng):
     inst = ball_instance()
     xs = inst.sample_proximal("A", 32, rng)
     assert_allclose(xs, np.tile([-1.0, 0.0], (32, 1)), atol=1e-6)
+
+
+@pytest.mark.parametrize("B_is_a_ball", [True, False])
+def test_sample_proximal_with_a_ball_is_the_realizing_pair(B_is_a_ball, monkeypatch,
+                                                           rng):
+    # one strictly convex body makes both proximal sets single points, so
+    # no alternating projections run and nothing is drawn
+    sp = LpSpace(2, 3.0)
+    B = (Ball(sp, [2.0, 0.5], 1.0) if B_is_a_ball
+         else Box(sp, [1.0, -1.0], [2.0, 1.0]))
+    inst = ProximityInstance(Ball(sp, [-2.0, 0.0], 1.0), B)
+
+    def proximalize(*args, **kwargs):
+        raise AssertionError("proximalize called")
+
+    monkeypatch.setattr(ProximityInstance, "proximalize", proximalize)
+    state = rng.bit_generator.state
+    a_star, b_star = inst.realizing_pair
+    assert_array_equal(inst.sample_proximal("A", 7, rng), np.tile(a_star, (7, 1)))
+    assert_array_equal(inst.sample_proximal("B", 7, rng), np.tile(b_star, (7, 1)))
+    assert rng.bit_generator.state == state
+
+
+def test_cross_samples_are_drawn_once_from_one_stream():
+    inst = seg_instance()
+    xs, ys = inst.cross_samples(50, 3)
+    again = inst.cross_samples(50, 3)
+    assert again[0] is xs and again[1] is ys
+    stream = np.random.default_rng(3)
+    assert_array_equal(xs, inst.A.sample(stream, 50))
+    assert_array_equal(ys, inst.B.sample(stream, 50))
+    px, py = inst.cross_samples(50, 3, proximal=True)
+    stream = np.random.default_rng(3)
+    assert_array_equal(px, inst.sample_proximal("A", 50, stream))
+    assert_array_equal(py, inst.sample_proximal("B", 50, stream))
+    assert inst.cross_samples(50, 4)[0] is not xs
+    assert inst.cross_samples(51, 3)[0] is not xs
+
+
+@pytest.mark.parametrize("proximal", [False, True])
+def test_cross_samples_are_read_only(proximal):
+    xs, ys = seg_instance().cross_samples(20, 0, proximal)
+    with pytest.raises(ValueError):
+        xs[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ys[:] = 0.0
 
 
 @pytest.mark.parametrize("shape", sorted(_polytope_shapes()))

@@ -8,11 +8,14 @@ from proxipair.errors import DimensionMismatchError
 from proxipair.geometry import Ball, Box, LpSpace, Polytope, ProximityInstance
 from proxipair.instances import build, parse_instance
 from proxipair.mappings import (
+    DEFAULT_CONTRACTION_SAMPLES,
     MEMBER_TOL,
     MapSpec,
+    certify,
     certify_contraction,
     certify_mode,
     certify_relatively_nonexpansive,
+    contraction_of,
 )
 
 
@@ -302,3 +305,37 @@ def test_box_pair_affine_contraction_certifies(rng):
     cert = certify_contraction(S, samples=2000)
     assert cert.method == "grid"
     assert 0.0 < cert.alpha_hat < 1.0
+
+
+# ------------------------------------------------------------ shared samples
+
+
+def _certificates_in_order(order: list) -> dict:
+    """Certify the mode and contraction of two sampled maps on a fresh
+    segment pair, in the given order; returns each map's certificate as
+    plain values."""
+    sp = LpSpace(2, 2.0)
+    inst = ProximityInstance(Polytope(sp, [[1.0, 0.0], [2.0, 0.0]]),
+                             Polytope(sp, [[1.0, 1.0], [2.0, 1.0]]))
+    T, S = map_T(inst), map_S(inst)
+    maps = {"T": MapSpec.blackbox(inst, "cyclic", T.apply, name="T"),
+            "S": MapSpec.blackbox(inst, "noncyclic", S.apply, name="S")}
+    for name in order:
+        certify(maps[name], seed=5)
+        contraction_of(maps[name])
+    out = {}
+    for name, m in maps.items():
+        mode, con = m.certificate.mode, m.certificate.contraction
+        out[name] = (mode.ok, mode.exact, mode.worst_deviation, con.alpha_hat,
+                     con.samples, con.method, np.asarray(con.worst_pair).tolist())
+    return out
+
+
+def test_certification_order_does_not_change_certificates():
+    # both maps draw their samples from the instance's one store; whichever
+    # is certified first draws them, and the certificates do not depend on it
+    first = _certificates_in_order(["T", "S"])
+    assert first == _certificates_in_order(["S", "T"])
+    for cert in first.values():
+        assert cert[5] == "sampled" and 0.0 < cert[3] < 1.0
+        assert cert[4] == DEFAULT_CONTRACTION_SAMPLES  # not the mode checks' 1000
