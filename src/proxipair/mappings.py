@@ -8,6 +8,8 @@ declared mode, relative nonexpansiveness, and the contraction modulus
     d(Tx, Ty) <= alpha * d(x, y) + (1 - alpha) * dist(A, B)
 
 over cross pairs, reporting the smallest alpha consistent with the samples.
+For an affine map Tx - Ty = M(x - y), so the modulus is a supremum over
+the difference body A - B, which is a box when A and B are.
 
 The samples come from the instance: `ProximityInstance.cross_samples(n,
 seed, proximal)` draws n points of A and then n of B, of the bodies or of
@@ -44,6 +46,7 @@ DEFAULT_MODE_SAMPLES = 1000
 DEFAULT_CONTRACTION_SAMPLES = 10_000
 GRID_BUDGET = 1024
 REFINE_ROUNDS = 3
+MAX_GRID_AXES = 16  # past it, 2 points per axis exceed 2**16 (as in Box.corners)
 # how far outside A a point may lie and still take a two-piece map's A-side
 # piece; it absorbs the rounding of points computed to lie on A's boundary
 MEMBER_TOL = 1e-7
@@ -269,14 +272,16 @@ class ContractionCertificate:
     The sampled pairs are row i of A's and of B's points in the instance's
     `cross_samples` for the certificate's seed, the same points for every
     map of the instance.  `method` says where alpha_hat comes from: "grid"
-    when a dense cross-pair grid refined around the worst pair was also
-    searched (affine maps on boxes and segments), "sampled" when only
-    sampled pairs (plus vertex pairs, for affine maps on polytopal bodies)
-    were, and "inherited" when it was carried over from the outer map of a
-    composition with the proximal projection.  Each is a lower estimate of
-    the true modulus.  `samples` counts the pairs evaluated, 0 when
-    inherited.  degenerate flags instances where every cross pair already
-    realizes dist(A, B), so no ratio is defined.
+    when a grid over the difference body A - B, refined around the worst
+    difference, was also searched (affine maps on boxes, points and
+    axis-aligned segments), "sampled" when only sampled pairs (plus vertex
+    pairs, for affine maps on polytopal bodies) were, and "inherited" when
+    it was carried over from the outer map of a composition with the
+    proximal projection.  Each is a lower estimate of the true modulus.
+    `samples` counts the sampled and vertex pairs plus the grid differences
+    evaluated, 0 when inherited.  A worst pair found on the grid is a pair
+    of A x B with the worst difference.  degenerate flags instances where
+    every cross pair already realizes dist(A, B), so no ratio is defined.
     """
 
     alpha_hat: float
@@ -289,67 +294,40 @@ class ContractionCertificate:
         return bool(self.alpha_hat < 1.0)
 
 
-def _grid_points(body: ConvexBody, center: np.ndarray | None,
-                 half: np.ndarray | None) -> np.ndarray | None:
-    """Regular grid over the body (or a window of it); None when not grid-able."""
+def _box_bounds(body: ConvexBody) -> tuple[np.ndarray, np.ndarray] | None:
+    """(lo, hi) of a box, a point or an axis-aligned segment; None otherwise."""
     if isinstance(body, Box):
-        lo, hi = body.lo, body.hi
-    elif isinstance(body, Polytope):
-        W = body.distinct_vertices
-        if len(W) == 1:
-            return np.array(W)
-        if len(W) == 2 and np.count_nonzero(W[1] - W[0]) == 1:
-            lo, hi = np.minimum(W[0], W[1]), np.maximum(W[0], W[1])
-        else:
-            return None
-    else:
-        return None
-    if center is not None:
-        lo = np.maximum(lo, center - half)
-        hi = np.minimum(hi, center + half)
-    dim = len(lo)
-    free = np.nonzero(hi > lo)[0]
-    if len(free) == 0:
-        return lo[None, :]
-    k = max(2, min(41, int(round(GRID_BUDGET ** (1.0 / len(free))))))
-    axes = [np.linspace(lo[i], hi[i], k) if i in free else np.array([lo[i]])
-            for i in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=1)
+        return body.lo, body.hi
+    if isinstance(body, Polytope):
+        W = np.array(body.distinct_vertices)
+        if len(W) == 1 or (len(W) == 2 and np.count_nonzero(W[1] - W[0]) == 1):
+            return W.min(axis=0), W.max(axis=0)
+    return None
 
 
-def _pairwise_alpha(m, xs: np.ndarray, ys: np.ndarray, dist: float, tol: float,
-                    chunk: int = 256):
-    """Max contraction ratio over the full cross product of xs and ys."""
-    inst = m.instance
-    t_ys = m.apply_many(ys)
-    best = -np.inf
-    best_pair = None
-    for start in range(0, len(xs), chunk):
-        x_blk = xs[start:start + chunk]
-        tx_blk = m.apply_many(x_blk)
-        before = inst.space.norms(x_blk[:, None, :] - ys[None, :, :], axis=2)
-        after = inst.space.norms(tx_blk[:, None, :] - t_ys[None, :, :], axis=2)
-        num = after - dist
-        den = before - dist
-        valid = den > tol
-        if not np.any(valid):
-            continue
-        ratios = np.where(valid, num / np.where(valid, den, 1.0), -np.inf)
-        i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
-        if ratios[i, j] > best:
-            best = float(ratios[i, j])
-            best_pair = (x_blk[i], ys[j])
-    return best, best_pair
+def _grid_alpha(m, lo: np.ndarray, hi: np.ndarray, dist: float, tol: float):
+    """The worst difference z on a regular grid over the box [lo, hi], its
+    ratio (-inf when no z is longer than dist + tol), and the grid's size."""
+    n_free = int(np.count_nonzero(hi > lo))
+    k = max(2, min(41, int(round(GRID_BUDGET ** (1.0 / n_free))))) if n_free else 1
+    axes = [np.linspace(l, h, k) if h > l else np.array([l]) for l, h in zip(lo, hi)]
+    Z = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    before = m.instance.space.norms(Z, axis=1) - dist
+    after = m.instance.space.norms(Z @ m.matrix.T, axis=1) - dist
+    valid = before > tol
+    ratios = np.where(valid, after / np.where(valid, before, 1.0), -np.inf)
+    i = int(np.argmax(ratios))
+    return Z[i], float(ratios[i]), len(Z)
 
 
 def certify_contraction(m, samples: int = DEFAULT_CONTRACTION_SAMPLES, seed: int = 0,
                         tol: float | None = None) -> ContractionCertificate:
     """Estimate the contraction modulus over cross pairs.
 
-    Sampled pairs always contribute; affine maps on boxes / segments also get
-    a dense cross-pair grid with local refinement around the worst pair,
-    which sets the method to "grid".
+    Sampled pairs always contribute.  An affine map on boxes, points or
+    axis-aligned segments is also searched on a grid over the box
+    A - B = [lo_A - hi_B, hi_A - lo_B], refined around the worst difference,
+    and gets the method "grid", unless A - B has over MAX_GRID_AXES free axes.
     """
     inst = m.instance
     tol = inst.tol if tol is None else tol
@@ -370,31 +348,26 @@ def certify_contraction(m, samples: int = DEFAULT_CONTRACTION_SAMPLES, seed: int
         worst_pair = (xs[idx], ys[idx])
 
     method: ContractionMethod = "sampled"
-    if m.is_affine and m.domain == "full":
-        gx = _grid_points(inst.A, None, None)
-        gy = _grid_points(inst.B, None, None)
-        if gx is not None and gy is not None:
+    boxes = _box_bounds(inst.A), _box_bounds(inst.B)
+    if m.is_affine and m.domain == "full" and None not in boxes:
+        (lo_a, hi_a), (lo_b, hi_b) = boxes
+        lo, hi = lo_a - hi_b, hi_a - lo_b
+        if np.count_nonzero(hi > lo) <= MAX_GRID_AXES:
             method = "grid"
-            extent_x = np.ptp(gx, axis=0)
-            extent_y = np.ptp(gy, axis=0)
-            a, pair = _pairwise_alpha(m, gx, gy, dist, tol)
-            if pair is not None and a > alpha:
-                alpha, worst_pair = a, pair
-            evaluated += len(gx) * len(gy)
-            for r in range(1, REFINE_ROUNDS + 1):
+            window = (lo, hi)
+            for r in range(1, REFINE_ROUNDS + 2):
+                z, a, n = _grid_alpha(m, *window, dist, tol)
+                evaluated += n
+                if a > alpha:  # x - z lies in B, as z lies in A - B
+                    x = np.clip(z + lo_b, lo_a, hi_a)
+                    alpha, worst_pair = a, (x, x - z)
                 if worst_pair is None:
                     break
-                shrink = 8.0 ** (-r)
-                gx = _grid_points(inst.A, worst_pair[0], extent_x * shrink)
-                gy = _grid_points(inst.B, worst_pair[1], extent_y * shrink)
-                a, pair = _pairwise_alpha(m, gx, gy, dist, tol)
-                if pair is not None and a > alpha:
-                    alpha, worst_pair = a, pair
-                evaluated += len(gx) * len(gy)
+                center, half = worst_pair[0] - worst_pair[1], (hi - lo) * 8.0 ** (-r)
+                window = (np.maximum(lo, center - half), np.minimum(hi, center + half))
 
-    degenerate = worst_pair is None
     return ContractionCertificate(alpha_hat=max(alpha, 0.0), samples=evaluated,
-                                  method=method, degenerate=degenerate,
+                                  method=method, degenerate=worst_pair is None,
                                   worst_pair=worst_pair)
 
 

@@ -4,9 +4,9 @@ returns in bounded time.
 
 Arguments are drawn with hypothesis, zero, negative and non-finite values
 included.  The ranges are bounded so that each call stays small: `gen`
-writes dense dim x dim map matrices, so --dim stays at 12 or less (2 for
-`bench`, which certifies its boxes on a product grid).  A finite --p for
-`gen` goes up to 1000, where |x|^p overflows for |x| above 2.
+writes dense dim x dim map matrices, so --dim stays at 12 or less (6 for
+`bench`, which also solves).  A finite --p for `gen` goes up to 1000, where
+|x|^p overflows for |x| above 2.
 """
 
 import contextlib
@@ -91,7 +91,7 @@ def test_gen_contract(family, dim, p, gap, seed):
 
 
 @CONTRACT
-@given(count=st.integers(-2, 2), dim=st.integers(-1, 2), p=floats(1.0, 8.0),
+@given(count=st.integers(-2, 2), dim=st.integers(-1, 6), p=floats(1.0, 8.0),
        seed=seeds)
 def test_bench_contract(out_dir, count, dim, p, seed):
     code = call(["bench", f"--count={count}", f"--dim={dim}", f"--p={p!r}",

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from proxipair.errors import DimensionMismatchError
 from proxipair.geometry import Ball, Box, LpSpace, Polytope, ProximityInstance
-from proxipair.instances import build, parse_instance
+from proxipair.instances import build, generate_random_instance, parse_instance
 from proxipair.mappings import (
     DEFAULT_CONTRACTION_SAMPLES,
     MEMBER_TOL,
@@ -304,6 +305,93 @@ def test_box_pair_affine_contraction_certifies(rng):
     assert certify_mode(S).exact
     cert = certify_contraction(S, samples=2000)
     assert cert.method == "grid"
+    assert 0.0 < cert.alpha_hat < 1.0
+
+
+def _shrink_maps(inst: ProximityInstance, betas, shift: float) -> list:
+    """diag(betas) with betas[0] = 1, and the same after the reflection
+    x_0 -> shift - x_0, as the generator's box maps are built."""
+    M = np.diag(betas)
+    R = np.diag([-1.0] + [1.0] * (len(betas) - 1))
+    return [MapSpec.affine(inst, "noncyclic", M),
+            MapSpec.affine(inst, "cyclic", M @ R, M @ (shift * np.eye(len(betas))[0]))]
+
+
+def _product_grid_alpha(m, bounds_a, bounds_b, k: int = 6) -> float:
+    """Brute force: the largest ratio over every pair of a k-point grid per
+    free axis of A and one of B, each map value taken as T x - T y."""
+
+    def grid(lo, hi):
+        axes = [np.linspace(l, h, k) if h > l else [l] for l, h in zip(lo, hi)]
+        return np.array(list(itertools.product(*axes)))
+
+    inst = m.instance
+    X, Y = grid(*bounds_a), grid(*bounds_b)
+    x, y = np.repeat(X, len(Y), axis=0), np.tile(Y, (len(X), 1))
+    before = inst.space.norms(x - y, axis=1) - inst.dist
+    after = inst.space.norms(m.apply_many(x) - m.apply_many(y), axis=1) - inst.dist
+    valid = before > inst.tol
+    return float(np.max(after[valid] / before[valid]))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("kind", ["box", "segment"])
+def test_difference_grid_is_not_beaten_by_a_product_grid(kind, p):
+    rng = np.random.default_rng([7, int(p * 2), kind == "box"])
+    dim = 3
+    sp = LpSpace(dim, p)
+    for _ in range(3):
+        # B lies past A along axis 0 and meets A's shadow on the other axes,
+        # so dist(A, B) is the gap along axis 0 and every ratio is >= 0
+        if kind == "box":
+            ext_a, ext_b = rng.uniform(0.0, 2.0, dim), rng.uniform(0.0, 2.0, dim)
+        else:  # A along axis 1, B along axis 1 or 2
+            ext_a = rng.uniform(0.5, 2.0) * np.eye(dim)[1]
+            ext_b = rng.uniform(0.5, 2.0) * np.eye(dim)[int(rng.integers(1, dim))]
+        lo_a = rng.uniform(-1.0, 1.0, dim)
+        hi_a = lo_a + ext_a
+        lo_b = rng.uniform(lo_a, hi_a) - rng.uniform(0.0, 1.0) * ext_b
+        lo_b[0] = hi_a[0] + rng.uniform(0.3, 2.0)
+        hi_b = lo_b + ext_b
+        if kind == "box":
+            A, B = Box(sp, lo_a, hi_a), Box(sp, lo_b, hi_b)
+        else:
+            A, B = Polytope(sp, [lo_a, hi_a]), Polytope(sp, [lo_b, hi_b])
+        inst = ProximityInstance(A, B)
+        betas = np.concatenate([[1.0], rng.uniform(0.2, 0.8, dim - 1)])
+        for m in _shrink_maps(inst, betas, float(hi_a[0] + lo_b[0])):
+            cert = certify_contraction(m, samples=500)
+            assert cert.method == "grid"
+            brute = _product_grid_alpha(m, (lo_a, hi_a), (lo_b, hi_b))
+            assert brute <= cert.alpha_hat + 1e-12
+            x, y = cert.worst_pair
+            assert A.member(x, 1e-12) and B.member(y, 1e-12)
+            ratio = ((sp.distance(m.apply(x), m.apply(y)) - inst.dist)
+                     / (sp.distance(x, y) - inst.dist))
+            assert_allclose(ratio, cert.alpha_hat, rtol=1e-12, atol=1e-12)
+
+
+def test_difference_grid_is_small_at_dim_6():
+    # 10,000 samples, 64 x 64 vertex pairs and 4 rounds of at most 1024
+    # differences; a product grid of A x B evaluates about 4.2 million pairs
+    built = build(generate_random_instance(0, dim=6, p=1.5), certify=False)
+    for m in built.maps.values():
+        cert = contraction_of(m)
+        assert cert.method == "grid"
+        assert cert.samples <= 20_000
+        assert 0.0 < cert.alpha_hat < 1.0
+
+
+def test_no_grid_past_sixteen_free_axes():
+    # 2 points on each of 20 free axes would be about a million differences
+    sp = LpSpace(20, 2.0)
+    lo = np.zeros(20)
+    A = Box(sp, lo, np.ones(20))
+    B = Box(sp, lo + 3.0 * np.eye(20)[0], np.ones(20) + 3.0 * np.eye(20)[0])
+    m = MapSpec.affine(ProximityInstance(A, B), "noncyclic", 0.5 * np.eye(20))
+    cert = certify_contraction(m, samples=1000)
+    assert cert.method == "sampled"
+    assert cert.samples == 1000
     assert 0.0 < cert.alpha_hat < 1.0
 
 
