@@ -6,11 +6,23 @@ body, and the distance between a pair of bodies computed by alternating
 projections.  Projections come in closed form for balls, boxes, points,
 segments and 2-D polygons; a polytope of dimension >= 3 given by its face
 halfspaces is projected at p = 2 by Dykstra's scheme over those halfspaces.
+
+Every certifier, check and solver applies these primitives to tall, thin
+stacks of points: thousands of rows of a few coordinates each.  numpy
+reduces such an (n, dim) stack along its rows with an inner loop of length
+dim per row, and broadcasts a (dim,) bound over it the same way.  On
+(10000, dim) stacks with dim from 2 to 6 (numpy 2.4, one x86 core), a row
+sum took 5 to 20 times, a row maximum 18 to 65 times and a clip 1.5 to 8
+times as long as the same work done one column at a time.  So every
+reduction over the coordinate axis goes through `_reduce_rows`, and every
+clamp of a stack through `_clamp_rows`, which work column by column.  A
+column loop adds a row left to right, as numpy does for dim <= 7; from
+dim 8 on numpy sums pairwise, so there a sum may differ in the last bit.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -30,6 +42,24 @@ DEFAULT_MAX_ITER = 100_000
 _TINY = np.finfo(float).tiny  # smallest normal float
 
 Side = Literal["A", "B"]
+
+
+def _reduce_rows(ufunc: np.ufunc, X: np.ndarray, axis: int = -1) -> np.ndarray:
+    """`ufunc` reduced over `axis`; on a 2-D stack, column by column.
+
+    At dim 1 the result is X's one column itself, not a copy.
+    """
+    if X.ndim == 2 and axis in (1, -1):
+        return functools.reduce(ufunc, X.T)
+    return ufunc.reduce(X, axis=axis)
+
+
+def _clamp_rows(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """`np.clip(X, lo, hi)` for an (n, dim) stack, one column at a time."""
+    out = np.empty_like(X)
+    for i in range(X.shape[1]):
+        np.minimum(np.maximum(X[:, i], lo[i]), hi[i], out=out[:, i])
+    return out
 
 
 def _as_matrix(X: np.ndarray | Sequence, dim: int) -> np.ndarray:
@@ -68,33 +98,44 @@ class LpSpace:
                 f"expected a vector of length {self.dim}, got shape {arr.shape}")
         return arr
 
+    def _direct(self, X: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """The sums of |x_i|^p along `axis`, and their p-th roots."""
+        if self.p == 2.0:
+            s = _reduce_rows(np.add, X * X, axis)
+            return s, np.sqrt(s)
+        s = _reduce_rows(np.add, np.abs(X) ** self.p, axis)
+        return s, s ** (1.0 / self.p)
+
+    # norms runs this on every call; as a decorator errstate costs about
+    # 1.4 us a call, as a `with` block about 2.2 us
+    _direct_or_raise = np.errstate(over="raise", under="raise")(_direct)
+
     def norms(self, X: np.ndarray, axis: int = -1) -> np.ndarray:
         """lp norms along `axis`; works on single vectors and stacks alike.
 
         The sum of |x_i|^p is taken directly.  Where it leaves the normal
-        floats (at p = 1000 that happens for |x_i| all below 1/2 or one above
-        2), the norm is recomputed as m ||x / m||_p, with m the largest |x_i|.
+        floats (at p = 2 that happens for an |x_i| above 1e154 or nonzero
+        ones all below 1e-154, at p = 1000 for |x_i| all below 1/2 or one
+        above 2), the norm is recomputed as m ||x / m||_p, with m the
+        largest |x_i|.  The floating-point flags say when to look: a term or
+        a sum leaves the normal floats, other than exactly, only by raising
+        the overflow or underflow flag, so the rows of a stack are checked
+        only after one of these went up.
         """
         X = np.asarray(X, dtype=float)
-        if self.p == 2.0:
-            return np.sqrt(np.sum(X * X, axis=axis))
+        try:
+            return self._direct_or_raise(X, axis)[1]
+        except FloatingPointError:
+            pass
+        with np.errstate(over="ignore", under="ignore"):
+            s, out = self._direct(X, axis)
         A = np.abs(X)
-        with np.errstate(over="ignore"):
-            s = np.sum(A ** self.p, axis=axis)
-        out = s ** (1.0 / self.p)
-        if s.size == 1:  # one vector, or a stack of one
-            if _TINY <= s.item() < math.inf or not A.any():
-                return out
-        elif s.size == 0 or (s.min() >= _TINY and s.max() < math.inf):
-            return out
+        m = _reduce_rows(np.maximum, A, axis)
         # rows of zeros, or with an entry that is not finite, keep the direct sum
-        m = np.max(A, axis=axis)
         redo = ((s < _TINY) & (m > 0.0)) | ((s == math.inf) & (m < math.inf))
-        if not redo.any():
-            return out
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            scaled = m * np.sum((A / np.expand_dims(m, axis)) ** self.p,
-                                axis=axis) ** (1.0 / self.p)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            scaled = m * _reduce_rows(np.add, (A / np.expand_dims(m, axis)) ** self.p,
+                                      axis) ** (1.0 / self.p)
         return np.where(redo, scaled, out)[()]
 
     def norm(self, x) -> float:
@@ -185,7 +226,7 @@ class Ball(ConvexBody):
         G = rng.gamma(1.0 / p, 1.0, size=(n, dim))
         signs = rng.choice((-1.0, 1.0), size=(n, dim))
         W = rng.exponential(1.0, size=n)
-        unit = signs * (G / (G.sum(axis=1) + W)[:, None]) ** (1.0 / p)
+        unit = signs * (G / (_reduce_rows(np.add, G) + W)[:, None]) ** (1.0 / p)
         return self.center + self.radius * unit
 
     def anchor(self):
@@ -211,15 +252,17 @@ class Box(ConvexBody):
     def project_many(self, X, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         # clamp is exact for every p: the objective separates per coordinate
         X = _as_matrix(X, self.space.dim)
-        return np.clip(X, self.lo, self.hi)
+        return _clamp_rows(X, self.lo, self.hi)
 
     def member(self, x, tol=DEFAULT_TOL):
         x = self.space.check_vector(x)
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
 
     def member_many(self, X, tol=DEFAULT_TOL):
+        # a row lies in [lo - tol, hi + tol] exactly when clamping keeps it
         X = _as_matrix(X, self.space.dim)
-        return np.all((X >= self.lo - tol) & (X <= self.hi + tol), axis=1)
+        return _reduce_rows(np.logical_and,
+                            _clamp_rows(X, self.lo - tol, self.hi + tol) == X)
 
     def anchor(self):
         return (self.lo + self.hi) / 2.0
@@ -228,10 +271,16 @@ class Box(ConvexBody):
         return rng.uniform(self.lo, self.hi, size=(n, self.space.dim))
 
     def corners(self) -> np.ndarray | None:
-        if self.space.dim > 16:
+        """The 2^k distinct vertices, k the number of free axes (lo < hi),
+        lo before hi and the first axis slowest; None past 16 free axes."""
+        free = np.flatnonzero(self.hi > self.lo)
+        k = len(free)
+        if k > 16:
             return None
-        cols = [(self.lo[i], self.hi[i]) for i in range(self.space.dim)]
-        return np.array(list(itertools.product(*cols)))
+        high = (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1
+        C = np.tile(self.lo, (2 ** k, 1))
+        C[:, free] = np.where(high, self.hi[free], self.lo[free])
+        return C
 
 
 def _hull_edges_2d(vertices: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
@@ -333,8 +382,7 @@ class Polytope(ConvexBody):
             axes = np.nonzero(d != 0.0)[0]
             if len(axes) == 1:
                 # axis-aligned segment: degenerate box, clamp works at every p
-                lo, hi = np.minimum(v0, v1), np.maximum(v0, v1)
-                return np.clip(X, lo, hi)
+                return _clamp_rows(X, np.minimum(v0, v1), np.maximum(v0, v1))
             if self.space.p != 2.0:
                 raise UnsupportedProjectionError(
                     f"general segment projection only available at p=2, got p={self.space.p}")
@@ -373,7 +421,7 @@ class Polytope(ConvexBody):
         X = _as_matrix(X, self.space.dim)
         W = self._distinct
         if len(W) == 1:
-            return np.max(np.abs(X - W[0]), axis=1) <= tol
+            return _reduce_rows(np.maximum, np.abs(X - W[0])) <= tol
         seg = self._segment()
         if seg is not None:
             v0, v1 = seg
@@ -381,10 +429,10 @@ class Polytope(ConvexBody):
             t = (X - v0) @ d / (d @ d)
             nearest = v0 + np.clip(t, 0, 1)[:, None] * d
             return ((-tol <= t) & (t <= 1.0 + tol)
-                    & (np.max(np.abs(X - nearest), axis=1) <= tol))
+                    & (_reduce_rows(np.maximum, np.abs(X - nearest)) <= tol))
         normals, offsets = (np.array(v) for v in zip(*self._face_halfspaces()))
         excess = (X @ normals.T - offsets) / np.linalg.norm(normals, axis=1)
-        return np.all(excess <= tol, axis=1)
+        return _reduce_rows(np.logical_and, excess <= tol)
 
     def anchor(self):
         return self.vertices.mean(axis=0)
@@ -413,7 +461,7 @@ def _project_polygon_edges(space: LpSpace, edges: list[tuple[np.ndarray, np.ndar
     sliver polygons.
     """
     normals, offsets = (np.array(v) for v in zip(*faces))
-    inside = np.all(X @ normals.T - offsets <= 0.0, axis=1)
+    inside = _reduce_rows(np.logical_and, X @ normals.T - offsets <= 0.0)
     out = np.array(X, dtype=float)
     todo = ~inside
     if not np.any(todo):

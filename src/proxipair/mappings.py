@@ -46,7 +46,7 @@ DEFAULT_MODE_SAMPLES = 1000
 DEFAULT_CONTRACTION_SAMPLES = 10_000
 GRID_BUDGET = 1024
 REFINE_ROUNDS = 3
-MAX_GRID_AXES = 16  # past it, 2 points per axis exceed 2**16 (as in Box.corners)
+MAX_GRID_AXES = 16  # past it, 2 points per axis exceed 2**16 (Box.corners stops there too)
 # how far outside A a point may lie and still take a two-piece map's A-side
 # piece; it absorbs the rounding of points computed to lie on A's boundary
 MEMBER_TOL = 1e-7
@@ -377,12 +377,17 @@ class MapCertificate:
 
     `mode` is the check of the declared mode.  `contraction` is filled in by
     `contraction_of` the first time a caller needs the modulus, with the
-    same seed as the mode check.
+    same seed as the mode check.  `compositions` keeps the certificates of
+    the map's compositions with the proximal projection, one per projector
+    window and precondition sample count, each made by
+    `operators.compose_with_projector` after checking its preconditions once.
     """
 
     seed: int
     mode: ModeCheck
     contraction: ContractionCertificate | None = None
+    compositions: dict[tuple[float, int], MapCertificate] = field(
+        default_factory=dict, repr=False)
 
 
 def certify(m, seed: int = 0) -> MapCertificate:

@@ -6,8 +6,9 @@ to A0 union B0, is the pivot of the whole package: it swaps the two proximal
 sets, realizes the distance everywhere, and is an affine isometric involution
 between them.  `verify_projector_properties` checks all of that numerically;
 `compose_with_projector` uses it to flip a map's mode while preserving its
-contraction behavior, and `check_commutation` measures how far a map is from
-commuting with the projector.
+contraction behavior, checking its preconditions once per map, and
+`check_commutation` measures how far a map is from commuting with the
+projector.
 
 The lp norm with 1 < p < inf is strictly convex, so every pair realizing
 dist(A, B) has the same difference v = b* - a*: if two pairs had different
@@ -348,14 +349,29 @@ def compose_with_projector(outer, projector: ProximalProjector | None = None,
     certificate is derived from outer's: the mode is flipped, its mode check
     is the proximal-preservation check (outer's images of A0 and B0 are the
     composition's images of B0 and A0), and alpha_hat is outer's, with
-    method "inherited".
+    method "inherited".  That certificate is kept on outer's, and a later
+    call with a projector of the same window and the same `samples` reuses
+    it without checking again.  (Keeping the certificate, not the composed
+    map, keeps outer out of a reference cycle with its own certificate.)
     """
     inst = outer.instance
     if projector is None:
         projector = ProximalProjector(inst)
     if projector.instance is not inst:
         raise PreconditionError("projector and map belong to different instances")
+    kept = certificate_of(outer).compositions
+    key = (projector.slack, samples)
+    if key not in kept:
+        kept[key] = _composition_certificate(outer, projector, samples)
+    certificate = kept[key]
+    return ComposedMap(outer=outer, projector=projector, mode=certificate.mode.mode,
+                       certificate=certificate, name=f"{outer.name or 'map'}*P")
 
+
+def _composition_certificate(outer, projector: ProximalProjector,
+                             samples: int) -> MapCertificate:
+    """Check the preconditions of outer after P; the composition's certificate."""
+    inst = outer.instance
     seed = certificate_of(outer).seed
     nonexp = certify_relatively_nonexpansive(outer, samples=samples, seed=seed)
     if not nonexp:
@@ -382,15 +398,12 @@ def compose_with_projector(outer, projector: ProximalProjector | None = None,
 
     mode: Mode = flip_mode(outer.mode)
     modulus = contraction_of(outer)
-    certificate = MapCertificate(
+    return MapCertificate(
         seed=seed,
         mode=ModeCheck(ok=True, mode=mode, exact=False, worst_deviation=worst),
         contraction=ContractionCertificate(
             alpha_hat=modulus.alpha_hat, samples=0, method="inherited",
             degenerate=modulus.degenerate, worst_pair=None))
-    name = f"{outer.name or 'map'}*P"
-    return ComposedMap(outer=outer, projector=projector, mode=mode,
-                       certificate=certificate, name=name)
 
 
 @dataclass

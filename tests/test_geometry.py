@@ -62,6 +62,77 @@ def test_norm_keeps_infinite_and_nan_entries():
     assert norms[0] == np.inf and np.isnan(norms[1])
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("x", [1e200, 1e-200])
+def test_norm_rescales_where_the_squares_leave_the_floats(p, x):
+    # at p = 2, 1e200^2 overflows and 1e-200^2 underflows to 0
+    sp = LpSpace(2, p)
+    X = np.array([[x, 0.0], [x, -x], [0.0, 0.0], [3.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sp.norm([x, 0.0]) == x
+        norms = sp.norms(X, axis=1)
+    assert_allclose(norms, [x, 2.0 ** (1.0 / p) * x, 0.0, sp.norm([3.0, 4.0])],
+                    rtol=1e-15)
+
+
+def test_norm_p2_is_the_direct_sum_where_that_is_normal(rng):
+    X = rng.uniform(-3.0, 3.0, (200, 4))
+    X[::7] = 0.0
+    assert_array_equal(LpSpace(4, 2.0).norms(X, axis=1),
+                       np.sqrt(np.sum(X * X, axis=1)))
+    for x in X[:20]:
+        assert LpSpace(4, 2.0).norm(x) == np.sqrt(np.sum(x * x))
+
+
+def _stack(rng, n, dim):
+    """Normal entries with zero rows, infinities and nans mixed in."""
+    X = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-8, 8, (n, dim))
+    if n >= 5:
+        X[1] = 0.0
+        X[2, 0] = np.inf
+        X[3, -1] = -np.inf
+        X[4, 0] = np.nan
+    return X
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+@pytest.mark.parametrize("n", [0, 1, 5, 1000])
+def test_row_reductions_equal_numpy_bit_for_bit(dim, n, rng):
+    X = _stack(rng, n, dim)
+    assert _same_bits(geometry._reduce_rows(np.add, X), np.sum(X, axis=1))
+    assert _same_bits(geometry._reduce_rows(np.maximum, X), np.max(X, axis=1))
+    assert _same_bits(geometry._reduce_rows(np.logical_and, X > 0.0),
+                      np.all(X > 0.0, axis=1))
+    # one vector is reduced as numpy reduces it
+    assert _same_bits(geometry._reduce_rows(np.add, X[:1].ravel()), np.sum(X[:1]))
+
+
+@pytest.mark.parametrize("dim", [8, 16])
+def test_row_sums_past_dim_7_agree_with_numpy_to_rounding(dim, rng):
+    # numpy sums a row of 8 or more pairwise, the column loop left to right
+    X = _stack(rng, 1000, dim)
+    X[:5] = rng.normal(size=(5, dim))
+    A = np.abs(X)
+    assert_allclose(geometry._reduce_rows(np.add, A), np.sum(A, axis=1), rtol=1e-15)
+    assert _same_bits(geometry._reduce_rows(np.maximum, A), np.max(A, axis=1))
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+@pytest.mark.parametrize("n", [0, 1, 5, 1000])
+def test_clamp_equals_clip(dim, n, rng):
+    X = _stack(rng, n, dim)
+    lo = rng.normal(size=dim)
+    hi = lo + rng.uniform(0.0, 2.0, dim)
+    hi[::2] = lo[::2]  # flat axes
+    assert _same_bits(geometry._clamp_rows(X, lo, hi), np.clip(X, lo, hi))
+
+
 def test_norm_p4_diagonal():
     # (1^4 + 1^4)^(1/4) = 2^(1/4)
     sp = LpSpace(2, 4.0)
@@ -161,6 +232,30 @@ def test_box_projection_is_clamp(p):
     box = Box(sp, [0.0, 0.0], [1.0, 1.0])
     assert_allclose(project(box, [2.0, -1.0]), [1.0, 0.0], atol=0)
     assert_allclose(project(box, [0.25, 0.75]), [0.25, 0.75], atol=0)
+
+
+def test_box_member_many_matches_member(rng):
+    sp = LpSpace(3, 2.0)
+    box = Box(sp, [0.0, 1.0, -2.0], [1.0, 1.0, 0.5])  # flat along axis 1
+    X = rng.uniform(-1.0, 2.0, (300, 3))
+    X[::3, 1] = 1.0 + rng.uniform(-2e-9, 2e-9, 100)
+    X[5] = [0.5, np.nan, 0.0]
+    X[6] = [0.5, 1.0, np.inf]
+    for tol in (0.0, 1e-9):
+        assert_array_equal(box.member_many(X, tol), [box.member(x, tol) for x in X])
+
+
+def test_box_corners_list_a_flat_axis_once():
+    sp = LpSpace(3, 2.0)
+    corners = Box(sp, [0.0, 1.0, -2.0], [1.0, 1.0, 0.5]).corners()
+    assert_array_equal(corners, [[0.0, 1.0, -2.0], [0.0, 1.0, 0.5],
+                                 [1.0, 1.0, -2.0], [1.0, 1.0, 0.5]])
+    # the bound is on free axes: 20 axes of which 16 are free
+    sp20 = LpSpace(20, 2.0)
+    hi = np.ones(20)
+    hi[:4] = 0.0
+    assert len(Box(sp20, np.zeros(20), hi).corners()) == 2 ** 16
+    assert Box(sp20, np.zeros(20), np.ones(20)).corners() is None
 
 
 def test_triangle_projection():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from proxipair import operators
 from proxipair.instances import build, builtin_instance, generate_random_instance, parse_instance
 from proxipair.mappings import certificate_of, contraction_of
 from proxipair.verification import run_verification
@@ -33,6 +34,24 @@ def test_segpair_deviations_are_tiny():
     report = run_verification(build(builtin_instance("segpair")))
     for check in report.checks:
         assert check.worst_deviation <= check.threshold, check.name
+
+
+def test_each_contraction_is_composed_with_the_projector_once(monkeypatch):
+    # segpair has 2 contraction maps; the map checks and the reduce runs
+    # share each map's composition, so its preconditions are checked once
+    checked = []
+    real = operators.certify_relatively_nonexpansive
+    monkeypatch.setattr(operators, "certify_relatively_nonexpansive",
+                        lambda m, **kw: checked.append(m.name) or real(m, **kw))
+    built = build(builtin_instance("segpair"))
+    assert run_verification(built).passed
+    assert sorted(checked) == ["S", "T"]
+    for name in ("S", "T"):
+        m = built.maps[name]
+        assert len(certificate_of(m).compositions) == 1
+        composed = operators.compose_with_projector(m)
+        assert composed.certificate is operators.compose_with_projector(m).certificate
+    assert len(checked) == 2
 
 
 def test_mode_flip_checks_present_for_contractions_only():
