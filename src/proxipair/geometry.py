@@ -39,6 +39,7 @@ from .errors import (
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
+MAX_SWEEPS = 10_000  # alternating-projection sweeps `proximalize` may take
 _TINY = np.finfo(float).tiny  # smallest normal float
 
 Side = Literal["A", "B"]
@@ -60,6 +61,11 @@ def _clamp_rows(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     for i in range(X.shape[1]):
         np.minimum(np.maximum(X[:, i], lo[i]), hi[i], out=out[:, i])
     return out
+
+
+def _in_box_rows(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Which rows of an (n, dim) stack lie in [lo, hi]: those that clamping keeps."""
+    return _reduce_rows(np.logical_and, _clamp_rows(X, lo, hi) == X)
 
 
 def _as_matrix(X: np.ndarray | Sequence, dim: int) -> np.ndarray:
@@ -156,10 +162,13 @@ class ConvexBody:
 
     Subclasses implement `project_many` on (n, dim) stacks; everything else
     (single-point projection, membership, sampling) builds on that.  Bodies
-    are immutable after construction.
+    are immutable after construction.  `box` is (lo, hi) when the body is an
+    axis-aligned box, which a point and an axis-aligned segment are too, and
+    None otherwise.
     """
 
     space: LpSpace
+    box: tuple[np.ndarray, np.ndarray] | None = None
 
     def project_many(self, X: np.ndarray, tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
@@ -259,10 +268,12 @@ class Box(ConvexBody):
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
 
     def member_many(self, X, tol=DEFAULT_TOL):
-        # a row lies in [lo - tol, hi + tol] exactly when clamping keeps it
         X = _as_matrix(X, self.space.dim)
-        return _reduce_rows(np.logical_and,
-                            _clamp_rows(X, self.lo - tol, self.hi + tol) == X)
+        return _in_box_rows(X, self.lo - tol, self.hi + tol)
+
+    @property
+    def box(self):
+        return self.lo, self.hi
 
     def anchor(self):
         return (self.lo + self.hi) / 2.0
@@ -318,9 +329,9 @@ class Polytope(ConvexBody):
     """Convex hull of finitely many vertices.
 
     Projection support depends on shape: single points and axis-aligned
-    segments work at every p; general segments, 2-D polygons, and polytopes
-    of dimension >= 3 carrying an explicit halfspace list work at p = 2
-    (Dykstra over the face halfspaces).
+    segments are boxes, projected by a clamp at every p; general segments,
+    2-D polygons, and polytopes of dimension >= 3 carrying an explicit
+    halfspace list work at p = 2 (Dykstra over the face halfspaces).
     """
 
     space: LpSpace
@@ -337,11 +348,27 @@ class Polytope(ConvexBody):
             hs = tuple((_readonly(self.space.check_vector(a)), float(b))
                        for a, b in self.halfspaces)
             object.__setattr__(self, "halfspaces", hs)
-        object.__setattr__(self, "_distinct", _readonly(np.unique(V, axis=0)))
+        W = _readonly(np.unique(V, axis=0))
+        object.__setattr__(self, "_distinct", W)
+        if len(W) == 1 or (len(W) == 2 and np.count_nonzero(W[1] - W[0]) == 1):
+            object.__setattr__(self, "box", (_readonly(W.min(axis=0)),
+                                             _readonly(W.max(axis=0))))
+            object.__setattr__(self, "_box_windows", {})
 
     @property
     def distinct_vertices(self) -> np.ndarray:
         return self._distinct
+
+    def _box_window(self, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """`box` widened by tol across it and by tol * min(1, length) along
+        it: the points within tol of a vertex, or of the segment at a
+        parameter in [-tol, 1 + tol].  Kept per tol; callers use a few."""
+        window = self._box_windows.get(tol)
+        if window is None:
+            lo, hi = self.box
+            margin = tol * np.minimum(1.0, np.where(hi > lo, hi - lo, 1.0))
+            window = self._box_windows[tol] = (lo - margin, hi + margin)
+        return window
 
     def _segment(self) -> tuple[np.ndarray, np.ndarray] | None:
         W = self._distinct
@@ -372,17 +399,13 @@ class Polytope(ConvexBody):
 
     def project_many(self, X, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         X = _as_matrix(X, self.space.dim)
-        W = self._distinct
-        if len(W) == 1:
-            return np.tile(W[0], (len(X), 1))
+        if self.box is not None:
+            # clamp is exact for every p, as for a Box
+            return _clamp_rows(X, *self.box)
         seg = self._segment()
         if seg is not None:
             v0, v1 = seg
             d = v1 - v0
-            axes = np.nonzero(d != 0.0)[0]
-            if len(axes) == 1:
-                # axis-aligned segment: degenerate box, clamp works at every p
-                return _clamp_rows(X, np.minimum(v0, v1), np.maximum(v0, v1))
             if self.space.p != 2.0:
                 raise UnsupportedProjectionError(
                     f"general segment projection only available at p=2, got p={self.space.p}")
@@ -401,9 +424,9 @@ class Polytope(ConvexBody):
 
     def member(self, x, tol=DEFAULT_TOL):
         x = self.space.check_vector(x)
-        W = self._distinct
-        if len(W) == 1:
-            return bool(np.max(np.abs(x - W[0])) <= tol)
+        if self.box is not None:
+            lo, hi = self._box_window(tol)
+            return bool(((x >= lo) & (x <= hi)).all())
         seg = self._segment()
         if seg is not None:
             v0, v1 = seg
@@ -419,9 +442,8 @@ class Polytope(ConvexBody):
 
     def member_many(self, X, tol=DEFAULT_TOL):
         X = _as_matrix(X, self.space.dim)
-        W = self._distinct
-        if len(W) == 1:
-            return _reduce_rows(np.maximum, np.abs(X - W[0])) <= tol
+        if self.box is not None:
+            return _in_box_rows(X, *self._box_window(tol))
         seg = self._segment()
         if seg is not None:
             v0, v1 = seg
@@ -606,6 +628,15 @@ class ProximityInstance:
         P = other.project_many(X, self.tol, self.max_iter)
         return self.space.norms(X - P, axis=1) - self.dist
 
+    def proximal_deviations(self, X: np.ndarray, side: Side) -> np.ndarray:
+        """max(distance to `side`, |proximal gap|) for each row: how far the
+        row is from the proximal part of `side`."""
+        X = _as_matrix(X, self.space.dim)
+        body = self.body(side)
+        residuals = self.space.norms(X - body.project_many(X, self.tol, self.max_iter),
+                                     axis=1)
+        return np.maximum(residuals, np.abs(self.proximal_gaps(X, side)))
+
     def proximal_membership(self, x, side: Side, slack: float = 1.0) -> bool:
         """True when x lies in the declared side and realizes dist(A, B).
 
@@ -621,13 +652,12 @@ class ProximityInstance:
         gap = float(self.proximal_gaps(x[None, :], side)[0])
         return gap <= slack * self.tol
 
-    def proximalize(self, X: np.ndarray, side: Side,
-                    max_sweeps: int = 10_000) -> np.ndarray:
+    def proximalize(self, X: np.ndarray, side: Side) -> np.ndarray:
         """Drive points of `side` into its proximal set by alternating projections."""
         body = self.body(side)
         other = self.opposite_body(side)
         X = _as_matrix(X, self.space.dim)
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             Y = other.project_many(X, self.tol, self.max_iter)
             X_next = body.project_many(Y, self.tol, self.max_iter)
             moved = float(np.max(self.space.norms(X_next - X, axis=1)))
@@ -635,10 +665,9 @@ class ProximityInstance:
             if moved < self.tol:
                 return X
         raise ProjectionConvergenceError(
-            "proximal refinement did not converge", iterations=max_sweeps)
+            "proximal refinement did not converge", iterations=MAX_SWEEPS)
 
-    def sample_proximal(self, side: Side, n: int, rng: np.random.Generator,
-                        max_sweeps: int = 10_000) -> np.ndarray:
+    def sample_proximal(self, side: Side, n: int, rng: np.random.Generator) -> np.ndarray:
         """n points of the proximal part of `side`, via alternating projections.
 
         Starts spread over the full body and runs the batched alternating
@@ -656,7 +685,7 @@ class ProximityInstance:
         body = self.body(side)
         X = body.sample(rng, max(n - 1, 0))
         X = np.vstack([own[None, :], X])[:n]
-        return self.proximalize(X, side, max_sweeps)
+        return self.proximalize(X, side)
 
     def cross_samples(self, n: int, seed: int, proximal: bool = False
                       ) -> tuple[np.ndarray, np.ndarray]:

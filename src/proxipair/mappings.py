@@ -166,13 +166,11 @@ def _target_deviations(m, side: Side, images: np.ndarray) -> np.ndarray:
     """How far each image is from where the declared mode says it must land."""
     inst = m.instance
     target: Side = opposite(side) if m.mode == "cyclic" else side
-    body = inst.body(target)
-    proj = body.project_many(images, inst.tol, inst.max_iter)
-    dev = inst.space.norms(images - proj, axis=1)
     if m.domain == "proximal":
-        gaps = np.maximum(0.0, inst.proximal_gaps(images, target))
-        dev = np.maximum(dev, gaps)
-    return dev
+        return inst.proximal_deviations(images, target)
+    body = inst.body(target)
+    return inst.space.norms(images - body.project_many(images, inst.tol, inst.max_iter),
+                            axis=1)
 
 
 @dataclass
@@ -294,17 +292,6 @@ class ContractionCertificate:
         return bool(self.alpha_hat < 1.0)
 
 
-def _box_bounds(body: ConvexBody) -> tuple[np.ndarray, np.ndarray] | None:
-    """(lo, hi) of a box, a point or an axis-aligned segment; None otherwise."""
-    if isinstance(body, Box):
-        return body.lo, body.hi
-    if isinstance(body, Polytope):
-        W = np.array(body.distinct_vertices)
-        if len(W) == 1 or (len(W) == 2 and np.count_nonzero(W[1] - W[0]) == 1):
-            return W.min(axis=0), W.max(axis=0)
-    return None
-
-
 def _grid_alpha(m, lo: np.ndarray, hi: np.ndarray, dist: float, tol: float):
     """The worst difference z on a regular grid over the box [lo, hi], its
     ratio (-inf when no z is longer than dist + tol), and the grid's size."""
@@ -348,7 +335,7 @@ def certify_contraction(m, samples: int = DEFAULT_CONTRACTION_SAMPLES, seed: int
         worst_pair = (xs[idx], ys[idx])
 
     method: ContractionMethod = "sampled"
-    boxes = _box_bounds(inst.A), _box_bounds(inst.B)
+    boxes = inst.A.box, inst.B.box
     if m.is_affine and m.domain == "full" and None not in boxes:
         (lo_a, hi_a), (lo_b, hi_b) = boxes
         lo, hi = lo_a - hi_b, hi_a - lo_b
@@ -377,17 +364,16 @@ class MapCertificate:
 
     `mode` is the check of the declared mode.  `contraction` is filled in by
     `contraction_of` the first time a caller needs the modulus, with the
-    same seed as the mode check.  `compositions` keeps the certificates of
-    the map's compositions with the proximal projection, one per projector
-    window and precondition sample count, each made by
-    `operators.compose_with_projector` after checking its preconditions once.
+    same seed as the mode check.  `composition` is the certificate of the
+    map's composition with the proximal projection, made by
+    `operators.compose_with_projector` the first time it checks the
+    composition's preconditions.
     """
 
     seed: int
     mode: ModeCheck
     contraction: ContractionCertificate | None = None
-    compositions: dict[tuple[float, int], MapCertificate] = field(
-        default_factory=dict, repr=False)
+    composition: MapCertificate | None = field(default=None, repr=False)
 
 
 def certify(m, seed: int = 0) -> MapCertificate:

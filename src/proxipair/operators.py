@@ -14,14 +14,15 @@ The lp norm with 1 < p < inf is strictly convex, so every pair realizing
 dist(A, B) has the same difference v = b* - a*: if two pairs had different
 differences, the midpoints of the two pairs would lie in A and B at less
 than d.  So P is the translation x -> x + v on A0 and x -> x - v on B0 (the
-P-property of Sankar Raj, Nonlinear Anal. 74, 2011).  `project`, the
-single-point call that composed maps make on every step, evaluates exactly
-that, after checking with the bodies' own membership tests that x is in its
-side and that its translate is in the other body.  It makes no body
-projection.  `project_many`, which the property checks, commutation and the
-certifiers call on whole stacks, stays the nearest-point projection onto
-the opposite body, so the check battery computes P by a path that does not
-go through v, and compares the two.
+P-property of Sankar Raj, Nonlinear Anal. 74, 2011).  `ProximalProjector`
+evaluates exactly that, on one point (`project`, which composed maps call
+on every step) and on a stack (`project_many`, for the certifiers,
+commutation and the solver companions), after checking with the bodies'
+own membership tests that each point is in its side and its translate in
+the other body.  It makes no body projection.  The nearest-point
+projection onto the opposite body, which P also is on the proximal sets,
+is kept only as the reference that `verify_projector_properties` checks
+the translation against, so a wrong v fails a check instead of raising.
 
 Because P is an isometry between the proximal sets that swaps them, the
 composed map's certificate follows from the outer map's: for x in A0 and
@@ -53,105 +54,96 @@ from .mappings import (
 )
 
 PROPERTY_TOL = 1e-8
-DOMAIN_SLACK = 10.0
+DOMAIN_SLACK = 10.0  # P's domain window, in units of the instance tol
 DEGENERATE_SPREAD = 1e-7
+PRECONDITION_SAMPLES = 200  # per side, for the preconditions of a composition
 
 
 @dataclass(frozen=True, eq=False)
 class ProximalProjector:
-    """Projection onto the opposite body, restricted to the proximal sets.
+    """P on the proximal sets: x -> x + v on A0 and x -> x - v on B0.
 
-    Accepts points within `slack` * tol of realizing dist(A, B); everything
-    else raises DomainError.  `project` (and calling the projector) takes
-    one point and translates it by v = b* - a*, the difference of the
-    instance's realizing pair; `project_many` takes a stack with a known or
-    row-detected side and projects it onto the opposite body.
+    v = b* - a* is the difference of the instance's realizing pair.  A
+    point is admitted when it is a member of its side and its translate a
+    member of the other body, both within DOMAIN_SLACK * tol; everything
+    else raises DomainError.  Without a given side, a point that lies in A
+    is taken as A's and any other point as B's.  `project` (and calling the
+    projector) takes one point, `project_many` an (n, dim) stack.
     """
 
     instance: ProximityInstance
-    slack: float = DOMAIN_SLACK
     v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a_star, b_star = self.instance.realizing_pair
         object.__setattr__(self, "v", b_star - a_star)
 
-    def _window(self) -> float:
-        return self.slack * self.instance.tol
-
-    def _admit(self, X: np.ndarray, side: Side) -> np.ndarray:
-        """Domain-check a single-side stack, returning the projected images."""
-        inst = self.instance
-        body = inst.body(side)
-        res = inst.space.norms(X - body.project_many(X, inst.tol, inst.max_iter), axis=1)
-        i = int(np.argmax(res))
-        if res[i] > self._window():
-            raise DomainError(
-                f"point {X[i].tolist()} is not in side {side} "
-                f"(residual {res[i]:.3e} exceeds window {self._window():.1e})")
-        other = inst.opposite_body(side)
-        images = other.project_many(X, inst.tol, inst.max_iter)
-        gaps = inst.space.norms(X - images, axis=1) - inst.dist
-        j = int(np.argmax(gaps))
-        if gaps[j] > self._window():
-            raise DomainError(
-                f"point {X[j].tolist()} is in side {side} but does not realize "
-                f"dist(A, B): achieved {inst.dist + gaps[j]:.12g} vs dist {inst.dist:.12g}")
-        return images
-
-    def sides_of(self, X: np.ndarray) -> np.ndarray:
-        """Boolean mask: True where the row belongs to side A (nearest body)."""
-        inst = self.instance
-        X = _as_matrix(X, inst.space.dim)
-        res_a = inst.space.norms(
-            X - inst.A.project_many(X, inst.tol, inst.max_iter), axis=1)
-        res_b = inst.space.norms(
-            X - inst.B.project_many(X, inst.tol, inst.max_iter), axis=1)
-        nearest = np.minimum(res_a, res_b)
-        i = int(np.argmax(nearest))
-        if nearest[i] > self._window():
-            raise DomainError(
-                f"point {X[i].tolist()} is in neither body "
-                f"(best residual {nearest[i]:.3e})")
-        return res_a <= res_b
-
-    def project_many(self, X: np.ndarray, side: Side | None = None) -> np.ndarray:
-        X = _as_matrix(X, self.instance.space.dim)
-        if side is not None:
-            return self._admit(X, side)
-        in_a = self.sides_of(X)
-        out = np.empty_like(X)
-        if np.any(in_a):
-            out[in_a] = self._admit(X[in_a], "A")
-        if np.any(~in_a):
-            out[~in_a] = self._admit(X[~in_a], "B")
-        return out
+    def _refuse(self, x: np.ndarray, side: Side | None, fault: str,
+                row: int | None = None) -> DomainError:
+        """The error for point x (row `row` of a stack): it is in "neither"
+        body, not in its "side", or its translate misses ("distance")."""
+        window = DOMAIN_SLACK * self.instance.tol
+        where = f"point {x.tolist()}" + ("" if row is None else f" (row {row})")
+        if fault == "neither":
+            return DomainError(f"{where} is in neither body (window {window:.1e})")
+        if fault == "side":
+            return DomainError(f"{where} is not in side {side} "
+                               f"(it lies outside by more than window {window:.1e})")
+        return DomainError(f"{where} is in side {side} but does not realize "
+                           f"dist(A, B): its translate by b* - a* misses the other "
+                           f"body by more than window {window:.1e}")
 
     def project(self, x, side: Side | None = None) -> np.ndarray:
-        """P(x) = x + v on A0 and x - v on B0, with the same domain errors
-        as `project_many` but checked by membership, not by projection."""
+        """P(x) for one point, by the scalar membership tests."""
         inst = self.instance
         x = inst.space.check_vector(x)
-        window = self._window()
+        window = DOMAIN_SLACK * inst.tol
         if side is None:
             if inst.A.member(x, window):
                 side = "A"
             elif inst.B.member(x, window):
                 side = "B"
             else:
-                raise DomainError(
-                    f"point {x.tolist()} is in neither body (window {window:.1e})")
+                raise self._refuse(x, None, "neither")
         elif not inst.body(side).member(x, window):
-            raise DomainError(
-                f"point {x.tolist()} is not in side {side} "
-                f"(it lies outside by more than window {window:.1e})")
+            raise self._refuse(x, side, "side")
         image = x + self.v if side == "A" else x - self.v
         if not inst.opposite_body(side).member(image, window):
-            raise DomainError(
-                f"point {x.tolist()} is in side {side} but does not realize "
-                f"dist(A, B): its translate by b* - a* misses the other body "
-                f"by more than window {window:.1e}")
+            raise self._refuse(x, side, "distance")
         return image
+
+    def project_many(self, X: np.ndarray, side: Side | None = None) -> np.ndarray:
+        inst = self.instance
+        X = _as_matrix(X, inst.space.dim)
+        window = DOMAIN_SLACK * inst.tol
+        if side is not None:
+            self._raise_first(~inst.body(side).member_many(X, window), X, side, "side")
+            return self._translate(X, side)
+        in_a = inst.A.member_many(X, window)
+        if in_a.all():
+            return self._translate(X, "A")
+        self._raise_first(~in_a & ~inst.B.member_many(X, window), X, None, "neither")
+        out = np.empty_like(X)
+        for s, rows in (("A", np.flatnonzero(in_a)), ("B", np.flatnonzero(~in_a))):
+            out[rows] = self._translate(X[rows], s, rows)
+        return out
+
+    def _translate(self, X: np.ndarray, side: Side, rows: np.ndarray | None = None
+                   ) -> np.ndarray:
+        """X + v (A) or X - v (B), checked to land in the other body."""
+        inst = self.instance
+        image = X + self.v if side == "A" else X - self.v
+        misses = ~inst.opposite_body(side).member_many(image, DOMAIN_SLACK * inst.tol)
+        self._raise_first(misses, X, side, "distance", rows)
+        return image
+
+    def _raise_first(self, bad: np.ndarray, X: np.ndarray, side: Side | None,
+                     fault: str, rows: np.ndarray | None = None) -> None:
+        """Raise the DomainError of the first row flagged in `bad`; `rows`
+        maps rows of X to rows of the caller's stack."""
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise self._refuse(X[i], side, fault, i if rows is None else int(rows[i]))
 
     def __call__(self, x) -> np.ndarray:
         return self.project(x)
@@ -187,7 +179,6 @@ class ProjectorReport:
     continuity: PropertyCheck
     degenerate: bool
     samples: int
-    tol: float = PROPERTY_TOL
 
     def checks(self) -> dict[str, PropertyCheck]:
         return {"cyclic_distance": self.cyclic_distance,
@@ -207,26 +198,29 @@ class ProjectorReport:
         out = {name: check.to_dict() for name, check in self.checks().items()}
         out["degenerate"] = bool(self.degenerate)
         out["samples"] = int(self.samples)
-        out["tol"] = float(self.tol)
+        out["tol"] = PROPERTY_TOL
         return out
 
 
-def _check(devs: np.ndarray, witnesses, tol: float, note: str = "") -> PropertyCheck:
+def _check(devs: np.ndarray, witnesses, note: str = "") -> PropertyCheck:
     i = int(np.argmax(devs))
     worst = float(devs[i])
-    holds = worst <= tol
+    holds = worst <= PROPERTY_TOL
     witness = None if holds else tuple(w[i] for w in witnesses)
     return PropertyCheck(holds=holds, worst_deviation=worst, witness=witness, note=note)
 
 
 def verify_projector_properties(projector: ProximalProjector, samples: int = 1000,
-                                seed: int = 0, tol: float = PROPERTY_TOL
-                                ) -> ProjectorReport:
+                                seed: int = 0) -> ProjectorReport:
     """Numerically certify the five defining properties of the projector.
 
+    The properties are checked on the nearest-point projection onto the
+    opposite body, computed here apart from the projector, and the first
+    check ties that reference to the projector's translation by v:
+
     1. cyclic_distance: images land in the opposite proximal set, realize
-       dist(A, B), and equal the translates x + v (y - v) that `project`
-       returns;
+       dist(A, B), and equal the translates x + v (y - v) that the
+       projector returns;
     2. isometry: cross-pair distances are preserved;
     3. affine: images of proximal segments' midcombinations match the
        combinations of the images;
@@ -234,8 +228,11 @@ def verify_projector_properties(projector: ProximalProjector, samples: int = 100
     5. continuity: probed as nonexpansiveness on nearby pairs (already forced
        by the isometry property; reported for completeness).
 
-    Singleton proximal sets make several checks vacuous; the report flags
-    that via `degenerate` instead of failing.
+    The translates are taken raw, not through the projector's domain check,
+    so a wrong v fails check 1 instead of raising.  Singleton proximal sets
+    make several checks vacuous; the report flags that via `degenerate`
+    instead of failing.  Every check holds when its worst deviation is at
+    most PROPERTY_TOL.
     """
     inst = projector.instance
     rng = np.random.default_rng(seed)
@@ -245,66 +242,63 @@ def verify_projector_properties(projector: ProximalProjector, samples: int = 100
                  float(inst.space.norms(np.ptp(ys, axis=0))))
     degenerate = spread < DEGENERATE_SPREAD
 
-    p_xs = projector.project_many(xs, "A")
-    p_ys = projector.project_many(ys, "B")
+    def nearest(X, side: Side):
+        return inst.opposite_body(side).project_many(X, inst.tol, inst.max_iter)
+
+    p_xs = nearest(xs, "A")
+    p_ys = nearest(ys, "B")
 
     # 1: cyclicity and distance realization, both sides at once; the
     # nearest-point images must also be the translates x + v and y - v
-    # that `project` returns
     def landing_devs(points, images, target: Side, translates):
-        body = inst.body(target)
-        res = inst.space.norms(
-            images - body.project_many(images, inst.tol, inst.max_iter), axis=1)
-        gap = np.abs(inst.proximal_gaps(images, target))
         realize = np.abs(inst.space.norms(points - images, axis=1) - inst.dist)
         shift = inst.space.norms(images - translates, axis=1)
-        return np.maximum.reduce([res, gap, realize, shift])
+        return np.maximum.reduce([inst.proximal_deviations(images, target),
+                                  realize, shift])
 
     dev1 = np.concatenate([landing_devs(xs, p_xs, "B", xs + projector.v),
                            landing_devs(ys, p_ys, "A", ys - projector.v)])
-    check1 = _check(dev1, (np.vstack([xs, ys]), np.vstack([p_xs, p_ys])), tol)
+    check1 = _check(dev1, (np.vstack([xs, ys]), np.vstack([p_xs, p_ys])))
 
     # 2: isometry over randomly matched cross pairs
     j = rng.integers(0, len(ys), size=len(xs))
     before = inst.space.norms(xs - ys[j], axis=1)
     after = inst.space.norms(p_xs - p_ys[j], axis=1)
-    check2 = _check(np.abs(after - before), (xs, ys[j]), tol)
+    check2 = _check(np.abs(after - before), (xs, ys[j]))
 
     # 3: affineness on random proximal combinations, both sides
     def affine_devs(points, images, side: Side):
         k = rng.integers(0, len(points), size=len(points))
         lam = rng.uniform(0.0, 1.0, size=len(points))[:, None]
         z = lam * points + (1.0 - lam) * points[k]
-        p_z = projector.project_many(z, side)
         combo = lam * images + (1.0 - lam) * images[k]
-        return inst.space.norms(p_z - combo, axis=1), z
+        return inst.space.norms(nearest(z, side) - combo, axis=1), z
 
     dev3a, za = affine_devs(xs, p_xs, "A")
     dev3b, zb = affine_devs(ys, p_ys, "B")
-    check3 = _check(np.concatenate([dev3a, dev3b]),
-                    (np.vstack([za, zb]),), tol)
+    check3 = _check(np.concatenate([dev3a, dev3b]), (np.vstack([za, zb]),))
 
     # 4: involution
-    back_x = projector.project_many(p_xs, "B")
-    back_y = projector.project_many(p_ys, "A")
+    back_x = nearest(p_xs, "B")
+    back_y = nearest(p_ys, "A")
     dev4 = np.concatenate([inst.space.norms(back_x - xs, axis=1),
                            inst.space.norms(back_y - ys, axis=1)])
-    check4 = _check(dev4, (np.vstack([xs, ys]), np.vstack([back_x, back_y])), tol)
+    check4 = _check(dev4, (np.vstack([xs, ys]), np.vstack([back_x, back_y])))
 
     # 5: continuity probe on jittered nearby pairs
     scale = max(spread, 1.0)
     jitter = rng.normal(size=xs.shape) * (1e-3 * scale)
     xs2 = inst.proximalize(inst.A.project_many(xs + jitter, inst.tol, inst.max_iter), "A")
-    p_xs2 = projector.project_many(xs2, "A")
+    p_xs2 = nearest(xs2, "A")
     moved_in = inst.space.norms(xs - xs2, axis=1)
     moved_out = inst.space.norms(p_xs - p_xs2, axis=1)
     dev5 = np.maximum(0.0, moved_out - moved_in)
-    check5 = _check(dev5, (xs, xs2), tol,
+    check5 = _check(dev5, (xs, xs2),
                     note="nonexpansiveness on nearby pairs; implied by isometry")
 
     return ProjectorReport(cyclic_distance=check1, isometry=check2, affine=check3,
                            involution=check4, continuity=check5,
-                           degenerate=degenerate, samples=samples, tol=tol)
+                           degenerate=degenerate, samples=samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,56 +333,53 @@ class ComposedMap:
         return self.outer.apply_many(self.projector.project_many(X))
 
 
-def compose_with_projector(outer, projector: ProximalProjector | None = None,
-                           samples: int = 200) -> ComposedMap:
+def compose_with_projector(outer, projector: ProximalProjector | None = None
+                           ) -> ComposedMap:
     """Build the map x -> outer(P(x)) after checking it is legitimate.
 
     Requires outer to be relatively nonexpansive and to preserve the proximal
-    sets, both checked on the instance's `cross_samples` for the seed of
-    outer's certificate (body and proximal samples respectively).  The result's
-    certificate is derived from outer's: the mode is flipped, its mode check
-    is the proximal-preservation check (outer's images of A0 and B0 are the
+    sets, both checked on the instance's `cross_samples` of
+    PRECONDITION_SAMPLES points per side for the seed of outer's certificate
+    (body and proximal samples respectively).  The result's certificate is
+    derived from outer's: the mode is flipped, its mode check is the
+    proximal-preservation check (outer's images of A0 and B0 are the
     composition's images of B0 and A0), and alpha_hat is outer's, with
     method "inherited".  That certificate is kept on outer's, and a later
-    call with a projector of the same window and the same `samples` reuses
-    it without checking again.  (Keeping the certificate, not the composed
-    map, keeps outer out of a reference cycle with its own certificate.)
+    call reuses it without checking again.  (Keeping the certificate, not
+    the composed map, keeps outer out of a reference cycle with its own
+    certificate.)
     """
     inst = outer.instance
     if projector is None:
         projector = ProximalProjector(inst)
     if projector.instance is not inst:
         raise PreconditionError("projector and map belong to different instances")
-    kept = certificate_of(outer).compositions
-    key = (projector.slack, samples)
-    if key not in kept:
-        kept[key] = _composition_certificate(outer, projector, samples)
-    certificate = kept[key]
+    kept = certificate_of(outer)
+    if kept.composition is None:
+        kept.composition = _composition_certificate(outer)
+    certificate = kept.composition
     return ComposedMap(outer=outer, projector=projector, mode=certificate.mode.mode,
                        certificate=certificate, name=f"{outer.name or 'map'}*P")
 
 
-def _composition_certificate(outer, projector: ProximalProjector,
-                             samples: int) -> MapCertificate:
+def _composition_certificate(outer) -> MapCertificate:
     """Check the preconditions of outer after P; the composition's certificate."""
     inst = outer.instance
     seed = certificate_of(outer).seed
-    nonexp = certify_relatively_nonexpansive(outer, samples=samples, seed=seed)
+    nonexp = certify_relatively_nonexpansive(outer, samples=PRECONDITION_SAMPLES,
+                                             seed=seed)
     if not nonexp:
         raise PreconditionError(
             "map is not relatively nonexpansive "
             f"(worst excess {nonexp.worst_excess:.3e} at {nonexp.witness})")
 
-    window = projector.slack * inst.tol
+    window = DOMAIN_SLACK * inst.tol
     worst = 0.0
-    for side, pts in zip(("A", "B"), inst.cross_samples(samples, seed, proximal=True)):
+    for side, pts in zip(("A", "B"),
+                         inst.cross_samples(PRECONDITION_SAMPLES, seed, proximal=True)):
         imgs = outer.apply_many(pts)
         target: Side = side if outer.mode == "noncyclic" else opposite(side)
-        body = inst.body(target)
-        res = inst.space.norms(
-            imgs - body.project_many(imgs, inst.tol, inst.max_iter), axis=1)
-        gaps = np.maximum(0.0, inst.proximal_gaps(imgs, target))
-        devs = np.maximum(res, gaps)
+        devs = inst.proximal_deviations(imgs, target)
         i = int(np.argmax(devs))
         if devs[i] > window:
             raise PreconditionError(

@@ -8,13 +8,13 @@ first use when the map has none), record a full trace with the gap
 d(x_n, companion_n) - dist(A, B), and flag non-convergence instead of
 raising.
 
-No solver loop projects onto a body.  Inside the reductions P is evaluated
-one point at a time as the translation x + v or x - v, with v = b* - a*
-(see `operators`), and each step checks by membership that the iterate is
-in its side and its translate in the other body.  The projection iteration
-iterates x alone and takes every companion y_n = P(x_n) from one stacked
-nearest-point projection after the loop, which checks the whole run's
-iterates against the proximal set of A at once.
+No solver projects onto a body.  P is the translation x + v or x - v,
+with v = b* - a* (see `operators`), and every evaluation checks by
+membership that the point is in its side and its translate in the other
+body.  Inside the reductions P is evaluated one point at a time.  The
+projection iteration iterates x alone and takes every companion
+y_n = P(x_n) from one stacked evaluation after the loop, which checks the
+whole run's iterates at once.
 """
 
 from __future__ import annotations
@@ -226,23 +226,20 @@ def picard_cyclic(m, x0, tol: float = DEFAULT_TOL,
 
 
 def noncyclic_projection_iteration(m, x0, tol: float = DEFAULT_TOL,
-                                   max_iter: int = DEFAULT_MAX_ITER,
-                                   projector: ProximalProjector | None = None
-                                   ) -> SolveResult:
+                                   max_iter: int = DEFAULT_MAX_ITER) -> SolveResult:
     """Iterate x_n = T^n(x0) in A0 with companions y_n = P(x_n) in B0.
 
     The start must already realize dist(A, B); it is never projected
     implicitly.  (x_n, y_n) converges to a best proximity pair when T is a
     certified noncyclic contraction.  The loop iterates x alone; the
-    companions of the whole run come from one `project_many` call after it,
-    which also checks that every iterate stayed in A0.
+    companions of the whole run are the translates x_n + v, from one
+    `project_many` call after it, which also checks that every iterate
+    stayed in A and its translate in B.
     """
     inst = m.instance
     _require_limits(tol, max_iter)
     cert = _require_contraction(m, "noncyclic")
     x = _require_proximal_start(inst, x0)
-    if projector is None:
-        projector = ProximalProjector(inst)
     space = inst.space
 
     iterates = [x]
@@ -259,7 +256,7 @@ def noncyclic_projection_iteration(m, x0, tol: float = DEFAULT_TOL,
             break
     # every companion, and the domain check of every iterate, in one call
     X = np.array(iterates)
-    Y = projector.project_many(X, "A")
+    Y = ProximalProjector(inst).project_many(X, "A")
     gaps = space.norms(X - Y, axis=1) - inst.dist
     steps = [TraceStep(i, "A", X[i], Y[i], float(gaps[i])) for i in range(len(X))]
     x, y = X[-1], Y[-1]
@@ -283,19 +280,17 @@ def _orbit(m, x0: np.ndarray, count: int) -> list[np.ndarray]:
     return pts
 
 
-def _even_identity_deviation(composed_orbit: list[np.ndarray], outer, terms: int,
-                             space) -> float:
-    """Max over n <= terms of d(composed^2n x0, outer^2n x0), where
+def _even_identity_deviation(composed_orbit: list[np.ndarray], outer, space) -> float:
+    """Max over n <= IDENTITY_TERMS of d(composed^2n x0, outer^2n x0), where
     composed_orbit is the composition's orbit from x0 = composed_orbit[0]."""
-    outer_orbit = _orbit(outer, composed_orbit[0], 2 * terms)
+    outer_orbit = _orbit(outer, composed_orbit[0], 2 * IDENTITY_TERMS)
     devs = [space.distance(composed_orbit[2 * n], outer_orbit[2 * n])
-            for n in range(1, terms + 1)]
+            for n in range(1, IDENTITY_TERMS + 1)]
     return float(max(devs))
 
 
 def solve_cyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
-                               max_iter: int = DEFAULT_MAX_ITER,
-                               identity_terms: int = IDENTITY_TERMS) -> SolveResult:
+                               max_iter: int = DEFAULT_MAX_ITER) -> SolveResult:
     """Solve a cyclic contraction by running the noncyclic solver on m after P.
 
     The composition is noncyclic; the A-side of its best proximity pair is
@@ -306,14 +301,12 @@ def solve_cyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
     _require_limits(tol, max_iter)
     _require_contraction(m, "cyclic")
     x0 = _require_proximal_start(inst, x0)
-    projector = ProximalProjector(inst)
-    composed = compose_with_projector(m, projector)
-    inner = noncyclic_projection_iteration(composed, x0, tol=tol, max_iter=max_iter,
-                                           projector=projector)
+    composed = compose_with_projector(m)
+    inner = noncyclic_projection_iteration(composed, x0, tol=tol, max_iter=max_iter)
     p = inner.pair[0]
     residual = abs(inst.space.distance(p, m.apply(p)) - inst.dist)
-    orb = _orbit(composed, x0, 2 * identity_terms)
-    identity = _even_identity_deviation(orb, m, identity_terms, inst.space)
+    orb = _orbit(composed, x0, 2 * IDENTITY_TERMS)
+    identity = _even_identity_deviation(orb, m, inst.space)
     return SolveResult(kind="best_proximity_point", residual=residual,
                        converged=inner.converged, trace=inner.trace,
                        alpha_hat=inner.alpha_hat, alpha_method=inner.alpha_method,
@@ -321,8 +314,7 @@ def solve_cyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
 
 
 def solve_noncyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
-                                  max_iter: int = DEFAULT_MAX_ITER,
-                                  identity_terms: int = IDENTITY_TERMS) -> SolveResult:
+                                  max_iter: int = DEFAULT_MAX_ITER) -> SolveResult:
     """Solve a noncyclic contraction by running Picard on m after P.
 
     The composition is cyclic, so its even Picard iterates converge to a
@@ -343,13 +335,10 @@ def solve_noncyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
     residual = max(space.distance(p, m.apply(p)),
                    space.distance(q, m.apply(q)),
                    abs(space.distance(p, q) - inst.dist))
-    orb = _orbit(composed, x0, 2 * identity_terms + 1)
-    identity = _even_identity_deviation(orb, m, identity_terms, space)
-    odd = np.array([orb[2 * n + 1] for n in range(identity_terms + 1)])
-    body_res = space.norms(odd - inst.B.project_many(odd, inst.tol, inst.max_iter),
-                           axis=1)
-    gaps = np.abs(inst.proximal_gaps(odd, "B"))
-    odd_dev = float(np.max(np.maximum(body_res, gaps)))
+    orb = _orbit(composed, x0, 2 * IDENTITY_TERMS + 1)
+    identity = _even_identity_deviation(orb, m, space)
+    odd = np.array([orb[2 * n + 1] for n in range(IDENTITY_TERMS + 1)])
+    odd_dev = float(np.max(inst.proximal_deviations(odd, "B")))
     return SolveResult(kind="best_proximity_pair", residual=residual,
                        converged=inner.converged, trace=inner.trace,
                        alpha_hat=inner.alpha_hat, alpha_method=inner.alpha_method,

@@ -17,6 +17,7 @@ from .errors import PreconditionError, ProxipairError
 from .instances import BuiltInstance
 from .mappings import certify_contraction, certify_mode, contraction_of, flip_mode
 from .operators import (
+    PROPERTY_TOL,
     ProjectorReport,
     ProximalProjector,
     check_commutation,
@@ -24,7 +25,6 @@ from .operators import (
     verify_projector_properties,
 )
 
-PROPERTY_THRESHOLD = 1e-8
 COMMUTATION_THRESHOLD = 1e-8
 IDENTITY_THRESHOLD = 1e-9
 ODD_MEMBERSHIP_THRESHOLD = 1e-8
@@ -92,7 +92,7 @@ def _projector_checks(report: ProjectorReport, flags: list) -> list:
             tag=PROJECTOR_TAGS[key],
             passed=check.holds,
             worst_deviation=check.worst_deviation,
-            threshold=PROPERTY_THRESHOLD,
+            threshold=PROPERTY_TOL,
             flags=list(flags),
             details=f"worst over {report.samples} proximal samples per side"
                     + (f"; {check.note}" if check.note else "")))
@@ -252,8 +252,7 @@ def run_verification(built: BuiltInstance, samples: int = 1000,
     if samples < 1:
         raise PreconditionError(f"samples must be at least 1, got {samples}")
     report = verify_projector_properties(ProximalProjector(built.instance),
-                                         samples=samples, seed=seed,
-                                         tol=PROPERTY_THRESHOLD)
+                                         samples=samples, seed=seed)
     # Singleton proximal sets make every check that samples them vacuous.
     flags = ["degenerate"] if report.degenerate else []
     checks = _projector_checks(report, flags)

@@ -145,8 +145,8 @@ def test_criterion_04_commutation(segpair, ballpair, generated):
 
 def test_criterion_05_reduction_identities(segpair):
     built, certs = segpair
-    cyc = solve_cyclic_via_reduction(built.maps["T"], [2.0, 0.0], identity_terms=20)
-    non = solve_noncyclic_via_reduction(built.maps["S"], [2.0, 0.0], identity_terms=20)
+    cyc = solve_cyclic_via_reduction(built.maps["T"], [2.0, 0.0])
+    non = solve_noncyclic_via_reduction(built.maps["S"], [2.0, 0.0])
     assert cyc.identity_deviation <= 1e-9
     assert non.identity_deviation <= 1e-9
     assert non.odd_membership_deviation <= 1e-8

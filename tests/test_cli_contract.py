@@ -6,15 +6,18 @@ Arguments are drawn with hypothesis, zero, negative and non-finite values
 included.  The ranges are bounded so that each call stays small: `gen`
 writes dense dim x dim map matrices, so --dim stays at 12 or less (6 for
 `bench`, which also solves).  A finite --p for `gen` goes up to 1000, where
-|x|^p overflows for |x| above 2.
+|x|^p overflows for |x| above 2.  `solve` and `verify` also run on random
+instance documents, valid and not, under the same contract.
 """
 
 import contextlib
 import io
+import json
 import math
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,3 +101,69 @@ def test_bench_contract(out_dir, count, dim, p, seed):
                  f"--seed={seed}", "--out", out_dir])
     if count < 1 or dim < 1 or not 1.0 < p < math.inf or seed < 0:
         assert code == 1
+
+
+@st.composite
+def documents(draw):
+    """A random instance document at dim 1-3 and p in {1.5, 2, 3}.
+
+    A is a ball, a box, or a polytope (a point, an axis-aligned segment or
+    a triangle in the plane at p = 2); B is A moved along one axis, apart,
+    touching or overlapping.  The maps shrink towards A's center off that axis, and the
+    cyclic one first mirrors the axis between the bodies.  Where A is flat
+    along that axis they are contractions that every solver runs on; the
+    other draws (balls, triangles, overlaps, starts outside A or off its
+    proximal set) must end in one error line or a failed check.
+    """
+    kind = draw(st.sampled_from(["segment", "box", "point", "ball", "triangle"]))
+    if kind == "triangle":
+        dim, p = 2, 2.0
+    else:
+        dim, p = draw(st.sampled_from([2, 3, 1])), draw(st.sampled_from([1.5, 2.0, 3.0]))
+    g = draw(st.integers(0, dim - 1))  # the axis from A to B
+    e = np.eye(dim)
+    s = e[(g + 1) % dim]
+    c = np.array(draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)), float)
+    size = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    if kind == "ball":
+        body, extent = {"kind": "ball", "center": c, "radius": size}, size
+    elif kind == "box":
+        half = size * np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                             min_size=dim, max_size=dim)))
+        half[g] = draw(st.sampled_from([0.0, 0.0, 0.5]))
+        body, extent = {"kind": "box", "lower": c - half, "upper": c + half}, half[g]
+    else:
+        vertices = {"point": [c], "segment": [c - size * s, c + size * s],
+                    "triangle": [c - size * e[g], c + size * e[g], c + size * s]}[kind]
+        extent = float(np.max([v[g] - c[g] for v in vertices]))
+        body = {"kind": "polytope", "vertices": vertices}
+    shift = (2.0 * extent + draw(st.sampled_from([-0.25, 0.0, 0.5, 2.0]))) * e[g]
+    other = {key: ([v + shift for v in val] if key == "vertices" else val + shift)
+             if key in ("center", "lower", "upper", "vertices") else val
+             for key, val in body.items()}
+    M = np.diag([1.0 if i == g else draw(st.sampled_from([0.25, 0.5, 0.9]))
+                 for i in range(dim)])
+    mirror = np.eye(dim) - 2.0 * np.outer(e[g], e[g])
+    maps = [
+        {"name": "shrink", "mode": "noncyclic", "kind": "affine",
+         "matrix": M, "offset": c - M @ c},
+        {"name": "swap", "mode": "cyclic", "kind": "affine", "matrix": M @ mirror,
+         "offset": M @ ((2.0 * c[g] + shift[g]) * e[g]) + c - M @ c},
+    ]
+    x0 = c + draw(st.sampled_from([extent, extent, 0.0, extent + 1.0])) * e[g]
+    runs = [{"name": solver, "solver": solver, "map": m, "x0": x0}
+            for solver, m in (("picard", "swap"), ("project", "shrink"),
+                              ("reduce-cyclic", "swap"), ("reduce-noncyclic", "shrink"))]
+    doc = {"name": "fuzz", "space": {"dim": dim, "p": p},
+           "bodies": {"A": body, "B": other}, "maps": maps, "runs": runs}
+    return json.loads(json.dumps(doc, default=lambda a: np.asarray(a).tolist()))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(doc=documents())
+def test_random_documents_keep_the_contract(out_dir, doc):
+    path = f"{out_dir}/fuzz.json"
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    for command in ("solve", "verify"):
+        call([command, path, "--out", out_dir])

@@ -425,6 +425,7 @@ def _polytope_shapes():
     return {
         "point": Polytope(sp2, [[1.0, -1.0], [1.0, -1.0]]),
         "axis-segment": Polytope(sp3, [[0.0, 1.0, 2.0], [0.0, 4.0, 2.0]]),
+        "short-axis-segment": Polytope(sp2, [[0.5, 1.0], [0.25, 1.0]]),
         "segment": Polytope(sp2, [[0.0, 0.0], [2.0, 1.0]]),
         "polygon": Polytope(sp2, [[0.0, 0.0], [2.0, 0.0], [2.5, 1.5], [0.0, 2.0]]),
         "halfspaces": Polytope(sp3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -448,6 +449,23 @@ def test_polytope_member_many_matches_member(shape, tol, rng):
     X = np.vstack([random, boundary, boundary + 0.5 * tol * push,
                    boundary + 2.0 * tol * push])
     assert_array_equal(body.member_many(X, tol), [body.member(x, tol) for x in X])
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-7])
+@pytest.mark.parametrize("length", [0.25, 3.0])
+def test_axis_segment_membership_is_the_parameter_window(length, tol):
+    # a point is on the segment when its parameter t along it lies in
+    # [-tol, 1 + tol] and it is within tol of the clamped point: so past an
+    # end, along the axis, within tol * min(1, length)
+    seg = Polytope(LpSpace(2, 2.0), [[0.5, 1.0], [0.5 + length, 1.0]])
+    reach = tol * min(1.0, length)
+    ends = np.array([[0.5, 1.0], [0.5 + length, 1.0]])
+    out = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    X = np.vstack([ends + f * reach * out for f in (0.5, 2.0)]
+                  + [ends + [0.0, f * tol] for f in (0.5, 2.0)])
+    expected = [True, True, False, False, True, True, False, False]
+    assert_array_equal(seg.member_many(X, tol), expected)
+    assert [seg.member(x, tol) for x in X] == expected
 
 
 def test_body_validation():

@@ -112,22 +112,59 @@ def test_project_is_the_translation_by_v(name, rng):
     if name == "overlapping":
         assert inst.dist == 0.0 and not np.any(P.v)
     for side in ("A", "B"):
-        for x in inst.sample_proximal(side, 40, rng):
-            nearest = P.project_many(x[None, :])[0]
-            assert_allclose(P.project(x), nearest, atol=1e-12, rtol=0)
-            assert_allclose(P.project(x, side), nearest, atol=1e-12, rtol=0)
+        X = inst.sample_proximal(side, 40, rng)
+        nearest = inst.opposite_body(side).project_many(X, inst.tol, inst.max_iter)
+        assert_allclose(P.project_many(X), nearest, atol=1e-12, rtol=0)
+        assert_allclose(P.project_many(X, side), nearest, atol=1e-12, rtol=0)
+        for x, y in zip(X, nearest):
+            assert_allclose(P.project(x), y, atol=1e-12, rtol=0)
+            assert_allclose(P.project(x, side), y, atol=1e-12, rtol=0)
 
 
-def test_project_makes_no_body_projection(seg, monkeypatch):
+def test_project_makes_no_body_projection(seg, balls, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("body projection")
 
-    monkeypatch.setattr(Polytope, "project_many", forbidden)
+    for cls in (Ball, Box, Polytope):
+        monkeypatch.setattr(cls, "project_many", forbidden)
     P = ProximalProjector(seg)
     assert_allclose(P.project([1.25, 0.0]), [1.25, 1.0], atol=0)
     assert_allclose(P.project([1.25, 1.0], "B"), [1.25, 0.0], atol=0)
     with pytest.raises(DomainError):
         P.project([1.5, 0.5])
+    X = np.array([[1.25, 0.0], [1.75, 0.0]])
+    assert_allclose(P.project_many(X, "A"), X + [0.0, 1.0], atol=0)
+    assert_allclose(P.project_many(X), X + [0.0, 1.0], atol=0)
+    mixed = np.array([[1.25, 0.0], [1.75, 1.0], [2.0, 0.0]])
+    assert_allclose(P.project_many(mixed), [[1.25, 1.0], [1.75, 0.0], [2.0, 1.0]],
+                    atol=0)
+    with pytest.raises(DomainError):
+        P.project_many([[1.5, 0.0], [1.5, 0.5]])
+    a_star, b_star = balls.realizing_pair
+    assert_allclose(ProximalProjector(balls).project_many([a_star, b_star]),
+                    [b_star, a_star], atol=1e-15)
+
+
+_ROW_FAULTS = {
+    # instance, side given, the offending point, the message
+    "neither": ("seg", None, [1.5, 0.5], "is in neither body"),
+    "side": ("seg", "A", [1.5, 1.0], "is not in side A"),
+    "distance": ("balls", None, [-2.0, 0.0],
+                 r"is in side A but does not realize dist\(A, B\)"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_ROW_FAULTS))
+@pytest.mark.parametrize("k", [0, 3])
+def test_project_many_names_the_row_off_the_proximal_sets(seg, balls, fault, k):
+    name, side, bad, message = _ROW_FAULTS[fault]
+    inst = {"seg": seg, "balls": balls}[name]
+    a_star, b_star = inst.realizing_pair
+    # without a side the stack mixes rows of A0 and B0
+    X = np.array([a_star if side or i % 2 else b_star for i in range(6)])
+    X[k] = bad
+    with pytest.raises(DomainError, match=rf"\(row {k}\) {message}"):
+        ProximalProjector(inst).project_many(X, side)
 
 
 def test_project_domain_errors(seg, balls):
@@ -141,17 +178,25 @@ def test_project_domain_errors(seg, balls):
 
 
 def test_planted_wrong_v_fails_the_landing_check(seg):
-    # shifting b* along the segments moves v by 1e-6; every translate still
-    # lands in B, so `project` cannot see it, but the nearest-point images
-    # of the stack path no longer equal x + v
-    planted = copy.copy(seg)
-    a_star, b_star = seg.realizing_pair
-    planted.realizing_pair = (a_star, b_star + np.array([1e-6, 0.0]))
-    P = ProximalProjector(planted)
-    assert_allclose(P.project([1.5, 0.0]), [1.5 + 1e-6, 1.0], atol=1e-15)
-    report = verify_projector_properties(P, samples=200)
-    assert not report.cyclic_distance.holds
-    assert report.cyclic_distance.worst_deviation == pytest.approx(1e-6, rel=1e-6)
+    # shifting b* along the segments moves v by 1e-6.  Planted in the middle
+    # of A, every translate of a sample inside the segment still lands in B,
+    # so the projector cannot see it.  Planted at A's end (2, 0), which the
+    # samples then include, the projector refuses that point.  Either way
+    # the check compares the nearest-point images with the raw translates
+    # x + v, and fails instead of raising.
+    for a_star in ([1.5, 0.0], [2.0, 0.0]):
+        planted = copy.copy(seg)
+        a_star = np.array(a_star)
+        planted.realizing_pair = (a_star, a_star + np.array([1e-6, 1.0]))
+        P = ProximalProjector(planted)
+        if a_star[0] < 2.0:
+            assert_allclose(P.project([1.5, 0.0]), [1.5 + 1e-6, 1.0], atol=1e-15)
+        else:
+            with pytest.raises(DomainError, match="does not realize"):
+                P.project(a_star)
+        report = verify_projector_properties(P, samples=200)
+        assert not report.cyclic_distance.holds
+        assert report.cyclic_distance.worst_deviation == pytest.approx(1e-6, rel=1e-6)
     assert verify_projector_properties(ProximalProjector(seg), samples=200).all_hold
 
 
