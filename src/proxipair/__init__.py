@@ -46,7 +46,6 @@ from .mappings import (
 )
 from .operators import (
     CommutationReport,
-    ComposedMap,
     ProjectorReport,
     PropertyCheck,
     ProximalProjector,

@@ -160,9 +160,10 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class ConvexBody:
     """Closed convex subset of an LpSpace with a nearest-point projection.
 
-    Subclasses implement `project_many` on (n, dim) stacks; everything else
-    (single-point projection, membership, sampling) builds on that.  Bodies
-    are immutable after construction.  `box` is (lo, hi) when the body is an
+    Subclasses implement the projection of an (n, dim) stack, membership
+    of a point and of a stack, an anchor point and sampling; `project`
+    builds the single-point projection on `project_many`.  Bodies are
+    immutable after construction.  `box` is (lo, hi) when the body is an
     axis-aligned box, which a point and an axis-aligned segment are too, and
     None otherwise.
     """
@@ -180,8 +181,7 @@ class ConvexBody:
 
     def member_many(self, X: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Boolean membership mask over an (n, dim) stack."""
-        X = _as_matrix(X, self.space.dim)
-        return np.array([self.member(x, tol) for x in X], dtype=bool)
+        raise NotImplementedError
 
     def anchor(self) -> np.ndarray:
         """Some point of the body, used to seed iterations."""
@@ -265,7 +265,7 @@ class Box(ConvexBody):
 
     def member(self, x, tol=DEFAULT_TOL):
         x = self.space.check_vector(x)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+        return bool(((x >= self.lo - tol) & (x <= self.hi + tol)).all())
 
     def member_many(self, X, tol=DEFAULT_TOL):
         X = _as_matrix(X, self.space.dim)
@@ -347,6 +347,8 @@ class Polytope(ConvexBody):
         if self.halfspaces is not None:
             hs = tuple((_readonly(self.space.check_vector(a)), float(b))
                        for a, b in self.halfspaces)
+            if any(not a.any() for a, _ in hs):
+                raise ValueError("a halfspace needs a nonzero normal")
             object.__setattr__(self, "halfspaces", hs)
         W = _readonly(np.unique(V, axis=0))
         object.__setattr__(self, "_distinct", W)

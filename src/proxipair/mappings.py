@@ -39,6 +39,7 @@ from .geometry import (
 )
 
 Mode = Literal["cyclic", "noncyclic"]
+Domain = Literal["full", "proximal"]
 
 MODES = ("cyclic", "noncyclic")
 
@@ -72,7 +73,8 @@ class MapSpec:
     evaluated one row at a time.
 
     `mode` is the declared behavior; `certify` checks it and keeps the
-    result in `certificate`.
+    result in `certificate`.  `domain` is "proximal" for a map defined on
+    A0 union B0 only (a composition with P), certified on proximal samples.
     """
 
     instance: ProximityInstance
@@ -83,9 +85,8 @@ class MapSpec:
     matrix_b: np.ndarray | None = None
     offset_b: np.ndarray | None = None
     func: Callable[[np.ndarray], np.ndarray] | None = None
+    domain: Domain = "full"
     certificate: "MapCertificate | None" = field(default=None, init=False, repr=False)
-
-    domain = "full"
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -136,11 +137,11 @@ class MapSpec:
 
     def apply(self, x) -> np.ndarray:
         x = self.instance.space.check_vector(x)
-        if self.is_affine:
+        if self.func is not None:
+            return self.instance.space.check_vector(self.func(x))
+        if self.matrix_b is None or self.instance.A.member(x, MEMBER_TOL):
             return self.matrix @ x + self.offset
-        if self.func is None:
-            return self.apply_many(x[None, :])[0]
-        return self.instance.space.check_vector(self.func(x))
+        return self.matrix_b @ x + self.offset_b
 
     def apply_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)

@@ -14,15 +14,16 @@ The lp norm with 1 < p < inf is strictly convex, so every pair realizing
 dist(A, B) has the same difference v = b* - a*: if two pairs had different
 differences, the midpoints of the two pairs would lie in A and B at less
 than d.  So P is the translation x -> x + v on A0 and x -> x - v on B0 (the
-P-property of Sankar Raj, Nonlinear Anal. 74, 2011).  `ProximalProjector`
-evaluates exactly that, on one point (`project`, which composed maps call
-on every step) and on a stack (`project_many`, for the certifiers,
-commutation and the solver companions), after checking with the bodies'
-own membership tests that each point is in its side and its translate in
-the other body.  It makes no body projection.  The nearest-point
-projection onto the opposite body, which P also is on the proximal sets,
-is kept only as the reference that `verify_projector_properties` checks
-the translation against, so a wrong v fails a check instead of raising.
+P-property of Sankar Raj, Nonlinear Anal. 74, 2011).
+`ProximalProjector.project_many` evaluates exactly that on a stack, after
+checking with the bodies' membership tests that each point is in its side
+and its translate in the other body; it makes no body projection.  The
+composition T after P is lowered to a MapSpec in which P is a shift of the
+offsets, so no map evaluates P point by point, and the solvers check a
+whole run against P's domain in one `project_many` call.  The nearest-point
+projection onto the opposite body is the reference that
+`verify_projector_properties` checks the translation against, so a wrong v
+fails a check instead of raising.
 
 Because P is an isometry between the proximal sets that swaps them, the
 composed map's certificate follows from the outer map's: for x in A0 and
@@ -42,8 +43,10 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .geometry import ProximityInstance, Side, _as_matrix
 from .mappings import (
+    MEMBER_TOL,
     ContractionCertificate,
     MapCertificate,
+    MapSpec,
     Mode,
     ModeCheck,
     certificate_of,
@@ -66,9 +69,9 @@ class ProximalProjector:
     v = b* - a* is the difference of the instance's realizing pair.  A
     point is admitted when it is a member of its side and its translate a
     member of the other body, both within DOMAIN_SLACK * tol; everything
-    else raises DomainError.  Without a given side, a point that lies in A
-    is taken as A's and any other point as B's.  `project` (and calling the
-    projector) takes one point, `project_many` an (n, dim) stack.
+    else raises DomainError, naming the point and its row.  Without a given
+    side, a point that lies in A is taken as A's and any other point as
+    B's.  `project_many` takes an (n, dim) stack, `project` one point.
     """
 
     instance: ProximityInstance
@@ -79,11 +82,11 @@ class ProximalProjector:
         object.__setattr__(self, "v", b_star - a_star)
 
     def _refuse(self, x: np.ndarray, side: Side | None, fault: str,
-                row: int | None = None) -> DomainError:
-        """The error for point x (row `row` of a stack): it is in "neither"
-        body, not in its "side", or its translate misses ("distance")."""
+                row: int) -> DomainError:
+        """The error for row `row`, point x: it is in "neither" body, not in
+        its "side", or its translate misses ("distance")."""
         window = DOMAIN_SLACK * self.instance.tol
-        where = f"point {x.tolist()}" + ("" if row is None else f" (row {row})")
+        where = f"point {x.tolist()} (row {row})"
         if fault == "neither":
             return DomainError(f"{where} is in neither body (window {window:.1e})")
         if fault == "side":
@@ -94,23 +97,9 @@ class ProximalProjector:
                            f"body by more than window {window:.1e}")
 
     def project(self, x, side: Side | None = None) -> np.ndarray:
-        """P(x) for one point, by the scalar membership tests."""
-        inst = self.instance
-        x = inst.space.check_vector(x)
-        window = DOMAIN_SLACK * inst.tol
-        if side is None:
-            if inst.A.member(x, window):
-                side = "A"
-            elif inst.B.member(x, window):
-                side = "B"
-            else:
-                raise self._refuse(x, None, "neither")
-        elif not inst.body(side).member(x, window):
-            raise self._refuse(x, side, "side")
-        image = x + self.v if side == "A" else x - self.v
-        if not inst.opposite_body(side).member(image, window):
-            raise self._refuse(x, side, "distance")
-        return image
+        """P(x) for one point: `project_many` on a one-row stack."""
+        x = self.instance.space.check_vector(x)
+        return self.project_many(x[None, :], side)[0]
 
     def project_many(self, X: np.ndarray, side: Side | None = None) -> np.ndarray:
         inst = self.instance
@@ -144,9 +133,6 @@ class ProximalProjector:
         if bad.any():
             i = int(np.argmax(bad))
             raise self._refuse(X[i], side, fault, i if rows is None else int(rows[i]))
-
-    def __call__(self, x) -> np.ndarray:
-        return self.project(x)
 
 
 @dataclass
@@ -301,65 +287,45 @@ def verify_projector_properties(projector: ProximalProjector, samples: int = 100
                            degenerate=degenerate, samples=samples)
 
 
-@dataclass(frozen=True, eq=False)
-class ComposedMap:
-    """outer applied after the proximal projection; flips the outer's mode.
+def compose_with_projector(outer) -> MapSpec:
+    """outer after P, as a MapSpec of domain "proximal", once its preconditions hold.
 
-    Lives on the proximal sets only (domain 'proximal'): iterating it only
-    makes sense from points that realize dist(A, B).  Its certificate is
-    derived from the outer map's by `compose_with_projector`.
-    """
+    With (M, c) the piece of outer that runs at b* (B's, or A's when b* is
+    within MEMBER_TOL of A, as on touching pairs), the composition is
+    M x + (c + M v) on A and outer's A piece at x - v elsewhere.  A
+    blackbox outer becomes the callable x -> outer(x +- v), the side chosen
+    by the same test.  Points are not checked against P's domain here.
 
-    outer: Any
-    projector: ProximalProjector
-    mode: Mode
-    certificate: MapCertificate
-    name: str = ""
-
-    domain = "proximal"
-
-    @property
-    def instance(self) -> ProximityInstance:
-        return self.outer.instance
-
-    @property
-    def is_affine(self) -> bool:
-        return False
-
-    def apply(self, x) -> np.ndarray:
-        return self.outer.apply(self.projector.project(x))
-
-    def apply_many(self, X: np.ndarray) -> np.ndarray:
-        return self.outer.apply_many(self.projector.project_many(X))
-
-
-def compose_with_projector(outer, projector: ProximalProjector | None = None
-                           ) -> ComposedMap:
-    """Build the map x -> outer(P(x)) after checking it is legitimate.
-
-    Requires outer to be relatively nonexpansive and to preserve the proximal
-    sets, both checked on the instance's `cross_samples` of
-    PRECONDITION_SAMPLES points per side for the seed of outer's certificate
-    (body and proximal samples respectively).  The result's certificate is
-    derived from outer's: the mode is flipped, its mode check is the
-    proximal-preservation check (outer's images of A0 and B0 are the
-    composition's images of B0 and A0), and alpha_hat is outer's, with
-    method "inherited".  That certificate is kept on outer's, and a later
-    call reuses it without checking again.  (Keeping the certificate, not
-    the composed map, keeps outer out of a reference cycle with its own
-    certificate.)
+    The preconditions, relative nonexpansiveness and preservation of the
+    proximal sets, are checked on the instance's `cross_samples` of
+    PRECONDITION_SAMPLES points per side (body and proximal samples) for the
+    seed of outer's certificate.  The composition's certificate follows from
+    outer's: the mode is flipped, its mode check is the proximal-preservation
+    check (outer's images of A0 and B0 are the composition's of B0 and A0),
+    and alpha_hat is outer's, with method "inherited".  It is kept on
+    outer's certificate and reused by later calls; keeping the certificate,
+    not the composed map, keeps outer out of a reference cycle.
     """
     inst = outer.instance
-    if projector is None:
-        projector = ProximalProjector(inst)
-    if projector.instance is not inst:
-        raise PreconditionError("projector and map belong to different instances")
     kept = certificate_of(outer)
     if kept.composition is None:
         kept.composition = _composition_certificate(outer)
-    certificate = kept.composition
-    return ComposedMap(outer=outer, projector=projector, mode=certificate.mode.mode,
-                       certificate=certificate, name=f"{outer.name or 'map'}*P")
+    v = ProximalProjector(inst).v
+    A = inst.A
+    if outer.func is not None:
+        def lowered(x):
+            return outer.apply(x + v if A.member(x, MEMBER_TOL) else x - v)
+        pieces = {"func": lowered}
+    else:
+        M, c = M_a, c_a = outer.matrix, outer.offset
+        if outer.matrix_b is not None and not A.member(inst.realizing_pair[1], MEMBER_TOL):
+            M, c = outer.matrix_b, outer.offset_b
+        pieces = {"matrix": M, "offset": c + M @ v,
+                  "matrix_b": M_a, "offset_b": c_a - M_a @ v}
+    composed = MapSpec(inst, kept.composition.mode.mode, name=f"{outer.name or 'map'}*P",
+                       domain="proximal", **pieces)
+    object.__setattr__(composed, "certificate", kept.composition)
+    return composed
 
 
 def _composition_certificate(outer) -> MapCertificate:
@@ -409,13 +375,11 @@ class CommutationReport:
         return float(self.max_deviation)
 
 
-def check_commutation(m, projector: ProximalProjector | None = None,
-                      samples: int = 1000, seed: int = 0) -> CommutationReport:
+def check_commutation(m, samples: int = 1000, seed: int = 0) -> CommutationReport:
     """Measure max ||T(Px) - P(Tx)|| over the instance's proximal
     `cross_samples(samples, seed, proximal=True)` of both sides."""
     inst = m.instance
-    if projector is None:
-        projector = ProximalProjector(inst)
+    projector = ProximalProjector(inst)
     worst = 0.0
     witness = None
     for side, pts in zip(("A", "B"), inst.cross_samples(samples, seed, proximal=True)):

@@ -8,13 +8,13 @@ first use when the map has none), record a full trace with the gap
 d(x_n, companion_n) - dist(A, B), and flag non-convergence instead of
 raising.
 
-No solver projects onto a body.  P is the translation x + v or x - v,
-with v = b* - a* (see `operators`), and every evaluation checks by
-membership that the point is in its side and its translate in the other
-body.  Inside the reductions P is evaluated one point at a time.  The
-projection iteration iterates x alone and takes every companion
-y_n = P(x_n) from one stacked evaluation after the loop, which checks the
-whole run's iterates at once.
+No solver projects onto a body or evaluates P in its loop.  P is the
+translation by v = b* - a* (see `operators`), so a map composed with P is
+a MapSpec of domain "proximal".  After its loop a run checks all its
+points against P's domain (each in its side, its translate in the other
+body) in one `ProximalProjector.project_many` call, which also gives the
+projection iteration its companions y_n = P(x_n).  A run that leaves the
+proximal sets ends in a DomainError naming the point and its row.
 """
 
 from __future__ import annotations
@@ -213,6 +213,8 @@ def picard_cyclic(m, x0, tol: float = DEFAULT_TOL,
             break
         x = x_next
         n += 1
+    if m.domain == "proximal":
+        ProximalProjector(inst).project_many(np.array([s.point for s in steps]))
     if x_star is None:
         x_star = prev_even
     residual = abs(space.distance(x_star, m.apply(x_star)) - inst.dist)
@@ -303,9 +305,11 @@ def solve_cyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
     x0 = _require_proximal_start(inst, x0)
     composed = compose_with_projector(m)
     inner = noncyclic_projection_iteration(composed, x0, tol=tol, max_iter=max_iter)
+    orb = _orbit(composed, x0, 2 * IDENTITY_TERMS)
+    # check the orbit against P's domain as the inner run checks its iterates
+    ProximalProjector(inst).project_many(np.array(orb[:-1]), "A")
     p = inner.pair[0]
     residual = abs(inst.space.distance(p, m.apply(p)) - inst.dist)
-    orb = _orbit(composed, x0, 2 * IDENTITY_TERMS)
     identity = _even_identity_deviation(orb, m, inst.space)
     return SolveResult(kind="best_proximity_point", residual=residual,
                        converged=inner.converged, trace=inner.trace,
@@ -326,16 +330,17 @@ def solve_noncyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
     _require_limits(tol, max_iter)
     _require_contraction(m, "noncyclic")
     x0 = _require_proximal_start(inst, x0)
-    projector = ProximalProjector(inst)
-    composed = compose_with_projector(m, projector)
+    composed = compose_with_projector(m)
     inner = picard_cyclic(composed, x0, tol=tol, max_iter=max_iter)
+    orb = _orbit(composed, x0, 2 * IDENTITY_TERMS + 1)
+    projector = ProximalProjector(inst)
+    projector.project_many(np.array(orb[:-1]))  # as picard_cyclic checks
     p = inner.x_star
     q = projector.project(p, "A")
     space = inst.space
     residual = max(space.distance(p, m.apply(p)),
                    space.distance(q, m.apply(q)),
                    abs(space.distance(p, q) - inst.dist))
-    orb = _orbit(composed, x0, 2 * IDENTITY_TERMS + 1)
     identity = _even_identity_deviation(orb, m, space)
     odd = np.array([orb[2 * n + 1] for n in range(IDENTITY_TERMS + 1)])
     odd_dev = float(np.max(inst.proximal_deviations(odd, "B")))

@@ -109,10 +109,9 @@ def _map_checks(built: BuiltInstance, samples: int, seed: int, flags: list) -> l
     proximal sets, so each carries `flags`.
     """
     checks = []
-    projector = ProximalProjector(built.instance)
     for name, m in built.maps.items():
         if m.mode == "noncyclic":
-            commutation = check_commutation(m, projector, samples=samples, seed=seed)
+            commutation = check_commutation(m, samples=samples, seed=seed)
             checks.append(CheckResult(
                 name=f"map-{name}-commutation",
                 tag="map-commutes-with-projection",
@@ -131,7 +130,7 @@ def _map_checks(built: BuiltInstance, samples: int, seed: int, flags: list) -> l
                               worst_deviation=float("inf"),
                               threshold=INHERITED_MODULUS_SLACK, flags=list(flags))
         try:
-            composed = compose_with_projector(m, projector)
+            composed = compose_with_projector(m)
             flipped = certify_mode(composed, seed=seed)
             inherited = composed.certificate.contraction.alpha_hat
             resampled = certify_contraction(composed, seed=seed).alpha_hat

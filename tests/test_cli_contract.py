@@ -109,11 +109,16 @@ def documents(draw):
 
     A is a ball, a box, or a polytope (a point, an axis-aligned segment or
     a triangle in the plane at p = 2); B is A moved along one axis, apart,
-    touching or overlapping.  The maps shrink towards A's center off that axis, and the
-    cyclic one first mirrors the axis between the bodies.  Where A is flat
-    along that axis they are contractions that every solver runs on; the
-    other draws (balls, triangles, overlaps, starts outside A or off its
-    proximal set) must end in one error line or a failed check.
+    touching or overlapping.  The maps are of one kind.  Affine maps shrink
+    towards A's center off that axis, and the cyclic one first mirrors the
+    axis between the bodies.  Constant-pair maps send the bodies to the
+    points a of A and b of B that face each other along the axis.
+    Sidewise-affine maps shrink towards A's center off the axis and move
+    the axis coordinate to a's or b's, so their two pieces differ.  Where
+    A is flat along the axis, or the maps are two-piece and the bodies
+    apart, they are contractions that every solver runs on; the other
+    draws (overlaps, starts outside A or off its proximal set, ...) must
+    end in one error line or a failed check.
     """
     kind = draw(st.sampled_from(["segment", "box", "point", "ball", "triangle"]))
     if kind == "triangle":
@@ -144,12 +149,29 @@ def documents(draw):
     M = np.diag([1.0 if i == g else draw(st.sampled_from([0.25, 0.5, 0.9]))
                  for i in range(dim)])
     mirror = np.eye(dim) - 2.0 * np.outer(e[g], e[g])
-    maps = [
-        {"name": "shrink", "mode": "noncyclic", "kind": "affine",
-         "matrix": M, "offset": c - M @ c},
-        {"name": "swap", "mode": "cyclic", "kind": "affine", "matrix": M @ mirror,
-         "offset": M @ ((2.0 * c[g] + shift[g]) * e[g]) + c - M @ c},
-    ]
+    # the points of A and B that face each other across the gap axis
+    a, b = c + extent * e[g], c + shift - extent * e[g]
+    map_kind = draw(st.sampled_from(["affine", "constant-pair", "sidewise-affine"]))
+    if map_kind == "affine":
+        maps = [
+            {"name": "shrink", "mode": "noncyclic", "kind": "affine",
+             "matrix": M, "offset": c - M @ c},
+            {"name": "swap", "mode": "cyclic", "kind": "affine", "matrix": M @ mirror,
+             "offset": M @ ((2.0 * c[g] + shift[g]) * e[g]) + c - M @ c},
+        ]
+    elif map_kind == "constant-pair":
+        maps = [{"name": name, "mode": mode, "kind": map_kind, "a": a, "b": b}
+                for name, mode in (("shrink", "noncyclic"), ("swap", "cyclic"))]
+    else:
+        # shrink towards A's center off the gap axis, and set the gap
+        # coordinate to that of a (own side) or b (other side)
+        flat, off = M - np.outer(e[g], e[g]), c - M @ c
+        on_a, on_b = off + a[g] * e[g], off + b[g] * e[g]
+        maps = [{"name": name, "mode": mode, "kind": map_kind,
+                 "matrix_a": flat, "offset_a": offset_a,
+                 "matrix_b": flat, "offset_b": offset_b}
+                for name, mode, offset_a, offset_b in (
+                    ("shrink", "noncyclic", on_a, on_b), ("swap", "cyclic", on_b, on_a))]
     x0 = c + draw(st.sampled_from([extent, extent, 0.0, extent + 1.0])) * e[g]
     runs = [{"name": solver, "solver": solver, "map": m, "x0": x0}
             for solver, m in (("picard", "swap"), ("project", "shrink"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from proxipair.cli import main
 from proxipair.errors import InstanceFormatError
 from proxipair.instances import (
     GENERATOR_FAMILIES,
@@ -163,6 +164,25 @@ def test_parse_reports_nonfinite_number():
     raw["tol"] = float("nan")
     with pytest.raises(InstanceFormatError, match="tol"):
         parse_instance(raw)
+
+
+def test_build_rejects_a_zero_halfspace_normal(tmp_path, capsys):
+    simplex = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    faces = [{"normal": [-1.0, 0.0, 0.0], "offset": 0.0},
+             {"normal": [0.0, -1.0, 0.0], "offset": 0.0},
+             {"normal": [0.0, 0.0, 0.0], "offset": 1.0},
+             {"normal": [1.0, 1.0, 1.0], "offset": 1.0}]
+    doc = {"name": "zero-normal", "space": {"dim": 3, "p": 2.0},
+           "bodies": {"A": {"kind": "polytope", "vertices": simplex, "halfspaces": faces},
+                      "B": {"kind": "box", "lower": [3.0, 0.0, 0.0],
+                            "upper": [4.0, 1.0, 1.0]}}}
+    with pytest.raises(InstanceFormatError, match="bodies.A: .*nonzero normal"):
+        build(parse_instance(doc))
+    path = tmp_path / "zero-normal.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "bodies.A" in err[0]
 
 
 # ------------------------------------------------- mode re-certification

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from proxipair.errors import DomainError, PreconditionError
 from proxipair.geometry import Ball, Box, LpSpace, Polytope, ProximityInstance
+from proxipair.instances import build, builtin_instance, generate_random_instance
 from proxipair.mappings import MapSpec, certify_contraction, certify_mode
 from proxipair.operators import (
     ProximalProjector,
@@ -44,31 +45,31 @@ def map_T(seg):
 def test_projector_on_segment_pair(seg):
     P = ProximalProjector(seg)
     assert_allclose(P.project([1.5, 0.0]), [1.5, 1.0], atol=1e-12)
-    assert_allclose(P([1.25, 1.0]), [1.25, 0.0], atol=1e-12)
+    assert_allclose(P.project([1.25, 1.0]), [1.25, 0.0], atol=1e-12)
 
 
 def test_projector_involution_pointwise(seg):
     P = ProximalProjector(seg)
     x = np.array([1.75, 0.0])
-    assert_allclose(P(P(x)), x, atol=1e-12)
+    assert_allclose(P.project(P.project(x)), x, atol=1e-12)
 
 
 def test_projector_on_ball_pair(balls):
     P = ProximalProjector(balls)
-    assert_allclose(P([-1.0, 0.0]), [1.0, 0.0], atol=1e-9)
+    assert_allclose(P.project([-1.0, 0.0]), [1.0, 0.0], atol=1e-9)
 
 
 def test_projector_rejects_point_off_both_bodies(seg):
     P = ProximalProjector(seg)
     with pytest.raises(DomainError):
-        P([1.5, 0.5])
+        P.project([1.5, 0.5])
 
 
 def test_projector_rejects_non_proximal_point(balls):
     # (-2, 0) is in A but its distance to B is 3, not dist = 2
     P = ProximalProjector(balls)
     with pytest.raises(DomainError) as err:
-        P([-2.0, 0.0])
+        P.project([-2.0, 0.0])
     assert "side A" in str(err.value)
 
 
@@ -227,7 +228,7 @@ def test_projector_properties_box_pair_any_p(p):
     assert report.all_hold
     assert not report.degenerate
     P = ProximalProjector(inst)
-    assert_allclose(P([1.0, 0.25]), [3.0, 0.25], atol=1e-12)
+    assert_allclose(P.project([1.0, 0.25]), [3.0, 0.25], atol=1e-12)
 
 
 def test_property_report_serializes(seg):
@@ -268,6 +269,50 @@ def test_composed_identity_equals_projector(seg, rng):
     assert_allclose(IP.apply_many(pts), P.project_many(pts, "A"), atol=1e-12)
 
 
+def _composition_cases() -> dict:
+    """Outer maps covering each way a composition is lowered: one affine
+    piece, two pieces (constant-pair and sidewise-affine), a callable, and a
+    touching pair, whose b* lies in A."""
+    segpair = build(builtin_instance("segpair"))
+    ballpair = build(builtin_instance("ballpair"))
+    boxes = build(generate_random_instance(3, dim=3, p=1.5))
+    cases = {f"{built.doc.name}-{name}": m
+             for built in (segpair, ballpair, boxes) for name, m in built.maps.items()}
+    seg = segpair.instance
+    flat = [[0.5, 0.0], [0.0, 0.0]]  # the y-coordinate comes from the offset
+    cases["sidewise-noncyclic"] = MapSpec.sidewise(seg, "noncyclic", flat, [0.5, 0.0],
+                                                   flat, [0.5, 1.0])
+    cases["sidewise-cyclic"] = MapSpec.sidewise(seg, "cyclic", flat, [0.5, 1.0],
+                                                flat, [0.5, 0.0])
+    S = map_S(seg)
+    cases["blackbox"] = MapSpec.blackbox(seg, "noncyclic", S.apply)
+    sp = LpSpace(2, 2.0)
+    touching = ProximityInstance(Box(sp, [0.0, 0.0], [1.0, 1.0]),
+                                 Box(sp, [1.0, 0.0], [2.0, 1.0]))
+    # both pieces shrink towards the shared edge x = 1 and agree on it
+    cases["touching-sidewise"] = MapSpec.sidewise(
+        touching, "noncyclic", 0.5 * np.eye(2), [0.5, 0.25],
+        np.diag([0.25, 0.5]), [0.75, 0.25])
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_composition_cases()))
+def test_composed_map_is_outer_after_the_projection(name, rng):
+    outer = _composition_cases()[name]
+    inst = outer.instance
+    composed = compose_with_projector(outer)
+    assert composed.domain == "proximal" and composed.mode != outer.mode
+    P = ProximalProjector(inst)
+    for side in ("A", "B"):
+        X = inst.sample_proximal(side, 30, rng)
+        translated = outer.apply_many(P.project_many(X))
+        nearest = outer.apply_many(
+            inst.opposite_body(side).project_many(X, inst.tol, inst.max_iter))
+        assert_allclose(translated, nearest, atol=1e-12, rtol=0)
+        assert_allclose(composed.apply_many(X), translated, atol=1e-12, rtol=0)
+        assert_allclose([composed.apply(x) for x in X], translated, atol=1e-12, rtol=0)
+
+
 def test_composed_map_inherits_certificate(seg):
     for outer in (map_S(seg), map_T(seg)):
         composed = compose_with_projector(outer)
@@ -291,21 +336,19 @@ def test_compose_rejects_expansive_map(seg):
         compose_with_projector(doubling)
 
 
-def test_compose_rejects_foreign_projector(seg, balls):
-    with pytest.raises(PreconditionError):
-        compose_with_projector(map_S(seg), ProximalProjector(balls))
-
-
 def test_composed_domain_is_proximal(balls):
     a_star, b_star = np.array([-1.0, 0.0]), np.array([1.0, 0.0])
     const = MapSpec.blackbox(
         balls, "noncyclic",
         lambda x: a_star if balls.A.member(x, 1e-7) else b_star, name="const")
     NP = compose_with_projector(const)
-    assert NP.domain == "proximal"
+    assert NP.domain == "proximal" and const.domain == "full"
     assert_allclose(NP.apply(a_star), b_star, atol=1e-9)
-    with pytest.raises(DomainError):
-        NP.apply([-2.0, 0.0])  # in A but not proximal
+    # a composed map is evaluated without P's domain check, which the
+    # solvers make on a whole run: (-2, 0) is in A but not proximal
+    assert_allclose(NP.apply([-2.0, 0.0]), b_star, atol=1e-9)
+    with pytest.raises(DomainError, match=r"\(row 0\) is in side A but does not"):
+        ProximalProjector(balls).project([-2.0, 0.0])
 
 
 # ------------------------------------------------------------- commutation

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 from proxipair.errors import DomainError, PreconditionError
 from proxipair.geometry import Ball, LpSpace, Polytope, ProximityInstance
 from proxipair.mappings import MapSpec, certificate_of, contraction_of
-from proxipair.operators import ComposedMap, compose_with_projector
+from proxipair.operators import ProximalProjector, compose_with_projector
 from proxipair.solvers import (
     DEFAULT_MAX_ITER,
     IDENTITY_TERMS,
@@ -283,9 +284,14 @@ def test_noncyclic_reduction_builds_its_orbit_once(seg, monkeypatch):
     # steps shared by the identity and odd-membership measurements
     S = map_S(seg)
     calls = []
-    real = ComposedMap.apply
-    monkeypatch.setattr(ComposedMap, "apply",
-                        lambda m, x: calls.append(1) or real(m, x))
+    real = MapSpec.apply
+
+    def counted(m, x):
+        if m.domain == "proximal":
+            calls.append(1)
+        return real(m, x)
+
+    monkeypatch.setattr(MapSpec, "apply", counted)
     picard_cyclic(compose_with_projector(S), [2.0, 0.0])
     inner = len(calls)
     calls.clear()
@@ -316,15 +322,46 @@ def test_solvers_reject_negative_max_iter(seg, max_iter):
 
 def test_reductions_raise_on_an_iterate_off_the_proximal_sets(seg):
     # P(2, 0) = (2, 1); the holed maps send it to (1.5, 0.5), which is in
-    # neither body, and the next composed step must refuse it
+    # neither body, and the domain check after the inner run must refuse
+    # it as the run's row 1.  The inner solver of the cyclic reduction
+    # checks on side A, that of the noncyclic one infers each side.
     T = with_hole(seg, "cyclic", [[0.5, 0.0], [0.0, -1.0]], [0.5, 1.0],
                   hole=[2.0, 1.0], image=[1.5, 0.5], name="T-holed")
     S = with_hole(seg, "noncyclic", [[0.5, 0.0], [0.0, 1.0]], [0.5, 0.0],
                   hole=[2.0, 1.0], image=[1.5, 0.5], name="S-holed")
-    for solve, m in ((solve_cyclic_via_reduction, T),
-                     (solve_noncyclic_via_reduction, S)):
-        with pytest.raises(DomainError, match="in neither body"):
+    for solve, m, message in (
+            (solve_cyclic_via_reduction, T, "is not in side A"),
+            (solve_noncyclic_via_reduction, S, "is in neither body")):
+        with pytest.raises(DomainError,
+                           match=re.escape(f"point [1.5, 0.5] (row 1) {message}")):
             solve(m, [2.0, 0.0])
+    # each inner solver on its own
+    for solve, m, message in (
+            (noncyclic_projection_iteration, T, "is not in side A"),
+            (picard_cyclic, S, "is in neither body")):
+        with pytest.raises(DomainError,
+                           match=re.escape(f"point [1.5, 0.5] (row 1) {message}")):
+            solve(compose_with_projector(m), [2.0, 0.0])
+
+
+def test_reductions_check_the_domain_at_a_cost_independent_of_the_run(seg,
+                                                                       monkeypatch):
+    T, S = map_T(seg), map_S(seg)
+    calls = []
+    real = ProximalProjector.project_many
+    monkeypatch.setattr(ProximalProjector, "project_many",
+                        lambda P, *a, **k: calls.append(1) or real(P, *a, **k))
+    # one check of the inner run and one of the identity orbit; the
+    # noncyclic reduction also takes its pair's companion P(p)
+    for solve, m, expected in ((solve_cyclic_via_reduction, T, 2),
+                               (solve_noncyclic_via_reduction, S, 3)):
+        counts = {}
+        for max_iter in (1, 5, DEFAULT_MAX_ITER):
+            calls.clear()
+            res = solve(m, [2.0, 0.0], max_iter=max_iter)
+            counts[res.trace.iterations_used] = len(calls)
+        assert len(counts) == 3
+        assert set(counts.values()) == {expected}, (solve.__name__, counts)
 
 
 def test_reductions_on_constant_ball_maps(balls):
