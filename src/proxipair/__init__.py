@@ -56,7 +56,6 @@ from .operators import (
 from .solvers import (
     IterationTrace,
     SolveResult,
-    TraceStep,
     noncyclic_projection_iteration,
     picard_cyclic,
     solve_cyclic_via_reduction,

@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    DomainError,
     InstanceFormatError,
     ProjectionConvergenceError,
     UnsupportedProjectionError,
@@ -590,7 +589,7 @@ class ProximityInstance:
     """A pair of convex bodies with cached separation data.
 
     The distance and a realizing pair are computed once at construction;
-    proximal membership and proximal sampling are answered against that
+    proximal deviations and proximal sampling are answered against that
     cache.  The certifiers' samples are kept too (`cross_samples`).  `tol`
     is this instance's default tolerance for membership.
     """
@@ -639,21 +638,6 @@ class ProximityInstance:
                                      axis=1)
         return np.maximum(residuals, np.abs(self.proximal_gaps(X, side)))
 
-    def proximal_membership(self, x, side: Side, slack: float = 1.0) -> bool:
-        """True when x lies in the declared side and realizes dist(A, B).
-
-        Raises DomainError when x is not even a member of the declared side.
-        The acceptance window is dist + slack*tol.
-        """
-        x = self.space.check_vector(x)
-        body = self.body(side)
-        if not body.member(x, self.tol):
-            d = self.space.distance(x, project(body, x, self.tol, self.max_iter))
-            raise DomainError(
-                f"point is not in side {side} (distance {d:.3e} exceeds tol {self.tol:.1e})")
-        gap = float(self.proximal_gaps(x[None, :], side)[0])
-        return gap <= slack * self.tol
-
     def proximalize(self, X: np.ndarray, side: Side) -> np.ndarray:
         """Drive points of `side` into its proximal set by alternating projections."""
         body = self.body(side)
@@ -669,20 +653,30 @@ class ProximityInstance:
         raise ProjectionConvergenceError(
             "proximal refinement did not converge", iterations=MAX_SWEEPS)
 
+    @functools.cached_property
+    def proximal_sets_are_points(self) -> bool:
+        """Whether A0 and B0 are the points a* and b*.  They are when a ball
+        of the pair has its centre at least radius - tol from the other body,
+        apart or touching: that body misses the ball's interior, so the ball's
+        proximal set is a convex part of its strictly convex boundary."""
+        for ball, other in ((self.A, self.B), (self.B, self.A)):
+            if isinstance(ball, Ball):
+                nearest = project(other, ball.center, self.tol, self.max_iter)
+                if self.space.distance(ball.center, nearest) >= ball.radius - self.tol:
+                    return True
+        return False
+
     def sample_proximal(self, side: Side, n: int, rng: np.random.Generator) -> np.ndarray:
         """n points of the proximal part of `side`, via alternating projections.
 
         Starts spread over the full body and runs the batched alternating
         scheme until the batch stops moving; each limit realizes dist(A, B).
-        The realizing pair's point is always included.  When A or B is a
-        ball and the bodies are apart, the proximal sets are the single
-        points a*, b*: the result is n copies of this side's point, and
-        nothing is drawn from `rng`.
+        The realizing pair's point is always included.  When the proximal
+        sets are points (`proximal_sets_are_points`), the result is n copies
+        of this side's point, and nothing is drawn from `rng`.
         """
         own = self.realizing_pair[0 if side == "A" else 1]
-        if self.dist > self.tol and any(isinstance(b, Ball) for b in (self.A, self.B)):
-            # A0, the intersection of A and B - v, is convex and (dist > 0) on A's
-            # boundary: one point if A is strictly convex. B0 = A0 + v; same for B.
+        if self.proximal_sets_are_points:
             return np.tile(own, (n, 1))
         body = self.body(side)
         X = body.sample(rng, max(n - 1, 0))

@@ -2,19 +2,22 @@
 
 Two direct solvers (Picard iteration for cyclic contractions, map-then-
 project iteration for noncyclic ones) and two reductions that route one kind
-of problem through the other by composing with the proximal projector.  All
-solvers check their preconditions against the map's certificate (made on
-first use when the map has none), record a full trace with the gap
-d(x_n, companion_n) - dist(A, B), and flag non-convergence instead of
+of problem through the other by composing with the proximal projector P.
+All solvers check their preconditions against the map's certificate (made
+on first use when the map has none) and flag non-convergence instead of
 raising.
 
-No solver projects onto a body or evaluates P in its loop.  P is the
-translation by v = b* - a* (see `operators`), so a map composed with P is
-a MapSpec of domain "proximal".  After its loop a run checks all its
-points against P's domain (each in its side, its translate in the other
-body) in one `ProximalProjector.project_many` call, which also gives the
-projection iteration its companions y_n = P(x_n).  A run that leaves the
-proximal sets ends in a DomainError naming the point and its row.
+A run is recorded as its orbit x_0, x_1, ..., stacked once into an
+(n, dim) array after the loop; the trace, its gaps, the residual, P's
+domain check and the reductions all read that array.  No solver projects
+onto a body or evaluates P in its loop: P is the translation by
+v = b* - a* (see `operators`), a map composed with P is a MapSpec of domain
+"proximal", and a run checks all its points against P's domain in one
+`ProximalProjector.project_many` call, which also gives the projection
+iteration its companions y_n = P(x_n).  A proximal start passes the same
+check; a run that leaves the proximal sets ends in a DomainError naming the
+point and its row.  A reduction's composed orbit is its inner run's,
+extended by the composed map only past it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import IO, Literal
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .geometry import ProximityInstance, Side
+from .geometry import Side
 from .mappings import (
     ContractionCertificate,
     ContractionMethod,
@@ -43,40 +46,32 @@ Kind = Literal["best_proximity_point", "best_proximity_pair"]
 
 
 @dataclass
-class TraceStep:
-    index: int
-    side: Side
-    point: np.ndarray
-    companion: np.ndarray
-    gap: float
-
-
-@dataclass
 class IterationTrace:
-    """Per-iteration record of a solver run."""
+    """The orbit of a solver run, one row per iteration: the iterates x_n
+    (`points`), their companions y_n and the gaps d(x_n, y_n) - dist(A, B).
+    Picard's companions are its next iterates, and its rows alternate
+    between A and B; the projection iteration's rows are all in A."""
 
-    steps: list[TraceStep]
+    points: np.ndarray
+    companions: np.ndarray
+    gaps: np.ndarray
     converged: bool
     iterations_used: int
     dist: float
+    alternating: bool
     predicted_iterations: int | None = None
 
-    def gaps(self) -> np.ndarray:
-        return np.array([s.gap for s in self.steps])
+    def side(self, index: int) -> Side:
+        return "B" if self.alternating and index % 2 else "A"
 
     def write_csv(self, handle: IO[str]) -> None:
-        dim = len(self.steps[0].point)
-        cols = ["index", "side"]
-        cols += [f"x{i}" for i in range(dim)]
-        cols += [f"y{i}" for i in range(dim)]
-        cols.append("gap")
+        dim = self.points.shape[1]
+        cols = ["index", "side", *(f"{c}{i}" for c in "xy" for i in range(dim)), "gap"]
         handle.write(",".join(cols) + "\n")
-        for s in self.steps:
-            row = [str(s.index), s.side]
-            row += [repr(float(v)) for v in s.point]
-            row += [repr(float(v)) for v in s.companion]
-            row.append(repr(float(s.gap)))
-            handle.write(",".join(row) + "\n")
+        rows = zip(self.points.tolist(), self.companions.tolist(), self.gaps.tolist())
+        for i, (x, y, gap) in enumerate(rows):
+            handle.write(",".join([str(i), self.side(i), *map(repr, x + y), repr(gap)])
+                         + "\n")
 
 
 @dataclass
@@ -109,7 +104,7 @@ class SolveResult:
             "alpha_hat": float(self.alpha_hat),
             "alpha_method": self.alpha_method,
             "dist": float(self.trace.dist),
-            "final_gap": float(self.trace.steps[-1].gap),
+            "final_gap": float(self.trace.gaps[-1]),
         }
         if self.x_star is not None:
             out["x_star"] = [float(v) for v in self.x_star]
@@ -145,27 +140,19 @@ def _require_contraction(m, expected_mode: str) -> ContractionCertificate:
     return cert
 
 
-def _require_start_in_A(m, x0) -> np.ndarray:
+def _require_start(m, x0, proximal: bool) -> np.ndarray:
+    """x0 as a vector, once it is a point of A, or with `proximal` a point
+    of A0: it passes P's domain check, in A and its translate in B."""
     inst = m.instance
     x0 = inst.space.check_vector(x0)
-    if m.domain == "proximal":
-        return _require_proximal_start(inst, x0)
-    if not inst.A.member(x0, inst.tol):
-        raise PreconditionError(f"start {x0.tolist()} is not a point of A")
-    return x0
-
-
-def _require_proximal_start(inst: ProximityInstance, x0) -> np.ndarray:
-    x0 = inst.space.check_vector(x0)
+    if not proximal:
+        if not inst.A.member(x0, inst.tol):
+            raise PreconditionError(f"start {x0.tolist()} is not a point of A")
+        return x0
     try:
-        ok = inst.proximal_membership(x0, "A")
+        ProximalProjector(inst).project_many(x0[None, :], "A")
     except DomainError as exc:
-        raise PreconditionError(str(exc)) from exc
-    if not ok:
-        raise PreconditionError(
-            f"start {x0.tolist()} does not realize dist(A, B); "
-            "the projection iteration needs a proximal start and never "
-            "projects the start implicitly")
+        raise PreconditionError(f"start {exc}") from exc
     return x0
 
 
@@ -185,46 +172,37 @@ def picard_cyclic(m, x0, tol: float = DEFAULT_TOL,
 
     Stops when an even iterate repeats within tol and the running gap has
     closed; the limit of the even subsequence is the best proximity point.
-    Hitting max_iter returns the best even iterate with converged=False.
+    Hitting max_iter returns the last even iterate with converged=False.
     """
     inst = m.instance
     _require_limits(tol, max_iter)
     cert = _require_contraction(m, "cyclic")
-    x = _require_start_in_A(m, x0)
+    x = _require_start(m, x0, m.domain == "proximal")
     space = inst.space
 
-    steps: list[TraceStep] = []
-    prev_even = None
-    x_star = None
-    converged = False
-    n = 0
-    while True:
-        x_next = m.apply(x)
-        gap = space.distance(x, x_next) - inst.dist
-        steps.append(TraceStep(n, "A" if n % 2 == 0 else "B", x, x_next, gap))
-        if n % 2 == 0:
-            if (prev_even is not None and space.distance(x, prev_even) < tol
-                    and abs(gap) < tol):
-                x_star = x
-                converged = True
-                break
-            prev_even = x
-        if n >= max_iter:
+    orbit = [x]
+    for n in range(max_iter + 1):
+        x, x_next = orbit[n], m.apply(orbit[n])
+        orbit.append(x_next)
+        # the even repeat first; the gap only once the repeat holds
+        converged = (n % 2 == 0 and n >= 2 and space.distance(x, orbit[n - 2]) < tol
+                     and abs(space.distance(x, x_next) - inst.dist) < tol)
+        if converged:
             break
-        x = x_next
-        n += 1
+    X = np.array(orbit)
+    points, companions = X[:-1], X[1:]
     if m.domain == "proximal":
-        ProximalProjector(inst).project_many(np.array([s.point for s in steps]))
-    if x_star is None:
-        x_star = prev_even
-    residual = abs(space.distance(x_star, m.apply(x_star)) - inst.dist)
-    trace = IterationTrace(steps=steps, converged=converged, iterations_used=n,
-                           dist=inst.dist,
+        ProximalProjector(inst).project_many(points)
+    gaps = space.norms(companions - points, axis=1) - inst.dist
+    star = n - n % 2  # the last even iterate
+    trace = IterationTrace(points=points, companions=companions, gaps=gaps,
+                           converged=converged, iterations_used=n, dist=inst.dist,
+                           alternating=True,
                            predicted_iterations=_predict_iterations(
-                               steps[0].gap, cert.alpha_hat, tol))
-    return SolveResult(kind="best_proximity_point", residual=residual,
+                               gaps[0], cert.alpha_hat, tol))
+    return SolveResult(kind="best_proximity_point", residual=abs(gaps[star]),
                        converged=converged, trace=trace, alpha_hat=cert.alpha_hat,
-                       alpha_method=cert.method, map_name=m.name, x_star=x_star)
+                       alpha_method=cert.method, map_name=m.name, x_star=points[star])
 
 
 def noncyclic_projection_iteration(m, x0, tol: float = DEFAULT_TOL,
@@ -241,51 +219,45 @@ def noncyclic_projection_iteration(m, x0, tol: float = DEFAULT_TOL,
     inst = m.instance
     _require_limits(tol, max_iter)
     cert = _require_contraction(m, "noncyclic")
-    x = _require_proximal_start(inst, x0)
+    x = _require_start(m, x0, proximal=True)
     space = inst.space
 
-    iterates = [x]
+    orbit = [x]
     converged = False
-    n = 0
-    while n < max_iter:
-        n += 1
-        x_next = m.apply(x)
-        iterates.append(x_next)
-        moved = space.distance(x_next, x)
-        x = x_next
-        if moved < tol:
-            converged = True
-            break
+    while not converged and len(orbit) <= max_iter:
+        orbit.append(m.apply(orbit[-1]))
+        converged = space.distance(orbit[-1], orbit[-2]) < tol
     # every companion, and the domain check of every iterate, in one call
-    X = np.array(iterates)
+    X = np.array(orbit)
     Y = ProximalProjector(inst).project_many(X, "A")
     gaps = space.norms(X - Y, axis=1) - inst.dist
-    steps = [TraceStep(i, "A", X[i], Y[i], float(gaps[i])) for i in range(len(X))]
     x, y = X[-1], Y[-1]
     residual = max(space.distance(x, m.apply(x)),
                    space.distance(y, m.apply(y)),
                    abs(space.distance(x, y) - inst.dist))
-    trace = IterationTrace(steps=steps, converged=converged, iterations_used=n,
-                           dist=inst.dist,
+    trace = IterationTrace(points=X, companions=Y, gaps=gaps, converged=converged,
+                           iterations_used=len(X) - 1, dist=inst.dist, alternating=False,
                            predicted_iterations=_predict_iterations(
-                               space.distance(steps[0].point, m.apply(steps[0].point)),
+                               space.distance(X[0], m.apply(X[0])),
                                cert.alpha_hat, tol))
     return SolveResult(kind="best_proximity_pair", residual=residual,
                        converged=converged, trace=trace, alpha_hat=cert.alpha_hat,
                        alpha_method=cert.method, map_name=m.name, pair=(x, y))
 
 
-def _orbit(m, x0: np.ndarray, count: int) -> list[np.ndarray]:
-    pts = [np.asarray(x0, dtype=float)]
-    for _ in range(count):
+def _orbit(m, head: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` points of the orbit under m that begins with the
+    rows of `head`, applying m only past them."""
+    pts = list(head[:count])
+    while len(pts) < count:
         pts.append(m.apply(pts[-1]))
-    return pts
+    return np.array(pts)
 
 
-def _even_identity_deviation(composed_orbit: list[np.ndarray], outer, space) -> float:
+def _even_identity_deviation(composed_orbit: np.ndarray, outer, space) -> float:
     """Max over n <= IDENTITY_TERMS of d(composed^2n x0, outer^2n x0), where
     composed_orbit is the composition's orbit from x0 = composed_orbit[0]."""
-    outer_orbit = _orbit(outer, composed_orbit[0], 2 * IDENTITY_TERMS)
+    outer_orbit = _orbit(outer, composed_orbit[:1], 2 * IDENTITY_TERMS + 1)
     devs = [space.distance(composed_orbit[2 * n], outer_orbit[2 * n])
             for n in range(1, IDENTITY_TERMS + 1)]
     return float(max(devs))
@@ -297,17 +269,17 @@ def solve_cyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
 
     The composition is noncyclic; the A-side of its best proximity pair is
     the best proximity point of m.  Records the deviation of the even-orbit
-    identity (composition iterated 2n times vs m iterated 2n times).
+    identity (composition iterated 2n times vs m iterated 2n times); the
+    composition's orbit is the inner run's iterates, extended past them.
     """
     inst = m.instance
     _require_limits(tol, max_iter)
     _require_contraction(m, "cyclic")
-    x0 = _require_proximal_start(inst, x0)
     composed = compose_with_projector(m)
     inner = noncyclic_projection_iteration(composed, x0, tol=tol, max_iter=max_iter)
-    orb = _orbit(composed, x0, 2 * IDENTITY_TERMS)
+    orb = _orbit(composed, inner.trace.points, 2 * IDENTITY_TERMS + 1)
     # check the orbit against P's domain as the inner run checks its iterates
-    ProximalProjector(inst).project_many(np.array(orb[:-1]), "A")
+    ProximalProjector(inst).project_many(orb[:-1], "A")
     p = inner.pair[0]
     residual = abs(inst.space.distance(p, m.apply(p)) - inst.dist)
     identity = _even_identity_deviation(orb, m, inst.space)
@@ -324,17 +296,19 @@ def solve_noncyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
     The composition is cyclic, so its even Picard iterates converge to a
     point p of A0; (p, P(p)) is the best proximity pair of m.  Records the
     even-orbit identity deviation and how far the odd iterates of the
-    composition stray from the proximal part of B.
+    composition stray from the proximal part of B; the composition's orbit
+    is the inner run's iterates and last companion, extended past them.
     """
     inst = m.instance
     _require_limits(tol, max_iter)
     _require_contraction(m, "noncyclic")
-    x0 = _require_proximal_start(inst, x0)
     composed = compose_with_projector(m)
     inner = picard_cyclic(composed, x0, tol=tol, max_iter=max_iter)
-    orb = _orbit(composed, x0, 2 * IDENTITY_TERMS + 1)
+    trace = inner.trace
+    orb = _orbit(composed, np.vstack([trace.points, trace.companions[-1:]]),
+                 2 * IDENTITY_TERMS + 2)
     projector = ProximalProjector(inst)
-    projector.project_many(np.array(orb[:-1]))  # as picard_cyclic checks
+    projector.project_many(orb[:-1])  # as picard_cyclic checks
     p = inner.x_star
     q = projector.project(p, "A")
     space = inst.space
@@ -342,10 +316,9 @@ def solve_noncyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
                    space.distance(q, m.apply(q)),
                    abs(space.distance(p, q) - inst.dist))
     identity = _even_identity_deviation(orb, m, space)
-    odd = np.array([orb[2 * n + 1] for n in range(IDENTITY_TERMS + 1)])
-    odd_dev = float(np.max(inst.proximal_deviations(odd, "B")))
+    odd_dev = float(np.max(inst.proximal_deviations(orb[1::2], "B")))
     return SolveResult(kind="best_proximity_pair", residual=residual,
-                       converged=inner.converged, trace=inner.trace,
+                       converged=inner.converged, trace=trace,
                        alpha_hat=inner.alpha_hat, alpha_method=inner.alpha_method,
                        map_name=m.name, pair=(p, q), identity_deviation=identity,
                        odd_membership_deviation=odd_dev)

@@ -148,17 +148,24 @@ def _map_checks(built: BuiltInstance, samples: int, seed: int, flags: list) -> l
     return checks
 
 
-def _run_checks(built: BuiltInstance) -> list:
+def _outcome(built: BuiltInstance, run_name: str, x0=None):
+    """The run's SolveResult, or the error it raised."""
+    try:
+        return built.run(run_name, x0=x0)
+    except ProxipairError as exc:
+        return exc
+
+
+def _run_checks(built: BuiltInstance, outcomes: dict) -> list:
+    """The checks of each declared run, from its outcome."""
     checks = []
     residual_threshold = built.doc.tol * 10.0
-    for run_name in built.runs:
-        try:
-            result = built.run(run_name)
-        except ProxipairError as exc:
+    for run_name, result in outcomes.items():
+        if isinstance(result, ProxipairError):
             checks.append(CheckResult(
                 name=f"run-{run_name}-converges", tag="solver-run-converges",
                 passed=False, worst_deviation=float("inf"),
-                threshold=residual_threshold, details=str(exc)))
+                threshold=residual_threshold, details=str(result)))
             continue
         checks.append(CheckResult(
             name=f"run-{run_name}-converges",
@@ -170,7 +177,7 @@ def _run_checks(built: BuiltInstance) -> list:
                     f"alpha_hat={result.alpha_hat:.4f}"))
 
         alpha = result.alpha_hat
-        gaps = result.trace.gaps()
+        gaps = result.trace.gaps
         excess = gaps[1:] - (alpha * gaps[:-1] + GAP_DECAY_SLACK)
         worst = float(np.max(excess)) if len(excess) else 0.0
         # a trace whose gaps all stay within the slack of 0 cannot fail
@@ -204,24 +211,25 @@ def _run_checks(built: BuiltInstance) -> list:
     return checks
 
 
-def _uniqueness_checks(built: BuiltInstance, seed: int, flags: list) -> list:
+def _uniqueness_checks(built: BuiltInstance, seed: int, flags: list,
+                       outcomes: dict) -> list:
+    """Each direct run from UNIQUENESS_STARTS - 1 sampled proximal starts and
+    its declared start, whose outcome `outcomes` already holds."""
     checks = []
     inst = built.instance
     rng = np.random.default_rng(seed)
-    direct = {name: spec for name, spec in built.runs.items()
-              if spec["solver"] in ("picard", "project")}
-    for run_name, spec in direct.items():
-        starts = list(inst.sample_proximal("A", UNIQUENESS_STARTS - 1, rng))
-        starts.append(np.asarray(spec["x0"], dtype=float))
+    direct = [name for name, spec in built.runs.items()
+              if spec["solver"] in ("picard", "project")]
+    for run_name in direct:
+        starts = inst.sample_proximal("A", UNIQUENESS_STARTS - 1, rng)
         solutions = []
         details = ""
         passed = True
         worst = 0.0
-        for x0 in starts:
-            try:
-                result = built.run(run_name, x0=x0)
-            except ProxipairError as exc:
-                passed, worst, details = False, float("inf"), str(exc)
+        for x0 in [*starts, None]:
+            result = outcomes[run_name] if x0 is None else _outcome(built, run_name, x0)
+            if isinstance(result, ProxipairError):
+                passed, worst, details = False, float("inf"), str(result)
                 break
             solutions.append(result.x_star if result.x_star is not None
                              else result.pair[0])
@@ -229,7 +237,7 @@ def _uniqueness_checks(built: BuiltInstance, seed: int, flags: list) -> list:
             pts = np.array(solutions)
             worst = float(np.max(inst.space.norms(pts - pts[0], axis=1)))
             passed = worst <= UNIQUENESS_THRESHOLD
-            details = f"{len(starts)} starts sampled from the proximal part of A"
+            details = f"{UNIQUENESS_STARTS} starts sampled from the proximal part of A"
         checks.append(CheckResult(
             name=f"run-{run_name}-uniqueness",
             tag="limit-independent-of-start",
@@ -256,6 +264,8 @@ def run_verification(built: BuiltInstance, samples: int = 1000,
     flags = ["degenerate"] if report.degenerate else []
     checks = _projector_checks(report, flags)
     checks.extend(_map_checks(built, samples, seed, flags))
-    checks.extend(_run_checks(built))
-    checks.extend(_uniqueness_checks(built, seed, flags))
+    # each declared run is made once; the uniqueness checks reuse its outcome
+    outcomes = {name: _outcome(built, name) for name in built.runs}
+    checks.extend(_run_checks(built, outcomes))
+    checks.extend(_uniqueness_checks(built, seed, flags, outcomes))
     return VerificationReport(instance_name=built.doc.name, checks=checks)

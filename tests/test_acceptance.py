@@ -78,10 +78,8 @@ def test_criterion_01_picard_cyclic_closed_form(segpair):
     elapsed, res = _timed_best(
         lambda: picard_cyclic(T, [2.0, 0.0]))
     assert res.converged
-    for step in res.trace.steps:
-        if step.index % 2 == 0 and step.index <= 30:
-            n = step.index // 2
-            assert_allclose(step.point, [1.0 + 4.0 ** -n, 0.0], atol=1e-9)
+    for n, point in enumerate(res.trace.points[0:31:2]):
+        assert_allclose(point, [1.0 + 4.0 ** -n, 0.0], atol=1e-9)
     assert res.residual <= 1e-9
     assert elapsed < 0.010, f"{elapsed * 1000:.2f} ms"
     _report(1, f"even iterates match (1+4^-n, 0); residual {res.residual:.1e}; "
@@ -94,10 +92,9 @@ def test_criterion_02_noncyclic_pair_closed_form(segpair):
     elapsed, res = _timed_best(
         lambda: noncyclic_projection_iteration(S, [2.0, 0.0]))
     assert res.converged
-    for step in res.trace.steps:
-        n = step.index
-        assert_allclose(step.point, [1.0 + 2.0 ** -n, 0.0], atol=1e-9)
-        assert_allclose(step.companion, [1.0 + 2.0 ** -n, 1.0], atol=1e-9)
+    for n, (point, companion) in enumerate(zip(res.trace.points, res.trace.companions)):
+        assert_allclose(point, [1.0 + 2.0 ** -n, 0.0], atol=1e-9)
+        assert_allclose(companion, [1.0 + 2.0 ** -n, 1.0], atol=1e-9)
     assert res.residual <= 1e-9
     assert elapsed < 0.010, f"{elapsed * 1000:.2f} ms"
     _report(2, f"orbit matches ((1+2^-n,0),(1+2^-n,1)); residual "
@@ -217,7 +214,7 @@ def test_criterion_09_gap_decay(segpair, ballpair, generated):
             if not cert:
                 continue
             result = built.run(run_name)
-            gaps = result.trace.gaps()
+            gaps = result.trace.gaps
             excess = gaps[1:] - (cert.alpha_hat * gaps[:-1] + 1e-9)
             assert np.all(excess <= 0.0), (built.doc.name, run_name)
             runs += 1

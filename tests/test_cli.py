@@ -10,6 +10,7 @@ from proxipair.cli import main
 from proxipair.errors import InstanceFormatError
 from proxipair.geometry import Ball, ProximityInstance
 from proxipair.instances import (
+    BuiltInstance,
     builtin_instance,
     generate_random_instance,
     parse_instance,
@@ -182,6 +183,45 @@ def test_solve_balls_draws_each_sample_once(tmp_path, monkeypatch):
     monkeypatch.setattr(ProximityInstance, "proximalize", proximalize)
     assert run_cli("solve", str(path), "--out", str(tmp_path)) == 0
     assert calls == {"Ball.sample": 6}
+
+
+def test_touching_balls_solve_and_verify(tmp_path, capsys):
+    # radius-2 balls at p = 3 touching at (4, 2): A0 and B0 are that one
+    # point, so proximal samples are its copies
+    doc = {"name": "touching", "space": {"dim": 2, "p": 3.0},
+           "bodies": {"A": {"kind": "ball", "center": [2.0, 2.0], "radius": 2.0},
+                      "B": {"kind": "ball", "center": [6.0, 2.0], "radius": 2.0}},
+           "maps": [{"name": "T", "mode": "cyclic", "kind": "affine",
+                     "matrix": [[-0.5, 0.0], [0.0, 0.5]], "offset": [6.0, 1.0]},
+                    {"name": "S", "mode": "noncyclic", "kind": "affine",
+                     "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [2.0, 1.0]}],
+           "runs": [{"name": "picard", "solver": "picard", "map": "T", "x0": [2.0, 2.0]},
+                    {"name": "project", "solver": "project", "map": "S",
+                     "x0": [4.0, 2.0]},
+                    {"name": "reduce-cyclic", "solver": "reduce-cyclic", "map": "T",
+                     "x0": [4.0, 2.0]},
+                    {"name": "reduce-noncyclic", "solver": "reduce-noncyclic",
+                     "map": "S", "x0": [4.0, 2.0]}],
+           "tol": 1e-9, "metadata": {}}
+    path = tmp_path / "touching.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("solve", str(path), "--out", str(tmp_path)) == 0
+    assert run_cli("verify", str(path), "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().err == ""
+    for run in ("picard", "reduce-cyclic"):
+        summary = json.loads((tmp_path / f"touching-{run}.summary.json").read_text())
+        np.testing.assert_allclose(summary["x_star"], [4.0, 2.0], atol=1e-6)
+
+
+def test_verify_makes_each_declared_run_once(tmp_path, monkeypatch):
+    # segpair declares 4 runs, 2 of them direct; each direct run's
+    # uniqueness check adds 4 sampled starts to its declared one
+    calls = []
+    real = BuiltInstance.run
+    monkeypatch.setattr(BuiltInstance, "run",
+                        lambda built, *a, **k: calls.append(1) or real(built, *a, **k))
+    assert run_cli("verify", "segpair", "--out", str(tmp_path)) == 0
+    assert len(calls) == 12
 
 
 def test_env_overrides_out_flag(tmp_path, monkeypatch):

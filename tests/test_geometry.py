@@ -566,26 +566,6 @@ def test_instance_caches_distance():
     assert_allclose(inst.space.norm(a - b), inst.dist, atol=1e-9)
 
 
-def test_proximal_membership_segment_pair():
-    inst = seg_instance()
-    assert inst.proximal_membership([1.5, 0.0], "A")
-    assert inst.proximal_membership([2.0, 0.0], "A")
-    assert inst.proximal_membership([1.0, 1.0], "B")
-
-
-def test_proximal_membership_ball_pair():
-    inst = ball_instance()
-    assert inst.proximal_membership([-1.0, 0.0], "A", slack=100.0)
-    # boundary point of A that does not realize the distance
-    assert not inst.proximal_membership([-3.0, 0.0], "A")
-
-
-def test_proximal_membership_outside_side_raises():
-    inst = seg_instance()
-    with pytest.raises(DomainError):
-        inst.proximal_membership([1.5, 0.5], "A")
-
-
 def test_sample_proximal_segment_pair(rng):
     inst = seg_instance()
     xs = inst.sample_proximal("A", 64, rng)
@@ -600,6 +580,19 @@ def test_sample_proximal_ball_pair_collapses(rng):
     inst = ball_instance()
     xs = inst.sample_proximal("A", 32, rng)
     assert_allclose(xs, np.tile([-1.0, 0.0], (32, 1)), atol=1e-6)
+
+
+@pytest.mark.parametrize("centre, points", [(7.0, True), (6.0, True), (5.0, False)])
+def test_proximal_sets_are_points_when_a_ball_is_apart_or_touching(centre, points,
+                                                                    rng):
+    # radius-2 balls at p = 3: apart, touching at (4, 2), and overlapping,
+    # where A and B share interior points
+    sp = LpSpace(2, 3.0)
+    inst = ProximityInstance(Ball(sp, [2.0, 2.0], 2.0), Ball(sp, [centre, 2.0], 2.0))
+    assert inst.proximal_sets_are_points is points
+    if points:
+        a_star = inst.realizing_pair[0]
+        assert_array_equal(inst.sample_proximal("A", 5, rng), np.tile(a_star, (5, 1)))
 
 
 @pytest.mark.parametrize("B_is_a_ball", [True, False])

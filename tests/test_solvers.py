@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from proxipair.errors import DomainError, PreconditionError
 from proxipair.geometry import Ball, LpSpace, Polytope, ProximityInstance
@@ -79,32 +79,30 @@ def test_picard_orbit_matches_hand_recursion(seg):
     # unrolling the affine recursion by hand
     res = picard_cyclic(map_T(seg), [2.0, 0.0])
     assert res.converged
-    for step in res.trace.steps:
-        expected = np.array([1.0 + 2.0 ** -step.index, step.index % 2])
-        assert_allclose(step.point, expected, atol=1e-12)
+    for k, point in enumerate(res.trace.points):
+        assert_allclose(point, [1.0 + 2.0 ** -k, k % 2], atol=1e-12)
     assert_allclose(res.x_star, [1.0, 0.0], atol=1e-9)
     assert res.residual <= 1e-9
 
 
 def test_picard_companions_are_next_iterates(seg):
     res = picard_cyclic(map_T(seg), [2.0, 0.0])
-    steps = res.trace.steps
-    for prev, cur in zip(steps, steps[1:]):
-        assert_allclose(prev.companion, cur.point, atol=0)
+    trace = res.trace
+    assert_array_equal(trace.companions[:-1], trace.points[1:])
+    assert_array_equal(trace.companions[-1], map_T(seg).apply(trace.points[-1]))
 
 
 def test_picard_alternates_sides(seg):
     res = picard_cyclic(map_T(seg), [2.0, 0.0])
-    for step in res.trace.steps:
-        body = seg.A if step.index % 2 == 0 else seg.B
-        assert step.side == ("A" if step.index % 2 == 0 else "B")
-        assert body.member(step.point, 1e-9)
+    for k, point in enumerate(res.trace.points):
+        assert res.trace.side(k) == ("A" if k % 2 == 0 else "B")
+        assert seg.body(res.trace.side(k)).member(point, 1e-9)
 
 
 def test_picard_gap_decays_at_certified_rate(seg):
     T = map_T(seg)
     res = picard_cyclic(T, [2.0, 0.0])
-    gaps = res.trace.gaps()
+    gaps = res.trace.gaps
     assert gaps[0] == pytest.approx(math.sqrt(1.25) - 1.0, abs=1e-12)
     for prev, cur in zip(gaps, gaps[1:]):
         assert cur <= res.alpha_hat * prev + 1e-9
@@ -113,8 +111,8 @@ def test_picard_gap_decays_at_certified_rate(seg):
 def test_picard_prediction_bounds_gap_closure(seg):
     res = picard_cyclic(map_T(seg), [2.0, 0.0])
     pred = res.trace.predicted_iterations
-    assert 0 < pred < len(res.trace.steps)
-    assert res.trace.gaps()[pred] <= 1e-9
+    assert 0 < pred < len(res.trace.points)
+    assert res.trace.gaps[pred] <= 1e-9
 
 
 def test_picard_trivial_start_stops_immediately(seg):
@@ -172,10 +170,11 @@ def test_noncyclic_orbit_matches_hand_recursion(seg):
     # x_n = (1 + 2**-n, 0) with companion directly above it
     res = noncyclic_projection_iteration(map_S(seg), [2.0, 0.0])
     assert res.converged
-    for step in res.trace.steps:
-        assert step.side == "A"
-        assert_allclose(step.point, [1.0 + 2.0 ** -step.index, 0.0], atol=1e-12)
-        assert_allclose(step.companion, [1.0 + 2.0 ** -step.index, 1.0], atol=1e-9)
+    trace = res.trace
+    for k, (point, companion) in enumerate(zip(trace.points, trace.companions)):
+        assert trace.side(k) == "A"
+        assert_allclose(point, [1.0 + 2.0 ** -k, 0.0], atol=1e-12)
+        assert_allclose(companion, [1.0 + 2.0 ** -k, 1.0], atol=1e-9)
     p, q = res.pair
     assert_allclose(p, [1.0, 0.0], atol=1e-9)
     assert_allclose(q, [1.0, 1.0], atol=1e-9)
@@ -193,7 +192,7 @@ def test_noncyclic_pair_is_fixed_by_map(seg):
 
 def test_noncyclic_gaps_stay_closed(seg):
     res = noncyclic_projection_iteration(map_S(seg), [2.0, 0.0])
-    assert np.max(np.abs(res.trace.gaps())) <= 1e-9
+    assert np.max(np.abs(res.trace.gaps)) <= 1e-9
 
 
 def test_noncyclic_trivial_start_stops_immediately(seg):
@@ -226,16 +225,13 @@ def test_noncyclic_companions_cost_the_same_whatever_the_run_length(seg, monkeyp
     real = Polytope.project_many
     monkeypatch.setattr(Polytope, "project_many",
                         lambda body, *a, **k: calls.append(1) or real(body, *a, **k))
-    seg.proximal_membership([2.0, 0.0], "A")
-    start_check = len(calls)
     counts = {}
     for max_iter in (1, 5, DEFAULT_MAX_ITER):
         calls.clear()
         res = noncyclic_projection_iteration(S, [2.0, 0.0], max_iter=max_iter)
-        counts[res.trace.iterations_used] = len(calls) - start_check
-    # the start's proximal check projects once; the loop and the
-    # companions, however many, make no body projection
-    assert start_check == 1
+        counts[res.trace.iterations_used] = len(calls)
+    # the start test, the loop and the companions, however many, make no
+    # body projection
     assert counts == {1: 0, 5: 0, 30: 0}
 
 
@@ -253,6 +249,51 @@ def test_noncyclic_constant_map_on_balls(balls):
     assert res.converged
     assert_allclose(res.pair[0], [-1.0, 0.0], atol=1e-9)
     assert_allclose(res.pair[1], [1.0, 0.0], atol=1e-9)
+
+
+# ------------------------------------------------------------ start test
+
+
+def test_proximal_start_on_segment_pair(seg):
+    S = map_S(seg)
+    for x0 in ([1.5, 0.0], [2.0, 0.0]):
+        assert noncyclic_projection_iteration(S, x0).converged
+
+
+def test_proximal_start_on_ball_pair(balls):
+    _, non = const_maps(balls)
+    assert noncyclic_projection_iteration(non, [-1.0, 0.0]).converged
+    # a boundary point of A that does not realize the distance
+    with pytest.raises(PreconditionError, match="does not realize dist"):
+        noncyclic_projection_iteration(non, [-3.0, 0.0])
+
+
+def test_proximal_start_off_its_side_is_one_line_naming_it(seg):
+    with pytest.raises(PreconditionError) as info:
+        noncyclic_projection_iteration(map_S(seg), [1.5, 0.5])
+    message = str(info.value)
+    assert "\n" not in message
+    assert message.startswith("start point [1.5, 0.5] (row 0) is not in side A")
+
+
+@pytest.mark.parametrize("x0", [[1.0, 0.0], [1.5, 0.0], [2.0, 0.0],
+                                [2.0 + 5e-10, 0.0], [1.25, -5e-10]])
+def test_a_start_that_P_accepts_is_accepted_by_every_solver(seg, x0):
+    ProximalProjector(seg).project(x0, "A")
+    T, S = map_T(seg), map_S(seg)
+    for solve, m in ((picard_cyclic, T), (noncyclic_projection_iteration, S),
+                     (solve_cyclic_via_reduction, T), (solve_noncyclic_via_reduction, S)):
+        assert_array_equal(solve(m, x0).trace.points[0], x0)
+
+
+def test_a_start_that_P_refuses_is_refused_by_every_proximal_solver(seg):
+    T, S = map_T(seg), map_S(seg)
+    with pytest.raises(DomainError):
+        ProximalProjector(seg).project([2.0 + 1e-7, 0.0], "A")
+    for solve, m in ((noncyclic_projection_iteration, S),
+                     (solve_cyclic_via_reduction, T), (solve_noncyclic_via_reduction, S)):
+        with pytest.raises(PreconditionError, match="not in side A"):
+            solve(m, [2.0 + 1e-7, 0.0])
 
 
 # ----------------------------------------------------------- reductions
@@ -279,10 +320,7 @@ def test_noncyclic_reduction_matches_direct_solver(seg):
     assert reduced.odd_membership_deviation <= 1e-8
 
 
-def test_noncyclic_reduction_builds_its_orbit_once(seg, monkeypatch):
-    # the inner Picard run, then one composed orbit of 2 * IDENTITY_TERMS + 1
-    # steps shared by the identity and odd-membership measurements
-    S = map_S(seg)
+def count_composed_applies(monkeypatch) -> list:
     calls = []
     real = MapSpec.apply
 
@@ -292,11 +330,43 @@ def test_noncyclic_reduction_builds_its_orbit_once(seg, monkeypatch):
         return real(m, x)
 
     monkeypatch.setattr(MapSpec, "apply", counted)
-    picard_cyclic(compose_with_projector(S), [2.0, 0.0])
-    inner = len(calls)
+    return calls
+
+
+def test_noncyclic_reduction_builds_its_orbit_once(seg, monkeypatch):
+    # the inner Picard run's orbit (its 33 points and last companion),
+    # extended to 2 * IDENTITY_TERMS + 2 points, is the one composed orbit
+    # that the identity and odd-membership measurements read
+    S = map_S(seg)
+    calls = count_composed_applies(monkeypatch)
+    inner = picard_cyclic(compose_with_projector(S), [2.0, 0.0])
+    assert len(inner.trace.points) == 33
+    applied = len(calls)
     calls.clear()
     solve_noncyclic_via_reduction(S, [2.0, 0.0])
-    assert len(calls) == inner + 2 * IDENTITY_TERMS + 1
+    assert len(calls) == applied + 2 * IDENTITY_TERMS + 2 - 34
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 5, 17, DEFAULT_MAX_ITER])
+def test_reductions_apply_the_composed_map_only_past_the_inner_orbit(seg, monkeypatch,
+                                                                     max_iter):
+    # the cyclic reduction reads 2 * IDENTITY_TERMS + 1 composed iterates,
+    # the noncyclic one 2 * IDENTITY_TERMS + 2; each extends the inner
+    # run's orbit (Picard's points and its last companion) to that length
+    T, S = map_T(seg), map_S(seg)
+    calls = count_composed_applies(monkeypatch)
+    for reduce, inner_solve, m, needed in (
+            (solve_cyclic_via_reduction, noncyclic_projection_iteration, T,
+             2 * IDENTITY_TERMS + 1),
+            (solve_noncyclic_via_reduction, picard_cyclic, S,
+             2 * IDENTITY_TERMS + 2)):
+        calls.clear()
+        inner = inner_solve(compose_with_projector(m), [2.0, 0.0], max_iter=max_iter)
+        applied = len(calls)
+        orbit = len(inner.trace.points) + (inner_solve is picard_cyclic)
+        calls.clear()
+        reduce(m, [2.0, 0.0], max_iter=max_iter)
+        assert len(calls) == applied + max(needed - orbit, 0), reduce.__name__
 
 
 def test_reductions_report_the_inherited_modulus(seg):
@@ -351,10 +421,11 @@ def test_reductions_check_the_domain_at_a_cost_independent_of_the_run(seg,
     real = ProximalProjector.project_many
     monkeypatch.setattr(ProximalProjector, "project_many",
                         lambda P, *a, **k: calls.append(1) or real(P, *a, **k))
-    # one check of the inner run and one of the identity orbit; the
-    # noncyclic reduction also takes its pair's companion P(p)
-    for solve, m, expected in ((solve_cyclic_via_reduction, T, 2),
-                               (solve_noncyclic_via_reduction, S, 3)):
+    # the inner run's start test and its check, and one check of the
+    # identity orbit; the noncyclic reduction also takes its pair's
+    # companion P(p)
+    for solve, m, expected in ((solve_cyclic_via_reduction, T, 3),
+                               (solve_noncyclic_via_reduction, S, 4)):
         counts = {}
         for max_iter in (1, 5, DEFAULT_MAX_ITER):
             calls.clear()
@@ -406,7 +477,7 @@ def test_trace_csv_header_and_determinism(seg):
     assert first.getvalue() == second.getvalue()
     lines = first.getvalue().splitlines()
     assert lines[0] == "index,side,x0,x1,y0,y1,gap"
-    assert len(lines) == len(res.trace.steps) + 1
+    assert len(lines) == len(res.trace.points) + 1
     cells = lines[1].split(",")
     assert cells[0] == "0" and cells[1] == "A"
     assert [float(c) for c in cells[2:6]] == [2.0, 0.0, 1.5, 1.0]
@@ -417,13 +488,14 @@ def test_trace_csv_roundtrips_exactly(seg):
     buf = io.StringIO()
     res.trace.write_csv(buf)
     rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
-    for row, step in zip(rows, res.trace.steps):
-        assert int(row[0]) == step.index
-        assert row[1] == step.side
-        assert [float(v) for v in row[2:4]] == list(step.point)
-        assert [float(v) for v in row[4:6]] == list(step.companion)
-        assert float(row[6]) == step.gap
-    assert len(rows) == len(res.trace.steps)
+    trace = res.trace
+    for k, row in enumerate(rows):
+        assert int(row[0]) == k
+        assert row[1] == trace.side(k)
+        assert [float(v) for v in row[2:4]] == list(trace.points[k])
+        assert [float(v) for v in row[4:6]] == list(trace.companions[k])
+        assert float(row[6]) == trace.gaps[k]
+    assert len(rows) == len(trace.points)
 
 
 def test_summary_is_json_ready(seg):

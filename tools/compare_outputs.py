@@ -1,0 +1,189 @@
+"""Compare the outputs of two source trees of proxipair, call by call.
+
+    python3 tools/compare_outputs.py PARENT_TREE CHANGE_TREE
+
+Runs `proxipair solve` and `proxipair verify` on the builtins `segpair`
+and `ballpair` and on the instance documents of seeds 1 and 2 of every
+workload in `perfbench/inputs.py`, once against each tree's `src`, in a
+subprocess per tree.  Then it reports whether the exit codes are equal,
+how many output files are byte-identical, every key, flag, integer or
+string that differs (in the JSON outputs, the CSV traces and the printed
+lines), and the worst absolute difference between floats.
+
+Exits 0 when the exit codes and every non-float value are equal and no
+float differs by more than FLOAT_BOUND; 1 otherwise.  This script imports
+`perfbench/inputs.py` only, never the program itself.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import inputs  # noqa: E402
+
+SEEDS = (1, 2)
+BUILTINS = ("segpair", "ballpair")
+FLOAT_BOUND = 1e-12
+SHOWN = 20  # non-float differences listed in full
+
+# Runs in the subprocess: each call of `cli.main`, its exit code and its
+# printed lines, with its own output directory.
+RUNNER = """
+import contextlib, io, json, sys
+from proxipair import cli
+calls, out = json.loads(sys.argv[1]), sys.argv[2]
+results = []
+for i, (command, ref) in enumerate(calls):
+    directory = f"{out}/{i:03d}"
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = cli.main([command, ref, "--out", directory])
+    results.append([code, sink.getvalue().replace(directory, "<out>")])
+print(json.dumps(results))
+"""
+
+NUMBER = re.compile(r"(-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|-?inf|nan)")
+
+
+class Report:
+    def __init__(self):
+        self.other: list[str] = []
+        self.worst = 0.0
+        self.worst_at = ""
+
+    def floats(self, where: str, a: float, b: float) -> None:
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return
+        diff = abs(a - b)
+        if not math.isfinite(diff):
+            diff = math.inf
+        if diff > self.worst:
+            self.worst, self.worst_at = diff, where
+
+    def values(self, where: str, a, b) -> None:
+        """JSON values: floats by difference, everything else exactly."""
+        if isinstance(a, dict) and isinstance(b, dict):
+            if a.keys() != b.keys():
+                self.other.append(f"{where}: keys differ: {sorted(a.keys() ^ b.keys())}")
+            for key in sorted(a.keys() & b.keys()):
+                self.values(f"{where}.{key}", a[key], b[key])
+        elif isinstance(a, list) and isinstance(b, list):
+            if len(a) != len(b):
+                self.other.append(f"{where}: length {len(a)} != {len(b)}")
+            for i, (x, y) in enumerate(zip(a, b)):
+                self.values(f"{where}[{i}]", x, y)
+        elif type(a) is float and type(b) is float:
+            self.floats(where, a, b)
+        elif type(a) is not type(b) or a != b:
+            self.other.append(f"{where}: {a!r} != {b!r}")
+
+    def text(self, where: str, a: str, b: str) -> None:
+        """Text line by line: numbers with a point or an exponent as floats,
+        every other piece exactly."""
+        lines_a, lines_b = a.splitlines(), b.splitlines()
+        if len(lines_a) != len(lines_b):
+            self.other.append(f"{where}: {len(lines_a)} lines != {len(lines_b)}")
+        for n, (x, y) in enumerate(zip(lines_a, lines_b), 1):
+            parts_x, parts_y = NUMBER.split(x), NUMBER.split(y)
+            if len(parts_x) != len(parts_y):
+                self.other.append(f"{where}:{n}: {x!r} != {y!r}")
+                continue
+            for i, (u, v) in enumerate(zip(parts_x, parts_y)):
+                if i % 2 and _is_float(u) and _is_float(v):
+                    self.floats(f"{where}:{n}", float(u), float(v))
+                elif u != v:
+                    self.other.append(f"{where}:{n}: {u!r} != {v!r} in {x!r}")
+
+
+def _is_float(token: str) -> bool:
+    return any(c in token for c in ".eEin")
+
+
+def _calls(docs_dir: Path) -> list:
+    refs = list(BUILTINS)
+    for seed in SEEDS:
+        for workload in sorted(inputs.WORKLOADS):
+            docs = [d for d in inputs.make_documents(workload, seed) if isinstance(d, dict)]
+            directory = docs_dir / f"seed{seed}" / workload
+            inputs.write_documents(docs, directory)
+            refs += [str(inputs.document_path(directory, d)) for d in docs]
+    return [[command, ref] for ref in refs for command in ("solve", "verify")]
+
+
+def _run_tree(tree: Path, calls: list, out: Path) -> list:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("PROXIPAIR_OUT", None)  # it would override --out
+    proc = subprocess.run([sys.executable, "-c", RUNNER, json.dumps(calls), str(out)],
+                          env=env, capture_output=True, text=True, cwd=tree)
+    if proc.returncode != 0:
+        raise SystemExit(f"calls against {tree} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _files(directory: Path) -> dict:
+    return {p.relative_to(directory).as_posix(): p
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def main(argv: list) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in argv)
+    report = Report()
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        tmp = Path(tmp)
+        calls = _calls(tmp / "docs")
+        results = [_run_tree(tree, calls, tmp / label)
+                   for label, tree in (("parent", parent), ("change", change))]
+        codes_differ = []
+        for i, ((command, ref), (code_a, out_a), (code_b, out_b)) in enumerate(
+                zip(calls, *results)):
+            name = f"{command} {Path(ref).stem}#{i:03d}"
+            if code_a != code_b:
+                codes_differ.append(f"{name}: exit {code_a} != {code_b}")
+            report.text(f"{name} output", out_a, out_b)
+        files_a, files_b = _files(tmp / "parent"), _files(tmp / "change")
+        for missing in sorted(files_a.keys() ^ files_b.keys()):
+            report.other.append(f"{missing}: written by one tree only")
+        common = sorted(files_a.keys() & files_b.keys())
+        differ = []
+        for rel in common:
+            a, b = files_a[rel].read_bytes(), files_b[rel].read_bytes()
+            if a == b:
+                continue
+            differ.append(rel)
+            if rel.endswith(".json"):
+                report.values(rel, json.loads(a), json.loads(b))
+            else:
+                report.text(rel, a.decode(), b.decode())
+    print(f"{len(calls)} calls; exit codes "
+          + ("equal" if not codes_differ else f"differ in {len(codes_differ)}"))
+    for line in codes_differ:
+        print(f"  {line}")
+    print(f"{len(common) - len(differ)} of {len(common)} files byte-identical")
+    for rel in differ[:SHOWN]:
+        print(f"  differs: {rel}")
+    print(f"{len(report.other)} key, flag, integer or string differences")
+    for line in report.other[:SHOWN]:
+        print(f"  {line}")
+    print(f"worst float difference {report.worst:.3g}"
+          + (f" at {report.worst_at}" if report.worst_at else ""))
+    ok = not codes_differ and not report.other and report.worst <= FLOAT_BOUND
+    print("same outputs" if ok else "outputs differ")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
