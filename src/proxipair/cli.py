@@ -8,6 +8,7 @@ converge or a verification check fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -159,6 +160,7 @@ def _cmd_bench(args) -> int:
     return code
 
 
+@functools.cache  # built once per process; parsing leaves no state in it
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proxipair",

@@ -9,15 +9,20 @@ halfspaces is projected at p = 2 by Dykstra's scheme over those halfspaces.
 
 Every certifier, check and solver applies these primitives to tall, thin
 stacks of points: thousands of rows of a few coordinates each.  numpy
-reduces such an (n, dim) stack along its rows with an inner loop of length
-dim per row, and broadcasts a (dim,) bound over it the same way.  On
-(10000, dim) stacks with dim from 2 to 6 (numpy 2.4, one x86 core), a row
-sum took 5 to 20 times, a row maximum 18 to 65 times and a clip 1.5 to 8
-times as long as the same work done one column at a time.  So every
-reduction over the coordinate axis goes through `_reduce_rows`, and every
-clamp of a stack through `_clamp_rows`, which work column by column.  A
-column loop adds a row left to right, as numpy does for dim <= 7; from
-dim 8 on numpy sums pairwise, so there a sum may differ in the last bit.
+reduces such an (n, dim) stack along its rows, and broadcasts a (dim,)
+vector or a per-row scalar over it, with an inner loop of length dim per
+row.  On (10000, dim) stacks with dim from 2 to 6 (numpy 2.4, one x86
+core), a row sum took 5 to 20 times, a row maximum 18 to 65 times, a clip
+1.5 to 8 times and a shift X + v 3 to 4 times as long as the same work
+done one column at a time.  So reductions, clamps, shifts and row scalings
+go through `_reduce_rows`, `_clamp_rows`, `_shift_rows` and `_scale_rows`,
+which work column by column.  A column loop adds a row left to right, as
+numpy does for dim <= 7; from dim 8 on numpy sums pairwise, so there a sum
+may differ in the last bit.  At dim 2 to 3, X @ M.T + c took 129 to 146 us
+(one OpenBLAS thread) and `_affine_rows`, which adds c along the rows of
+M @ X.T, 36 us; they agree bit for bit up to dim 11, past it to rounding.
+`_affine_rows` returns Fortran order, whose matrix-vector products may
+differ from C order in the last bit, so the column helpers return C order.
 """
 
 from __future__ import annotations
@@ -60,6 +65,38 @@ def _clamp_rows(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     for i in range(X.shape[1]):
         np.minimum(np.maximum(X[:, i], lo[i]), hi[i], out=out[:, i])
     return out
+
+
+def _shift_rows(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`X + v` for an (n, dim) stack and a (dim,) vector, column by column."""
+    out = np.empty(X.shape)
+    for i in range(X.shape[1]):
+        np.add(X[:, i], v[i], out=out[:, i])
+    return out
+
+
+def _scale_rows(X: np.ndarray, s: np.ndarray, op: np.ufunc = np.multiply) -> np.ndarray:
+    """`op(X, s[:, None])` for an (n, dim) stack and n row scalars, column by column."""
+    out = np.empty(X.shape)
+    for i in range(X.shape[1]):
+        op(X[:, i], s, out=out[:, i])
+    return out
+
+
+def _affine_rows(X: np.ndarray, M: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+    """`X @ M.T + c` for an (n, dim) stack, computed as (M @ X.T + c[:, None]).T."""
+    Y = M @ X.T
+    if c is not None:
+        Y += c[:, None]
+    return Y.T
+
+
+def _segment_nearest(X: np.ndarray, v0: np.ndarray, d: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The p = 2 nearest points of v0 + [0, 1] d to X's rows, and their unclamped t."""
+    t = _shift_rows(X, -v0) @ d / float(d @ d)
+    # t[:, None] * d, built coordinate-major as the (dim, n) outer product
+    return _shift_rows(np.multiply.outer(d, np.clip(t, 0.0, 1.0)).T, v0), t
 
 
 def _in_box_rows(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -211,19 +248,19 @@ class Ball(ConvexBody):
         # (1, inf): stationarity of ||x-y||_p^p on the sphere forces y - c
         # colinear with x - c, with a nonnegative multiplier.
         X = _as_matrix(X, self.space.dim)
-        D = X - self.center
+        D = _shift_rows(X, -self.center)
         r = self.space.norms(D, axis=1)
         scale = np.ones_like(r)
         outside = r > self.radius
         scale[outside] = self.radius / r[outside]
-        return self.center + D * scale[:, None]
+        return _shift_rows(_scale_rows(D, scale), self.center)
 
     def member(self, x, tol=DEFAULT_TOL):
         return self.space.distance(x, self.center) <= self.radius + tol
 
     def member_many(self, X, tol=DEFAULT_TOL):
         X = _as_matrix(X, self.space.dim)
-        return self.space.norms(X - self.center, axis=1) <= self.radius + tol
+        return self.space.norms(_shift_rows(X, -self.center), axis=1) <= self.radius + tol
 
     def sample(self, rng, n):
         # Exact and uniform at every dimension (Barthe, Guedon, Mendelson and
@@ -234,8 +271,8 @@ class Ball(ConvexBody):
         G = rng.gamma(1.0 / p, 1.0, size=(n, dim))
         signs = rng.choice((-1.0, 1.0), size=(n, dim))
         W = rng.exponential(1.0, size=n)
-        unit = signs * (G / (_reduce_rows(np.add, G) + W)[:, None]) ** (1.0 / p)
-        return self.center + self.radius * unit
+        unit = signs * _scale_rows(G, _reduce_rows(np.add, G) + W, np.divide) ** (1.0 / p)
+        return _shift_rows(self.radius * unit, self.center)
 
     def anchor(self):
         return np.array(self.center)
@@ -406,12 +443,10 @@ class Polytope(ConvexBody):
         seg = self._segment()
         if seg is not None:
             v0, v1 = seg
-            d = v1 - v0
             if self.space.p != 2.0:
                 raise UnsupportedProjectionError(
                     f"general segment projection only available at p=2, got p={self.space.p}")
-            t = np.clip((X - v0) @ d / float(d @ d), 0.0, 1.0)
-            return v0 + t[:, None] * d
+            return _segment_nearest(X, v0, v1 - v0)[0]
         if self.space.p != 2.0:
             raise UnsupportedProjectionError(
                 f"polytope projection only available at p=2, got p={self.space.p}")
@@ -448,13 +483,11 @@ class Polytope(ConvexBody):
         seg = self._segment()
         if seg is not None:
             v0, v1 = seg
-            d = v1 - v0
-            t = (X - v0) @ d / (d @ d)
-            nearest = v0 + np.clip(t, 0, 1)[:, None] * d
+            nearest, t = _segment_nearest(X, v0, v1 - v0)
             return ((-tol <= t) & (t <= 1.0 + tol)
                     & (_reduce_rows(np.maximum, np.abs(X - nearest)) <= tol))
         normals, offsets = (np.array(v) for v in zip(*self._face_halfspaces()))
-        excess = (X @ normals.T - offsets) / np.linalg.norm(normals, axis=1)
+        excess = _affine_rows(X, normals, -offsets) / np.linalg.norm(normals, axis=1)
         return _reduce_rows(np.logical_and, excess <= tol)
 
     def anchor(self):
@@ -484,7 +517,7 @@ def _project_polygon_edges(space: LpSpace, edges: list[tuple[np.ndarray, np.ndar
     sliver polygons.
     """
     normals, offsets = (np.array(v) for v in zip(*faces))
-    inside = _reduce_rows(np.logical_and, X @ normals.T - offsets <= 0.0)
+    inside = _reduce_rows(np.logical_and, _affine_rows(X, normals, -offsets) <= 0.0)
     out = np.array(X, dtype=float)
     todo = ~inside
     if not np.any(todo):
@@ -493,9 +526,7 @@ def _project_polygon_edges(space: LpSpace, edges: list[tuple[np.ndarray, np.ndar
     best = None
     best_d = None
     for v0, v1 in edges:
-        d = v1 - v0
-        t = np.clip((Y - v0) @ d / float(d @ d), 0.0, 1.0)
-        cand = v0 + t[:, None] * d
+        cand = _segment_nearest(Y, v0, v1 - v0)[0]
         dist = space.norms(Y - cand, axis=1)
         if best is None:
             best, best_d = cand, dist
@@ -521,7 +552,7 @@ def _dykstra_halfspaces(faces: Sequence[tuple[np.ndarray, float]],
     def violation(Y):
         return float(np.max(np.maximum(0.0, Y @ normals.T - offsets) / scales))
 
-    X = np.array(X0, dtype=float)
+    X = np.array(X0, dtype=float, order="C")
     increments = [np.zeros_like(X) for _ in faces]
     for _ in range(max_iter):
         X_prev = X

@@ -36,6 +36,8 @@ from .geometry import (
     Polytope,
     ProximityInstance,
     Side,
+    _affine_rows,
+    _as_matrix,
 )
 
 Mode = Literal["cyclic", "noncyclic"]
@@ -69,8 +71,9 @@ class MapSpec:
     sends the points of A (within MEMBER_TOL) through (matrix, offset) and
     every other point through (matrix_b, offset_b); it is how the map kinds
     whose value depends on the side (`constant-pair`, `sidewise-affine`)
-    are represented.  Both evaluate a whole stack at once.  A callable is
-    evaluated one row at a time.
+    are represented.  Both evaluate an (n, dim) stack, or one point as a
+    one-row stack, with one matrix product per piece that some row selects.
+    A callable is evaluated one row at a time.
 
     `mode` is the declared behavior; `certify` checks it and keeps the
     result in `certificate`.  `domain` is "proximal" for a map defined on
@@ -144,14 +147,18 @@ class MapSpec:
         return self.matrix_b @ x + self.offset_b
 
     def apply_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        X = _as_matrix(X, self.instance.space.dim)
         if self.func is not None:
-            return np.array([self.apply(x) for x in X])
-        on_a = X @ self.matrix.T + self.offset
+            return np.array([self.apply(x) for x in X]).reshape(X.shape)
         if self.matrix_b is None:
-            return on_a
+            return _affine_rows(X, self.matrix, self.offset)
         in_a = self.instance.A.member_many(X, MEMBER_TOL)
-        return np.where(in_a[:, None], on_a, X @ self.matrix_b.T + self.offset_b)
+        if not in_a.any():
+            return _affine_rows(X, self.matrix_b, self.offset_b)
+        on_a = _affine_rows(X, self.matrix, self.offset)
+        if in_a.all():
+            return on_a
+        return np.where(in_a[:, None], on_a, _affine_rows(X, self.matrix_b, self.offset_b))
 
 
 def _vertex_set(body: ConvexBody) -> np.ndarray | None:
@@ -301,7 +308,7 @@ def _grid_alpha(m, lo: np.ndarray, hi: np.ndarray, dist: float, tol: float):
     axes = [np.linspace(l, h, k) if h > l else np.array([l]) for l, h in zip(lo, hi)]
     Z = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     before = m.instance.space.norms(Z, axis=1) - dist
-    after = m.instance.space.norms(Z @ m.matrix.T, axis=1) - dist
+    after = m.instance.space.norms(_affine_rows(Z, m.matrix), axis=1) - dist
     valid = before > tol
     ratios = np.where(valid, after / np.where(valid, before, 1.0), -np.inf)
     i = int(np.argmax(ratios))

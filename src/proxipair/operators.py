@@ -41,7 +41,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .geometry import ProximityInstance, Side, _as_matrix
+from .geometry import ProximityInstance, Side, _as_matrix, _scale_rows, _shift_rows
 from .mappings import (
     MEMBER_TOL,
     ContractionCertificate,
@@ -121,7 +121,7 @@ class ProximalProjector:
                    ) -> np.ndarray:
         """X + v (A) or X - v (B), checked to land in the other body."""
         inst = self.instance
-        image = X + self.v if side == "A" else X - self.v
+        image = _shift_rows(X, self.v if side == "A" else -self.v)
         misses = ~inst.opposite_body(side).member_many(image, DOMAIN_SLACK * inst.tol)
         self._raise_first(misses, X, side, "distance", rows)
         return image
@@ -242,8 +242,8 @@ def verify_projector_properties(projector: ProximalProjector, samples: int = 100
         return np.maximum.reduce([inst.proximal_deviations(images, target),
                                   realize, shift])
 
-    dev1 = np.concatenate([landing_devs(xs, p_xs, "B", xs + projector.v),
-                           landing_devs(ys, p_ys, "A", ys - projector.v)])
+    dev1 = np.concatenate([landing_devs(xs, p_xs, "B", _shift_rows(xs, projector.v)),
+                           landing_devs(ys, p_ys, "A", _shift_rows(ys, -projector.v))])
     check1 = _check(dev1, (np.vstack([xs, ys]), np.vstack([p_xs, p_ys])))
 
     # 2: isometry over randomly matched cross pairs
@@ -255,9 +255,9 @@ def verify_projector_properties(projector: ProximalProjector, samples: int = 100
     # 3: affineness on random proximal combinations, both sides
     def affine_devs(points, images, side: Side):
         k = rng.integers(0, len(points), size=len(points))
-        lam = rng.uniform(0.0, 1.0, size=len(points))[:, None]
-        z = lam * points + (1.0 - lam) * points[k]
-        combo = lam * images + (1.0 - lam) * images[k]
+        lam = rng.uniform(0.0, 1.0, size=len(points))
+        z = _scale_rows(points, lam) + _scale_rows(points[k], 1.0 - lam)
+        combo = _scale_rows(images, lam) + _scale_rows(images[k], 1.0 - lam)
         return inst.space.norms(nearest(z, side) - combo, axis=1), z
 
     dev3a, za = affine_devs(xs, p_xs, "A")

@@ -52,6 +52,17 @@ def test_solve_single_run_selection(tmp_path):
     assert written == ["segpair-picard-T.summary.json", "segpair-picard-T.trace.csv"]
 
 
+def test_cached_parser_keeps_nothing_between_calls(tmp_path):
+    # one parser serves every call of a process; the runs one call selects
+    # with --run must not carry over into the next
+    assert cli._parser() is cli._parser()
+    assert run_cli("solve", "segpair", "--run", "picard-T",
+                   "--out", str(tmp_path / "one")) == 0
+    assert run_cli("solve", "segpair", "--out", str(tmp_path / "all")) == 0
+    assert len(list((tmp_path / "one").glob("*.summary.json"))) == 1
+    assert len(list((tmp_path / "all").glob("*.summary.json"))) == 4
+
+
 def test_solve_nonconvergence_exit_code(tmp_path):
     code = run_cli("solve", "segpair", "--run", "picard-T", "--max-iter", "3",
                    "--out", str(tmp_path))

@@ -133,6 +133,68 @@ def test_clamp_equals_clip(dim, n, rng):
     assert _same_bits(geometry._clamp_rows(X, lo, hi), np.clip(X, lo, hi))
 
 
+def _layouts(rng, n, dim, stack=_stack):
+    """The same kind of stack C-ordered, Fortran-ordered and strided."""
+    return [stack(rng, n, dim), np.asfortranarray(stack(rng, n, dim)),
+            stack(rng, 2 * n, dim)[::2]]
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+@pytest.mark.parametrize("n", [0, 1, 5, 1000])
+def test_shifts_and_row_scalings_equal_numpy_bit_for_bit(dim, n, rng):
+    v = rng.normal(size=dim)
+    s = rng.normal(size=n)
+    s[::3] = 0.0
+    for X in _layouts(rng, n, dim):
+        out = geometry._shift_rows(X, v)
+        assert out.flags.c_contiguous and _same_bits(out, X + v)
+        assert _same_bits(out, v + X)  # either order
+        assert _same_bits(geometry._shift_rows(X, -v), X - v)
+        for op in (np.multiply, np.divide):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = geometry._scale_rows(X, s, op)
+                want = op(X, s[:, None])
+            assert out.flags.c_contiguous and _same_bits(out, want)
+
+
+def _finite_stack(rng, n, dim):
+    return rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-8, 8, (n, dim))
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+@pytest.mark.parametrize("n", [0, 1, 5, 1000])
+def test_affine_rows_equal_the_row_major_product_bit_for_bit(dim, n, rng):
+    for k in (dim, 3):  # a map's matrix, or three face normals
+        M = rng.normal(size=(k, dim))
+        c = rng.normal(size=k)
+        for X in _layouts(rng, n, dim, _finite_stack):
+            assert _same_bits(geometry._affine_rows(X, M, c), X @ M.T + c)
+            assert _same_bits(geometry._affine_rows(X, M), X @ M.T)
+
+
+@pytest.mark.parametrize("dim", [8, 16])
+def test_affine_rows_past_dim_7_agree_to_rounding(dim, rng):
+    # positive terms: no cancellation, so any summation order is within
+    # dim rounding errors of any other
+    X = rng.uniform(0.0, 1.0, (1000, dim))
+    M = rng.uniform(0.0, 1.0, (dim, dim))
+    c = rng.uniform(0.0, 1.0, dim)
+    assert_allclose(geometry._affine_rows(X, M, c), X @ M.T + c, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+@pytest.mark.parametrize("n", [0, 1, 5, 1000])
+def test_segment_nearest_equals_the_row_major_expression(dim, n, rng):
+    v0 = rng.normal(size=dim)
+    d = rng.normal(size=dim)
+    for X in _layouts(rng, n, dim, _finite_stack):
+        C = np.ascontiguousarray(X)
+        t = (C - v0) @ d / (d @ d)
+        nearest, got_t = geometry._segment_nearest(X, v0, d)
+        assert _same_bits(got_t, t)
+        assert _same_bits(nearest, v0 + np.clip(t, 0.0, 1.0)[:, None] * d)
+
+
 def test_norm_p4_diagonal():
     # (1^4 + 1^4)^(1/4) = 2^(1/4)
     sp = LpSpace(2, 4.0)

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from proxipair import mappings
 from proxipair.errors import DimensionMismatchError
 from proxipair.geometry import Ball, Box, LpSpace, Polytope, ProximityInstance
-from proxipair.instances import build, generate_random_instance, parse_instance
+from proxipair.instances import (
+    build,
+    builtin_instance,
+    generate_random_instance,
+    parse_instance,
+)
 from proxipair.mappings import (
     DEFAULT_CONTRACTION_SAMPLES,
     MEMBER_TOL,
@@ -75,6 +81,49 @@ def test_apply_dimension_mismatch(seg):
     T = map_T(seg)
     with pytest.raises(DimensionMismatchError):
         T.apply([1.0, 2.0, 3.0])
+
+
+def test_apply_many_takes_only_stacks_of_the_space(seg):
+    one_piece = map_T(seg)
+    two_piece = MapSpec.sidewise(seg, "cyclic", [[0.5, 0.0], [0.0, -1.0]], [0.5, 1.0],
+                                 np.eye(2), [0.0, -1.0])
+    blackbox = MapSpec.blackbox(seg, "cyclic", lambda x: x[::-1])
+    for m in (one_piece, two_piece, blackbox):
+        # one point is a one-row stack, whatever the kind of map
+        assert m.apply_many([2.0, 0.0]).shape == (1, 2)
+        assert m.apply_many(np.zeros((0, 2))).shape == (0, 2)
+        for wrong in ([1.0, 2.0, 3.0], np.zeros((4, 3)), np.zeros((2, 2, 2))):
+            with pytest.raises(DimensionMismatchError):
+                m.apply_many(wrong)
+
+
+@pytest.fixture(scope="module")
+def two_piece_maps():
+    from proxipair.operators import compose_with_projector
+    return {"const-cyclic": build(builtin_instance("ballpair")).maps["const-cyclic"],
+            "T*P": compose_with_projector(build(builtin_instance("segpair")).maps["T"])}
+
+
+@pytest.mark.parametrize("name", ["const-cyclic", "T*P"])
+@pytest.mark.parametrize("rows", ["A", "B", "mixed", "empty"])
+def test_two_piece_map_computes_only_the_pieces_its_rows_select(two_piece_maps, name,
+                                                               rows, monkeypatch):
+    m = two_piece_maps[name]
+    xs, ys = m.instance.cross_samples(50, 0, proximal=m.domain == "proximal")
+    X = {"A": xs, "B": ys, "empty": xs[:0],
+         "mixed": np.vstack([xs, ys])[np.random.default_rng(0).permutation(100)]}[rows]
+    in_a = m.instance.A.member_many(X, MEMBER_TOL)
+    sides = {"A": [True], "B": [False], "mixed": [False, True], "empty": []}[rows]
+    assert np.unique(in_a).tolist() == sides
+    want = np.where(in_a[:, None], X @ m.matrix.T + m.offset,
+                    X @ m.matrix_b.T + m.offset_b)
+    calls = []
+    product = mappings._affine_rows
+    monkeypatch.setattr(mappings, "_affine_rows",
+                        lambda *args: calls.append(1) or product(*args))
+    got = m.apply_many(X)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert len(calls) == (2 if rows == "mixed" else 1)
 
 
 def test_mapspec_validation(seg):

@@ -1,14 +1,19 @@
 """Compare the outputs of two source trees of proxipair, call by call.
 
-    python3 tools/compare_outputs.py PARENT_TREE CHANGE_TREE
+    python3 tools/compare_outputs.py PARENT CHANGE
 
-Runs `proxipair solve` and `proxipair verify` on the builtins `segpair`
-and `ballpair` and on the instance documents of seeds 1 and 2 of every
-workload in `perfbench/inputs.py`, once against each tree's `src`, in a
-subprocess per tree.  Then it reports whether the exit codes are equal,
-how many output files are byte-identical, every key, flag, integer or
-string that differs (in the JSON outputs, the CSV traces and the printed
-lines), and the worst absolute difference between floats.
+PARENT and CHANGE are each a source tree (a directory holding `src/`) or a
+git revision of this repository, such as `HEAD` or `HEAD~1`; a revision's
+`src/` is exported with `git archive` into the temporary directory.  For
+example, `python3 tools/compare_outputs.py HEAD .` compares the last
+commit with the working tree.  Runs `proxipair solve` and `proxipair
+verify` on the builtins `segpair` and `ballpair` and on the instance
+documents of seeds 1 and 2 of every workload in `perfbench/inputs.py`,
+once against each tree's `src`, in a subprocess per tree.  Then it reports
+whether the exit codes are equal, how many output files are
+byte-identical, every key, flag, integer or string that differs (in the
+JSON outputs, the CSV traces and the printed lines), and the worst
+absolute difference between floats.
 
 Exits 0 when the exit codes and every non-float value are equal and no
 float differs by more than FLOAT_BOUND; 1 otherwise.  This script imports
@@ -17,12 +22,14 @@ float differs by more than FLOAT_BOUND; 1 otherwise.  This script imports
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -131,6 +138,21 @@ def _run_tree(tree: Path, calls: list, out: Path) -> list:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _tree(arg: str, tmp: Path, label: str) -> Path:
+    """The directory `arg`, or else the `src/` of git revision `arg`
+    exported to tmp/label."""
+    if Path(arg).is_dir():
+        return Path(arg).resolve()
+    proc = subprocess.run(["git", "-C", str(ROOT), "archive", arg, "src"],
+                          capture_output=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{arg!r} is neither a directory nor a git revision: "
+                         f"{proc.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as archive:
+        archive.extractall(tmp / label, filter="data")
+    return tmp / label
+
+
 def _files(directory: Path) -> dict:
     return {p.relative_to(directory).as_posix(): p
             for p in sorted(directory.rglob("*")) if p.is_file()}
@@ -140,10 +162,11 @@ def main(argv: list) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
-    parent, change = (Path(a).resolve() for a in argv)
     report = Report()
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         tmp = Path(tmp)
+        parent, change = (_tree(a, tmp, f"{label}-tree")
+                          for a, label in zip(argv, ("parent", "change")))
         calls = _calls(tmp / "docs")
         results = [_run_tree(tree, calls, tmp / label)
                    for label, tree in (("parent", parent), ("change", change))]
