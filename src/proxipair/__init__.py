@@ -35,12 +35,10 @@ from .mappings import (
     MapCertificate,
     MapSpec,
     ModeCheck,
-    NonexpansiveCheck,
     certificate_of,
     certify,
     certify_contraction,
     certify_mode,
-    certify_relatively_nonexpansive,
     contraction_of,
     flip_mode,
 )

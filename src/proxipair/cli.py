@@ -80,7 +80,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     doc = _load(args.instance)
     built = build(doc, seed=args.seed)
-    report = run_verification(built, samples=args.samples, seed=args.seed)
+    report = run_verification(built, samples=args.samples)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         flags = f" [{','.join(check.flags)}]" if check.flags else ""
@@ -172,9 +172,9 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="out",
                         help="output directory (env PROXIPAIR_OUT overrides)")
     common.add_argument("--seed", type=int, default=0,
-                        help="random seed: of the generator for gen and bench; of "
-                             "map certification at build for solve and verify, "
-                             "and of the checks for verify")
+                        help="random seed: of the generator for gen and bench; "
+                             "for solve and verify, the instance's, from which "
+                             "map certification and every check draw")
 
     solve = sub.add_parser("solve", parents=[common],
                            help="run declared solver runs, write traces and summaries")

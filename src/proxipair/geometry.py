@@ -621,20 +621,20 @@ class ProximityInstance:
 
     The distance and a realizing pair are computed once at construction;
     proximal deviations and proximal sampling are answered against that
-    cache.  The certifiers' samples are kept too (`cross_samples`).  `tol`
-    is this instance's default tolerance for membership.
+    cache.  The certifiers' samples are kept too (`cross_samples`), drawn
+    from `seed`.  `tol` is this instance's default tolerance for membership.
     """
 
     def __init__(self, A: ConvexBody, B: ConvexBody, tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER):
+                 seed: int = 0):
         if A.space != B.space:
             raise DimensionMismatchError("bodies live in different spaces")
         self.space = A.space
         self.A = A
         self.B = B
         self.tol = float(tol)
-        self.max_iter = int(max_iter)
-        res = distance_between(A, B, self.tol, self.max_iter)
+        self.seed = int(seed)
+        res = distance_between(A, B, self.tol)
         if not res.converged:
             raise ProjectionConvergenceError(
                 "alternating projections did not converge while computing dist(A, B)",
@@ -657,7 +657,7 @@ class ProximityInstance:
         """||x - proj_opposite(x)|| - dist for each row; ~0 on the proximal set."""
         X = _as_matrix(X, self.space.dim)
         other = self.opposite_body(side)
-        P = other.project_many(X, self.tol, self.max_iter)
+        P = other.project_many(X, self.tol)
         return self.space.norms(X - P, axis=1) - self.dist
 
     def proximal_deviations(self, X: np.ndarray, side: Side) -> np.ndarray:
@@ -665,8 +665,7 @@ class ProximityInstance:
         row is from the proximal part of `side`."""
         X = _as_matrix(X, self.space.dim)
         body = self.body(side)
-        residuals = self.space.norms(X - body.project_many(X, self.tol, self.max_iter),
-                                     axis=1)
+        residuals = self.space.norms(X - body.project_many(X, self.tol), axis=1)
         return np.maximum(residuals, np.abs(self.proximal_gaps(X, side)))
 
     def proximalize(self, X: np.ndarray, side: Side) -> np.ndarray:
@@ -675,8 +674,8 @@ class ProximityInstance:
         other = self.opposite_body(side)
         X = _as_matrix(X, self.space.dim)
         for _ in range(MAX_SWEEPS):
-            Y = other.project_many(X, self.tol, self.max_iter)
-            X_next = body.project_many(Y, self.tol, self.max_iter)
+            Y = other.project_many(X, self.tol)
+            X_next = body.project_many(Y, self.tol)
             moved = float(np.max(self.space.norms(X_next - X, axis=1)))
             X = X_next
             if moved < self.tol:
@@ -692,7 +691,7 @@ class ProximityInstance:
         proximal set is a convex part of its strictly convex boundary."""
         for ball, other in ((self.A, self.B), (self.B, self.A)):
             if isinstance(ball, Ball):
-                nearest = project(other, ball.center, self.tol, self.max_iter)
+                nearest = project(other, ball.center, self.tol)
                 if self.space.distance(ball.center, nearest) >= ball.radius - self.tol:
                     return True
         return False
@@ -714,19 +713,19 @@ class ProximityInstance:
         X = np.vstack([own[None, :], X])[:n]
         return self.proximalize(X, side)
 
-    def cross_samples(self, n: int, seed: int, proximal: bool = False
+    def cross_samples(self, n: int, proximal: bool = False
                       ) -> tuple[np.ndarray, np.ndarray]:
-        """n points of A and n points of B, drawn once per (n, seed, proximal).
+        """n points of A and n points of B, drawn once per (n, proximal).
 
-        One `np.random.default_rng(seed)` draws A's points, then B's: body
-        samples, or proximal samples when `proximal`.  Every certifier that
-        samples with the same seed shares the pair, so it is kept read-only
+        One `np.random.default_rng(self.seed)` draws A's points, then B's:
+        body samples, or proximal samples when `proximal`.  Every certifier
+        and check of the instance shares the pair, so it is kept read-only
         and handed out without a copy.
         """
-        key = (int(n), int(seed), bool(proximal))
+        key = (int(n), bool(proximal))
         pair = self._cross_samples.get(key)
         if pair is None:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(self.seed)
             if proximal:
                 pair = tuple(self.sample_proximal(side, n, rng) for side in ("A", "B"))
             else:

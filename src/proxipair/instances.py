@@ -299,20 +299,20 @@ class BuiltInstance:
 def build(doc: InstanceDoc, certify: bool = True, seed: int = 0) -> BuiltInstance:
     """Realize a document.
 
-    By default each map's declared mode is certified with `seed` and the
-    certificate kept on the map; the contraction estimate is added, with the
-    same seed, when a solver first needs it.  With certify=False the maps
-    are certified on first use, with seed 0.
+    Every certifier and check of the instance draws from `seed`.  By default
+    each map's declared mode is certified and the certificate kept on the
+    map; the contraction estimate is added when a solver first needs it.
+    With certify=False the maps are certified on first use.
     """
     space = LpSpace(doc.space["dim"], doc.space["p"])
     A = _build_body(doc.bodies["A"], space, "bodies.A")
     B = _build_body(doc.bodies["B"], space, "bodies.B")
-    instance = ProximityInstance(A, B, tol=doc.tol)
+    instance = ProximityInstance(A, B, tol=doc.tol, seed=seed)
     maps = {}
     for spec in doc.maps:
         m = _build_map(spec, instance)
         if certify:
-            check = certify_map(m, seed=seed).mode
+            check = certify_map(m).mode
             if not check:
                 raise InstanceFormatError(
                     f"map {spec['name']!r} is declared {spec['mode']} but failed "

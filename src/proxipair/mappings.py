@@ -3,19 +3,19 @@
 A map is cyclic when it swaps the two bodies (T(A) in B, T(B) in A) and
 noncyclic when each body is invariant.  Certification routines sample (or,
 for affine maps on vertex-enumerable bodies, enumerate exactly) to check the
-declared mode, relative nonexpansiveness, and the contraction modulus
+declared mode and the contraction modulus
 
     d(Tx, Ty) <= alpha * d(x, y) + (1 - alpha) * dist(A, B)
 
 over cross pairs, reporting the smallest alpha consistent with the samples.
 For an affine map Tx - Ty = M(x - y), so the modulus is a supremum over
-the difference body A - B, which is a box when A and B are.
+the difference body A - B, which is a box when A and B are.  An estimate
+of at most 1 is relative nonexpansiveness on the same pairs.
 
 The samples come from the instance: `ProximityInstance.cross_samples(n,
-seed, proximal)` draws n points of A and then n of B, of the bodies or of
-their proximal sets (for a map of domain "proximal"), once per instance.
-Every map of an instance certified with the same seed and sample count is
-checked on the same points.
+proximal)` draws n points of A and then n of B from the instance's seed, of
+the bodies or of their proximal sets (for a map of domain "proximal"), once
+per instance.  Every map of an instance is checked on the same points.
 
 Each map keeps one `MapCertificate`: `certify` checks the declared mode and
 stores the result on the map, and `contraction_of` estimates the modulus the
@@ -177,8 +177,7 @@ def _target_deviations(m, side: Side, images: np.ndarray) -> np.ndarray:
     if m.domain == "proximal":
         return inst.proximal_deviations(images, target)
     body = inst.body(target)
-    return inst.space.norms(images - body.project_many(images, inst.tol, inst.max_iter),
-                            axis=1)
+    return inst.space.norms(images - body.project_many(images, inst.tol), axis=1)
 
 
 @dataclass
@@ -195,17 +194,15 @@ class ModeCheck:
         return self.ok
 
 
-def certify_mode(m, samples: int = DEFAULT_MODE_SAMPLES, seed: int = 0,
-                 tol: float | None = None) -> ModeCheck:
-    """Check the declared mode on both sides.
+def certify_mode(m) -> ModeCheck:
+    """Check the declared mode on both sides, within 10 * tol.
 
     Affine maps on vertex-enumerable bodies are checked exactly through
     vertex images (the image of a hull is the hull of the images, and a hull
     lies in a convex target iff its vertices do); every other side is checked
-    on its half of the instance's `cross_samples(samples, seed, ...)`.
+    on its half of the instance's `cross_samples(DEFAULT_MODE_SAMPLES, ...)`.
     """
     inst = m.instance
-    tol = 10.0 * inst.tol if tol is None else tol
     exact = True
     worst = 0.0
     witness = None
@@ -214,7 +211,7 @@ def certify_mode(m, samples: int = DEFAULT_MODE_SAMPLES, seed: int = 0,
         if m.is_affine and m.domain == "full":
             pts = _vertex_set(inst.body(side))
         if pts is None:
-            pts = inst.cross_samples(samples, seed, m.domain == "proximal")[k]
+            pts = inst.cross_samples(DEFAULT_MODE_SAMPLES, m.domain == "proximal")[k]
             exact = False
         imgs = m.apply_many(pts)
         devs = _target_deviations(m, side, imgs)
@@ -222,25 +219,13 @@ def certify_mode(m, samples: int = DEFAULT_MODE_SAMPLES, seed: int = 0,
         if devs[i] > worst:
             worst = float(devs[i])
             witness = (pts[i], imgs[i])
-    ok = worst <= tol
+    ok = worst <= 10.0 * inst.tol
     return ModeCheck(ok=ok, mode=m.mode, exact=exact, worst_deviation=worst,
                      witness=None if ok else witness)
 
 
-@dataclass
-class NonexpansiveCheck:
-    """Relative nonexpansiveness on sampled cross pairs."""
-
-    ok: bool
-    worst_excess: float
-    witness: tuple[np.ndarray, np.ndarray] | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _cross_pairs(m, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    xs, ys = m.instance.cross_samples(samples, seed, m.domain == "proximal")
+def _cross_pairs(m, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    xs, ys = m.instance.cross_samples(samples, m.domain == "proximal")
     if m.is_affine and m.domain == "full":
         vx = _vertex_set(m.instance.A)
         vy = _vertex_set(m.instance.B)
@@ -251,23 +236,6 @@ def _cross_pairs(m, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def certify_relatively_nonexpansive(m, samples: int = DEFAULT_MODE_SAMPLES,
-                                    seed: int = 0,
-                                    tol: float | None = None) -> NonexpansiveCheck:
-    """d(Tx, Ty) <= d(x, y) over sampled cross pairs (plus vertex pairs)."""
-    inst = m.instance
-    tol = inst.tol if tol is None else tol
-    xs, ys = _cross_pairs(m, samples, seed)
-    before = inst.space.norms(xs - ys, axis=1)
-    after = inst.space.norms(m.apply_many(xs) - m.apply_many(ys), axis=1)
-    excess = after - before
-    i = int(np.argmax(excess))
-    worst = float(excess[i])
-    ok = worst <= tol
-    return NonexpansiveCheck(ok=ok, worst_excess=worst,
-                             witness=None if ok else (xs[i], ys[i]))
-
-
 ContractionMethod = Literal["grid", "sampled", "inherited"]
 
 
@@ -276,11 +244,11 @@ class ContractionCertificate:
     """Smallest contraction modulus consistent with the evaluated cross pairs.
 
     The sampled pairs are row i of A's and of B's points in the instance's
-    `cross_samples` for the certificate's seed, the same points for every
-    map of the instance.  `method` says where alpha_hat comes from: "grid"
-    when a grid over the difference body A - B, refined around the worst
-    difference, was also searched (affine maps on boxes, points and
-    axis-aligned segments), "sampled" when only sampled pairs (plus vertex
+    `cross_samples`, the same points for every map of the instance.
+    `method` says where alpha_hat comes from: "grid" when a grid over the
+    difference body A - B, refined around the worst difference, was also
+    searched (affine maps on boxes, points and axis-aligned segments),
+    "sampled" when only sampled pairs (plus vertex
     pairs, for affine maps on polytopal bodies) were, and "inherited" when
     it was carried over from the outer map of a composition with the
     proximal projection.  Each is a lower estimate of the true modulus.
@@ -315,8 +283,8 @@ def _grid_alpha(m, lo: np.ndarray, hi: np.ndarray, dist: float, tol: float):
     return Z[i], float(ratios[i]), len(Z)
 
 
-def certify_contraction(m, samples: int = DEFAULT_CONTRACTION_SAMPLES, seed: int = 0,
-                        tol: float | None = None) -> ContractionCertificate:
+def certify_contraction(m, samples: int = DEFAULT_CONTRACTION_SAMPLES
+                        ) -> ContractionCertificate:
     """Estimate the contraction modulus over cross pairs.
 
     Sampled pairs always contribute.  An affine map on boxes, points or
@@ -325,13 +293,12 @@ def certify_contraction(m, samples: int = DEFAULT_CONTRACTION_SAMPLES, seed: int
     and gets the method "grid", unless A - B has over MAX_GRID_AXES free axes.
     """
     inst = m.instance
-    tol = inst.tol if tol is None else tol
     dist = inst.dist
 
-    xs, ys = _cross_pairs(m, samples, seed)
+    xs, ys = _cross_pairs(m, samples)
     before = inst.space.norms(xs - ys, axis=1)
     after = inst.space.norms(m.apply_many(xs) - m.apply_many(ys), axis=1)
-    valid = before - dist > tol
+    valid = before - dist > inst.tol
     evaluated = int(len(xs))
     alpha = 0.0
     worst_pair = None
@@ -351,7 +318,7 @@ def certify_contraction(m, samples: int = DEFAULT_CONTRACTION_SAMPLES, seed: int
             method = "grid"
             window = (lo, hi)
             for r in range(1, REFINE_ROUNDS + 2):
-                z, a, n = _grid_alpha(m, *window, dist, tol)
+                z, a, n = _grid_alpha(m, *window, dist, inst.tol)
                 evaluated += n
                 if a > alpha:  # x - z lies in B, as z lies in A - B
                     x = np.clip(z + lo_b, lo_a, hi_a)
@@ -371,28 +338,27 @@ class MapCertificate:
     """What has been established about one map, kept on the map.
 
     `mode` is the check of the declared mode.  `contraction` is filled in by
-    `contraction_of` the first time a caller needs the modulus, with the
-    same seed as the mode check.  `composition` is the certificate of the
+    `contraction_of` the first time a caller needs the modulus.
+    `composition` is the certificate of the
     map's composition with the proximal projection, made by
     `operators.compose_with_projector` the first time it checks the
     composition's preconditions.
     """
 
-    seed: int
     mode: ModeCheck
     contraction: ContractionCertificate | None = None
     composition: MapCertificate | None = field(default=None, repr=False)
 
 
-def certify(m, seed: int = 0) -> MapCertificate:
+def certify(m) -> MapCertificate:
     """Check m's declared mode and keep the result on m as its certificate."""
-    cert = MapCertificate(seed=seed, mode=certify_mode(m, seed=seed))
+    cert = MapCertificate(mode=certify_mode(m))
     object.__setattr__(m, "certificate", cert)
     return cert
 
 
 def certificate_of(m) -> MapCertificate:
-    """m's certificate; a map not yet certified is certified now, with seed 0."""
+    """m's certificate; a map not yet certified is certified now."""
     return m.certificate if m.certificate is not None else certify(m)
 
 
@@ -400,5 +366,5 @@ def contraction_of(m) -> ContractionCertificate:
     """m's contraction estimate, computed on first use and kept."""
     cert = certificate_of(m)
     if cert.contraction is None:
-        cert.contraction = certify_contraction(m, seed=cert.seed)
+        cert.contraction = certify_contraction(m)
     return cert.contraction

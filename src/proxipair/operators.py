@@ -29,7 +29,8 @@ Because P is an isometry between the proximal sets that swaps them, the
 composed map's certificate follows from the outer map's: for x in A0 and
 y in B0, d(TPx, TPy) <= alpha d(Px, Py) + (1 - alpha) dist(A, B), and
 d(Px, Py) = d(x, y).  So T after P has the opposite mode and modulus at
-most alpha, and is never re-sampled to establish either.
+most alpha, and is never re-sampled to establish either.  Its precondition
+of relative nonexpansiveness is read off the same certificate of T.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .mappings import (
     Mode,
     ModeCheck,
     certificate_of,
-    certify_relatively_nonexpansive,
     contraction_of,
     flip_mode,
     opposite,
@@ -196,8 +196,8 @@ def _check(devs: np.ndarray, witnesses, note: str = "") -> PropertyCheck:
     return PropertyCheck(holds=holds, worst_deviation=worst, witness=witness, note=note)
 
 
-def verify_projector_properties(projector: ProximalProjector, samples: int = 1000,
-                                seed: int = 0) -> ProjectorReport:
+def verify_projector_properties(projector: ProximalProjector,
+                                samples: int = 1000) -> ProjectorReport:
     """Numerically certify the five defining properties of the projector.
 
     The properties are checked on the nearest-point projection onto the
@@ -218,18 +218,19 @@ def verify_projector_properties(projector: ProximalProjector, samples: int = 100
     so a wrong v fails check 1 instead of raising.  Singleton proximal sets
     make several checks vacuous; the report flags that via `degenerate`
     instead of failing.  Every check holds when its worst deviation is at
-    most PROPERTY_TOL.
+    most PROPERTY_TOL.  The points are the instance's proximal
+    `cross_samples(samples)`; pairings, weights and jitter are drawn from a
+    generator of the instance's seed.
     """
     inst = projector.instance
-    rng = np.random.default_rng(seed)
-    xs = inst.sample_proximal("A", samples, rng)
-    ys = inst.sample_proximal("B", samples, rng)
+    xs, ys = inst.cross_samples(samples, proximal=True)
+    rng = np.random.default_rng(inst.seed)
     spread = max(float(inst.space.norms(np.ptp(xs, axis=0))),
                  float(inst.space.norms(np.ptp(ys, axis=0))))
     degenerate = spread < DEGENERATE_SPREAD
 
     def nearest(X, side: Side):
-        return inst.opposite_body(side).project_many(X, inst.tol, inst.max_iter)
+        return inst.opposite_body(side).project_many(X, inst.tol)
 
     p_xs = nearest(xs, "A")
     p_ys = nearest(ys, "B")
@@ -274,7 +275,7 @@ def verify_projector_properties(projector: ProximalProjector, samples: int = 100
     # 5: continuity probe on jittered nearby pairs
     scale = max(spread, 1.0)
     jitter = rng.normal(size=xs.shape) * (1e-3 * scale)
-    xs2 = inst.proximalize(inst.A.project_many(xs + jitter, inst.tol, inst.max_iter), "A")
+    xs2 = inst.proximalize(inst.A.project_many(xs + jitter, inst.tol), "A")
     p_xs2 = nearest(xs2, "A")
     moved_in = inst.space.norms(xs - xs2, axis=1)
     moved_out = inst.space.norms(p_xs - p_xs2, axis=1)
@@ -296,15 +297,17 @@ def compose_with_projector(outer) -> MapSpec:
     blackbox outer becomes the callable x -> outer(x +- v), the side chosen
     by the same test.  Points are not checked against P's domain here.
 
-    The preconditions, relative nonexpansiveness and preservation of the
-    proximal sets, are checked on the instance's `cross_samples` of
-    PRECONDITION_SAMPLES points per side (body and proximal samples) for the
-    seed of outer's certificate.  The composition's certificate follows from
-    outer's: the mode is flipped, its mode check is the proximal-preservation
-    check (outer's images of A0 and B0 are the composition's of B0 and A0),
-    and alpha_hat is outer's, with method "inherited".  It is kept on
-    outer's certificate and reused by later calls; keeping the certificate,
-    not the composed map, keeps outer out of a reference cycle.
+    The preconditions are relative nonexpansiveness, alpha_hat <= 1 on
+    outer's contraction certificate (every cyclic or noncyclic contraction
+    has it: Eldred and Veeramani, J. Math. Anal. Appl. 323, 2006), and
+    preservation of the proximal sets, checked on the instance's proximal
+    `cross_samples` of PRECONDITION_SAMPLES points per side.  The
+    composition's certificate follows from outer's: the mode is flipped, its
+    mode check is the proximal-preservation check (outer's images of A0 and
+    B0 are the composition's of B0 and A0), and alpha_hat is outer's, with
+    method "inherited".  It is kept on outer's certificate and reused by
+    later calls; keeping the certificate, not the composed map, keeps outer
+    out of a reference cycle.
     """
     inst = outer.instance
     kept = certificate_of(outer)
@@ -331,18 +334,17 @@ def compose_with_projector(outer) -> MapSpec:
 def _composition_certificate(outer) -> MapCertificate:
     """Check the preconditions of outer after P; the composition's certificate."""
     inst = outer.instance
-    seed = certificate_of(outer).seed
-    nonexp = certify_relatively_nonexpansive(outer, samples=PRECONDITION_SAMPLES,
-                                             seed=seed)
-    if not nonexp:
+    modulus = contraction_of(outer)
+    if modulus.alpha_hat > 1.0:
+        x, y = (w.tolist() for w in modulus.worst_pair)
         raise PreconditionError(
-            "map is not relatively nonexpansive "
-            f"(worst excess {nonexp.worst_excess:.3e} at {nonexp.witness})")
+            f"map is not relatively nonexpansive (alpha_hat {modulus.alpha_hat:.6g} "
+            f"> 1 at the pair {x}, {y})")
 
     window = DOMAIN_SLACK * inst.tol
     worst = 0.0
     for side, pts in zip(("A", "B"),
-                         inst.cross_samples(PRECONDITION_SAMPLES, seed, proximal=True)):
+                         inst.cross_samples(PRECONDITION_SAMPLES, proximal=True)):
         imgs = outer.apply_many(pts)
         target: Side = side if outer.mode == "noncyclic" else opposite(side)
         devs = inst.proximal_deviations(imgs, target)
@@ -354,9 +356,7 @@ def _composition_certificate(outer) -> MapCertificate:
         worst = max(worst, float(devs[i]))
 
     mode: Mode = flip_mode(outer.mode)
-    modulus = contraction_of(outer)
     return MapCertificate(
-        seed=seed,
         mode=ModeCheck(ok=True, mode=mode, exact=False, worst_deviation=worst),
         contraction=ContractionCertificate(
             alpha_hat=modulus.alpha_hat, samples=0, method="inherited",
@@ -365,7 +365,8 @@ def _composition_certificate(outer) -> MapCertificate:
 
 @dataclass
 class CommutationReport:
-    """Worst deviation of map(P(x)) from P(map(x)) over sampled proximal points."""
+    """Worst deviation of map(P(x)) from P(map(x)) over `samples` proximal
+    points per side."""
 
     max_deviation: float
     witness: tuple[np.ndarray, np.ndarray, np.ndarray] | None
@@ -375,14 +376,14 @@ class CommutationReport:
         return float(self.max_deviation)
 
 
-def check_commutation(m, samples: int = 1000, seed: int = 0) -> CommutationReport:
+def check_commutation(m, samples: int = 1000) -> CommutationReport:
     """Measure max ||T(Px) - P(Tx)|| over the instance's proximal
-    `cross_samples(samples, seed, proximal=True)` of both sides."""
+    `cross_samples(samples, proximal=True)` of both sides."""
     inst = m.instance
     projector = ProximalProjector(inst)
     worst = 0.0
     witness = None
-    for side, pts in zip(("A", "B"), inst.cross_samples(samples, seed, proximal=True)):
+    for side, pts in zip(("A", "B"), inst.cross_samples(samples, proximal=True)):
         t_p = m.apply_many(projector.project_many(pts, side))
         try:
             p_t = projector.project_many(m.apply_many(pts))
@@ -390,10 +391,10 @@ def check_commutation(m, samples: int = 1000, seed: int = 0) -> CommutationRepor
             # the map threw an iterate off the proximal sets entirely
             return CommutationReport(max_deviation=math.inf,
                                      witness=(pts[0], t_p[0], np.full_like(pts[0], np.nan)),
-                                     samples=2 * samples)
+                                     samples=samples)
         devs = inst.space.norms(t_p - p_t, axis=1)
         i = int(np.argmax(devs))
         if devs[i] >= worst:
             worst = float(devs[i])
             witness = (pts[i], t_p[i], p_t[i])
-    return CommutationReport(max_deviation=worst, witness=witness, samples=2 * samples)
+    return CommutationReport(max_deviation=worst, witness=witness, samples=samples)

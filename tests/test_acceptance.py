@@ -112,8 +112,7 @@ def test_criterion_03_projector_properties(segpair):
                                        family="separated-boxes")
         instances.append(build(doc, certify=False).instance)
     for inst in instances:
-        report = verify_projector_properties(ProximalProjector(inst),
-                                             samples=1000, seed=0)
+        report = verify_projector_properties(ProximalProjector(inst), samples=1000)
         assert report.all_hold
         worst = max(worst, max(c.worst_deviation for c in report.checks().values()))
     elapsed = time.perf_counter() - t0

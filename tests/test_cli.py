@@ -171,11 +171,10 @@ def test_solve_ballpair_evaluates_no_map_row_by_row(tmp_path, monkeypatch):
 
 
 def test_solve_balls_draws_each_sample_once(tmp_path, monkeypatch):
-    # one draw of A and one of B for each sample size the certifiers use:
-    # 1000 points for the mode checks, 10,000 for the contraction estimates
-    # and 200 for the nonexpansiveness precondition of the compositions.
-    # The proximal sets of two balls are the points a*, b*, so no proximal
-    # sample needs alternating projections.
+    # one draw of A and one of B for each body sample size the certifiers
+    # use: 1000 points for the mode checks and 10,000 for the contraction
+    # estimates.  The proximal sets of two balls are the points a*, b*, so
+    # no proximal sample draws from a body or needs alternating projections.
     doc = generate_random_instance(0, dim=3, p=3.0, family="separated-balls")
     path = tmp_path / "balls.json"
     path.write_text(serialize_instance(doc))
@@ -193,7 +192,7 @@ def test_solve_balls_draws_each_sample_once(tmp_path, monkeypatch):
     monkeypatch.setattr(Ball, "sample", sample)
     monkeypatch.setattr(ProximityInstance, "proximalize", proximalize)
     assert run_cli("solve", str(path), "--out", str(tmp_path)) == 0
-    assert calls == {"Ball.sample": 6}
+    assert calls == {"Ball.sample": 4}
 
 
 def test_touching_balls_solve_and_verify(tmp_path, capsys):
@@ -371,6 +370,14 @@ def test_each_map_is_certified_once(tmp_path, monkeypatch, command, instance,
     counts = _count_certifier_calls(monkeypatch, command, instance,
                                     "--out", str(tmp_path))
     assert counts == expected
+
+
+def test_verify_names_its_samples_per_side(tmp_path):
+    assert run_cli("verify", "segpair", "--samples", "7", "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "segpair.verify.json").read_text())
+    details = {c["name"]: c["details"] for c in report["checks"]}
+    assert details["map-S-commutation"] == "max over 7 proximal points per side"
+    assert details["projector-isometry"] == "worst over 7 proximal samples per side"
 
 
 def test_bad_family_is_usage_error(tmp_path):

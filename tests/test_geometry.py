@@ -610,10 +610,10 @@ def test_distance_mismatched_spaces():
 # ----------------------------------------------------------- proximal sets
 
 
-def seg_instance(p=2.0):
+def seg_instance(p=2.0, seed=0):
     sp = LpSpace(2, p)
     return ProximityInstance(segment(sp, [1.0, 0.0], [2.0, 0.0]),
-                             segment(sp, [1.0, 1.0], [2.0, 1.0]))
+                             segment(sp, [1.0, 1.0], [2.0, 1.0]), seed=seed)
 
 
 def ball_instance():
@@ -679,24 +679,24 @@ def test_sample_proximal_with_a_ball_is_the_realizing_pair(B_is_a_ball, monkeypa
 
 
 def test_cross_samples_are_drawn_once_from_one_stream():
-    inst = seg_instance()
-    xs, ys = inst.cross_samples(50, 3)
-    again = inst.cross_samples(50, 3)
+    inst = seg_instance(seed=3)
+    xs, ys = inst.cross_samples(50)
+    again = inst.cross_samples(50)
     assert again[0] is xs and again[1] is ys
     stream = np.random.default_rng(3)
     assert_array_equal(xs, inst.A.sample(stream, 50))
     assert_array_equal(ys, inst.B.sample(stream, 50))
-    px, py = inst.cross_samples(50, 3, proximal=True)
+    px, py = inst.cross_samples(50, proximal=True)
     stream = np.random.default_rng(3)
     assert_array_equal(px, inst.sample_proximal("A", 50, stream))
     assert_array_equal(py, inst.sample_proximal("B", 50, stream))
-    assert inst.cross_samples(50, 4)[0] is not xs
-    assert inst.cross_samples(51, 3)[0] is not xs
+    assert not np.array_equal(seg_instance(seed=4).cross_samples(50)[0], xs)
+    assert inst.cross_samples(51)[0] is not xs
 
 
 @pytest.mark.parametrize("proximal", [False, True])
 def test_cross_samples_are_read_only(proximal):
-    xs, ys = seg_instance().cross_samples(20, 0, proximal)
+    xs, ys = seg_instance().cross_samples(20, proximal)
     with pytest.raises(ValueError):
         xs[0, 0] = 1.0
     with pytest.raises(ValueError):

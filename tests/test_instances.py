@@ -198,7 +198,12 @@ def test_build_rejects_mislabeled_mode():
 def test_build_keeps_the_mode_certificate():
     built = build(builtin_instance("segpair"), seed=3)
     cert = built.maps["T"].certificate
-    assert cert.seed == 3 and cert.mode.ok
+    inst = built.instance
+    assert inst.seed == 3 and cert.mode.ok
+    stream = np.random.default_rng(3)  # the seed reaches every certifier's samples
+    xs, ys = inst.cross_samples(20)
+    assert np.array_equal(xs, inst.A.sample(stream, 20))
+    assert np.array_equal(ys, inst.B.sample(stream, 20))
     assert cert.contraction is None  # estimated when a solver first needs it
     built.run("picard-T")
     assert cert.contraction.method == "grid"

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from proxipair import mappings
-from proxipair.errors import DimensionMismatchError
+from proxipair.errors import DimensionMismatchError, PreconditionError
 from proxipair.geometry import Ball, Box, LpSpace, Polytope, ProximityInstance
 from proxipair.instances import (
     build,
@@ -21,9 +21,9 @@ from proxipair.mappings import (
     certify,
     certify_contraction,
     certify_mode,
-    certify_relatively_nonexpansive,
     contraction_of,
 )
+from proxipair.operators import compose_with_projector
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +109,7 @@ def two_piece_maps():
 def test_two_piece_map_computes_only_the_pieces_its_rows_select(two_piece_maps, name,
                                                                rows, monkeypatch):
     m = two_piece_maps[name]
-    xs, ys = m.instance.cross_samples(50, 0, proximal=m.domain == "proximal")
+    xs, ys = m.instance.cross_samples(50, proximal=m.domain == "proximal")
     X = {"A": xs, "B": ys, "empty": xs[:0],
          "mixed": np.vstack([xs, ys])[np.random.default_rng(0).permutation(100)]}[rows]
     in_a = m.instance.A.member_many(X, MEMBER_TOL)
@@ -317,29 +317,38 @@ def test_degenerate_instance_flagged():
     assert cert.worst_pair is None
 
 
-def test_contraction_implies_nonexpansive(seg):
-    assert certify_relatively_nonexpansive(map_T(seg)).ok
-    assert certify_relatively_nonexpansive(map_S(seg)).ok
-
-
 # ------------------------------------------------------------ nonexpansive
+# Composition with P reads relative nonexpansiveness off the contraction
+# certificate: alpha_hat <= 1 is d(Tx, Ty) <= d(x, y) on its pairs.
+
+
+def test_contraction_implies_nonexpansive(seg):
+    for m in (map_T(seg), map_S(seg)):
+        assert compose_with_projector(m).mode != m.mode
+        assert contraction_of(m).alpha_hat < 1.0
 
 
 def test_swap_isometry_is_relatively_nonexpansive(seg):
     swap = MapSpec.affine(seg, "cyclic", [[1.0, 0.0], [0.0, -1.0]], [0.0, 1.0])
-    check = certify_relatively_nonexpansive(swap)
-    assert check.ok
-    assert abs(check.worst_excess) <= 1e-12
+    ident = MapSpec.affine(seg, "noncyclic", np.eye(2))
+    for m in (swap, ident):
+        assert compose_with_projector(m).mode != m.mode
+        assert contraction_of(m).alpha_hat == 1.0
 
 
 def test_doubling_map_fails_nonexpansive(seg):
-    doubling = MapSpec.affine(seg, "noncyclic", [[2.0, 0.0], [0.0, 1.0]])
-    check = certify_relatively_nonexpansive(doubling)
-    assert not check
-    x, y = check.witness
-    d_before = seg.space.distance(x, y)
-    d_after = seg.space.distance(doubling.apply(x), doubling.apply(y))
-    assert d_after > d_before + 0.1
+    # diag(2, 1) stretches along the segments, diag(1, 2) only the gap axis
+    for matrix in ([[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 2.0]]):
+        doubling = MapSpec.affine(seg, "noncyclic", matrix)
+        with pytest.raises(PreconditionError, match="not relatively nonexpansive") as err:
+            compose_with_projector(doubling)
+        alpha = contraction_of(doubling).alpha_hat
+        assert alpha > 1.0 and f"alpha_hat {alpha:.6g}" in str(err.value)
+        x, y = contraction_of(doubling).worst_pair
+        assert f"{x.tolist()}, {y.tolist()}" in str(err.value)
+        d_before = seg.space.distance(x, y)
+        d_after = seg.space.distance(doubling.apply(x), doubling.apply(y))
+        assert d_after > d_before
 
 
 def test_box_pair_affine_contraction_certifies(rng):
@@ -455,12 +464,12 @@ def _certificates_in_order(order: list) -> dict:
     plain values."""
     sp = LpSpace(2, 2.0)
     inst = ProximityInstance(Polytope(sp, [[1.0, 0.0], [2.0, 0.0]]),
-                             Polytope(sp, [[1.0, 1.0], [2.0, 1.0]]))
+                             Polytope(sp, [[1.0, 1.0], [2.0, 1.0]]), seed=5)
     T, S = map_T(inst), map_S(inst)
     maps = {"T": MapSpec.blackbox(inst, "cyclic", T.apply, name="T"),
             "S": MapSpec.blackbox(inst, "noncyclic", S.apply, name="S")}
     for name in order:
-        certify(maps[name], seed=5)
+        certify(maps[name])
         contraction_of(maps[name])
     out = {}
     for name, m in maps.items():

@@ -1,12 +1,15 @@
+import collections
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from proxipair import operators
+from proxipair import operators, verification
+from proxipair.geometry import ProximityInstance
 from proxipair.instances import build, builtin_instance, generate_random_instance, parse_instance
 from proxipair.mappings import certificate_of, contraction_of
-from proxipair.verification import run_verification
+from proxipair.verification import GAP_DECAY_SLACK, UNIQUENESS_STARTS, run_verification
 
 
 def skew_doc():
@@ -40,9 +43,9 @@ def test_each_contraction_is_composed_with_the_projector_once(monkeypatch):
     # segpair has 2 contraction maps; the map checks and the reduce runs
     # share each map's composition, so its preconditions are checked once
     checked = []
-    real = operators.certify_relatively_nonexpansive
-    monkeypatch.setattr(operators, "certify_relatively_nonexpansive",
-                        lambda m, **kw: checked.append(m.name) or real(m, **kw))
+    real = operators._composition_certificate
+    monkeypatch.setattr(operators, "_composition_certificate",
+                        lambda m: checked.append(m.name) or real(m))
     built = build(builtin_instance("segpair"))
     assert run_verification(built).passed
     assert sorted(checked) == ["S", "T"]
@@ -52,6 +55,26 @@ def test_each_contraction_is_composed_with_the_projector_once(monkeypatch):
         composed = operators.compose_with_projector(m)
         assert composed.certificate is operators.compose_with_projector(m).certificate
     assert len(checked) == 2
+
+
+def test_verification_draws_each_proximal_sample_once(monkeypatch):
+    # the projector checks, the commutation and mode-flip checks and the
+    # certificates share the instance's store: one draw per side and size,
+    # 200 for the composition preconditions, 1000 for the checks and
+    # 10,000 for the re-sampled moduli
+    calls = collections.Counter()
+    real = ProximityInstance.sample_proximal
+
+    def counted(inst, side, n, rng):
+        calls[side, n] += 1
+        return real(inst, side, n, rng)
+
+    monkeypatch.setattr(ProximityInstance, "sample_proximal", counted)
+    built = build(builtin_instance("segpair"))
+    assert run_verification(built).passed
+    # the uniqueness starts of picard-T and project-S
+    assert calls.pop(("A", UNIQUENESS_STARTS - 1)) == 2
+    assert calls == {(side, n): 1 for side in "AB" for n in (200, 1000, 10_000)}
 
 
 def test_mode_flip_checks_present_for_contractions_only():
@@ -126,6 +149,25 @@ def test_gap_decay_on_a_closed_trace_is_flagged_vacuous():
     for name in ("run-picard-T-gap-decay", "run-reduce-S-gap-decay"):
         check = next(c for c in report.checks if c.name == name)
         assert check.passed and not check.flags
+
+
+@pytest.mark.parametrize("scale", [1.5, 0.5])
+def test_gap_decay_reports_the_raw_excess(scale):
+    # a planted trace whose last gap exceeds alpha times the one before by
+    # scale * GAP_DECAY_SLACK: it fails exactly when that excess passes the
+    # threshold, and the excess is the worst deviation reported
+    built = build(builtin_instance("segpair"))
+    result = built.run("picard-T")
+    alpha = result.alpha_hat
+    gaps = np.array([1e-3, alpha * 1e-3 + scale * GAP_DECAY_SLACK])
+    trace = dataclasses.replace(result.trace, gaps=gaps)
+    planted = dataclasses.replace(result, trace=trace)
+    checks = verification._run_checks(built, {"picard-T": planted})
+    check = next(c for c in checks if c.name == "run-picard-T-gap-decay")
+    assert check.threshold == GAP_DECAY_SLACK
+    assert check.worst_deviation == pytest.approx(scale * GAP_DECAY_SLACK, rel=1e-6)
+    assert check.passed == (scale < 1.0)
+    assert check.passed == (check.worst_deviation <= check.threshold)
 
 
 def test_skew_map_fails_commutation():

@@ -9,7 +9,9 @@ example, `python3 tools/compare_outputs.py HEAD .` compares the last
 commit with the working tree.  Runs `proxipair solve` and `proxipair
 verify` on the builtins `segpair` and `ballpair` and on the instance
 documents of seeds 1 and 2 of every workload in `perfbench/inputs.py`,
-once against each tree's `src`, in a subprocess per tree.  Then it reports
+once against each tree's `src`, in a subprocess per tree.  The builtins
+are run a second time with `--seed 5`, so that a change to how the seed
+reaches the certifiers' and checks' samples shows up.  Then it reports
 whether the exit codes are equal, how many output files are
 byte-identical, every key, flag, integer or string that differs (in the
 JSON outputs, the CSV traces and the printed lines), and the worst
@@ -40,6 +42,7 @@ import inputs  # noqa: E402
 
 SEEDS = (1, 2)
 BUILTINS = ("segpair", "ballpair")
+BUILTIN_SEED = "5"  # the builtins' second run, besides the default seed 0
 FLOAT_BOUND = 1e-12
 SHOWN = 20  # non-float differences listed in full
 
@@ -50,11 +53,11 @@ import contextlib, io, json, sys
 from proxipair import cli
 calls, out = json.loads(sys.argv[1]), sys.argv[2]
 results = []
-for i, (command, ref) in enumerate(calls):
+for i, call in enumerate(calls):
     directory = f"{out}/{i:03d}"
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        code = cli.main([command, ref, "--out", directory])
+        code = cli.main([*call, "--out", directory])
     results.append([code, sink.getvalue().replace(directory, "<out>")])
 print(json.dumps(results))
 """
@@ -124,7 +127,8 @@ def _calls(docs_dir: Path) -> list:
             directory = docs_dir / f"seed{seed}" / workload
             inputs.write_documents(docs, directory)
             refs += [str(inputs.document_path(directory, d)) for d in docs]
-    return [[command, ref] for ref in refs for command in ("solve", "verify")]
+    args = [[ref] for ref in refs] + [[ref, "--seed", BUILTIN_SEED] for ref in BUILTINS]
+    return [[command, *a] for a in args for command in ("solve", "verify")]
 
 
 def _run_tree(tree: Path, calls: list, out: Path) -> list:
@@ -171,9 +175,9 @@ def main(argv: list) -> int:
         results = [_run_tree(tree, calls, tmp / label)
                    for label, tree in (("parent", parent), ("change", change))]
         codes_differ = []
-        for i, ((command, ref), (code_a, out_a), (code_b, out_b)) in enumerate(
+        for i, ((command, ref, *extra), (code_a, out_a), (code_b, out_b)) in enumerate(
                 zip(calls, *results)):
-            name = f"{command} {Path(ref).stem}#{i:03d}"
+            name = " ".join([command, Path(ref).stem, *extra]) + f"#{i:03d}"
             if code_a != code_b:
                 codes_differ.append(f"{name}: exit {code_a} != {code_b}")
             report.text(f"{name} output", out_a, out_b)
