@@ -43,9 +43,7 @@ from .mappings import (
     flip_mode,
 )
 from .operators import (
-    CommutationReport,
-    ProjectorReport,
-    PropertyCheck,
+    CheckResult,
     ProximalProjector,
     check_commutation,
     compose_with_projector,
@@ -59,6 +57,6 @@ from .solvers import (
     solve_cyclic_via_reduction,
     solve_noncyclic_via_reduction,
 )
-from .verification import CheckResult, VerificationReport, run_verification
+from .verification import VerificationReport, run_verification
 
 __version__ = "0.1.0"

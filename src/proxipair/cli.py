@@ -25,6 +25,7 @@ from .instances import (
     load_instance,
     serialize_instance,
 )
+from .solvers import DEFAULT_MAX_ITER
 from .verification import run_verification
 
 EXIT_OK = 0
@@ -184,7 +185,7 @@ def _parser() -> argparse.ArgumentParser:
                        help="run name (repeatable; default: all declared runs)")
     solve.add_argument("--tol", type=float, default=None,
                        help="override the instance tolerance")
-    solve.add_argument("--max-iter", type=int, default=10_000)
+    solve.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     solve.set_defaults(func=_cmd_solve)
 
     verify = sub.add_parser("verify", parents=[common],

@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import InstanceFormatError
 from .geometry import Ball, Box, ConvexBody, LpSpace, Polytope, ProximityInstance
-from .mappings import MapSpec, certify as certify_map
+from .mappings import MODES, MapSpec, certify as certify_map
 from .solvers import (
+    DEFAULT_MAX_ITER,
     SolveResult,
     noncyclic_projection_iteration,
     picard_cyclic,
@@ -27,7 +28,6 @@ from .solvers import (
     solve_noncyclic_via_reduction,
 )
 
-MODES = ("cyclic", "noncyclic")
 BODY_KINDS = ("ball", "box", "polytope")
 MAP_KINDS = ("affine", "constant-pair", "sidewise-affine")
 SOLVERS = {
@@ -281,7 +281,7 @@ class BuiltInstance:
     maps: dict
     runs: dict
 
-    def run(self, name: str, tol: float | None = None, max_iter: int = 10_000,
+    def run(self, name: str, tol: float | None = None, max_iter: int = DEFAULT_MAX_ITER,
             x0=None) -> SolveResult:
         """Run a declared solver run, from its declared start unless x0 is given."""
         if name not in self.runs:

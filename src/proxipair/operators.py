@@ -8,7 +8,8 @@ between them.  `verify_projector_properties` checks all of that numerically;
 `compose_with_projector` uses it to flip a map's mode while preserving its
 contraction behavior, checking its preconditions once per map, and
 `check_commutation` measures how far a map is from commuting with the
-projector.
+projector.  Both checks return `CheckResult`s, the one check record of the
+package, which `verification` collects into the verify report.
 
 The lp norm with 1 < p < inf is strictly convex, so every pair realizing
 dist(A, B) has the same difference v = b* - a*: if two pairs had different
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from .mappings import (
 )
 
 PROPERTY_TOL = 1e-8
+COMMUTATION_THRESHOLD = 1e-8
 DOMAIN_SLACK = 10.0  # P's domain window, in units of the instance tol
 DEGENERATE_SPREAD = 1e-7
 PRECONDITION_SAMPLES = 200  # per side, for the preconditions of a composition
@@ -136,89 +137,59 @@ class ProximalProjector:
 
 
 @dataclass
-class PropertyCheck:
-    holds: bool
+class CheckResult:
+    """One check: its worst deviation against a threshold, and whether it passed.
+
+    `witness` holds the points of a failed check's worst deviation, or None;
+    `to_dict` leaves it out of the JSON record.
+    """
+
+    name: str
+    tag: str
+    passed: bool
     worst_deviation: float
-    witness: Any = None
-    note: str = ""
+    threshold: float
+    flags: list = field(default_factory=list)
+    details: str = ""
+    witness: tuple | None = None
 
     def to_dict(self) -> dict:
-        witness = self.witness
-        if witness is not None:
-            witness = [np.asarray(w).tolist() for w in witness]
-        out = {"holds": bool(self.holds),
-               "worst_deviation": float(self.worst_deviation),
-               "witness": witness}
-        if self.note:
-            out["note"] = self.note
-        return out
-
-
-@dataclass
-class ProjectorReport:
-    """Five property checks of the projector, plus degeneracy information."""
-
-    cyclic_distance: PropertyCheck
-    isometry: PropertyCheck
-    affine: PropertyCheck
-    involution: PropertyCheck
-    continuity: PropertyCheck
-    degenerate: bool
-    samples: int
-
-    def checks(self) -> dict[str, PropertyCheck]:
-        return {"cyclic_distance": self.cyclic_distance,
-                "isometry": self.isometry,
-                "affine": self.affine,
-                "involution": self.involution,
-                "continuity": self.continuity}
-
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks().values())
-
-    def __bool__(self) -> bool:
-        return self.all_hold
-
-    def to_dict(self) -> dict:
-        out = {name: check.to_dict() for name, check in self.checks().items()}
-        out["degenerate"] = bool(self.degenerate)
-        out["samples"] = int(self.samples)
-        out["tol"] = PROPERTY_TOL
-        return out
-
-
-def _check(devs: np.ndarray, witnesses, note: str = "") -> PropertyCheck:
-    i = int(np.argmax(devs))
-    worst = float(devs[i])
-    holds = worst <= PROPERTY_TOL
-    witness = None if holds else tuple(w[i] for w in witnesses)
-    return PropertyCheck(holds=holds, worst_deviation=worst, witness=witness, note=note)
+        return {
+            "name": self.name,
+            "tag": self.tag,
+            "passed": bool(self.passed),
+            "worst_deviation": float(self.worst_deviation),
+            "threshold": float(self.threshold),
+            "flags": list(self.flags),
+            "details": self.details,
+        }
 
 
 def verify_projector_properties(projector: ProximalProjector,
-                                samples: int = 1000) -> ProjectorReport:
+                                samples: int = 1000) -> list[CheckResult]:
     """Numerically certify the five defining properties of the projector.
 
     The properties are checked on the nearest-point projection onto the
     opposite body, computed here apart from the projector, and the first
-    check ties that reference to the projector's translation by v:
+    check ties that reference to the projector's translation by v.  One
+    CheckResult per property, named as `verify` reports it:
 
-    1. cyclic_distance: images land in the opposite proximal set, realize
-       dist(A, B), and equal the translates x + v (y - v) that the
+    1. projector-cyclic-distance: images land in the opposite proximal set,
+       realize dist(A, B), and equal the translates x + v (y - v) that the
        projector returns;
-    2. isometry: cross-pair distances are preserved;
-    3. affine: images of proximal segments' midcombinations match the
-       combinations of the images;
-    4. involution: applying the operator twice returns the start;
-    5. continuity: probed as nonexpansiveness on nearby pairs (already forced
-       by the isometry property; reported for completeness).
+    2. projector-isometry: cross-pair distances are preserved;
+    3. projector-affine: images of proximal segments' midcombinations match
+       the combinations of the images;
+    4. projector-involution: applying the operator twice returns the start;
+    5. projector-continuity: probed as nonexpansiveness on nearby pairs
+       (already forced by the isometry property; reported for completeness).
 
     The translates are taken raw, not through the projector's domain check,
     so a wrong v fails check 1 instead of raising.  Singleton proximal sets
-    make several checks vacuous; the report flags that via `degenerate`
-    instead of failing.  Every check holds when its worst deviation is at
-    most PROPERTY_TOL.  The points are the instance's proximal
+    make several checks vacuous; every check then carries the flag
+    `degenerate` instead of failing.  A check passes when its worst
+    deviation is at most PROPERTY_TOL; a failed one keeps the points of its
+    worst deviation as its witness.  The points are the instance's proximal
     `cross_samples(samples)`; pairings, weights and jitter are drawn from a
     generator of the instance's seed.
     """
@@ -227,7 +198,18 @@ def verify_projector_properties(projector: ProximalProjector,
     rng = np.random.default_rng(inst.seed)
     spread = max(float(inst.space.norms(np.ptp(xs, axis=0))),
                  float(inst.space.norms(np.ptp(ys, axis=0))))
-    degenerate = spread < DEGENERATE_SPREAD
+    flags = ["degenerate"] if spread < DEGENERATE_SPREAD else []
+
+    def result(name: str, tag: str, devs: np.ndarray, witnesses,
+               note: str = "") -> CheckResult:
+        i = int(np.argmax(devs))
+        worst = float(devs[i])
+        passed = worst <= PROPERTY_TOL
+        return CheckResult(
+            name=f"projector-{name}", tag=tag, passed=passed, worst_deviation=worst,
+            threshold=PROPERTY_TOL, flags=list(flags),
+            details=f"worst over {samples} proximal samples per side" + note,
+            witness=None if passed else tuple(w[i] for w in witnesses))
 
     def nearest(X, side: Side):
         return inst.opposite_body(side).project_many(X, inst.tol)
@@ -245,13 +227,15 @@ def verify_projector_properties(projector: ProximalProjector,
 
     dev1 = np.concatenate([landing_devs(xs, p_xs, "B", _shift_rows(xs, projector.v)),
                            landing_devs(ys, p_ys, "A", _shift_rows(ys, -projector.v))])
-    check1 = _check(dev1, (np.vstack([xs, ys]), np.vstack([p_xs, p_ys])))
+    checks = [result("cyclic-distance", "projection-realizes-distance", dev1,
+                     (np.vstack([xs, ys]), np.vstack([p_xs, p_ys])))]
 
     # 2: isometry over randomly matched cross pairs
     j = rng.integers(0, len(ys), size=len(xs))
     before = inst.space.norms(xs - ys[j], axis=1)
     after = inst.space.norms(p_xs - p_ys[j], axis=1)
-    check2 = _check(np.abs(after - before), (xs, ys[j]))
+    checks.append(result("isometry", "projection-preserves-distances",
+                         np.abs(after - before), (xs, ys[j])))
 
     # 3: affineness on random proximal combinations, both sides
     def affine_devs(points, images, side: Side):
@@ -263,14 +247,16 @@ def verify_projector_properties(projector: ProximalProjector,
 
     dev3a, za = affine_devs(xs, p_xs, "A")
     dev3b, zb = affine_devs(ys, p_ys, "B")
-    check3 = _check(np.concatenate([dev3a, dev3b]), (np.vstack([za, zb]),))
+    checks.append(result("affine", "projection-affine-on-chords",
+                         np.concatenate([dev3a, dev3b]), (np.vstack([za, zb]),)))
 
     # 4: involution
     back_x = nearest(p_xs, "B")
     back_y = nearest(p_ys, "A")
     dev4 = np.concatenate([inst.space.norms(back_x - xs, axis=1),
                            inst.space.norms(back_y - ys, axis=1)])
-    check4 = _check(dev4, (np.vstack([xs, ys]), np.vstack([back_x, back_y])))
+    checks.append(result("involution", "projection-is-involutive", dev4,
+                         (np.vstack([xs, ys]), np.vstack([back_x, back_y]))))
 
     # 5: continuity probe on jittered nearby pairs
     scale = max(spread, 1.0)
@@ -279,13 +265,10 @@ def verify_projector_properties(projector: ProximalProjector,
     p_xs2 = nearest(xs2, "A")
     moved_in = inst.space.norms(xs - xs2, axis=1)
     moved_out = inst.space.norms(p_xs - p_xs2, axis=1)
-    dev5 = np.maximum(0.0, moved_out - moved_in)
-    check5 = _check(dev5, (xs, xs2),
-                    note="nonexpansiveness on nearby pairs; implied by isometry")
-
-    return ProjectorReport(cyclic_distance=check1, isometry=check2, affine=check3,
-                           involution=check4, continuity=check5,
-                           degenerate=degenerate, samples=samples)
+    checks.append(result("continuity", "projection-continuous",
+                         np.maximum(0.0, moved_out - moved_in), (xs, xs2),
+                         note="; nonexpansiveness on nearby pairs; implied by isometry"))
+    return checks
 
 
 def compose_with_projector(outer) -> MapSpec:
@@ -363,38 +346,34 @@ def _composition_certificate(outer) -> MapCertificate:
             degenerate=modulus.degenerate, worst_pair=None))
 
 
-@dataclass
-class CommutationReport:
-    """Worst deviation of map(P(x)) from P(map(x)) over `samples` proximal
-    points per side."""
+def check_commutation(m, samples: int = 1000) -> CheckResult:
+    """The check `map-<name>-commutation`: max ||T(Px) - P(Tx)|| over the
+    instance's proximal `cross_samples(samples, proximal=True)` of both sides.
 
-    max_deviation: float
-    witness: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-    samples: int
-
-    def __float__(self) -> float:
-        return float(self.max_deviation)
-
-
-def check_commutation(m, samples: int = 1000) -> CommutationReport:
-    """Measure max ||T(Px) - P(Tx)|| over the instance's proximal
-    `cross_samples(samples, proximal=True)` of both sides."""
+    When T sends a proximal point off the proximal sets, P(Tx) does not
+    exist: the check fails at an infinite deviation, with P's DomainError,
+    which names the image and its row, appended to its details.
+    """
     inst = m.instance
     projector = ProximalProjector(inst)
-    worst = 0.0
-    witness = None
+    check = CheckResult(name=f"map-{m.name}-commutation",
+                        tag="map-commutes-with-projection", passed=False,
+                        worst_deviation=0.0, threshold=COMMUTATION_THRESHOLD,
+                        details=f"max over {samples} proximal points per side")
     for side, pts in zip(("A", "B"), inst.cross_samples(samples, proximal=True)):
         t_p = m.apply_many(projector.project_many(pts, side))
         try:
             p_t = projector.project_many(m.apply_many(pts))
-        except DomainError:
-            # the map threw an iterate off the proximal sets entirely
-            return CommutationReport(max_deviation=math.inf,
-                                     witness=(pts[0], t_p[0], np.full_like(pts[0], np.nan)),
-                                     samples=samples)
+        except DomainError as exc:
+            check.worst_deviation = math.inf
+            check.details += f"; {exc}"
+            return check
         devs = inst.space.norms(t_p - p_t, axis=1)
         i = int(np.argmax(devs))
-        if devs[i] >= worst:
-            worst = float(devs[i])
-            witness = (pts[i], t_p[i], p_t[i])
-    return CommutationReport(max_deviation=worst, witness=witness, samples=samples)
+        if devs[i] >= check.worst_deviation:
+            check.worst_deviation = float(devs[i])
+            check.witness = (pts[i], t_p[i], p_t[i])
+    check.passed = check.worst_deviation <= COMMUTATION_THRESHOLD
+    if check.passed:
+        check.witness = None  # kept for a failed check only
+    return check

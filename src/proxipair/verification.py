@@ -3,16 +3,18 @@
 Given a built instance this runs the projector property suite, commutation,
 mode-flip and inherited-modulus checks for the declared maps, executes the
 declared solver runs, and validates the orbit identities the reductions rely
-on.  Each check reports its worst observed deviation against an explicit
-threshold; the report is JSON-ready for the command line.  The checks take
-their points from the instance's samples, on which the maps were certified;
-only the uniqueness starts and the projector checks' further draws have
-generators of their own, seeded with the instance's seed.
+on.  Each check is a `CheckResult`, defined in `operators`, whose projector
+and commutation checks return it: its worst observed deviation against an
+explicit threshold.  The report is JSON-ready for the command line.  The
+checks take their points from the instance's samples, on which the maps
+were certified; only the uniqueness starts and the projector checks'
+further draws have generators of their own, seeded with the instance's
+seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,51 +22,19 @@ from .errors import PreconditionError, ProxipairError
 from .instances import BuiltInstance
 from .mappings import certify_contraction, certify_mode, contraction_of, flip_mode
 from .operators import (
-    PROPERTY_TOL,
-    ProjectorReport,
+    CheckResult,
     ProximalProjector,
     check_commutation,
     compose_with_projector,
     verify_projector_properties,
 )
 
-COMMUTATION_THRESHOLD = 1e-8
 IDENTITY_THRESHOLD = 1e-9
 ODD_MEMBERSHIP_THRESHOLD = 1e-8
 UNIQUENESS_THRESHOLD = 1e-6
 UNIQUENESS_STARTS = 5
 GAP_DECAY_SLACK = 1e-9
 INHERITED_MODULUS_SLACK = 1e-6
-
-PROJECTOR_TAGS = {
-    "cyclic_distance": "projection-realizes-distance",
-    "isometry": "projection-preserves-distances",
-    "affine": "projection-affine-on-chords",
-    "involution": "projection-is-involutive",
-    "continuity": "projection-continuous",
-}
-
-
-@dataclass
-class CheckResult:
-    name: str
-    tag: str
-    passed: bool
-    worst_deviation: float
-    threshold: float
-    flags: list = field(default_factory=list)
-    details: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "tag": self.tag,
-            "passed": bool(self.passed),
-            "worst_deviation": float(self.worst_deviation),
-            "threshold": float(self.threshold),
-            "flags": list(self.flags),
-            "details": self.details,
-        }
 
 
 @dataclass
@@ -87,21 +57,6 @@ class VerificationReport:
         }
 
 
-def _projector_checks(report: ProjectorReport, flags: list) -> list:
-    out = []
-    for key, check in report.checks().items():
-        out.append(CheckResult(
-            name=f"projector-{key.replace('_', '-')}",
-            tag=PROJECTOR_TAGS[key],
-            passed=check.holds,
-            worst_deviation=check.worst_deviation,
-            threshold=PROPERTY_TOL,
-            flags=list(flags),
-            details=f"worst over {report.samples} proximal samples per side"
-                    + (f"; {check.note}" if check.note else "")))
-    return out
-
-
 def _map_checks(built: BuiltInstance, samples: int, flags: list) -> list:
     """Commutation for noncyclic maps; mode flip and inherited modulus for
     certified contractions.
@@ -115,14 +70,8 @@ def _map_checks(built: BuiltInstance, samples: int, flags: list) -> list:
     for name, m in built.maps.items():
         if m.mode == "noncyclic":
             commutation = check_commutation(m, samples=samples)
-            checks.append(CheckResult(
-                name=f"map-{name}-commutation",
-                tag="map-commutes-with-projection",
-                passed=commutation.max_deviation <= COMMUTATION_THRESHOLD,
-                worst_deviation=commutation.max_deviation,
-                threshold=COMMUTATION_THRESHOLD,
-                flags=list(flags),
-                details=f"max over {commutation.samples} proximal points per side"))
+            commutation.flags = list(flags)
+            checks.append(commutation)
         if not contraction_of(m):
             continue
         flip = CheckResult(name=f"map-{name}-mode-flip", tag="composition-flips-mode",
@@ -259,11 +208,12 @@ def run_verification(built: BuiltInstance, samples: int = 1000) -> VerificationR
     """
     if samples < 1:
         raise PreconditionError(f"samples must be at least 1, got {samples}")
-    report = verify_projector_properties(ProximalProjector(built.instance),
+    checks = verify_projector_properties(ProximalProjector(built.instance),
                                          samples=samples)
-    # Singleton proximal sets make every check that samples them vacuous.
-    flags = ["degenerate"] if report.degenerate else []
-    checks = _projector_checks(report, flags)
+    # Singleton proximal sets make every check that samples them vacuous;
+    # the projector checks carry that flag, and so does every later check
+    # that samples the proximal sets.
+    flags = checks[0].flags
     checks.extend(_map_checks(built, samples, flags))
     # each declared run is made once; the uniqueness checks reuse its outcome
     outcomes = {name: _outcome(built, name) for name in built.runs}

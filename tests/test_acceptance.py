@@ -112,9 +112,9 @@ def test_criterion_03_projector_properties(segpair):
                                        family="separated-boxes")
         instances.append(build(doc, certify=False).instance)
     for inst in instances:
-        report = verify_projector_properties(ProximalProjector(inst), samples=1000)
-        assert report.all_hold
-        worst = max(worst, max(c.worst_deviation for c in report.checks().values()))
+        checks = verify_projector_properties(ProximalProjector(inst), samples=1000)
+        assert all(c.passed for c in checks)
+        worst = max(worst, max(c.worst_deviation for c in checks))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-8
     assert elapsed < 5.0, f"{elapsed:.2f} s"
@@ -130,9 +130,9 @@ def test_criterion_04_commutation(segpair, ballpair, generated):
         for name, m in built.maps.items():
             if m.mode != "noncyclic" or not certs[name]:
                 continue
-            report = check_commutation(m, samples=1000)
-            assert report.max_deviation <= 1e-8, (built.doc.name, name)
-            worst = max(worst, report.max_deviation)
+            check = check_commutation(m, samples=1000)
+            assert check.passed and check.worst_deviation <= 1e-8, (built.doc.name, name)
+            worst = max(worst, check.worst_deviation)
             checked += 1
     assert checked >= 5
     _report(4, f"{checked} noncyclic contractions commute with the projector; "

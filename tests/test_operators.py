@@ -195,27 +195,34 @@ def test_planted_wrong_v_fails_the_landing_check(seg):
         else:
             with pytest.raises(DomainError, match="does not realize"):
                 P.project(a_star)
-        report = verify_projector_properties(P, samples=200)
-        assert not report.cyclic_distance.holds
-        assert report.cyclic_distance.worst_deviation == pytest.approx(1e-6, rel=1e-6)
-    assert verify_projector_properties(ProximalProjector(seg), samples=200).all_hold
+        landing = verify_projector_properties(P, samples=200)[0]
+        assert landing.name == "projector-cyclic-distance"
+        assert not landing.passed
+        assert landing.worst_deviation == pytest.approx(1e-6, rel=1e-6)
+        # the witness is the sample and its nearest-point image, which
+        # misses the planted translate x + v by the worst deviation
+        x, image = landing.witness
+        assert seg.space.norm(image - (x + P.v)) == pytest.approx(landing.worst_deviation)
+    checks = verify_projector_properties(ProximalProjector(seg), samples=200)
+    assert all(c.passed and c.witness is None for c in checks)
 
 
 # ------------------------------------------------------- property report
 
 
 def test_projector_properties_segment_pair(seg):
-    report = verify_projector_properties(ProximalProjector(seg), samples=500)
-    assert report.all_hold
-    assert not report.degenerate
-    for check in report.checks().values():
-        assert check.worst_deviation <= PROPERTY_TOL
+    checks = verify_projector_properties(ProximalProjector(seg), samples=500)
+    assert len(checks) == 5
+    for check in checks:
+        assert check.passed
+        assert check.flags == []
+        assert check.worst_deviation <= check.threshold == PROPERTY_TOL
 
 
 def test_projector_properties_ball_pair_degenerate(balls):
-    report = verify_projector_properties(ProximalProjector(balls), samples=200)
-    assert report.all_hold
-    assert report.degenerate
+    checks = verify_projector_properties(ProximalProjector(balls), samples=200)
+    assert all(c.passed for c in checks)
+    assert all(c.flags == ["degenerate"] for c in checks)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -224,21 +231,29 @@ def test_projector_properties_box_pair_any_p(p):
     sp = LpSpace(2, p)
     inst = ProximityInstance(Box(sp, [0.0, 0.0], [1.0, 1.0]),
                              Box(sp, [3.0, 0.0], [4.0, 1.0]))
-    report = verify_projector_properties(ProximalProjector(inst), samples=400)
-    assert report.all_hold
-    assert not report.degenerate
+    checks = verify_projector_properties(ProximalProjector(inst), samples=400)
+    assert all(c.passed for c in checks)
+    assert not any("degenerate" in c.flags for c in checks)
     P = ProximalProjector(inst)
     assert_allclose(P.project([1.0, 0.25]), [3.0, 0.25], atol=1e-12)
 
 
 def test_property_report_serializes(seg):
-    report = verify_projector_properties(ProximalProjector(seg), samples=100)
-    d = report.to_dict()
-    assert set(d) >= {"cyclic_distance", "isometry", "affine", "involution",
-                      "continuity", "degenerate", "samples"}
-    for name in ("cyclic_distance", "isometry", "affine", "involution", "continuity"):
-        assert d[name]["holds"] is True
-        assert d[name]["witness"] is None
+    checks = verify_projector_properties(ProximalProjector(seg), samples=100)
+    dicts = [c.to_dict() for c in checks]
+    assert [d["name"] for d in dicts] == [
+        "projector-cyclic-distance", "projector-isometry", "projector-affine",
+        "projector-involution", "projector-continuity"]
+    assert [d["tag"] for d in dicts] == [
+        "projection-realizes-distance", "projection-preserves-distances",
+        "projection-affine-on-chords", "projection-is-involutive",
+        "projection-continuous"]
+    for d in dicts:
+        # the witness stays off the record
+        assert set(d) == {"name", "tag", "passed", "worst_deviation", "threshold",
+                          "flags", "details"}
+        assert d["passed"] is True
+        assert d["details"].startswith("worst over 100 proximal samples per side")
 
 
 # ------------------------------------------------------------- composition
@@ -355,14 +370,18 @@ def test_composed_domain_is_proximal(balls):
 
 
 def test_commutation_for_noncyclic_contraction(seg):
-    report = check_commutation(map_S(seg))
-    assert report.max_deviation <= 1e-9
-    assert report.samples == 1000  # per side
+    check = check_commutation(map_S(seg))
+    assert check.name == "map-S-commutation"
+    assert check.passed
+    assert check.worst_deviation <= 1e-9
+    assert check.details == "max over 1000 proximal points per side"
+    assert check.witness is None
 
 
 def test_commutation_for_identity(seg):
     ident = MapSpec.affine(seg, "noncyclic", np.eye(2))
-    assert check_commutation(ident).max_deviation <= 1e-12
+    check = check_commutation(ident)
+    assert check.passed and check.worst_deviation <= 1e-12
 
 
 def test_commutation_for_constant_maps(balls):
@@ -370,7 +389,8 @@ def test_commutation_for_constant_maps(balls):
     const = MapSpec.blackbox(
         balls, "noncyclic",
         lambda x: a_star if balls.A.member(x, 1e-7) else b_star)
-    assert check_commutation(const, samples=100).max_deviation <= 1e-9
+    check = check_commutation(const, samples=100)
+    assert check.passed and check.worst_deviation <= 1e-9
 
 
 def test_commutation_fails_for_sidewise_skew(seg):
@@ -383,7 +403,27 @@ def test_commutation_fails_for_sidewise_skew(seg):
 
     K = MapSpec.blackbox(seg, "noncyclic", skew, name="skew")
     assert certify_mode(K).ok
-    report = check_commutation(K)
-    assert report.max_deviation > 0.5
-    x, t_p, p_t = report.witness
-    assert seg.space.norm(t_p - p_t) == pytest.approx(report.max_deviation)
+    check = check_commutation(K)
+    assert not check.passed
+    assert check.worst_deviation > 0.5
+    x, t_p, p_t = check.witness
+    assert seg.space.norm(t_p - p_t) == pytest.approx(check.worst_deviation)
+
+
+def test_commutation_fails_with_the_domain_error_when_the_map_leaves_the_proximal_sets():
+    # x -> x / 2 on A and x / 2 + (2, 0) on B maps each box into itself, but
+    # sends A's proximal face {1} x [0, 1] to {0.5} x [0, 0.5], where P is
+    # not defined
+    sp = LpSpace(2, 2.0)
+    inst = ProximityInstance(Box(sp, [0.0, 0.0], [1.0, 1.0]),
+                             Box(sp, [3.0, 0.0], [4.0, 1.0]))
+    half = MapSpec.sidewise(inst, "noncyclic", 0.5 * np.eye(2), [0.0, 0.0],
+                            0.5 * np.eye(2), [2.0, 0.0], name="half")
+    assert certify_mode(half).ok
+    check = check_commutation(half, samples=50)
+    assert check.name == "map-half-commutation"
+    assert not check.passed
+    assert check.worst_deviation == np.inf
+    assert check.witness is None
+    assert check.details.startswith("max over 50 proximal points per side; point [0.5, ")
+    assert "(row 0) is in side A but does not realize dist(A, B)" in check.details

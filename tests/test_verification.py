@@ -179,6 +179,26 @@ def test_skew_map_fails_commutation():
     assert skew.worst_deviation > 0.5
 
 
+def test_map_leaving_the_proximal_sets_fails_commutation_with_a_reason():
+    # x / 2 on A and x / 2 + (2, 0) on B keeps each box but sends the
+    # proximal faces inward, off the domain of P
+    doc = parse_instance({
+        "name": "boxes-half", "space": {"dim": 2, "p": 2.0},
+        "bodies": {"A": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+                   "B": {"kind": "box", "lower": [3.0, 0.0], "upper": [4.0, 1.0]}},
+        "maps": [{"name": "half", "mode": "noncyclic", "kind": "sidewise-affine",
+                  "matrix_a": [[0.5, 0.0], [0.0, 0.5]], "offset_a": [0.0, 0.0],
+                  "matrix_b": [[0.5, 0.0], [0.0, 0.5]], "offset_b": [2.0, 0.0]}]})
+    report = run_verification(build(doc))
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["map-half-commutation"]
+    check = failed[0]
+    assert check.worst_deviation == float("inf")
+    assert check.flags == []
+    assert check.details.startswith("max over 1000 proximal points per side; point [")
+    assert "does not realize dist(A, B)" in check.details
+
+
 def test_isometry_run_fails_cleanly():
     doc = builtin_instance("segpair")
     doc.runs.append({"name": "picard-swap", "solver": "picard", "map": "swap",

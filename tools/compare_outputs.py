@@ -9,7 +9,8 @@ example, `python3 tools/compare_outputs.py HEAD .` compares the last
 commit with the working tree.  Runs `proxipair solve` and `proxipair
 verify` on the builtins `segpair` and `ballpair` and on the instance
 documents of seeds 1 and 2 of every workload in `perfbench/inputs.py`,
-once against each tree's `src`, in a subprocess per tree.  The builtins
+and on the PLANTED documents, whose verify fails, once against each
+tree's `src`, in a subprocess per tree.  The builtins
 are run a second time with `--seed 5`, so that a change to how the seed
 reaches the certifiers' and checks' samples shows up.  Then it reports
 whether the exit codes are equal, how many output files are
@@ -45,6 +46,44 @@ BUILTINS = ("segpair", "ballpair")
 BUILTIN_SEED = "5"  # the builtins' second run, besides the default seed 0
 FLOAT_BOUND = 1e-12
 SHOWN = 20  # non-float differences listed in full
+
+# Documents on which `verify` fails, so that failing checks are serialized
+# too: segpair with a noncyclic map that reflects B but not A (a finite
+# commutation failure), and two boxes with a map that sends the proximal
+# faces off the domain of P (a commutation failure at an infinite
+# deviation, with P's error in its details).
+_SEGPAIR_MAPS = [
+    {"name": "T", "mode": "cyclic", "kind": "affine",
+     "matrix": [[0.5, 0.0], [0.0, -1.0]], "offset": [0.5, 1.0]},
+    {"name": "S", "mode": "noncyclic", "kind": "affine",
+     "matrix": [[0.5, 0.0], [0.0, 1.0]], "offset": [0.5, 0.0]},
+    {"name": "swap", "mode": "cyclic", "kind": "affine",
+     "matrix": [[1.0, 0.0], [0.0, -1.0]], "offset": [0.0, 1.0]},
+    {"name": "identity", "mode": "noncyclic", "kind": "affine",
+     "matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": [0.0, 0.0]},
+]
+_SEGPAIR_RUNS = [
+    {"name": "picard-T", "solver": "picard", "map": "T", "x0": [2.0, 0.0]},
+    {"name": "project-S", "solver": "project", "map": "S", "x0": [2.0, 0.0]},
+    {"name": "reduce-T", "solver": "reduce-cyclic", "map": "T", "x0": [2.0, 0.0]},
+    {"name": "reduce-S", "solver": "reduce-noncyclic", "map": "S", "x0": [2.0, 0.0]},
+]
+PLANTED = [
+    {"name": "segpair-skew", "space": {"dim": 2, "p": 2.0}, "tol": 1e-9,
+     "bodies": {"A": {"kind": "polytope", "vertices": [[1.0, 0.0], [2.0, 0.0]]},
+                "B": {"kind": "polytope", "vertices": [[1.0, 1.0], [2.0, 1.0]]}},
+     "maps": _SEGPAIR_MAPS + [
+         {"name": "skew", "mode": "noncyclic", "kind": "sidewise-affine",
+          "matrix_a": [[1.0, 0.0], [0.0, 1.0]], "offset_a": [0.0, 0.0],
+          "matrix_b": [[-1.0, 0.0], [0.0, 1.0]], "offset_b": [3.0, 0.0]}],
+     "runs": _SEGPAIR_RUNS},
+    {"name": "boxes-half", "space": {"dim": 2, "p": 2.0}, "tol": 1e-9,
+     "bodies": {"A": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+                "B": {"kind": "box", "lower": [3.0, 0.0], "upper": [4.0, 1.0]}},
+     "maps": [{"name": "half", "mode": "noncyclic", "kind": "sidewise-affine",
+               "matrix_a": [[0.5, 0.0], [0.0, 0.5]], "offset_a": [0.0, 0.0],
+               "matrix_b": [[0.5, 0.0], [0.0, 0.5]], "offset_b": [2.0, 0.0]}]},
+]
 
 # Runs in the subprocess: each call of `cli.main`, its exit code and its
 # printed lines, with its own output directory.
@@ -127,6 +166,8 @@ def _calls(docs_dir: Path) -> list:
             directory = docs_dir / f"seed{seed}" / workload
             inputs.write_documents(docs, directory)
             refs += [str(inputs.document_path(directory, d)) for d in docs]
+    inputs.write_documents(PLANTED, docs_dir / "planted")
+    refs += [str(inputs.document_path(docs_dir / "planted", d)) for d in PLANTED]
     args = [[ref] for ref in refs] + [[ref, "--seed", BUILTIN_SEED] for ref in BUILTINS]
     return [[command, *a] for a in args for command in ("solve", "verify")]
 
