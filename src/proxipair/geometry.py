@@ -23,6 +23,11 @@ may differ in the last bit.  At dim 2 to 3, X @ M.T + c took 129 to 146 us
 M @ X.T, 36 us; they agree bit for bit up to dim 11, past it to rounding.
 `_affine_rows` returns Fortran order, whose matrix-vector products may
 differ from C order in the last bit, so the column helpers return C order.
+
+`ProximityInstance` decides once whether the proximal sets A0 and B0 are
+single points: from a ball of the pair, or from a face of a box or polytope
+exposed towards the other body.  Then their samples are copies of the
+realizing pair; otherwise alternating projections find them.
 """
 
 from __future__ import annotations
@@ -207,8 +212,7 @@ class ConvexBody:
     space: LpSpace
     box: tuple[np.ndarray, np.ndarray] | None = None
 
-    def project_many(self, X: np.ndarray, tol: float = DEFAULT_TOL,
-                     max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
+    def project_many(self, X: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise NotImplementedError
 
     def member(self, x, tol: float = DEFAULT_TOL) -> bool:
@@ -243,7 +247,7 @@ class Ball(ConvexBody):
             raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
         object.__setattr__(self, "radius", r)
 
-    def project_many(self, X, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    def project_many(self, X, tol=DEFAULT_TOL):
         # Radial pullback is the exact lp nearest point for every p in
         # (1, inf): stationarity of ||x-y||_p^p on the sphere forces y - c
         # colinear with x - c, with a nonnegative multiplier.
@@ -294,7 +298,7 @@ class Box(ConvexBody):
         object.__setattr__(self, "lo", _readonly(lo))
         object.__setattr__(self, "hi", _readonly(hi))
 
-    def project_many(self, X, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    def project_many(self, X, tol=DEFAULT_TOL):
         # clamp is exact for every p: the objective separates per coordinate
         X = _as_matrix(X, self.space.dim)
         return _clamp_rows(X, self.lo, self.hi)
@@ -414,28 +418,21 @@ class Polytope(ConvexBody):
             return None
         return W[0], W[1]
 
+    @functools.cached_property
     def _hull_edges(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
-        cached = getattr(self, "_hull_edge_cache", False)
-        if cached is False:
-            cached = _hull_edges_2d(self._distinct) if self.space.dim == 2 else None
-            object.__setattr__(self, "_hull_edge_cache", cached)
-        return cached
+        return _hull_edges_2d(self._distinct) if self.space.dim == 2 else None
 
+    @functools.cached_property
     def _face_halfspaces(self) -> tuple[tuple[np.ndarray, float], ...]:
         if self.halfspaces is not None:
             return self.halfspaces
-        cached = getattr(self, "_face_cache", None)
-        if cached is None:
-            edges = self._hull_edges()
-            if edges is None:
-                raise UnsupportedProjectionError(
-                    "polytope with >= 3 vertices needs dim == 2 or an explicit "
-                    "halfspace list")
-            cached = tuple(_edges_to_halfspaces(edges))
-            object.__setattr__(self, "_face_cache", cached)
-        return cached
+        if self._hull_edges is None:
+            raise UnsupportedProjectionError(
+                "polytope with >= 3 vertices needs dim == 2 or an explicit "
+                "halfspace list")
+        return tuple(_edges_to_halfspaces(self._hull_edges))
 
-    def project_many(self, X, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    def project_many(self, X, tol=DEFAULT_TOL):
         X = _as_matrix(X, self.space.dim)
         if self.box is not None:
             # clamp is exact for every p, as for a Box
@@ -450,13 +447,10 @@ class Polytope(ConvexBody):
         if self.space.p != 2.0:
             raise UnsupportedProjectionError(
                 f"polytope projection only available at p=2, got p={self.space.p}")
+        faces = self._face_halfspaces
         if self.halfspaces is not None:
-            return _dykstra_halfspaces(self.halfspaces, X, tol, max_iter)
-        edges = self._hull_edges()
-        if edges is None:
-            raise UnsupportedProjectionError(
-                "polytope with >= 3 vertices needs dim == 2 or an explicit halfspace list")
-        return _project_polygon_edges(self.space, edges, self._face_halfspaces(), X)
+            return _dykstra_halfspaces(faces, X, tol)
+        return _project_polygon_edges(self.space, self._hull_edges, faces, X)
 
     def member(self, x, tol=DEFAULT_TOL):
         x = self.space.check_vector(x)
@@ -471,7 +465,7 @@ class Polytope(ConvexBody):
             if not (-tol <= t <= 1.0 + tol):
                 return False
             return bool(np.abs(x - (v0 + min(max(t, 0.0), 1.0) * d)).max() <= tol)
-        for a, b in self._face_halfspaces():
+        for a, b in self._face_halfspaces:
             if (x @ a - b) / np.linalg.norm(a) > tol:
                 return False
         return True
@@ -486,7 +480,7 @@ class Polytope(ConvexBody):
             nearest, t = _segment_nearest(X, v0, v1 - v0)
             return ((-tol <= t) & (t <= 1.0 + tol)
                     & (_reduce_rows(np.maximum, np.abs(X - nearest)) <= tol))
-        normals, offsets = (np.array(v) for v in zip(*self._face_halfspaces()))
+        normals, offsets = (np.array(v) for v in zip(*self._face_halfspaces))
         excess = _affine_rows(X, normals, -offsets) / np.linalg.norm(normals, axis=1)
         return _reduce_rows(np.logical_and, excess <= tol)
 
@@ -504,6 +498,15 @@ class Polytope(ConvexBody):
         """
         W = self._distinct
         return rng.dirichlet(np.ones(len(W)), n) @ W
+
+
+def _vertex_set(body: ConvexBody) -> np.ndarray | None:
+    """Enumerable extreme points, when the body has them (box / polytope)."""
+    if isinstance(body, Box):
+        return body.corners()
+    if isinstance(body, Polytope):
+        return np.array(body.distinct_vertices)
+    return None
 
 
 def _project_polygon_edges(space: LpSpace, edges: list[tuple[np.ndarray, np.ndarray]],
@@ -539,7 +542,7 @@ def _project_polygon_edges(space: LpSpace, edges: list[tuple[np.ndarray, np.ndar
 
 
 def _dykstra_halfspaces(faces: Sequence[tuple[np.ndarray, float]],
-                        X0: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+                        X0: np.ndarray, tol: float) -> np.ndarray:
     """p=2 projection onto an intersection of halfspaces by Dykstra's scheme.
 
     Keeps one increment per face, batched over rows.  Stops when one full
@@ -554,7 +557,7 @@ def _dykstra_halfspaces(faces: Sequence[tuple[np.ndarray, float]],
 
     X = np.array(X0, dtype=float, order="C")
     increments = [np.zeros_like(X) for _ in faces]
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         X_prev = X
         for i, (a, b) in enumerate(zip(normals, offsets)):
             Y = X + increments[i]
@@ -563,15 +566,14 @@ def _dykstra_halfspaces(faces: Sequence[tuple[np.ndarray, float]],
         if float(np.max(np.abs(X - X_prev))) < tol * 1e-3 and violation(X) <= tol:
             return X
     raise ProjectionConvergenceError(
-        f"Dykstra hit the iteration cap ({max_iter}) before tolerance",
-        achieved_gap=violation(X), iterations=max_iter)
+        f"Dykstra hit the iteration cap ({DEFAULT_MAX_ITER}) before tolerance",
+        achieved_gap=violation(X), iterations=DEFAULT_MAX_ITER)
 
 
-def project(body: ConvexBody, x, tol: float = DEFAULT_TOL,
-            max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
+def project(body: ConvexBody, x, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Nearest point of `body` to x in the body's own lp norm."""
     x = body.space.check_vector(x)
-    return body.project_many(x[None, :], tol, max_iter)[0]
+    return body.project_many(x[None, :], tol)[0]
 
 
 @dataclass
@@ -584,29 +586,26 @@ class DistanceResult:
     converged: bool
     iterations: int
 
-    def __iter__(self):
-        return iter((self.dist, self.a, self.b))
 
-
-def distance_between(A: ConvexBody, B: ConvexBody, tol: float = DEFAULT_TOL,
-                     max_iter: int = DEFAULT_MAX_ITER) -> DistanceResult:
+def distance_between(A: ConvexBody, B: ConvexBody, tol: float = DEFAULT_TOL
+                     ) -> DistanceResult:
     """dist(A, B) by alternating projections, with the realizing pair.
 
     a_{k+1} = proj_A(b_k), b_{k+1} = proj_B(a_{k+1}); stops when consecutive
-    a-iterates move less than tol.  On hitting the cap the best pair so far is
-    returned with converged=False.
+    a-iterates move less than tol.  After DEFAULT_MAX_ITER steps the last
+    pair is returned with converged=False.
     """
     if A.space != B.space:
         raise DimensionMismatchError("bodies live in different spaces")
     space = A.space
     b = space.check_vector(B.anchor())
-    a = project(A, b, tol, max_iter)
-    b = project(B, a, tol, max_iter)
+    a = project(A, b, tol)
+    b = project(B, a, tol)
     converged = False
     iterations = 1
-    for k in range(2, max_iter + 1):
-        a_next = project(A, b, tol, max_iter)
-        b_next = project(B, a_next, tol, max_iter)
+    for k in range(2, DEFAULT_MAX_ITER + 1):
+        a_next = project(A, b, tol)
+        b_next = project(B, a_next, tol)
         iterations = k
         moved = space.distance(a_next, a)
         a, b = a_next, b_next
@@ -685,25 +684,46 @@ class ProximityInstance:
 
     @functools.cached_property
     def proximal_sets_are_points(self) -> bool:
-        """Whether A0 and B0 are the points a* and b*.  They are when a ball
-        of the pair has its centre at least radius - tol from the other body,
-        apart or touching: that body misses the ball's interior, so the ball's
-        proximal set is a convex part of its strictly convex boundary."""
+        """Whether A0 and B0 are the points a* and b*; A0 is a point exactly
+        when B0 is, as P is an isometry between them.
+
+        They are when a ball of the pair has its centre at least radius - tol
+        from the other body, apart or touching: that body misses the ball's
+        interior, so the ball's proximal set is a convex part of its strictly
+        convex boundary.  They are too when the pair is apart and a body's
+        face exposed towards the other has one vertex.  With v = b* - a*
+        and u = J(v / dist), u_i = sign(v_i) |v_i / dist|^(p - 1), every
+        point of A0 maximizes <u, .> over A and every point of B0 minimizes
+        it over B (Rockafellar, Convex Analysis, 1970, section 18).  As
+        ||u||_q = 1, a vertex within tol of the extreme value of <u, .>
+        counts as on the face.
+        """
         for ball, other in ((self.A, self.B), (self.B, self.A)):
             if isinstance(ball, Ball):
                 nearest = project(other, ball.center, self.tol)
                 if self.space.distance(ball.center, nearest) >= ball.radius - self.tol:
                     return True
+        if self.dist <= self.tol:
+            return False
+        v = (self.realizing_pair[1] - self.realizing_pair[0]) / self.dist
+        u = np.sign(v) * np.abs(v) ** (self.space.p - 1.0)
+        for body, w in ((self.A, u), (self.B, -u)):
+            V = _vertex_set(body)
+            if V is not None:
+                heights = V @ w
+                if np.count_nonzero(heights >= heights.max() - self.tol) == 1:
+                    return True
         return False
 
     def sample_proximal(self, side: Side, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n points of the proximal part of `side`, via alternating projections.
+        """n points of the proximal part of `side`.
 
-        Starts spread over the full body and runs the batched alternating
-        scheme until the batch stops moving; each limit realizes dist(A, B).
-        The realizing pair's point is always included.  When the proximal
-        sets are points (`proximal_sets_are_points`), the result is n copies
-        of this side's point, and nothing is drawn from `rng`.
+        When the proximal sets are points (`proximal_sets_are_points`), the
+        result is n copies of this side's point of the realizing pair, and
+        nothing is drawn from `rng`.  Otherwise the points start spread over
+        the full body and the batched alternating scheme (`proximalize`) runs
+        until the batch stops moving; each limit realizes dist(A, B).  The
+        realizing pair's point is always included.
         """
         own = self.realizing_pair[0 if side == "A" else 1]
         if self.proximal_sets_are_points:

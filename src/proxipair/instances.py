@@ -313,7 +313,7 @@ def build(doc: InstanceDoc, certify: bool = True, seed: int = 0) -> BuiltInstanc
         m = _build_map(spec, instance)
         if certify:
             check = certify_map(m).mode
-            if not check:
+            if not check.ok:
                 raise InstanceFormatError(
                     f"map {spec['name']!r} is declared {spec['mode']} but failed "
                     f"certification (worst deviation {check.worst_deviation:.3e})")

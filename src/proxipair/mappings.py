@@ -30,15 +30,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .geometry import (
-    Box,
-    ConvexBody,
-    Polytope,
-    ProximityInstance,
-    Side,
-    _affine_rows,
-    _as_matrix,
-)
+from .geometry import ProximityInstance, Side, _affine_rows, _as_matrix, _vertex_set
 
 Mode = Literal["cyclic", "noncyclic"]
 Domain = Literal["full", "proximal"]
@@ -161,15 +153,6 @@ class MapSpec:
         return np.where(in_a[:, None], on_a, _affine_rows(X, self.matrix_b, self.offset_b))
 
 
-def _vertex_set(body: ConvexBody) -> np.ndarray | None:
-    """Enumerable extreme points, when the body has them (box / polytope)."""
-    if isinstance(body, Box):
-        return body.corners()
-    if isinstance(body, Polytope):
-        return np.array(body.distinct_vertices)
-    return None
-
-
 def _target_deviations(m, side: Side, images: np.ndarray) -> np.ndarray:
     """How far each image is from where the declared mode says it must land."""
     inst = m.instance
@@ -189,9 +172,6 @@ class ModeCheck:
     exact: bool
     worst_deviation: float
     witness: tuple[np.ndarray, np.ndarray] | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def certify_mode(m) -> ModeCheck:
@@ -263,9 +243,6 @@ class ContractionCertificate:
     method: ContractionMethod
     degenerate: bool
     worst_pair: tuple[np.ndarray, np.ndarray] | None
-
-    def __bool__(self) -> bool:
-        return bool(self.alpha_hat < 1.0)
 
 
 def _grid_alpha(m, lo: np.ndarray, hi: np.ndarray, dist: float, tol: float):

@@ -9,7 +9,10 @@ between them.  `verify_projector_properties` checks all of that numerically;
 contraction behavior, checking its preconditions once per map, and
 `check_commutation` measures how far a map is from commuting with the
 projector.  Both checks return `CheckResult`s, the one check record of the
-package, which `verification` collects into the verify report.
+package, which `verification` collects into the verify report.  Whether the
+proximal sets are single points, which makes the checks that sample them
+vacuous and flags them `degenerate`, is decided once by the instance
+(`ProximityInstance.proximal_sets_are_points`), not from the samples.
 
 The lp norm with 1 < p < inf is strictly convex, so every pair realizing
 dist(A, B) has the same difference v = b* - a*: if two pairs had different
@@ -59,7 +62,6 @@ from .mappings import (
 PROPERTY_TOL = 1e-8
 COMMUTATION_THRESHOLD = 1e-8
 DOMAIN_SLACK = 10.0  # P's domain window, in units of the instance tol
-DEGENERATE_SPREAD = 1e-7
 PRECONDITION_SAMPLES = 200  # per side, for the preconditions of a composition
 
 
@@ -186,8 +188,9 @@ def verify_projector_properties(projector: ProximalProjector,
 
     The translates are taken raw, not through the projector's domain check,
     so a wrong v fails check 1 instead of raising.  Singleton proximal sets
-    make several checks vacuous; every check then carries the flag
-    `degenerate` instead of failing.  A check passes when its worst
+    make several checks vacuous, so when the instance's
+    `proximal_sets_are_points` says they are, every check carries the flag
+    `degenerate`.  A check passes when its worst
     deviation is at most PROPERTY_TOL; a failed one keeps the points of its
     worst deviation as its witness.  The points are the instance's proximal
     `cross_samples(samples)`; pairings, weights and jitter are drawn from a
@@ -196,9 +199,7 @@ def verify_projector_properties(projector: ProximalProjector,
     inst = projector.instance
     xs, ys = inst.cross_samples(samples, proximal=True)
     rng = np.random.default_rng(inst.seed)
-    spread = max(float(inst.space.norms(np.ptp(xs, axis=0))),
-                 float(inst.space.norms(np.ptp(ys, axis=0))))
-    flags = ["degenerate"] if spread < DEGENERATE_SPREAD else []
+    flags = ["degenerate"] if inst.proximal_sets_are_points else []
 
     def result(name: str, tag: str, devs: np.ndarray, witnesses,
                note: str = "") -> CheckResult:
@@ -258,7 +259,9 @@ def verify_projector_properties(projector: ProximalProjector,
     checks.append(result("involution", "projection-is-involutive", dev4,
                          (np.vstack([xs, ys]), np.vstack([back_x, back_y]))))
 
-    # 5: continuity probe on jittered nearby pairs
+    # 5: continuity probe on jittered nearby pairs, on the samples' scale
+    spread = max(float(inst.space.norms(np.ptp(xs, axis=0))),
+                 float(inst.space.norms(np.ptp(ys, axis=0))))
     scale = max(spread, 1.0)
     jitter = rng.normal(size=xs.shape) * (1e-3 * scale)
     xs2 = inst.proximalize(inst.A.project_many(xs + jitter, inst.tol), "A")

@@ -90,9 +90,6 @@ class SolveResult:
     identity_deviation: float | None = None
     odd_membership_deviation: float | None = None
 
-    def __bool__(self) -> bool:
-        return self.converged
-
     def summary(self) -> dict:
         out = {
             "kind": self.kind,
@@ -129,7 +126,7 @@ def _require_contraction(m, expected_mode: str) -> ContractionCertificate:
         raise PreconditionError(
             f"solver needs a {expected_mode} map, got mode {m.mode!r}")
     mode_check = certificate_of(m).mode
-    if not mode_check:
+    if not mode_check.ok:
         raise PreconditionError(
             f"map failed {expected_mode} mode certification "
             f"(worst deviation {mode_check.worst_deviation:.3e})")

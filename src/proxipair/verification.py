@@ -46,9 +46,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def __bool__(self) -> bool:
-        return self.passed
-
     def to_dict(self) -> dict:
         return {
             "instance": self.instance_name,
@@ -72,7 +69,7 @@ def _map_checks(built: BuiltInstance, samples: int, flags: list) -> list:
             commutation = check_commutation(m, samples=samples)
             commutation.flags = list(flags)
             checks.append(commutation)
-        if not contraction_of(m):
+        if not contraction_of(m).alpha_hat < 1.0:
             continue
         flip = CheckResult(name=f"map-{name}-mode-flip", tag="composition-flips-mode",
                            passed=False, worst_deviation=float("inf"),

@@ -128,7 +128,7 @@ def test_criterion_04_commutation(segpair, ballpair, generated):
     worst = 0.0
     for built, certs in fixtures:
         for name, m in built.maps.items():
-            if m.mode != "noncyclic" or not certs[name]:
+            if m.mode != "noncyclic" or not certs[name].alpha_hat < 1.0:
                 continue
             check = check_commutation(m, samples=1000)
             assert check.passed and check.worst_deviation <= 1e-8, (built.doc.name, name)
@@ -154,9 +154,10 @@ def test_criterion_06_solver_equivalence(segpair, ballpair, generated):
     fixtures = [segpair, ballpair] + list(generated)
     worst = 0.0
     for built, certs in fixtures:
-        cyclic = [n for n, m in built.maps.items() if m.mode == "cyclic" and certs[n]]
+        cyclic = [n for n, m in built.maps.items()
+                  if m.mode == "cyclic" and certs[n].alpha_hat < 1.0]
         noncyc = [n for n, m in built.maps.items()
-                  if m.mode == "noncyclic" and certs[n]]
+                  if m.mode == "noncyclic" and certs[n].alpha_hat < 1.0]
         x0 = next(spec["x0"] for spec in built.runs.values()
                   if spec["solver"].startswith("reduce"))
         for name in cyclic:
@@ -210,7 +211,7 @@ def test_criterion_09_gap_decay(segpair, ballpair, generated):
     for built, certs in fixtures:
         for run_name, spec in built.runs.items():
             cert = certs[spec["map"]]
-            if not cert:
+            if not cert.alpha_hat < 1.0:
                 continue
             result = built.run(run_name)
             gaps = result.trace.gaps
@@ -231,9 +232,9 @@ def test_criterion_10_distance_oracle(ballpair):
         worst = max(worst, abs(built.instance.dist - doc.metadata["expected_dist"]))
     assert worst <= 1e-7
     built, _ = ballpair
-    dist, a, b = distance_between(built.instance.A, built.instance.B)
-    assert dist == pytest.approx(2.0, abs=1e-8)
-    assert_allclose(a, [-1.0, 0.0], atol=1e-8)
-    assert_allclose(b, [1.0, 0.0], atol=1e-8)
+    res = distance_between(built.instance.A, built.instance.B)
+    assert res.dist == pytest.approx(2.0, abs=1e-8)
+    assert_allclose(res.a, [-1.0, 0.0], atol=1e-8)
+    assert_allclose(res.b, [1.0, 0.0], atol=1e-8)
     _report(10, f"100 generated distances within {worst:.2e} of the constructed "
                 f"gap; ballpair pair exact to 1e-8")

@@ -21,6 +21,7 @@ from proxipair.geometry import (
     distance_between,
     project,
 )
+from proxipair.operators import ProximalProjector, verify_projector_properties
 
 P_GRID = [1.5, 2.0, 3.0]
 
@@ -585,8 +586,10 @@ def test_distance_overlapping_boxes_is_zero():
 
 def test_distance_unpacks_as_triple():
     sp = LpSpace(2, 2.0)
-    d, a, b = distance_between(Ball(sp, [-2, 0], 1.0), Ball(sp, [2, 0], 1.0))
-    assert_allclose(d, 2.0, atol=1e-8)
+    res = distance_between(Ball(sp, [-2, 0], 1.0), Ball(sp, [2, 0], 1.0))
+    assert_allclose(res.dist, 2.0, atol=1e-8)
+    assert_allclose(res.a, [-1.0, 0.0], atol=1e-8)
+    assert_allclose(res.b, [1.0, 0.0], atol=1e-8)
 
 
 @pytest.mark.parametrize("p", P_GRID)
@@ -655,6 +658,48 @@ def test_proximal_sets_are_points_when_a_ball_is_apart_or_touching(centre, point
     if points:
         a_star = inst.realizing_pair[0]
         assert_array_equal(inst.sample_proximal("A", 5, rng), np.tile(a_star, (5, 1)))
+
+
+def _facing_quads(tilt: float):
+    """A's top edge on y = 0 from x = -1 to 1; B's bottom edge rises from
+    (0, 0.5) at angle `tilt`, so B's lowest vertex is (0, 0.5) when tilt > 0."""
+    sp = LpSpace(2, 2.0)
+    gap = 0.5
+    rise = gap + math.tan(tilt)
+    A = Polytope(sp, [[-1.0, -1.0], [1.0, -1.0], [1.0, 0.0], [-1.0, 0.0]])
+    B = Polytope(sp, [[0.0, gap], [1.0, rise], [1.0, rise + 1.0], [0.0, gap + 1.0]])
+    return A, B
+
+
+def _touching_squares():
+    """A unit square on A's top edge: A0, the common part, is [0, 1] x {0}."""
+    A, _ = _facing_quads(1e-3)
+    return A, Polytope(A.space, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+def _box_pair(p: float, b_lo: list):
+    sp = LpSpace(2, p)
+    return Box(sp, [0.0, 0.0], [1.0, 1.0]), Box(sp, b_lo, [b_lo[0] + 1.0, b_lo[1] + 1.0])
+
+
+@pytest.mark.parametrize("pair, points", [
+    (_facing_quads(1e-3), True),
+    (_facing_quads(1e-13), False),  # the facing vertices lie within tol of a line
+    (_facing_quads(0.0), False),  # parallel facing edges: A0 is a segment
+    (_touching_squares(), False),  # dist 0: no exposing direction
+    (_box_pair(1.5, [2.0, 2.0]), True),  # diagonal boxes: A0 is the corner (1, 1)
+    (_box_pair(3.0, [2.0, 2.0]), True),
+    (_box_pair(3.0, [2.0, 0.0]), False),  # flat-facing boxes: A0 is an edge
+], ids=["tilt-1e-3", "tilt-1e-13", "parallel", "touching", "diagonal-boxes-1.5",
+        "diagonal-boxes-3", "flat-boxes"])
+def test_proximal_sets_are_points_when_an_exposed_face_is_a_vertex(pair, points, rng):
+    inst = ProximityInstance(*pair)
+    assert inst.proximal_sets_are_points is points
+    if points:
+        a_star = inst.realizing_pair[0]
+        assert_array_equal(inst.sample_proximal("A", 5, rng), np.tile(a_star, (5, 1)))
+    checks = verify_projector_properties(ProximalProjector(inst), samples=50)
+    assert {tuple(c.flags) for c in checks} == {("degenerate",) if points else ()}
 
 
 @pytest.mark.parametrize("B_is_a_ball", [True, False])

@@ -149,7 +149,6 @@ def test_picard_rejects_start_outside_A(seg):
 def test_picard_max_iter_cap_flags_nonconvergence(seg):
     res = picard_cyclic(map_T(seg), [2.0, 0.0], max_iter=3)
     assert not res.converged
-    assert not res
     # last completed even iterate is x_2 = (1.25, 0)
     assert_allclose(res.x_star, [1.25, 0.0], atol=0)
     assert res.trace.iterations_used == 3

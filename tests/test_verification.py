@@ -1,6 +1,9 @@
 import collections
 import dataclasses
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from proxipair.geometry import ProximityInstance
 from proxipair.instances import build, builtin_instance, generate_random_instance, parse_instance
 from proxipair.mappings import certificate_of, contraction_of
 from proxipair.verification import GAP_DECAY_SLACK, UNIQUENESS_STARTS, run_verification
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 
 
 def skew_doc():
@@ -24,7 +29,6 @@ def skew_doc():
 def test_segpair_verifies_clean():
     report = run_verification(build(builtin_instance("segpair")))
     assert report.passed
-    assert bool(report)
     names = {c.name for c in report.checks}
     assert "projector-cyclic-distance" in names
     assert "map-S-commutation" in names
@@ -75,6 +79,27 @@ def test_verification_draws_each_proximal_sample_once(monkeypatch):
     # the uniqueness starts of picard-T and project-S
     assert calls.pop(("A", UNIQUENESS_STARTS - 1)) == 2
     assert calls == {(side, n): 1 for side in "AB" for n in (200, 1000, 10_000)}
+
+
+def test_verify_proximalizes_tilted_polygons_only_in_the_continuity_probe(monkeypatch):
+    # B's face exposed towards A is one vertex, so the proximal sets are
+    # points: `sample_proximal` copies a* and b*, and every check is flagged
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    doc = inputs.make_documents("verify-polygons", 1)[0]
+    callers = []
+    real = ProximityInstance.proximalize
+
+    def counted(inst, X, side):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(inst, X, side)
+
+    monkeypatch.setattr(ProximityInstance, "proximalize", counted)
+    report = run_verification(build(parse_instance(doc)))
+    assert report.passed
+    assert all(c.flags == ["degenerate"] for c in report.checks)
+    assert callers == ["verify_projector_properties"]
 
 
 def test_mode_flip_checks_present_for_contractions_only():

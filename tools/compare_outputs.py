@@ -9,8 +9,9 @@ example, `python3 tools/compare_outputs.py HEAD .` compares the last
 commit with the working tree.  Runs `proxipair solve` and `proxipair
 verify` on the builtins `segpair` and `ballpair` and on the instance
 documents of seeds 1 and 2 of every workload in `perfbench/inputs.py`,
-and on the PLANTED documents, whose verify fails, once against each
-tree's `src`, in a subprocess per tree.  The builtins
+on the PLANTED documents, whose verify fails, and on the FACES documents,
+whose verify passes with proximal sets that are a segment and a point,
+once against each tree's `src`, in a subprocess per tree.  The builtins
 are run a second time with `--seed 5`, so that a change to how the seed
 reaches the certifiers' and checks' samples shows up.  Then it reports
 whether the exit codes are equal, how many output files are
@@ -83,6 +84,29 @@ PLANTED = [
      "maps": [{"name": "half", "mode": "noncyclic", "kind": "sidewise-affine",
                "matrix_a": [[0.5, 0.0], [0.0, 0.5]], "offset_a": [0.0, 0.0],
                "matrix_b": [[0.5, 0.0], [0.0, 0.5]], "offset_b": [2.0, 0.0]}]},
+]
+
+# Documents on which `verify` passes, one for each answer of the rule that
+# decides whether the proximal sets are points: a polygon pair with parallel
+# facing edges, whose A0 is a segment, and two boxes apart along the
+# diagonal, whose A0 is the corner (1, 1), with a noncyclic map that halves
+# the distance to that corner and to B's (2, 2), run from the corner.
+FACES = [
+    {"name": "polygons-parallel", "space": {"dim": 2, "p": 2.0}, "tol": 1e-9,
+     "bodies": {"A": {"kind": "polytope",
+                      "vertices": [[-1.0, -1.0], [1.0, -1.0], [1.0, 0.0], [-1.0, 0.0]]},
+                "B": {"kind": "polytope",
+                      "vertices": [[0.0, 0.5], [1.5, 0.5], [1.2, 1.5], [0.2, 1.5]]}}},
+    {"name": "boxes-diagonal", "space": {"dim": 2, "p": 3.0}, "tol": 1e-9,
+     "bodies": {"A": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+                "B": {"kind": "box", "lower": [2.0, 2.0], "upper": [3.0, 3.0]}},
+     "maps": [{"name": "halve", "mode": "noncyclic", "kind": "sidewise-affine",
+               "matrix_a": [[0.5, 0.0], [0.0, 0.5]], "offset_a": [0.5, 0.5],
+               "matrix_b": [[0.5, 0.0], [0.0, 0.5]], "offset_b": [1.0, 1.0]}],
+     "runs": [{"name": "project-halve", "solver": "project", "map": "halve",
+               "x0": [1.0, 1.0]},
+              {"name": "reduce-halve", "solver": "reduce-noncyclic", "map": "halve",
+               "x0": [1.0, 1.0]}]},
 ]
 
 # Runs in the subprocess: each call of `cli.main`, its exit code and its
@@ -166,8 +190,9 @@ def _calls(docs_dir: Path) -> list:
             directory = docs_dir / f"seed{seed}" / workload
             inputs.write_documents(docs, directory)
             refs += [str(inputs.document_path(directory, d)) for d in docs]
-    inputs.write_documents(PLANTED, docs_dir / "planted")
-    refs += [str(inputs.document_path(docs_dir / "planted", d)) for d in PLANTED]
+    for label, docs in (("planted", PLANTED), ("faces", FACES)):
+        inputs.write_documents(docs, docs_dir / label)
+        refs += [str(inputs.document_path(docs_dir / label, d)) for d in docs]
     args = [[ref] for ref in refs] + [[ref, "--seed", BUILTIN_SEED] for ref in BUILTINS]
     return [[command, *a] for a in args for command in ("solve", "verify")]
 
