@@ -32,14 +32,10 @@ from .instances import (
 )
 from .mappings import (
     ContractionCertificate,
-    MapCertificate,
     MapSpec,
     ModeCheck,
-    certificate_of,
-    certify,
     certify_contraction,
     certify_mode,
-    contraction_of,
     flip_mode,
 )
 from .operators import (

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InstanceFormatError
 from .geometry import Ball, Box, ConvexBody, LpSpace, Polytope, ProximityInstance
-from .mappings import MODES, MapSpec, certify as certify_map
+from .mappings import MODES, MapSpec
 from .solvers import (
     DEFAULT_MAX_ITER,
     SolveResult,
@@ -296,13 +296,13 @@ class BuiltInstance:
                       max_iter=max_iter)
 
 
-def build(doc: InstanceDoc, certify: bool = True, seed: int = 0) -> BuiltInstance:
+def build(doc: InstanceDoc, seed: int = 0) -> BuiltInstance:
     """Realize a document.
 
-    Every certifier and check of the instance draws from `seed`.  By default
-    each map's declared mode is certified and the certificate kept on the
-    map; the contraction estimate is added when a solver first needs it.
-    With certify=False the maps are certified on first use.
+    Every certifier and check of the instance draws from `seed`.  Each map's
+    declared mode is certified and the check kept on the map
+    (`MapSpec.mode_check`); the contraction estimate is made when a solver
+    first needs it.
     """
     space = LpSpace(doc.space["dim"], doc.space["p"])
     A = _build_body(doc.bodies["A"], space, "bodies.A")
@@ -311,12 +311,10 @@ def build(doc: InstanceDoc, certify: bool = True, seed: int = 0) -> BuiltInstanc
     maps = {}
     for spec in doc.maps:
         m = _build_map(spec, instance)
-        if certify:
-            check = certify_map(m).mode
-            if not check.ok:
-                raise InstanceFormatError(
-                    f"map {spec['name']!r} is declared {spec['mode']} but failed "
-                    f"certification (worst deviation {check.worst_deviation:.3e})")
+        if not m.mode_check.ok:
+            raise InstanceFormatError(
+                f"map {spec['name']!r} is declared {spec['mode']} but failed "
+                f"certification (worst deviation {m.mode_check.worst_deviation:.3e})")
         maps[spec["name"]] = m
     runs = {spec["name"]: spec for spec in doc.runs}
     return BuiltInstance(doc=doc, instance=instance, maps=maps, runs=runs)

@@ -15,15 +15,18 @@ of at most 1 is relative nonexpansiveness on the same pairs.
 The samples come from the instance: `ProximityInstance.cross_samples(n,
 proximal)` draws n points of A and then n of B from the instance's seed, of
 the bodies or of their proximal sets (for a map of domain "proximal"), once
-per instance.  Every map of an instance is checked on the same points.
+per instance.  Every map of an instance is checked on the same points.  When
+the proximal sets are points, a map of domain "proximal" is checked on the
+realizing pair alone, which is exact.
 
-Each map keeps one `MapCertificate`: `certify` checks the declared mode and
-stores the result on the map, and `contraction_of` estimates the modulus the
-first time a caller needs it and stores that too.
+A map keeps what has been established about it: `MapSpec.mode_check` and
+`MapSpec.contraction` run `certify_mode` and `certify_contraction` the first
+time a caller reads them, and keep the result.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
@@ -67,9 +70,12 @@ class MapSpec:
     one-row stack, with one matrix product per piece that some row selects.
     A callable is evaluated one row at a time.
 
-    `mode` is the declared behavior; `certify` checks it and keeps the
-    result in `certificate`.  `domain` is "proximal" for a map defined on
-    A0 union B0 only (a composition with P), certified on proximal samples.
+    `mode` is the declared behavior; `mode_check` checks it and
+    `contraction` estimates the modulus, each on first use, and the map
+    keeps both.  `domain` is "proximal" for a map defined on A0 union B0
+    only (a composition with P), certified on proximal samples.  `composed`
+    is the map's composition with P, set once by
+    `operators.compose_with_projector`.
     """
 
     instance: ProximityInstance
@@ -81,7 +87,7 @@ class MapSpec:
     offset_b: np.ndarray | None = None
     func: Callable[[np.ndarray], np.ndarray] | None = None
     domain: Domain = "full"
-    certificate: "MapCertificate | None" = field(default=None, init=False, repr=False)
+    composed: "MapSpec | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -124,6 +130,14 @@ class MapSpec:
     def blackbox(cls, instance: ProximityInstance, mode: Mode,
                  func: Callable[[np.ndarray], np.ndarray], name: str = "") -> "MapSpec":
         return cls(instance, mode, name=name, func=func)
+
+    @functools.cached_property
+    def mode_check(self) -> ModeCheck:
+        return certify_mode(self)
+
+    @functools.cached_property
+    def contraction(self) -> ContractionCertificate:
+        return certify_contraction(self)
 
     @property
     def is_affine(self) -> bool:
@@ -168,10 +182,19 @@ class ModeCheck:
     """Outcome of mode certification, with a violating point when it fails."""
 
     ok: bool
-    mode: Mode
     exact: bool
     worst_deviation: float
     witness: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _exact_points(m, k: int) -> np.ndarray | None:
+    """Points of side k ("AB"[k]) on which m's behavior there is decided
+    exactly, or None: the body's vertices for a one-piece affine map, or
+    a* (b*) for a map on proximal sets that are points."""
+    inst = m.instance
+    if m.domain == "proximal":
+        return inst.realizing_pair[k][None, :] if inst.proximal_sets_are_points else None
+    return _vertex_set(inst.body("AB"[k])) if m.is_affine else None
 
 
 def certify_mode(m) -> ModeCheck:
@@ -179,17 +202,17 @@ def certify_mode(m) -> ModeCheck:
 
     Affine maps on vertex-enumerable bodies are checked exactly through
     vertex images (the image of a hull is the hull of the images, and a hull
-    lies in a convex target iff its vertices do); every other side is checked
-    on its half of the instance's `cross_samples(DEFAULT_MODE_SAMPLES, ...)`.
+    lies in a convex target iff its vertices do), and so are maps of domain
+    "proximal" when the proximal sets are points, on those points; every
+    other side is checked on its half of the instance's
+    `cross_samples(DEFAULT_MODE_SAMPLES, ...)`.
     """
     inst = m.instance
     exact = True
     worst = 0.0
     witness = None
     for k, side in enumerate(("A", "B")):
-        pts = None
-        if m.is_affine and m.domain == "full":
-            pts = _vertex_set(inst.body(side))
+        pts = _exact_points(m, k)
         if pts is None:
             pts = inst.cross_samples(DEFAULT_MODE_SAMPLES, m.domain == "proximal")[k]
             exact = False
@@ -200,19 +223,19 @@ def certify_mode(m) -> ModeCheck:
             worst = float(devs[i])
             witness = (pts[i], imgs[i])
     ok = worst <= 10.0 * inst.tol
-    return ModeCheck(ok=ok, mode=m.mode, exact=exact, worst_deviation=worst,
+    return ModeCheck(ok=ok, exact=exact, worst_deviation=worst,
                      witness=None if ok else witness)
 
 
-def _cross_pairs(m, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    xs, ys = m.instance.cross_samples(samples, m.domain == "proximal")
-    if m.is_affine and m.domain == "full":
-        vx = _vertex_set(m.instance.A)
-        vy = _vertex_set(m.instance.B)
-        if vx is not None and vy is not None and len(vx) * len(vy) <= 4096:
-            gx, gy = np.broadcast_arrays(vx[:, None, :], vy[None, :, :])
-            xs = np.vstack([xs, gx.reshape(-1, xs.shape[1])])
-            ys = np.vstack([ys, gy.reshape(-1, ys.shape[1])])
+def _cross_pairs(m) -> tuple[np.ndarray, np.ndarray]:
+    vx, vy = _exact_points(m, 0), _exact_points(m, 1)
+    if m.domain == "proximal" and vx is not None:
+        return vx, vy  # the one pair (a*, b*)
+    xs, ys = m.instance.cross_samples(DEFAULT_CONTRACTION_SAMPLES, m.domain == "proximal")
+    if vx is not None and vy is not None and len(vx) * len(vy) <= 4096:
+        gx, gy = np.broadcast_arrays(vx[:, None, :], vy[None, :, :])
+        xs = np.vstack([xs, gx.reshape(-1, xs.shape[1])])
+        ys = np.vstack([ys, gy.reshape(-1, ys.shape[1])])
     return xs, ys
 
 
@@ -224,7 +247,8 @@ class ContractionCertificate:
     """Smallest contraction modulus consistent with the evaluated cross pairs.
 
     The sampled pairs are row i of A's and of B's points in the instance's
-    `cross_samples`, the same points for every map of the instance.
+    `cross_samples`, the same points for every map of the instance; a map of
+    domain "proximal" on point proximal sets has the one pair (a*, b*).
     `method` says where alpha_hat comes from: "grid" when a grid over the
     difference body A - B, refined around the worst difference, was also
     searched (affine maps on boxes, points and axis-aligned segments),
@@ -260,8 +284,7 @@ def _grid_alpha(m, lo: np.ndarray, hi: np.ndarray, dist: float, tol: float):
     return Z[i], float(ratios[i]), len(Z)
 
 
-def certify_contraction(m, samples: int = DEFAULT_CONTRACTION_SAMPLES
-                        ) -> ContractionCertificate:
+def certify_contraction(m) -> ContractionCertificate:
     """Estimate the contraction modulus over cross pairs.
 
     Sampled pairs always contribute.  An affine map on boxes, points or
@@ -272,7 +295,7 @@ def certify_contraction(m, samples: int = DEFAULT_CONTRACTION_SAMPLES
     inst = m.instance
     dist = inst.dist
 
-    xs, ys = _cross_pairs(m, samples)
+    xs, ys = _cross_pairs(m)
     before = inst.space.norms(xs - ys, axis=1)
     after = inst.space.norms(m.apply_many(xs) - m.apply_many(ys), axis=1)
     valid = before - dist > inst.tol
@@ -309,39 +332,3 @@ def certify_contraction(m, samples: int = DEFAULT_CONTRACTION_SAMPLES
                                   method=method, degenerate=worst_pair is None,
                                   worst_pair=worst_pair)
 
-
-@dataclass
-class MapCertificate:
-    """What has been established about one map, kept on the map.
-
-    `mode` is the check of the declared mode.  `contraction` is filled in by
-    `contraction_of` the first time a caller needs the modulus.
-    `composition` is the certificate of the
-    map's composition with the proximal projection, made by
-    `operators.compose_with_projector` the first time it checks the
-    composition's preconditions.
-    """
-
-    mode: ModeCheck
-    contraction: ContractionCertificate | None = None
-    composition: MapCertificate | None = field(default=None, repr=False)
-
-
-def certify(m) -> MapCertificate:
-    """Check m's declared mode and keep the result on m as its certificate."""
-    cert = MapCertificate(mode=certify_mode(m))
-    object.__setattr__(m, "certificate", cert)
-    return cert
-
-
-def certificate_of(m) -> MapCertificate:
-    """m's certificate; a map not yet certified is certified now."""
-    return m.certificate if m.certificate is not None else certify(m)
-
-
-def contraction_of(m) -> ContractionCertificate:
-    """m's contraction estimate, computed on first use and kept."""
-    cert = certificate_of(m)
-    if cert.contraction is None:
-        cert.contraction = certify_contraction(m)
-    return cert.contraction

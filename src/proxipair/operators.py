@@ -30,11 +30,13 @@ projection onto the opposite body is the reference that
 fails a check instead of raising.
 
 Because P is an isometry between the proximal sets that swaps them, the
-composed map's certificate follows from the outer map's: for x in A0 and
-y in B0, d(TPx, TPy) <= alpha d(Px, Py) + (1 - alpha) dist(A, B), and
-d(Px, Py) = d(x, y).  So T after P has the opposite mode and modulus at
-most alpha, and is never re-sampled to establish either.  Its precondition
-of relative nonexpansiveness is read off the same certificate of T.
+composed map's modulus follows from the outer map's: for x in A0 and y in
+B0, d(TPx, TPy) <= alpha d(Px, Py) + (1 - alpha) dist(A, B), and
+d(Px, Py) = d(x, y).  So T after P has modulus at most alpha, and is never
+re-sampled to establish it; its precondition of relative nonexpansiveness
+is read off the same certificate of T.  T after P has the opposite mode
+exactly when T preserves the proximal sets, so the composed map's own mode
+check is that precondition.
 """
 
 from __future__ import annotations
@@ -46,23 +48,11 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .geometry import ProximityInstance, Side, _as_matrix, _scale_rows, _shift_rows
-from .mappings import (
-    MEMBER_TOL,
-    ContractionCertificate,
-    MapCertificate,
-    MapSpec,
-    Mode,
-    ModeCheck,
-    certificate_of,
-    contraction_of,
-    flip_mode,
-    opposite,
-)
+from .mappings import MEMBER_TOL, ContractionCertificate, MapSpec, flip_mode
 
 PROPERTY_TOL = 1e-8
 COMMUTATION_THRESHOLD = 1e-8
 DOMAIN_SLACK = 10.0  # P's domain window, in units of the instance tol
-PRECONDITION_SAMPLES = 200  # per side, for the preconditions of a composition
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,19 +276,22 @@ def compose_with_projector(outer) -> MapSpec:
     The preconditions are relative nonexpansiveness, alpha_hat <= 1 on
     outer's contraction certificate (every cyclic or noncyclic contraction
     has it: Eldred and Veeramani, J. Math. Anal. Appl. 323, 2006), and
-    preservation of the proximal sets, checked on the instance's proximal
-    `cross_samples` of PRECONDITION_SAMPLES points per side.  The
-    composition's certificate follows from outer's: the mode is flipped, its
-    mode check is the proximal-preservation check (outer's images of A0 and
-    B0 are the composition's of B0 and A0), and alpha_hat is outer's, with
-    method "inherited".  It is kept on outer's certificate and reused by
-    later calls; keeping the certificate, not the composed map, keeps outer
-    out of a reference cycle.
+    preservation of the proximal sets.  The composition has the opposite
+    mode, and its images of A0 and B0 are outer's images of B0 and A0, so
+    its ordinary `mode_check` is the preservation check.  Its contraction
+    certificate is outer's alpha_hat, with method "inherited".  The
+    composition is kept on outer (`outer.composed`) and returned by later
+    calls.
     """
+    if outer.composed is not None:
+        return outer.composed
     inst = outer.instance
-    kept = certificate_of(outer)
-    if kept.composition is None:
-        kept.composition = _composition_certificate(outer)
+    modulus = outer.contraction
+    if modulus.alpha_hat > 1.0:
+        x, y = (w.tolist() for w in modulus.worst_pair)
+        raise PreconditionError(
+            f"map is not relatively nonexpansive (alpha_hat {modulus.alpha_hat:.6g} "
+            f"> 1 at the pair {x}, {y})")
     v = ProximalProjector(inst).v
     A = inst.A
     if outer.func is not None:
@@ -311,42 +304,20 @@ def compose_with_projector(outer) -> MapSpec:
             M, c = outer.matrix_b, outer.offset_b
         pieces = {"matrix": M, "offset": c + M @ v,
                   "matrix_b": M_a, "offset_b": c_a - M_a @ v}
-    composed = MapSpec(inst, kept.composition.mode.mode, name=f"{outer.name or 'map'}*P",
+    composed = MapSpec(inst, flip_mode(outer.mode), name=f"{outer.name or 'map'}*P",
                        domain="proximal", **pieces)
-    object.__setattr__(composed, "certificate", kept.composition)
-    return composed
-
-
-def _composition_certificate(outer) -> MapCertificate:
-    """Check the preconditions of outer after P; the composition's certificate."""
-    inst = outer.instance
-    modulus = contraction_of(outer)
-    if modulus.alpha_hat > 1.0:
-        x, y = (w.tolist() for w in modulus.worst_pair)
+    check = composed.mode_check
+    if not check.ok:
+        x, image = (w.tolist() for w in check.witness)
         raise PreconditionError(
-            f"map is not relatively nonexpansive (alpha_hat {modulus.alpha_hat:.6g} "
-            f"> 1 at the pair {x}, {y})")
-
-    window = DOMAIN_SLACK * inst.tol
-    worst = 0.0
-    for side, pts in zip(("A", "B"),
-                         inst.cross_samples(PRECONDITION_SAMPLES, proximal=True)):
-        imgs = outer.apply_many(pts)
-        target: Side = side if outer.mode == "noncyclic" else opposite(side)
-        devs = inst.proximal_deviations(imgs, target)
-        i = int(np.argmax(devs))
-        if devs[i] > window:
-            raise PreconditionError(
-                f"map does not preserve the proximal sets: point {pts[i].tolist()} "
-                f"maps {devs[i]:.3e} away from the proximal part of side {target}")
-        worst = max(worst, float(devs[i]))
-
-    mode: Mode = flip_mode(outer.mode)
-    return MapCertificate(
-        mode=ModeCheck(ok=True, mode=mode, exact=False, worst_deviation=worst),
-        contraction=ContractionCertificate(
-            alpha_hat=modulus.alpha_hat, samples=0, method="inherited",
-            degenerate=modulus.degenerate, worst_pair=None))
+            f"map does not preserve the proximal sets: composed with P it maps "
+            f"the point {x} to {image}, {check.worst_deviation:.3e} away from "
+            f"the proximal set its mode requires")
+    vars(composed)["contraction"] = ContractionCertificate(
+        alpha_hat=modulus.alpha_hat, samples=0, method="inherited",
+        degenerate=modulus.degenerate, worst_pair=None)
+    object.__setattr__(outer, "composed", composed)
+    return composed
 
 
 def check_commutation(m, samples: int = 1000) -> CheckResult:

@@ -3,9 +3,9 @@
 Two direct solvers (Picard iteration for cyclic contractions, map-then-
 project iteration for noncyclic ones) and two reductions that route one kind
 of problem through the other by composing with the proximal projector P.
-All solvers check their preconditions against the map's certificate (made
-on first use when the map has none) and flag non-convergence instead of
-raising.
+All solvers check their preconditions against the map's certificates
+(`mode_check` and `contraction`, made on first use and kept on the map) and
+flag non-convergence instead of raising.
 
 A run is recorded as its orbit x_0, x_1, ..., stacked once into an
 (n, dim) array after the loop; the trace, its gaps, the residual, P's
@@ -30,12 +30,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .geometry import Side
-from .mappings import (
-    ContractionCertificate,
-    ContractionMethod,
-    certificate_of,
-    contraction_of,
-)
+from .mappings import ContractionCertificate, ContractionMethod
 from .operators import ProximalProjector, compose_with_projector
 
 DEFAULT_TOL = 1e-9
@@ -125,12 +120,12 @@ def _require_contraction(m, expected_mode: str) -> ContractionCertificate:
     if m.mode != expected_mode:
         raise PreconditionError(
             f"solver needs a {expected_mode} map, got mode {m.mode!r}")
-    mode_check = certificate_of(m).mode
+    mode_check = m.mode_check
     if not mode_check.ok:
         raise PreconditionError(
             f"map failed {expected_mode} mode certification "
             f"(worst deviation {mode_check.worst_deviation:.3e})")
-    cert = contraction_of(m)
+    cert = m.contraction
     if not cert.alpha_hat < 1.0:
         raise PreconditionError(
             f"map is not a contraction on cross pairs (alpha_hat={cert.alpha_hat})")

@@ -6,10 +6,13 @@ declared solver runs, and validates the orbit identities the reductions rely
 on.  Each check is a `CheckResult`, defined in `operators`, whose projector
 and commutation checks return it: its worst observed deviation against an
 explicit threshold.  The report is JSON-ready for the command line.  The
-checks take their points from the instance's samples, on which the maps
-were certified; only the uniqueness starts and the projector checks'
-further draws have generators of their own, seeded with the instance's
-seed.
+map checks read the certificates kept on each map and on its composition
+with P (`MapSpec.mode_check`, `contraction` and `composed`): the mode-flip
+check is the composed map's mode check, and only the inherited-modulus
+check samples a composed map again.  The checks take their points from the
+instance's samples, on which the maps were certified; only the uniqueness
+starts and the projector checks' further draws have generators of their
+own, seeded with the instance's seed.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import PreconditionError, ProxipairError
 from .instances import BuiltInstance
-from .mappings import certify_contraction, certify_mode, contraction_of, flip_mode
+from .mappings import certify_contraction, flip_mode
 from .operators import (
     CheckResult,
     ProximalProjector,
@@ -69,7 +72,7 @@ def _map_checks(built: BuiltInstance, samples: int, flags: list) -> list:
             commutation = check_commutation(m, samples=samples)
             commutation.flags = list(flags)
             checks.append(commutation)
-        if not contraction_of(m).alpha_hat < 1.0:
+        if not m.contraction.alpha_hat < 1.0:
             continue
         flip = CheckResult(name=f"map-{name}-mode-flip", tag="composition-flips-mode",
                            passed=False, worst_deviation=float("inf"),
@@ -80,8 +83,8 @@ def _map_checks(built: BuiltInstance, samples: int, flags: list) -> list:
                               threshold=INHERITED_MODULUS_SLACK, flags=list(flags))
         try:
             composed = compose_with_projector(m)
-            flipped = certify_mode(composed)
-            inherited = composed.certificate.contraction.alpha_hat
+            flipped = composed.mode_check
+            inherited = composed.contraction.alpha_hat
             resampled = certify_contraction(composed).alpha_hat
         except ProxipairError as exc:
             flip.details = modulus.details = str(exc)

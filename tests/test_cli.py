@@ -1,6 +1,9 @@
 import collections
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +21,22 @@ from proxipair.instances import (
 )
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_import_leaves_scipy_out():
+    # scipy is imported by the first polygon hull only: with scipy.spatial,
+    # importing the package takes about three times as long, and every
+    # command pays for it
+    code = "import sys, proxipair, proxipair.cli; sys.exit('scipy' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0
 
 
 def test_solve_segpair_writes_everything(tmp_path, capsys):
@@ -357,10 +374,14 @@ def _count_certifier_calls(monkeypatch, *argv):
 
 
 @pytest.mark.parametrize("command,instance,expected", [
-    ("solve", "ballpair", {"certify_mode": 2, "certify_contraction": 2}),
-    ("solve", "segpair", {"certify_mode": 4, "certify_contraction": 2}),
-    # verify re-samples each composed contraction once for the mode-flip
-    # check and once for the inherited-modulus check
+    # each reduce run composes its map with P, which checks the composed
+    # map's mode; its modulus is inherited
+    ("solve", "ballpair", {"certify_mode": 4, "certify_contraction": 2,
+                           "certify_mode on a composed map": 2}),
+    ("solve", "segpair", {"certify_mode": 6, "certify_contraction": 2,
+                          "certify_mode on a composed map": 2}),
+    # verify reads each composition's mode check for the mode-flip check and
+    # re-samples its modulus once for the inherited-modulus check
     ("verify", "segpair", {"certify_mode": 6, "certify_contraction": 6,
                            "certify_mode on a composed map": 2,
                            "certify_contraction on a composed map": 2}),

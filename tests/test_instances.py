@@ -197,23 +197,16 @@ def test_build_rejects_mislabeled_mode():
 
 def test_build_keeps_the_mode_certificate():
     built = build(builtin_instance("segpair"), seed=3)
-    cert = built.maps["T"].certificate
+    T = built.maps["T"]
     inst = built.instance
-    assert inst.seed == 3 and cert.mode.ok
+    assert inst.seed == 3 and "mode_check" in vars(T) and T.mode_check.ok
     stream = np.random.default_rng(3)  # the seed reaches every certifier's samples
     xs, ys = inst.cross_samples(20)
     assert np.array_equal(xs, inst.A.sample(stream, 20))
     assert np.array_equal(ys, inst.B.sample(stream, 20))
-    assert cert.contraction is None  # estimated when a solver first needs it
+    assert "contraction" not in vars(T)  # estimated when a solver first needs it
     built.run("picard-T")
-    assert cert.contraction.method == "grid"
-
-
-def test_build_certify_false_skips_the_gate():
-    doc = builtin_instance("segpair")
-    doc.maps[0]["mode"] = "noncyclic"
-    built = build(doc, certify=False)
-    assert "T" in built.maps
+    assert vars(T)["contraction"].method == "grid"
 
 
 # -------------------------------------------------------------- generator

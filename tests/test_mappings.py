@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from proxipair import mappings
+from proxipair import instances, mappings
 from proxipair.errors import DimensionMismatchError, PreconditionError
 from proxipair.geometry import Ball, Box, LpSpace, Polytope, ProximityInstance
 from proxipair.instances import (
@@ -18,10 +18,8 @@ from proxipair.mappings import (
     DEFAULT_CONTRACTION_SAMPLES,
     MEMBER_TOL,
     MapSpec,
-    certify,
     certify_contraction,
     certify_mode,
-    contraction_of,
 )
 from proxipair.operators import compose_with_projector
 
@@ -186,9 +184,12 @@ def _reference_map(spec: dict, A):
 def test_declared_maps_match_rowwise_reference(bodies, kind, rng):
     p, body_a, body_b = DECLARED_BODIES[bodies]
     spec = dict(DECLARED_MAPS[kind], name="m")
-    doc = parse_instance({"name": "x", "space": {"dim": 2, "p": p},
-                          "bodies": {"A": body_a, "B": body_b}, "maps": [spec]})
-    m = build(doc, certify=False).maps["m"]
+    bodies = {"name": "x", "space": {"dim": 2, "p": p},
+              "bodies": {"A": body_a, "B": body_b}}
+    # the map is built without its mode check: some kinds do not keep
+    # their declared mode on these bodies
+    inst = build(parse_instance({**bodies, "maps": []})).instance
+    m = instances._build_map(parse_instance({**bodies, "maps": [spec]}).maps[0], inst)
     A = m.instance.A
     assert m.func is None
     assert m.is_affine == (kind == "affine")
@@ -284,9 +285,11 @@ def test_contraction_modulus_same_for_both_modes(seg):
     assert_allclose(a1, a2, atol=1e-12)
 
 
-def test_contraction_certificate_stable_under_doubling(seg):
-    c1 = certify_contraction(map_T(seg), samples=5000)
-    c2 = certify_contraction(map_T(seg), samples=10_000)
+def test_contraction_certificate_stable_under_doubling(seg, monkeypatch):
+    monkeypatch.setattr(mappings, "DEFAULT_CONTRACTION_SAMPLES", 5000)
+    c1 = certify_contraction(map_T(seg))
+    monkeypatch.setattr(mappings, "DEFAULT_CONTRACTION_SAMPLES", 10_000)
+    c2 = certify_contraction(map_T(seg))
     assert abs(c1.alpha_hat - c2.alpha_hat) <= 1e-3
 
 
@@ -300,7 +303,7 @@ def test_isometries_are_not_contractions(seg):
 
 def test_constant_map_contracts_to_zero(balls):
     cyc, _ = const_maps(balls)
-    cert = certify_contraction(cyc, samples=2000)
+    cert = certify_contraction(cyc)
     assert cert.alpha_hat == 0.0
     assert cert.method == "sampled"
     assert not cert.degenerate
@@ -312,7 +315,7 @@ def test_degenerate_instance_flagged():
     sp = LpSpace(2, 2.0)
     inst = ProximityInstance(Polytope(sp, [[0.0, 0.0]]), Polytope(sp, [[0.0, 1.0]]))
     m = MapSpec.affine(inst, "noncyclic", np.eye(2))
-    cert = certify_contraction(m, samples=100)
+    cert = certify_contraction(m)
     assert cert.degenerate
     assert cert.worst_pair is None
 
@@ -325,7 +328,7 @@ def test_degenerate_instance_flagged():
 def test_contraction_implies_nonexpansive(seg):
     for m in (map_T(seg), map_S(seg)):
         assert compose_with_projector(m).mode != m.mode
-        assert contraction_of(m).alpha_hat < 1.0
+        assert m.contraction.alpha_hat < 1.0
 
 
 def test_swap_isometry_is_relatively_nonexpansive(seg):
@@ -333,7 +336,7 @@ def test_swap_isometry_is_relatively_nonexpansive(seg):
     ident = MapSpec.affine(seg, "noncyclic", np.eye(2))
     for m in (swap, ident):
         assert compose_with_projector(m).mode != m.mode
-        assert contraction_of(m).alpha_hat == 1.0
+        assert m.contraction.alpha_hat == 1.0
 
 
 def test_doubling_map_fails_nonexpansive(seg):
@@ -342,9 +345,9 @@ def test_doubling_map_fails_nonexpansive(seg):
         doubling = MapSpec.affine(seg, "noncyclic", matrix)
         with pytest.raises(PreconditionError, match="not relatively nonexpansive") as err:
             compose_with_projector(doubling)
-        alpha = contraction_of(doubling).alpha_hat
+        alpha = doubling.contraction.alpha_hat
         assert alpha > 1.0 and f"alpha_hat {alpha:.6g}" in str(err.value)
-        x, y = contraction_of(doubling).worst_pair
+        x, y = doubling.contraction.worst_pair
         assert f"{x.tolist()}, {y.tolist()}" in str(err.value)
         d_before = seg.space.distance(x, y)
         d_after = seg.space.distance(doubling.apply(x), doubling.apply(y))
@@ -361,7 +364,7 @@ def test_box_pair_affine_contraction_certifies(rng):
     M = np.diag([0.5, 0.5, 1.0])
     S = MapSpec.affine(inst, "noncyclic", M, (np.eye(3) - M) @ anchor)
     assert certify_mode(S).exact
-    cert = certify_contraction(S, samples=2000)
+    cert = certify_contraction(S)
     assert cert.method == "grid"
     assert 0.0 < cert.alpha_hat < 1.0
 
@@ -418,7 +421,7 @@ def test_difference_grid_is_not_beaten_by_a_product_grid(kind, p):
         inst = ProximityInstance(A, B)
         betas = np.concatenate([[1.0], rng.uniform(0.2, 0.8, dim - 1)])
         for m in _shrink_maps(inst, betas, float(hi_a[0] + lo_b[0])):
-            cert = certify_contraction(m, samples=500)
+            cert = certify_contraction(m)
             assert cert.method == "grid"
             brute = _product_grid_alpha(m, (lo_a, hi_a), (lo_b, hi_b))
             assert brute <= cert.alpha_hat + 1e-12
@@ -433,23 +436,24 @@ def test_difference_grid_is_small_at_dim_6():
     # 10,000 samples, 32 x 32 vertex pairs (the boxes are flat along the gap
     # axis) and 4 rounds of 1024 differences; a product grid of A x B
     # evaluates about 4.2 million pairs
-    built = build(generate_random_instance(0, dim=6, p=1.5), certify=False)
+    built = build(generate_random_instance(0, dim=6, p=1.5))
     assert len(built.instance.A.corners()) == len(built.instance.B.corners()) == 32
     for m in built.maps.values():
-        cert = contraction_of(m)
+        cert = m.contraction
         assert cert.method == "grid"
         assert cert.samples == 10_000 + 32 * 32 + 4 * 1024
         assert 0.0 < cert.alpha_hat < 1.0
 
 
-def test_no_grid_past_sixteen_free_axes():
+def test_no_grid_past_sixteen_free_axes(monkeypatch):
     # 2 points on each of 20 free axes would be about a million differences
     sp = LpSpace(20, 2.0)
     lo = np.zeros(20)
     A = Box(sp, lo, np.ones(20))
     B = Box(sp, lo + 3.0 * np.eye(20)[0], np.ones(20) + 3.0 * np.eye(20)[0])
     m = MapSpec.affine(ProximityInstance(A, B), "noncyclic", 0.5 * np.eye(20))
-    cert = certify_contraction(m, samples=1000)
+    monkeypatch.setattr(mappings, "DEFAULT_CONTRACTION_SAMPLES", 1000)
+    cert = certify_contraction(m)
     assert cert.method == "sampled"
     assert cert.samples == 1000
     assert 0.0 < cert.alpha_hat < 1.0
@@ -469,11 +473,11 @@ def _certificates_in_order(order: list) -> dict:
     maps = {"T": MapSpec.blackbox(inst, "cyclic", T.apply, name="T"),
             "S": MapSpec.blackbox(inst, "noncyclic", S.apply, name="S")}
     for name in order:
-        certify(maps[name])
-        contraction_of(maps[name])
+        maps[name].mode_check
+        maps[name].contraction
     out = {}
     for name, m in maps.items():
-        mode, con = m.certificate.mode, m.certificate.contraction
+        mode, con = m.mode_check, m.contraction
         out[name] = (mode.ok, mode.exact, mode.worst_deviation, con.alpha_hat,
                      con.samples, con.method, np.asarray(con.worst_pair).tolist())
     return out

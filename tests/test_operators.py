@@ -1,4 +1,6 @@
 import copy
+import json
+import re
 
 import numpy as np
 import pytest
@@ -331,16 +333,31 @@ def test_composed_map_is_outer_after_the_projection(name, rng):
 def test_composed_map_inherits_certificate(seg):
     for outer in (map_S(seg), map_T(seg)):
         composed = compose_with_projector(outer)
-        cert = composed.certificate
-        assert cert.mode.ok and cert.mode.mode == composed.mode != outer.mode
-        assert cert.contraction.method == "inherited"
-        assert cert.contraction.alpha_hat == outer.certificate.contraction.alpha_hat
+        assert composed.mode_check.ok and composed.mode != outer.mode
+        cert = vars(composed)["contraction"]  # kept, not estimated on first use
+        assert cert.method == "inherited" and cert.samples == 0
+        assert cert.alpha_hat == vars(outer)["contraction"].alpha_hat
+        assert compose_with_projector(outer) is composed is outer.composed
+
+
+def test_composed_map_on_point_proximal_sets_is_certified_on_the_realizing_pair():
+    # the proximal sets of two balls are a* and b*: the composition's mode
+    # check and its re-sampled modulus evaluate that one pair
+    built = build(builtin_instance("ballpair"))
+    contractions = [m for m in built.maps.values() if m.contraction.alpha_hat < 1.0]
+    assert contractions
+    for m in contractions:
+        composed = compose_with_projector(m)
+        assert composed.mode_check.ok and composed.mode_check.exact
+        cert = certify_contraction(composed)
+        assert cert.samples == 1
+        assert cert.degenerate and cert.alpha_hat == 0.0
 
 
 def test_composed_map_keeps_contraction_modulus(seg):
     alpha_outer = certify_contraction(map_S(seg)).alpha_hat
     SP = compose_with_projector(map_S(seg))
-    alpha_comp = certify_contraction(SP, samples=4000).alpha_hat
+    alpha_comp = certify_contraction(SP).alpha_hat
     assert alpha_comp < 1.0
     assert abs(alpha_comp - alpha_outer) < 0.05
 
@@ -349,6 +366,25 @@ def test_compose_rejects_expansive_map(seg):
     doubling = MapSpec.affine(seg, "noncyclic", [[2.0, 0.0], [0.0, 1.0]])
     with pytest.raises(PreconditionError):
         compose_with_projector(doubling)
+
+
+def test_compose_rejects_a_map_that_leaves_the_proximal_sets():
+    # the identity, except that A's proximal edge x = 1 moves to x = 0.5:
+    # d(Tx, Ty) = d(x, y) on the sampled pairs, so alpha_hat is 1.0 and the
+    # composition is refused only for leaving the proximal sets
+    sp = LpSpace(2, 2.0)
+    inst = ProximityInstance(Box(sp, [0.0, 0.0], [1.0, 1.0]),
+                             Box(sp, [2.0, 0.0], [3.0, 1.0]))
+    moves_edge = MapSpec.blackbox(
+        inst, "noncyclic", lambda x: np.array([0.5, x[1]]) if x[0] == 1.0 else x)
+    assert certify_contraction(moves_edge).alpha_hat == 1.0
+    with pytest.raises(PreconditionError,
+                       match="does not preserve the proximal sets") as err:
+        compose_with_projector(moves_edge)
+    # the named point is proximal, (1, y) or its translate (2, y), at the
+    # height y of the realizing pair
+    named = json.loads(re.search(r"\[[^\]]*\]", str(err.value)).group())
+    assert named[0] in (1.0, 2.0) and named[1] == inst.realizing_pair[0][1]
 
 
 def test_composed_domain_is_proximal(balls):

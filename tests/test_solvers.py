@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from proxipair.errors import DomainError, PreconditionError
 from proxipair.geometry import Ball, LpSpace, Polytope, ProximityInstance
-from proxipair.mappings import MapSpec, certificate_of, contraction_of
+from proxipair.mappings import MapSpec
 from proxipair.operators import ProximalProjector, compose_with_projector
 from proxipair.solvers import (
     DEFAULT_MAX_ITER,
@@ -124,11 +124,11 @@ def test_picard_trivial_start_stops_immediately(seg):
 
 def test_picard_accepts_precomputed_certificate(seg):
     T = map_T(seg)
-    cert = contraction_of(T)
+    cert = T.contraction
     res = picard_cyclic(T, [2.0, 0.0])
     assert res.converged
     assert res.alpha_hat == cert.alpha_hat
-    assert certificate_of(T).contraction is cert
+    assert T.contraction is cert
 
 
 def test_picard_rejects_isometry(seg):
@@ -219,7 +219,7 @@ def test_noncyclic_rejects_start_off_body(seg):
 
 def test_noncyclic_companions_cost_the_same_whatever_the_run_length(seg, monkeypatch):
     S = map_S(seg)
-    contraction_of(S)  # certify first; certification projects too
+    S.mode_check, S.contraction  # certify first; certification projects too
     calls = []
     real = Polytope.project_many
     monkeypatch.setattr(Polytope, "project_many",
@@ -374,7 +374,7 @@ def test_reductions_report_the_inherited_modulus(seg):
                      (solve_noncyclic_via_reduction, S)):
         res = solve(m, [2.0, 0.0])
         assert res.alpha_method == "inherited"
-        assert res.alpha_hat == contraction_of(m).alpha_hat
+        assert res.alpha_hat == m.contraction.alpha_hat
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])

@@ -8,10 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxipair import operators, verification
+from proxipair import mappings, operators, verification
 from proxipair.geometry import ProximityInstance
 from proxipair.instances import build, builtin_instance, generate_random_instance, parse_instance
-from proxipair.mappings import certificate_of, contraction_of
 from proxipair.verification import GAP_DECAY_SLACK, UNIQUENESS_STARTS, run_verification
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -45,27 +44,27 @@ def test_segpair_deviations_are_tiny():
 
 def test_each_contraction_is_composed_with_the_projector_once(monkeypatch):
     # segpair has 2 contraction maps; the map checks and the reduce runs
-    # share each map's composition, so its preconditions are checked once
+    # share each map's composition, so its mode is checked once
     checked = []
-    real = operators._composition_certificate
-    monkeypatch.setattr(operators, "_composition_certificate",
+    real = mappings.certify_mode
+    monkeypatch.setattr(mappings, "certify_mode",
                         lambda m: checked.append(m.name) or real(m))
     built = build(builtin_instance("segpair"))
+    checked.clear()  # the declared maps' own mode checks
     assert run_verification(built).passed
-    assert sorted(checked) == ["S", "T"]
+    assert sorted(checked) == ["S*P", "T*P"]
     for name in ("S", "T"):
         m = built.maps[name]
-        assert certificate_of(m).composition is not None
-        composed = operators.compose_with_projector(m)
-        assert composed.certificate is operators.compose_with_projector(m).certificate
+        assert m.composed is not None
+        assert operators.compose_with_projector(m) is m.composed
     assert len(checked) == 2
 
 
 def test_verification_draws_each_proximal_sample_once(monkeypatch):
     # the projector checks, the commutation and mode-flip checks and the
     # certificates share the instance's store: one draw per side and size,
-    # 200 for the composition preconditions, 1000 for the checks and
-    # 10,000 for the re-sampled moduli
+    # 1000 for the checks and the composed maps' mode checks, and 10,000
+    # for the re-sampled moduli
     calls = collections.Counter()
     real = ProximityInstance.sample_proximal
 
@@ -78,7 +77,7 @@ def test_verification_draws_each_proximal_sample_once(monkeypatch):
     assert run_verification(built).passed
     # the uniqueness starts of picard-T and project-S
     assert calls.pop(("A", UNIQUENESS_STARTS - 1)) == 2
-    assert calls == {(side, n): 1 for side in "AB" for n in (200, 1000, 10_000)}
+    assert calls == {(side, n): 1 for side in "AB" for n in (1000, 10_000)}
 
 
 def test_verify_proximalizes_tilted_polygons_only_in_the_continuity_probe(monkeypatch):
@@ -120,8 +119,8 @@ def test_inherited_modulus_checks_present_for_contractions_only():
 def test_understated_certificate_fails_inherited_modulus():
     built = build(builtin_instance("segpair"))
     T = built.maps["T"]
-    planted = dataclasses.replace(contraction_of(T), alpha_hat=0.1)  # true ~0.285
-    certificate_of(T).contraction = planted
+    planted = dataclasses.replace(T.contraction, alpha_hat=0.1)  # true ~0.285
+    vars(T)["contraction"] = planted
     report = run_verification(built, samples=200)
     check = next(c for c in report.checks if c.name == "map-T-inherited-modulus")
     assert not check.passed
