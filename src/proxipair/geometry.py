@@ -9,25 +9,26 @@ halfspaces is projected at p = 2 by Dykstra's scheme over those halfspaces.
 
 Every certifier, check and solver applies these primitives to tall, thin
 stacks of points: thousands of rows of a few coordinates each.  numpy
-reduces such an (n, dim) stack along its rows, and broadcasts a (dim,)
-vector or a per-row scalar over it, with an inner loop of length dim per
-row.  On (10000, dim) stacks with dim from 2 to 6 (numpy 2.4, one x86
-core), a row sum took 5 to 20 times, a row maximum 18 to 65 times, a clip
-1.5 to 8 times and a shift X + v 3 to 4 times as long as the same work
-done one column at a time.  So reductions, clamps, shifts and row scalings
-go through `_reduce_rows`, `_clamp_rows`, `_shift_rows` and `_scale_rows`,
+reduces such an (n, dim) stack along its rows with an inner loop of length
+dim per row.  On (10000, dim) stacks with dim from 2 to 6 (numpy 2.4, one
+x86 core), a row sum took 5 to 20 times, a row maximum 18 to 65 times and
+a clip 1.5 to 8 times as long as the same work done one column at a time.
+So reductions and clamps go through `_reduce_rows` and `_clamp_rows`,
 which work column by column.  A column loop adds a row left to right, as
 numpy does for dim <= 7; from dim 8 on numpy sums pairwise, so there a sum
 may differ in the last bit.  At dim 2 to 3, X @ M.T + c took 129 to 146 us
 (one OpenBLAS thread) and `_affine_rows`, which adds c along the rows of
 M @ X.T, 36 us; they agree bit for bit up to dim 11, past it to rounding.
 `_affine_rows` returns Fortran order, whose matrix-vector products may
-differ from C order in the last bit, so the column helpers return C order.
+differ from C order in the last bit, so `_segment_nearest` takes its
+product on a C-ordered difference.
 
-`ProximityInstance` decides once whether the proximal sets A0 and B0 are
-single points: from a ball of the pair, or from a face of a box or polytope
-exposed towards the other body.  Then their samples are copies of the
-realizing pair; otherwise alternating projections find them.
+`ProximityInstance` keeps dist(A, B), a realizing pair (a*, b*) and their
+difference v = b* - a*, which every realizing pair shares: x is in A0 when
+x is in A and x + v in B (`proximal_deviations`).  It decides once whether
+A0 and B0 are single points: from a ball of the pair, or from a face of a
+box or polytope exposed towards the other body.  Then their samples are
+copies of the realizing pair; otherwise alternating projections find them.
 """
 
 from __future__ import annotations
@@ -72,22 +73,6 @@ def _clamp_rows(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shift_rows(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """`X + v` for an (n, dim) stack and a (dim,) vector, column by column."""
-    out = np.empty(X.shape)
-    for i in range(X.shape[1]):
-        np.add(X[:, i], v[i], out=out[:, i])
-    return out
-
-
-def _scale_rows(X: np.ndarray, s: np.ndarray, op: np.ufunc = np.multiply) -> np.ndarray:
-    """`op(X, s[:, None])` for an (n, dim) stack and n row scalars, column by column."""
-    out = np.empty(X.shape)
-    for i in range(X.shape[1]):
-        op(X[:, i], s, out=out[:, i])
-    return out
-
-
 def _affine_rows(X: np.ndarray, M: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
     """`X @ M.T + c` for an (n, dim) stack, computed as (M @ X.T + c[:, None]).T."""
     Y = M @ X.T
@@ -99,9 +84,9 @@ def _affine_rows(X: np.ndarray, M: np.ndarray, c: np.ndarray | None = None) -> n
 def _segment_nearest(X: np.ndarray, v0: np.ndarray, d: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
     """The p = 2 nearest points of v0 + [0, 1] d to X's rows, and their unclamped t."""
-    t = _shift_rows(X, -v0) @ d / float(d @ d)
+    t = np.subtract(X, v0, order="C") @ d / float(d @ d)
     # t[:, None] * d, built coordinate-major as the (dim, n) outer product
-    return _shift_rows(np.multiply.outer(d, np.clip(t, 0.0, 1.0)).T, v0), t
+    return np.multiply.outer(d, np.clip(t, 0.0, 1.0)).T + v0, t
 
 
 def _in_box_rows(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -201,12 +186,12 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class ConvexBody:
     """Closed convex subset of an LpSpace with a nearest-point projection.
 
-    Subclasses implement the projection of an (n, dim) stack, membership
-    of a point and of a stack, an anchor point and sampling; `project`
-    builds the single-point projection on `project_many`.  Bodies are
-    immutable after construction.  `box` is (lo, hi) when the body is an
-    axis-aligned box, which a point and an axis-aligned segment are too, and
-    None otherwise.
+    Subclasses implement the projection and the membership of an (n, dim)
+    stack, an anchor point and sampling; `project` and `member` are the
+    one-row calls.  Balls and boxes test one point's membership directly,
+    for the solvers' per-step piece selection.  Bodies are immutable after
+    construction.  `box` is (lo, hi) when the body is an axis-aligned box,
+    which a point and an axis-aligned segment are too, and None otherwise.
     """
 
     space: LpSpace
@@ -216,8 +201,8 @@ class ConvexBody:
         raise NotImplementedError
 
     def member(self, x, tol: float = DEFAULT_TOL) -> bool:
-        """Direct membership test, no projection involved."""
-        raise NotImplementedError
+        """Membership of one point: `member_many` on a one-row stack."""
+        return bool(self.member_many(self.space.check_vector(x)[None, :], tol)[0])
 
     def member_many(self, X: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Boolean membership mask over an (n, dim) stack."""
@@ -252,19 +237,22 @@ class Ball(ConvexBody):
         # (1, inf): stationarity of ||x-y||_p^p on the sphere forces y - c
         # colinear with x - c, with a nonnegative multiplier.
         X = _as_matrix(X, self.space.dim)
-        D = _shift_rows(X, -self.center)
+        D = X - self.center
         r = self.space.norms(D, axis=1)
         scale = np.ones_like(r)
         outside = r > self.radius
         scale[outside] = self.radius / r[outside]
-        return _shift_rows(_scale_rows(D, scale), self.center)
+        return D * scale[:, None] + self.center
 
     def member(self, x, tol=DEFAULT_TOL):
-        return self.space.distance(x, self.center) <= self.radius + tol
+        # a one-row stack, as in member_many: numpy's p-th root of a scalar
+        # may differ in the last bit from its root of an array
+        D = (self.space.check_vector(x) - self.center)[None, :]
+        return bool(self.space.norms(D, axis=1)[0] <= self.radius + tol)
 
     def member_many(self, X, tol=DEFAULT_TOL):
         X = _as_matrix(X, self.space.dim)
-        return self.space.norms(_shift_rows(X, -self.center), axis=1) <= self.radius + tol
+        return self.space.norms(X - self.center, axis=1) <= self.radius + tol
 
     def sample(self, rng, n):
         # Exact and uniform at every dimension (Barthe, Guedon, Mendelson and
@@ -275,8 +263,8 @@ class Ball(ConvexBody):
         G = rng.gamma(1.0 / p, 1.0, size=(n, dim))
         signs = rng.choice((-1.0, 1.0), size=(n, dim))
         W = rng.exponential(1.0, size=n)
-        unit = signs * _scale_rows(G, _reduce_rows(np.add, G) + W, np.divide) ** (1.0 / p)
-        return _shift_rows(self.radius * unit, self.center)
+        unit = signs * (G / (_reduce_rows(np.add, G) + W)[:, None]) ** (1.0 / p)
+        return self.radius * unit + self.center
 
     def anchor(self):
         return np.array(self.center)
@@ -340,11 +328,8 @@ def _hull_edges_2d(vertices: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] 
     Returns None when the vertices are affinely degenerate (point / segment),
     which callers handle through the lower-dimensional paths.
     """
-    try:
-        from scipy.spatial import ConvexHull, QhullError
-    except ImportError:  # pragma: no cover
-        from scipy.spatial import ConvexHull
-        from scipy.spatial.qhull import QhullError
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(vertices)
     except QhullError:
@@ -453,22 +438,11 @@ class Polytope(ConvexBody):
         return _project_polygon_edges(self.space, self._hull_edges, faces, X)
 
     def member(self, x, tol=DEFAULT_TOL):
+        if self.box is None:
+            return super().member(x, tol)
         x = self.space.check_vector(x)
-        if self.box is not None:
-            lo, hi = self._box_window(tol)
-            return bool(((x >= lo) & (x <= hi)).all())
-        seg = self._segment()
-        if seg is not None:
-            v0, v1 = seg
-            d = v1 - v0
-            t = float((x - v0) @ d / (d @ d))
-            if not (-tol <= t <= 1.0 + tol):
-                return False
-            return bool(np.abs(x - (v0 + min(max(t, 0.0), 1.0) * d)).max() <= tol)
-        for a, b in self._face_halfspaces:
-            if (x @ a - b) / np.linalg.norm(a) > tol:
-                return False
-        return True
+        lo, hi = self._box_window(tol)
+        return bool(((x >= lo) & (x <= hi)).all())
 
     def member_many(self, X, tol=DEFAULT_TOL):
         X = _as_matrix(X, self.space.dim)
@@ -619,7 +593,7 @@ class ProximityInstance:
     """A pair of convex bodies with cached separation data.
 
     The distance and a realizing pair are computed once at construction;
-    proximal deviations and proximal sampling are answered against that
+    v, proximal deviations and proximal sampling are answered against that
     cache.  The certifiers' samples are kept too (`cross_samples`), drawn
     from `seed`.  `tol` is this instance's default tolerance for membership.
     """
@@ -652,20 +626,23 @@ class ProximityInstance:
     def opposite_body(self, side: Side) -> ConvexBody:
         return self.body("B" if side == "A" else "A")
 
-    def proximal_gaps(self, X: np.ndarray, side: Side) -> np.ndarray:
-        """||x - proj_opposite(x)|| - dist for each row; ~0 on the proximal set."""
-        X = _as_matrix(X, self.space.dim)
-        other = self.opposite_body(side)
-        P = other.project_many(X, self.tol)
-        return self.space.norms(X - P, axis=1) - self.dist
+    @property
+    def v(self) -> np.ndarray:
+        """b* - a*, the difference of every pair that realizes dist(A, B)."""
+        return self.realizing_pair[1] - self.realizing_pair[0]
 
     def proximal_deviations(self, X: np.ndarray, side: Side) -> np.ndarray:
-        """max(distance to `side`, |proximal gap|) for each row: how far the
-        row is from the proximal part of `side`."""
+        """How far each row is from the proximal part of `side`: the larger
+        of its distance to `side` and its translate's (x + v for A, x - v
+        for B) to the other body."""
         X = _as_matrix(X, self.space.dim)
-        body = self.body(side)
-        residuals = self.space.norms(X - body.project_many(X, self.tol), axis=1)
-        return np.maximum(residuals, np.abs(self.proximal_gaps(X, side)))
+
+        def dist_to(Y, body):
+            return self.space.norms(Y - body.project_many(Y, self.tol), axis=1)
+
+        image = X + self.v if side == "A" else X - self.v
+        return np.maximum(dist_to(X, self.body(side)),
+                          dist_to(image, self.opposite_body(side)))
 
     def proximalize(self, X: np.ndarray, side: Side) -> np.ndarray:
         """Drive points of `side` into its proximal set by alternating projections."""
@@ -705,7 +682,7 @@ class ProximityInstance:
                     return True
         if self.dist <= self.tol:
             return False
-        v = (self.realizing_pair[1] - self.realizing_pair[0]) / self.dist
+        v = self.v / self.dist
         u = np.sign(v) * np.abs(v) ** (self.space.p - 1.0)
         for body, w in ((self.A, u), (self.B, -u)):
             V = _vertex_set(body)

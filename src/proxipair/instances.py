@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,15 +52,7 @@ class InstanceDoc:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "space": self.space,
-            "bodies": self.bodies,
-            "maps": self.maps,
-            "runs": self.runs,
-            "tol": self.tol,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
 
 def serialize_instance(doc: InstanceDoc) -> str:

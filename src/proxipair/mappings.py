@@ -168,7 +168,7 @@ class MapSpec:
 
 
 def _target_deviations(m, side: Side, images: np.ndarray) -> np.ndarray:
-    """How far each image is from where the declared mode says it must land."""
+    """How far each image is from the body, or proximal part, its mode requires."""
     inst = m.instance
     target: Side = opposite(side) if m.mode == "cyclic" else side
     if m.domain == "proximal":

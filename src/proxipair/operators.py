@@ -15,19 +15,20 @@ vacuous and flags them `degenerate`, is decided once by the instance
 (`ProximityInstance.proximal_sets_are_points`), not from the samples.
 
 The lp norm with 1 < p < inf is strictly convex, so every pair realizing
-dist(A, B) has the same difference v = b* - a*: if two pairs had different
-differences, the midpoints of the two pairs would lie in A and B at less
-than d.  So P is the translation x -> x + v on A0 and x -> x - v on B0 (the
-P-property of Sankar Raj, Nonlinear Anal. 74, 2011).
-`ProximalProjector.project_many` evaluates exactly that on a stack, after
-checking with the bodies' membership tests that each point is in its side
-and its translate in the other body; it makes no body projection.  The
-composition T after P is lowered to a MapSpec in which P is a shift of the
-offsets, so no map evaluates P point by point, and the solvers check a
+dist(A, B) has the same difference v = b* - a* (`ProximityInstance.v`): if
+two pairs had different differences, the midpoints of the two pairs would
+lie in A and B at less than d.  So P is the translation x -> x + v on A0
+and x -> x - v on B0 (the P-property of Sankar Raj, Nonlinear Anal. 74,
+2011).  `ProximalProjector.project_many` evaluates exactly that on a stack,
+after checking with the bodies' membership tests that each point is in its
+side and its translate in the other body, the rule that
+`ProximityInstance.proximal_deviations` measures; it projects onto no body.
+The composition T after P is lowered to a MapSpec in which P is a shift of
+the offsets, so no map evaluates P point by point, and the solvers check a
 whole run against P's domain in one `project_many` call.  The nearest-point
-projection onto the opposite body is the reference that
-`verify_projector_properties` checks the translation against, so a wrong v
-fails a check instead of raising.
+projection onto the opposite body decides no point's proximality: it is the
+reference that `verify_projector_properties` checks the translation
+against, so a wrong v fails a check instead of raising.
 
 Because P is an isometry between the proximal sets that swaps them, the
 composed map's modulus follows from the outer map's: for x in A0 and y in
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .geometry import ProximityInstance, Side, _as_matrix, _scale_rows, _shift_rows
+from .geometry import ProximityInstance, Side, _as_matrix
 from .mappings import MEMBER_TOL, ContractionCertificate, MapSpec, flip_mode
 
 PROPERTY_TOL = 1e-8
@@ -59,20 +60,15 @@ DOMAIN_SLACK = 10.0  # P's domain window, in units of the instance tol
 class ProximalProjector:
     """P on the proximal sets: x -> x + v on A0 and x -> x - v on B0.
 
-    v = b* - a* is the difference of the instance's realizing pair.  A
-    point is admitted when it is a member of its side and its translate a
-    member of the other body, both within DOMAIN_SLACK * tol; everything
-    else raises DomainError, naming the point and its row.  Without a given
-    side, a point that lies in A is taken as A's and any other point as
-    B's.  `project_many` takes an (n, dim) stack, `project` one point.
+    v = b* - a* is `ProximityInstance.v`.  A point is admitted when it is
+    a member of its side and its translate a member of the other body,
+    both within DOMAIN_SLACK * tol; everything else raises DomainError,
+    naming the point and its row.  Without a given side, a point that lies
+    in A is taken as A's and any other point as B's.  `project_many` takes
+    an (n, dim) stack, `project` one point.
     """
 
     instance: ProximityInstance
-    v: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        a_star, b_star = self.instance.realizing_pair
-        object.__setattr__(self, "v", b_star - a_star)
 
     def _refuse(self, x: np.ndarray, side: Side | None, fault: str,
                 row: int) -> DomainError:
@@ -114,7 +110,7 @@ class ProximalProjector:
                    ) -> np.ndarray:
         """X + v (A) or X - v (B), checked to land in the other body."""
         inst = self.instance
-        image = _shift_rows(X, self.v if side == "A" else -self.v)
+        image = X + inst.v if side == "A" else X - inst.v
         misses = ~inst.opposite_body(side).member_many(image, DOMAIN_SLACK * inst.tol)
         self._raise_first(misses, X, side, "distance", rows)
         return image
@@ -216,8 +212,8 @@ def verify_projector_properties(projector: ProximalProjector,
         return np.maximum.reduce([inst.proximal_deviations(images, target),
                                   realize, shift])
 
-    dev1 = np.concatenate([landing_devs(xs, p_xs, "B", _shift_rows(xs, projector.v)),
-                           landing_devs(ys, p_ys, "A", _shift_rows(ys, -projector.v))])
+    dev1 = np.concatenate([landing_devs(xs, p_xs, "B", xs + inst.v),
+                           landing_devs(ys, p_ys, "A", ys - inst.v)])
     checks = [result("cyclic-distance", "projection-realizes-distance", dev1,
                      (np.vstack([xs, ys]), np.vstack([p_xs, p_ys])))]
 
@@ -232,8 +228,8 @@ def verify_projector_properties(projector: ProximalProjector,
     def affine_devs(points, images, side: Side):
         k = rng.integers(0, len(points), size=len(points))
         lam = rng.uniform(0.0, 1.0, size=len(points))
-        z = _scale_rows(points, lam) + _scale_rows(points[k], 1.0 - lam)
-        combo = _scale_rows(images, lam) + _scale_rows(images[k], 1.0 - lam)
+        z = points * lam[:, None] + points[k] * (1.0 - lam)[:, None]
+        combo = images * lam[:, None] + images[k] * (1.0 - lam)[:, None]
         return inst.space.norms(nearest(z, side) - combo, axis=1), z
 
     dev3a, za = affine_devs(xs, p_xs, "A")
@@ -292,7 +288,7 @@ def compose_with_projector(outer) -> MapSpec:
         raise PreconditionError(
             f"map is not relatively nonexpansive (alpha_hat {modulus.alpha_hat:.6g} "
             f"> 1 at the pair {x}, {y})")
-    v = ProximalProjector(inst).v
+    v = inst.v
     A = inst.A
     if outer.func is not None:
         def lowered(x):

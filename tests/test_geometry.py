@@ -21,6 +21,7 @@ from proxipair.geometry import (
     distance_between,
     project,
 )
+from proxipair.mappings import MEMBER_TOL
 from proxipair.operators import ProximalProjector, verify_projector_properties
 
 P_GRID = [1.5, 2.0, 3.0]
@@ -138,24 +139,6 @@ def _layouts(rng, n, dim, stack=_stack):
     """The same kind of stack C-ordered, Fortran-ordered and strided."""
     return [stack(rng, n, dim), np.asfortranarray(stack(rng, n, dim)),
             stack(rng, 2 * n, dim)[::2]]
-
-
-@pytest.mark.parametrize("dim", range(1, 8))
-@pytest.mark.parametrize("n", [0, 1, 5, 1000])
-def test_shifts_and_row_scalings_equal_numpy_bit_for_bit(dim, n, rng):
-    v = rng.normal(size=dim)
-    s = rng.normal(size=n)
-    s[::3] = 0.0
-    for X in _layouts(rng, n, dim):
-        out = geometry._shift_rows(X, v)
-        assert out.flags.c_contiguous and _same_bits(out, X + v)
-        assert _same_bits(out, v + X)  # either order
-        assert _same_bits(geometry._shift_rows(X, -v), X - v)
-        for op in (np.multiply, np.divide):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = geometry._scale_rows(X, s, op)
-                want = op(X, s[:, None])
-            assert out.flags.c_contiguous and _same_bits(out, want)
 
 
 def _finite_stack(rng, n, dim):
@@ -306,6 +289,22 @@ def test_box_member_many_matches_member(rng):
     X[6] = [0.5, 1.0, np.inf]
     for tol in (0.0, 1e-9):
         assert_array_equal(box.member_many(X, tol), [box.member(x, tol) for x in X])
+
+
+@pytest.mark.parametrize("p", P_GRID)
+@pytest.mark.parametrize("tol", [0.0, 1e-9, MEMBER_TOL])
+def test_ball_member_many_matches_member(p, tol, rng):
+    # random points, points of the sphere, and those pushed radially in and
+    # out by half and twice the tolerance
+    sp = LpSpace(3, p)
+    ball = Ball(sp, [0.5, -1.0, 2.0], 1.5)
+    random = rng.uniform(-2.0, 4.0, (200, 3))
+    u = rng.normal(size=(200, 3))
+    u /= sp.norms(u, axis=1)[:, None]
+    pushed = [ball.center + (ball.radius + f * tol) * u
+              for f in (-2.0, -0.5, 0.0, 0.5, 2.0)]
+    X = np.vstack([random, *pushed])
+    assert_array_equal(ball.member_many(X, tol), [ball.member(x, tol) for x in X])
 
 
 def test_box_corners_list_a_flat_axis_once():
@@ -637,8 +636,7 @@ def test_sample_proximal_segment_pair(rng):
     assert xs.shape == (64, 2)
     assert_allclose(xs[:, 1], 0.0, atol=1e-12)
     assert float(np.ptp(xs[:, 0])) > 0.2  # spread across the proximal segment
-    gaps = inst.proximal_gaps(xs, "A")
-    assert float(np.max(np.abs(gaps))) <= 1e-9
+    assert float(np.max(inst.proximal_deviations(xs, "A"))) <= 1e-9
 
 
 def test_sample_proximal_ball_pair_collapses(rng):

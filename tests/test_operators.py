@@ -111,9 +111,9 @@ def test_project_is_the_translation_by_v(name, rng):
     inst = _translation_cases()[name]
     P = ProximalProjector(inst)
     a_star, b_star = inst.realizing_pair
-    assert_allclose(P.v, b_star - a_star, atol=0)
+    assert_allclose(inst.v, b_star - a_star, atol=0)
     if name == "overlapping":
-        assert inst.dist == 0.0 and not np.any(P.v)
+        assert inst.dist == 0.0 and not np.any(inst.v)
     for side in ("A", "B"):
         X = inst.sample_proximal(side, 40, rng)
         nearest = inst.opposite_body(side).project_many(X, inst.tol)
@@ -204,7 +204,8 @@ def test_planted_wrong_v_fails_the_landing_check(seg):
         # the witness is the sample and its nearest-point image, which
         # misses the planted translate x + v by the worst deviation
         x, image = landing.witness
-        assert seg.space.norm(image - (x + P.v)) == pytest.approx(landing.worst_deviation)
+        assert seg.space.norm(image - (x + planted.v)) == pytest.approx(
+            landing.worst_deviation)
     checks = verify_projector_properties(ProximalProjector(seg), samples=200)
     assert all(c.passed and c.witness is None for c in checks)
 

@@ -11,6 +11,7 @@ import pytest
 from proxipair import mappings, operators, verification
 from proxipair.geometry import ProximityInstance
 from proxipair.instances import build, builtin_instance, generate_random_instance, parse_instance
+from proxipair.mappings import MapSpec
 from proxipair.verification import GAP_DECAY_SLACK, UNIQUENESS_STARTS, run_verification
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -221,6 +222,34 @@ def test_map_leaving_the_proximal_sets_fails_commutation_with_a_reason():
     assert check.flags == []
     assert check.details.startswith("max over 1000 proximal points per side; point [")
     assert "does not realize dist(A, B)" in check.details
+
+
+def test_map_leaving_the_proximal_sets_on_a_face_fails_the_mode_flip():
+    # a* on A and b* on B, except that the face x0 == 1 of A goes to
+    # (0.5, x1).  Body samples never hit that face, so the map certifies as a
+    # noncyclic contraction; composed with P it sends B0 - v, which is that
+    # face, into A but off A0
+    doc = parse_instance({
+        "name": "boxes-face", "space": {"dim": 2, "p": 2.0},
+        "bodies": {"A": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+                   "B": {"kind": "box", "lower": [2.0, 0.0], "upper": [3.0, 1.0]}}})
+    built = build(doc)
+    inst = built.instance
+    a_star, b_star = inst.realizing_pair
+
+    def func(x):
+        if x[0] == 1.0:
+            return np.array([0.5, x[1]])
+        return np.array(a_star if inst.A.member(x) else b_star)
+
+    m = MapSpec.blackbox(inst, "noncyclic", func, name="face")
+    assert m.mode_check.ok and m.contraction.alpha_hat == 0.0
+    built.maps["face"] = m
+    report = run_verification(built)
+    check = next(c for c in report.checks if c.name == "map-face-mode-flip")
+    assert not check.passed
+    assert check.worst_deviation == float("inf")
+    assert "map does not preserve the proximal sets" in check.details
 
 
 def test_isometry_run_fails_cleanly():

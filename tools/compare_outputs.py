@@ -90,7 +90,10 @@ PLANTED = [
 # decides whether the proximal sets are points: a polygon pair with parallel
 # facing edges, whose A0 is a segment, and two boxes apart along the
 # diagonal, whose A0 is the corner (1, 1), with a noncyclic map that halves
-# the distance to that corner and to B's (2, 2), run from the corner.
+# the distance to that corner and to B's (2, 2), run from the corner.  A
+# third, two parallel diagonal segments, is the one document whose bodies
+# are general (not axis-aligned) segments; its maps contract by 1/4 towards
+# c = (0.75, 0.75), the middle of A0, and c + v, v = (0.5, -0.5).
 FACES = [
     {"name": "polygons-parallel", "space": {"dim": 2, "p": 2.0}, "tol": 1e-9,
      "bodies": {"A": {"kind": "polytope",
@@ -107,6 +110,21 @@ FACES = [
                "x0": [1.0, 1.0]},
               {"name": "reduce-halve", "solver": "reduce-noncyclic", "map": "halve",
                "x0": [1.0, 1.0]}]},
+    {"name": "segments-diagonal", "space": {"dim": 2, "p": 2.0}, "tol": 1e-9,
+     "bodies": {"A": {"kind": "polytope", "vertices": [[0.0, 0.0], [1.0, 1.0]]},
+                "B": {"kind": "polytope", "vertices": [[1.0, 0.0], [2.0, 1.0]]}},
+     "maps": [{"name": "T", "mode": "cyclic", "kind": "sidewise-affine",
+               "matrix_a": [[0.25, 0.0], [0.0, 0.25]], "offset_a": [1.0625, 0.0625],
+               "matrix_b": [[0.25, 0.0], [0.0, 0.25]], "offset_b": [0.4375, 0.6875]},
+              {"name": "S", "mode": "noncyclic", "kind": "sidewise-affine",
+               "matrix_a": [[0.25, 0.0], [0.0, 0.25]], "offset_a": [0.5625, 0.5625],
+               "matrix_b": [[0.25, 0.0], [0.0, 0.25]], "offset_b": [0.9375, 0.1875]}],
+     "runs": [{"name": "picard-T", "solver": "picard", "map": "T", "x0": [0.25, 0.25]},
+              {"name": "project-S", "solver": "project", "map": "S", "x0": [0.75, 0.75]},
+              {"name": "reduce-T", "solver": "reduce-cyclic", "map": "T",
+               "x0": [0.75, 0.75]},
+              {"name": "reduce-S", "solver": "reduce-noncyclic", "map": "S",
+               "x0": [0.75, 0.75]}]},
 ]
 
 # Runs in the subprocess: each call of `cli.main`, its exit code and its
