@@ -10,7 +10,8 @@ declared mode and the contraction modulus
 over cross pairs, reporting the smallest alpha consistent with the samples.
 For an affine map Tx - Ty = M(x - y), so the modulus is a supremum over
 the difference body A - B, which is a box when A and B are.  An estimate
-of at most 1 is relative nonexpansiveness on the same pairs.
+of at most 1 is relative nonexpansiveness on the same pairs.  A map whose
+pieces all have the zero matrix is certified exactly, on a* and b*.
 
 The samples come from the instance: `ProximityInstance.cross_samples(n,
 proximal)` draws n points of A and then n of B from the instance's seed, of
@@ -187,14 +188,24 @@ class ModeCheck:
     witness: tuple[np.ndarray, np.ndarray] | None = None
 
 
+def _constant_images(m) -> tuple[np.ndarray, np.ndarray] | None:
+    """(c_A, c_B) when m sends A to c_A and B to c_B: its pieces have zero
+    matrices, and no point of B takes A's piece, as dist > MEMBER_TOL."""
+    if m.func is not None or m.matrix.any() or (m.matrix_b is not None and (
+            m.matrix_b.any() or m.instance.dist <= MEMBER_TOL)):
+        return None
+    return m.offset, m.offset if m.matrix_b is None else m.offset_b
+
+
 def _exact_points(m, k: int) -> np.ndarray | None:
     """Points of side k ("AB"[k]) on which m's behavior there is decided
-    exactly, or None: the body's vertices for a one-piece affine map, or
-    a* (b*) for a map on proximal sets that are points."""
+    exactly, or None: a* (b*) for a map constant on each side or on proximal
+    sets that are points, or the body's vertices for a one-piece affine map."""
     inst = m.instance
-    if m.domain == "proximal":
-        return inst.realizing_pair[k][None, :] if inst.proximal_sets_are_points else None
-    return _vertex_set(inst.body("AB"[k])) if m.is_affine else None
+    if ((m.domain == "proximal" and inst.proximal_sets_are_points)
+            or _constant_images(m) is not None):
+        return inst.realizing_pair[k][None, :]
+    return _vertex_set(inst.body("AB"[k])) if m.is_affine and m.domain == "full" else None
 
 
 def certify_mode(m) -> ModeCheck:
@@ -203,9 +214,9 @@ def certify_mode(m) -> ModeCheck:
     Affine maps on vertex-enumerable bodies are checked exactly through
     vertex images (the image of a hull is the hull of the images, and a hull
     lies in a convex target iff its vertices do), and so are maps of domain
-    "proximal" when the proximal sets are points, on those points; every
-    other side is checked on its half of the instance's
-    `cross_samples(DEFAULT_MODE_SAMPLES, ...)`.
+    "proximal" when the proximal sets are points, and maps whose pieces all
+    have the zero matrix, on a* and b*; every other side is checked on its
+    half of the instance's `cross_samples(DEFAULT_MODE_SAMPLES, ...)`.
     """
     inst = m.instance
     exact = True
@@ -229,7 +240,7 @@ def certify_mode(m) -> ModeCheck:
 
 def _cross_pairs(m) -> tuple[np.ndarray, np.ndarray]:
     vx, vy = _exact_points(m, 0), _exact_points(m, 1)
-    if m.domain == "proximal" and vx is not None:
+    if m.domain == "proximal" and m.instance.proximal_sets_are_points:
         return vx, vy  # the one pair (a*, b*)
     xs, ys = m.instance.cross_samples(DEFAULT_CONTRACTION_SAMPLES, m.domain == "proximal")
     if vx is not None and vy is not None and len(vx) * len(vy) <= 4096:
@@ -239,7 +250,18 @@ def _cross_pairs(m) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-ContractionMethod = Literal["grid", "sampled", "inherited"]
+def _reaches_past_dist(inst) -> bool:
+    """Whether a vertex of A (its anchor, when it has no vertex set, as a ball)
+    lies farther than dist + tol from b*, or one of B from a*."""
+    for body, other in zip((inst.A, inst.B), inst.realizing_pair[::-1]):
+        V = _vertex_set(body)
+        V = body.anchor()[None, :] if V is None else V
+        if np.any(inst.space.norms(V - other, axis=1) - inst.dist > inst.tol):
+            return True
+    return False
+
+
+ContractionMethod = Literal["exact", "grid", "sampled", "inherited"]
 
 
 @dataclass
@@ -249,17 +271,18 @@ class ContractionCertificate:
     The sampled pairs are row i of A's and of B's points in the instance's
     `cross_samples`, the same points for every map of the instance; a map of
     domain "proximal" on point proximal sets has the one pair (a*, b*).
-    `method` says where alpha_hat comes from: "grid" when a grid over the
+    `method` says where alpha_hat comes from: "exact" for the supremum of a
+    map whose pieces all have the zero matrix, "grid" when a grid over the
     difference body A - B, refined around the worst difference, was also
     searched (affine maps on boxes, points and axis-aligned segments),
-    "sampled" when only sampled pairs (plus vertex
-    pairs, for affine maps on polytopal bodies) were, and "inherited" when
-    it was carried over from the outer map of a composition with the
-    proximal projection.  Each is a lower estimate of the true modulus.
-    `samples` counts the sampled and vertex pairs plus the grid differences
-    evaluated, 0 when inherited.  A worst pair found on the grid is a pair
-    of A x B with the worst difference.  degenerate flags instances where
-    every cross pair already realizes dist(A, B), so no ratio is defined.
+    "sampled" when only sampled pairs (plus vertex pairs, for affine maps on
+    polytopal bodies) were, and "inherited" when it was carried over from
+    the outer map of a composition with the proximal projection.  "grid"
+    and "sampled" are lower estimates of the true modulus.  `samples`
+    counts the sampled and vertex pairs plus the grid differences evaluated
+    (1 when exact, 0 when inherited).  A worst pair found on the grid is a
+    pair of A x B with the worst difference.  degenerate flags instances
+    where every cross pair already realizes dist(A, B), so no ratio is defined.
     """
 
     alpha_hat: float
@@ -287,13 +310,23 @@ def _grid_alpha(m, lo: np.ndarray, hi: np.ndarray, dist: float, tol: float):
 def certify_contraction(m) -> ContractionCertificate:
     """Estimate the contraction modulus over cross pairs.
 
-    Sampled pairs always contribute.  An affine map on boxes, points or
-    axis-aligned segments is also searched on a grid over the box
+    A map of domain "full" that is c_A on A and c_B on B gets the supremum
+    max(0, ||c_A - c_B|| - dist) / tol when the bodies have a cross pair past
+    dist + tol: A x B is connected, so d(x, y) - dist comes down to tol.  When
+    positive, it comes with the pair (a*, b*), which breaks the inequality for
+    every alpha.  Otherwise sampled pairs contribute.  An affine map on boxes,
+    points or axis-aligned segments is also searched on a grid over the box
     A - B = [lo_A - hi_B, hi_A - lo_B], refined around the worst difference,
     and gets the method "grid", unless A - B has over MAX_GRID_AXES free axes.
     """
     inst = m.instance
     dist = inst.dist
+    images = _constant_images(m) if m.domain == "full" else None
+    if images is not None and _reaches_past_dist(inst):
+        excess = float(inst.space.norms(np.subtract(*images)[None, :], axis=1)[0]) - dist
+        return ContractionCertificate(
+            alpha_hat=max(excess, 0.0) / inst.tol, samples=1, method="exact",
+            degenerate=False, worst_pair=inst.realizing_pair if excess > 0 else None)
 
     xs, ys = _cross_pairs(m)
     before = inst.space.norms(xs - ys, axis=1)

@@ -153,7 +153,7 @@ class CheckResult:
         }
 
 
-def verify_projector_properties(projector: ProximalProjector,
+def verify_projector_properties(inst: ProximityInstance,
                                 samples: int = 1000) -> list[CheckResult]:
     """Numerically certify the five defining properties of the projector.
 
@@ -182,7 +182,6 @@ def verify_projector_properties(projector: ProximalProjector,
     `cross_samples(samples)`; pairings, weights and jitter are drawn from a
     generator of the instance's seed.
     """
-    inst = projector.instance
     xs, ys = inst.cross_samples(samples, proximal=True)
     rng = np.random.default_rng(inst.seed)
     flags = ["degenerate"] if inst.proximal_sets_are_points else []

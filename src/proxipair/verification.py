@@ -26,7 +26,6 @@ from .instances import BuiltInstance
 from .mappings import certify_contraction
 from .operators import (
     CheckResult,
-    ProximalProjector,
     check_commutation,
     compose_with_projector,
     verify_projector_properties,
@@ -209,8 +208,7 @@ def run_verification(built: BuiltInstance, samples: int = 1000) -> VerificationR
     """
     if samples < 1:
         raise PreconditionError(f"samples must be at least 1, got {samples}")
-    checks = verify_projector_properties(ProximalProjector(built.instance),
-                                         samples=samples)
+    checks = verify_projector_properties(built.instance, samples=samples)
     # Singleton proximal sets make every check that samples them vacuous;
     # the projector checks carry that flag, and so does every later check
     # that samples the proximal sets.

@@ -18,7 +18,6 @@ from proxipair.instances import (
     parse_instance,
 )
 from proxipair.operators import (
-    ProximalProjector,
     check_commutation,
     verify_projector_properties,
 )
@@ -121,7 +120,7 @@ def test_criterion_03_projector_properties(segpair):
                                        family="separated-boxes")
         instances.append(_bodies(doc))
     for inst in instances:
-        checks = verify_projector_properties(ProximalProjector(inst), samples=1000)
+        checks = verify_projector_properties(inst, samples=1000)
         assert all(c.passed for c in checks)
         worst = max(worst, max(c.worst_deviation for c in checks))
     elapsed = time.perf_counter() - t0

@@ -188,10 +188,10 @@ def test_solve_ballpair_evaluates_no_map_row_by_row(tmp_path, monkeypatch):
 
 
 def test_solve_balls_draws_each_sample_once(tmp_path, monkeypatch):
-    # one draw of A and one of B for each body sample size the certifiers
-    # use: 1000 points for the mode checks and 10,000 for the contraction
-    # estimates.  The proximal sets of two balls are the points a*, b*, so
-    # no proximal sample draws from a body or needs alternating projections.
+    # the constant-pair maps are certified exactly, their mode on a* and b*
+    # and their modulus in closed form, so no certifier draws a body
+    # sample.  The proximal sets of two balls are the points a*, b*, so no
+    # proximal sample draws from a body or needs alternating projections.
     doc = generate_random_instance(0, dim=3, p=3.0, family="separated-balls")
     path = tmp_path / "balls.json"
     path.write_text(serialize_instance(doc))
@@ -209,7 +209,23 @@ def test_solve_balls_draws_each_sample_once(tmp_path, monkeypatch):
     monkeypatch.setattr(Ball, "sample", sample)
     monkeypatch.setattr(ProximityInstance, "proximalize", proximalize)
     assert run_cli("solve", str(path), "--out", str(tmp_path)) == 0
-    assert calls == {"Ball.sample": 4}
+    assert calls == {}
+
+
+def test_solve_refuses_constant_pair_that_misses_the_pair(tmp_path, capsys):
+    # ballpair with B sent to b* + 1e-3 (1, 0): the exact modulus is
+    # 1e-3 / tol, so the first run is refused instead of iterating to max_iter
+    doc = json.loads(serialize_instance(builtin_instance("ballpair")))
+    for spec in doc["maps"]:
+        spec["b"] = [1.001, 0.0]
+    path = tmp_path / "planted.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("solve", str(path), "--out", str(tmp_path)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: map is not a contraction on cross pairs (alpha_hat=")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("*.summary.json"))
 
 
 def test_touching_balls_solve_and_verify(tmp_path, capsys):

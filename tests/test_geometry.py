@@ -22,7 +22,7 @@ from proxipair.geometry import (
     project,
 )
 from proxipair.mappings import MEMBER_TOL
-from proxipair.operators import ProximalProjector, verify_projector_properties
+from proxipair.operators import verify_projector_properties
 
 P_GRID = [1.5, 2.0, 3.0]
 
@@ -696,7 +696,7 @@ def test_proximal_sets_are_points_when_an_exposed_face_is_a_vertex(pair, points,
     if points:
         a_star = inst.realizing_pair[0]
         assert_array_equal(inst.sample_proximal("A", 5, rng), np.tile(a_star, (5, 1)))
-    checks = verify_projector_properties(ProximalProjector(inst), samples=50)
+    checks = verify_projector_properties(inst, samples=50)
     assert {tuple(c.flags) for c in checks} == {("degenerate",) if points else ()}
 
 

@@ -319,6 +319,79 @@ def test_degenerate_instance_flagged():
     assert cert.worst_pair is None
 
 
+def planted_ballpair(miss: float):
+    """ballpair with constant-pair maps that send B to b* + miss * u, u the
+    unit vector from a* to b*."""
+    doc = builtin_instance("ballpair")
+    maps = [dict(spec, b=[1.0 + miss, 0.0]) for spec in doc.maps]
+    return build(parse_instance({"name": "planted", "space": doc.space, "tol": doc.tol,
+                                 "bodies": doc.bodies, "maps": maps, "runs": []}))
+
+
+def test_constant_pair_modulus_is_exact():
+    # every cross pair has Tx - Ty = c_A - c_B, so the modulus is
+    # (||c_A - c_B|| - dist) / tol: a miss of 1e-3 is far from a contraction
+    built = planted_ballpair(1e-3)
+    inst = built.instance
+    for m in built.maps.values():
+        check, cert = m.mode_check, m.contraction
+        assert check.ok and check.exact
+        assert cert.method == "exact" and cert.samples == 1 and not cert.degenerate
+        assert cert.alpha_hat == pytest.approx(1e-3 / inst.tol, rel=1e-9)
+        # (a*, b*) breaks d(Tx, Ty) <= alpha d(x, y) + (1 - alpha) dist for every alpha
+        assert_allclose(np.array(cert.worst_pair), np.array(inst.realizing_pair))
+        # the exact supremum bounds every sampled ratio
+        xs, ys = inst.cross_samples(1000)
+        before = inst.space.norms(xs - ys, axis=1) - inst.dist
+        after = inst.space.norms(m.apply_many(xs) - m.apply_many(ys), axis=1) - inst.dist
+        assert np.all(after[before > inst.tol] / before[before > inst.tol] <= cert.alpha_hat)
+    with pytest.raises(PreconditionError, match="not relatively nonexpansive"):
+        compose_with_projector(built.maps["const-cyclic"])
+    # hitting the realizing pair gives 0, as the sampled estimate did
+    for m in planted_ballpair(0.0).maps.values():
+        assert (m.contraction.method, m.contraction.alpha_hat) == ("exact", 0.0)
+        assert not m.contraction.degenerate and m.contraction.worst_pair is None
+
+
+def test_zero_matrix_affine_map_is_exact(seg):
+    # one piece, M = 0: every point goes to c, so Tx - Ty = 0 on every pair
+    m = MapSpec.affine(seg, "noncyclic", np.zeros((2, 2)), [1.5, 0.0])
+    cert = certify_contraction(m)
+    assert (cert.method, cert.alpha_hat, cert.samples) == ("exact", 0.0, 1)
+    assert not cert.degenerate
+    # B's side is decided on b* alone, whose image c is off B
+    check = certify_mode(m)
+    assert check.exact and not check.ok
+    assert_allclose(check.witness[0], seg.realizing_pair[1])
+    assert check.worst_deviation == pytest.approx(1.0)
+
+
+def test_constant_pair_on_touching_balls_stays_sampled():
+    # radius-2 balls at p = 3 touching at (4, 2): B's points near (4, 2)
+    # take A's piece, so the map is not one point per side
+    doc = {"name": "touching", "space": {"dim": 2, "p": 3.0},
+           "bodies": {"A": {"kind": "ball", "center": [2.0, 2.0], "radius": 2.0},
+                      "B": {"kind": "ball", "center": [6.0, 2.0], "radius": 2.0}},
+           "maps": [{"name": "c", "mode": "noncyclic", "kind": "constant-pair",
+                     "a": [4.0, 2.0], "b": [4.0, 2.0]}],
+           "runs": []}
+    m = build(parse_instance(doc)).maps["c"]
+    assert m.instance.dist <= MEMBER_TOL
+    assert certify_contraction(m).method == "sampled"
+    assert not certify_mode(m).exact
+
+
+def test_constant_pair_on_two_points_stays_degenerate():
+    # every cross pair of two singletons realizes dist: no ratio is defined
+    sp = LpSpace(2, 2.0)
+    inst = ProximityInstance(Polytope(sp, [[0.0, 0.0]]), Polytope(sp, [[0.0, 1.0]]))
+    m = MapSpec.sidewise(inst, "noncyclic", np.zeros((2, 2)), [0.0, 0.0],
+                         np.zeros((2, 2)), [0.0, 1.0])
+    assert certify_mode(m).exact
+    cert = certify_contraction(m)
+    assert cert.method == "sampled" and cert.degenerate
+
+
 # ------------------------------------------------------------ nonexpansive
 # Composition with P reads relative nonexpansiveness off the contraction
 # certificate: alpha_hat <= 1 is d(Tx, Ty) <= d(x, y) on its pairs.

@@ -197,7 +197,7 @@ def test_planted_wrong_v_fails_the_landing_check(seg):
         else:
             with pytest.raises(DomainError, match="does not realize"):
                 P.project(a_star)
-        landing = verify_projector_properties(P, samples=200)[0]
+        landing = verify_projector_properties(planted, samples=200)[0]
         assert landing.name == "projector-cyclic-distance"
         assert not landing.passed
         assert landing.worst_deviation == pytest.approx(1e-6, rel=1e-6)
@@ -206,7 +206,7 @@ def test_planted_wrong_v_fails_the_landing_check(seg):
         x, image = landing.witness
         assert seg.space.norm(image - (x + planted.v)) == pytest.approx(
             landing.worst_deviation)
-    checks = verify_projector_properties(ProximalProjector(seg), samples=200)
+    checks = verify_projector_properties(seg, samples=200)
     assert all(c.passed and c.witness is None for c in checks)
 
 
@@ -214,7 +214,7 @@ def test_planted_wrong_v_fails_the_landing_check(seg):
 
 
 def test_projector_properties_segment_pair(seg):
-    checks = verify_projector_properties(ProximalProjector(seg), samples=500)
+    checks = verify_projector_properties(seg, samples=500)
     assert len(checks) == 5
     for check in checks:
         assert check.passed
@@ -223,7 +223,7 @@ def test_projector_properties_segment_pair(seg):
 
 
 def test_projector_properties_ball_pair_degenerate(balls):
-    checks = verify_projector_properties(ProximalProjector(balls), samples=200)
+    checks = verify_projector_properties(balls, samples=200)
     assert all(c.passed for c in checks)
     assert all(c.flags == ["degenerate"] for c in checks)
 
@@ -234,7 +234,7 @@ def test_projector_properties_box_pair_any_p(p):
     sp = LpSpace(2, p)
     inst = ProximityInstance(Box(sp, [0.0, 0.0], [1.0, 1.0]),
                              Box(sp, [3.0, 0.0], [4.0, 1.0]))
-    checks = verify_projector_properties(ProximalProjector(inst), samples=400)
+    checks = verify_projector_properties(inst, samples=400)
     assert all(c.passed for c in checks)
     assert not any("degenerate" in c.flags for c in checks)
     P = ProximalProjector(inst)
@@ -242,7 +242,7 @@ def test_projector_properties_box_pair_any_p(p):
 
 
 def test_property_report_serializes(seg):
-    checks = verify_projector_properties(ProximalProjector(seg), samples=100)
+    checks = verify_projector_properties(seg, samples=100)
     dicts = [c.to_dict() for c in checks]
     assert [d["name"] for d in dicts] == [
         "projector-cyclic-distance", "projector-isometry", "projector-affine",
