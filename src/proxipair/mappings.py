@@ -49,6 +49,7 @@ MAX_GRID_AXES = 16  # past it, 2 points per axis exceed 2**16 (Box.corners stops
 # how far outside A a point may lie and still take a two-piece map's A-side
 # piece; it absorbs the rounding of points computed to lie on A's boundary
 MEMBER_TOL = 1e-7
+BLOCK = 32  # steps of `MapSpec.iterate` taken from one set of k-step products
 
 
 def opposite(side: Side) -> Side:
@@ -69,7 +70,9 @@ class MapSpec:
     whose value depends on the side (`constant-pair`, `sidewise-affine`)
     are represented.  Both evaluate an (n, dim) stack, or one point as a
     one-row stack, with one matrix product per piece that some row selects.
-    A callable is evaluated one row at a time.
+    A callable is evaluated one row at a time.  `iterate` gives an orbit as a
+    stack, from cached block products for a map with matrices, by a scalar
+    loop for a callable.
 
     `mode` is the declared behavior; `mode_check` checks it and
     `contraction` estimates the modulus, each on first use, and the map
@@ -89,6 +92,7 @@ class MapSpec:
     func: Callable[[np.ndarray], np.ndarray] | None = None
     domain: Domain = "full"
     composed: "MapSpec | None" = field(default=None, init=False, repr=False)
+    _blocks: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -139,6 +143,49 @@ class MapSpec:
     @functools.cached_property
     def contraction(self) -> ContractionCertificate:
         return certify_contraction(self)
+
+    def _products(self, on_a: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(P, S, in_a), built on first use and kept, for orbits whose first
+        step takes A's piece (`on_a`) or the other: the k-th iterate is
+        P_k x + S_k for k <= BLOCK, and in_a[k - 1] says whether step k + 1
+        takes A's piece.  Cyclic two-piece maps alternate pieces, others keep
+        the first, so for even m, P_{m+j} = P_j P_m and S_{m+j} = P_j S_m + S_j.
+        P is stacked (BLOCK * dim, dim): one matrix-vector product gives a block."""
+        if on_a not in self._blocks:
+            pieces = ((self.matrix, self.offset), (self.matrix_b, self.offset_b))
+            alternate = self.matrix_b is not None and self.mode == "cyclic"
+            piece = [int(not on_a) ^ (alternate and k % 2) for k in range(BLOCK + 1)]
+            (M, c), (M2, c2) = pieces[piece[0]], pieces[piece[1]]
+            # products as broadcast sums: a first BLAS matrix product allocates a buffer
+            P, S = np.stack([M, (M2[:, :, None] * M).sum(1)]), np.stack([c, M2 @ c + c2])
+            while len(P) < BLOCK:  # steps m + 1 .. 2m take the pieces of steps 1 .. m
+                P, S = (np.concatenate([P, (P[..., None] * P[-1]).sum(2)]),
+                        np.concatenate([S, (P * S[-1]).sum(2) + S]))
+            self._blocks[on_a] = np.vstack(P[:BLOCK]), S[:BLOCK], np.array(piece[1:]) == 0
+        return self._blocks[on_a]
+
+    def iterate(self, x, count: int) -> np.ndarray:
+        """The next `count` iterates T(x), T^2(x), ... as a (count, dim) stack, by
+        blocks from `_products`, each cut at the first row that one `member_many`
+        puts on another piece than assumed; a callable by `apply`, step by step."""
+        space, A = self.instance.space, self.instance.A
+        x = space.check_vector(x)
+        out = np.empty((count, space.dim))
+        if self.func is not None:
+            for k in range(count):
+                out[k] = x = self.apply(x)
+            return out
+        on_a, done = self.matrix_b is None or A.member(x, MEMBER_TOL), 0
+        while done < count:
+            P, S, in_a = self._products(on_a)
+            k = min(BLOCK, count - done)
+            Y = (P[:k * space.dim] @ x).reshape(k, space.dim) + S[:k]
+            if self.matrix_b is not None:
+                rows_in_a = A.member_many(Y, MEMBER_TOL)
+                k = 1 + int(np.argmax(np.append(rows_in_a[:k - 1] != in_a[:k - 1], True)))
+                on_a = bool(rows_in_a[k - 1])
+            out[done:done + k], x, done = Y[:k], Y[k - 1], done + k
+        return out
 
     @property
     def is_affine(self) -> bool:

@@ -65,7 +65,7 @@ class ProximalProjector:
     both within DOMAIN_SLACK * tol; everything else raises DomainError,
     naming the point and its row.  Without a given side, a point that lies
     in A is taken as A's and any other point as B's.  `project_many` takes
-    an (n, dim) stack, `project` one point.
+    an (n, dim) stack, numbering its rows from `first_row`; `project` a point.
     """
 
     instance: ProximityInstance
@@ -90,23 +90,26 @@ class ProximalProjector:
         x = self.instance.space.check_vector(x)
         return self.project_many(x[None, :], side)[0]
 
-    def project_many(self, X: np.ndarray, side: Side | None = None) -> np.ndarray:
+    def project_many(self, X: np.ndarray, side: Side | None = None,
+                     first_row: int = 0) -> np.ndarray:
         inst = self.instance
         X = _as_matrix(X, inst.space.dim)
         window = DOMAIN_SLACK * inst.tol
         if side is not None:
-            self._raise_first(~inst.body(side).member_many(X, window), X, side, "side")
-            return self._translate(X, side)
+            self._raise_first(~inst.body(side).member_many(X, window), X, side, "side",
+                              first_row)
+            return self._translate(X, side, first_row)
         in_a = inst.A.member_many(X, window)
         if in_a.all():
-            return self._translate(X, "A")
-        self._raise_first(~in_a & ~inst.B.member_many(X, window), X, None, "neither")
+            return self._translate(X, "A", first_row)
+        self._raise_first(~in_a & ~inst.B.member_many(X, window), X, None, "neither",
+                          first_row)
         out = np.empty_like(X)
         for s, rows in (("A", np.flatnonzero(in_a)), ("B", np.flatnonzero(~in_a))):
-            out[rows] = self._translate(X[rows], s, rows)
+            out[rows] = self._translate(X[rows], s, rows + first_row)
         return out
 
-    def _translate(self, X: np.ndarray, side: Side, rows: np.ndarray | None = None
+    def _translate(self, X: np.ndarray, side: Side, rows: np.ndarray | int = 0
                    ) -> np.ndarray:
         """X + v (A) or X - v (B), checked to land in the other body."""
         inst = self.instance
@@ -116,12 +119,13 @@ class ProximalProjector:
         return image
 
     def _raise_first(self, bad: np.ndarray, X: np.ndarray, side: Side | None,
-                     fault: str, rows: np.ndarray | None = None) -> None:
+                     fault: str, rows: np.ndarray | int = 0) -> None:
         """Raise the DomainError of the first row flagged in `bad`; `rows`
-        maps rows of X to rows of the caller's stack."""
+        maps rows of X to rows of the caller's stack, or is the row of X[0]."""
         if bad.any():
             i = int(np.argmax(bad))
-            raise self._refuse(X[i], side, fault, i if rows is None else int(rows[i]))
+            row = int(rows[i]) if np.ndim(rows) else i + rows
+            raise self._refuse(X[i], side, fault, row)
 
 
 @dataclass

@@ -7,17 +7,18 @@ All solvers check their preconditions against the map's certificates
 (`mode_check` and `contraction`, made on first use and kept on the map) and
 flag non-convergence instead of raising.
 
-A run is recorded as its orbit x_0, x_1, ..., stacked once into an
-(n, dim) array after the loop; the trace, its gaps, the residual, P's
-domain check and the reductions all read that array.  No solver projects
-onto a body or evaluates P in its loop: P is the translation by
+A run computes its orbit x_0, x_1, ... in blocks of up to BLOCK iterates
+(`MapSpec.iterate`), decides its stopping rule on each block's stacked
+norms, which are also the trace's gaps, and stacks the blocks into one
+(n, dim) array for the trace, the residual and the reductions.  No solver
+projects onto a body or evaluates P step by step: P is the translation by
 v = b* - a* (`ProximityInstance.v`), a map composed with P is a MapSpec of
-domain "proximal", and a run checks all its points against P's domain in
-one `ProximalProjector.project_many` call, which also gives the projection
-iteration its companions y_n = P(x_n).  A proximal start passes the same
-check; a run that leaves the proximal sets ends in a DomainError naming the
-point and its row.  A reduction's composed orbit is its inner run's,
-extended by the composed map only past it.
+domain "proximal", and a run checks each block's points against P's domain
+in one `ProximalProjector.project_many` call, which also gives the
+projection iteration its companions y_n = P(x_n).  A proximal start passes
+the same check; a run that leaves the proximal sets ends with that block, in
+a DomainError naming the point and its row in the run.  A reduction's
+composed orbit is its inner run's, extended by the composed map only past it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .geometry import Side
-from .mappings import ContractionCertificate, ContractionMethod
+from .mappings import BLOCK, ContractionCertificate, ContractionMethod
 from .operators import ProximalProjector, compose_with_projector
 
 DEFAULT_TOL = 1e-9
@@ -172,20 +173,27 @@ def picard_cyclic(m, x0, tol: float = DEFAULT_TOL,
     x = _require_start(m, x0, m.domain == "proximal")
     space = inst.space
 
-    orbit = [x]
-    for n in range(max_iter + 1):
-        x, x_next = orbit[n], m.apply(orbit[n])
-        orbit.append(x_next)
-        # the even repeat first; the gap only once the repeat holds
-        converged = (n % 2 == 0 and n >= 2 and space.distance(x, orbit[n - 2]) < tol
-                     and abs(space.distance(x, x_next) - inst.dist) < tol)
-        if converged:
-            break
-    X = np.array(orbit)
+    # W: x_{n0-2} .. x_{n0+k}, with x_0 for x_{-2} and x_{-1}; it decides n0 .. n0+k-1
+    orbit, gap_blocks, prev = [x[None, :]], [], np.repeat(x[None, :], 3, axis=0)
+    n0, converged = 0, False
+    while not converged and n0 <= max_iter:
+        k = min(BLOCK, max_iter + 1 - n0)
+        W = np.vstack([prev, m.iterate(prev[-1], k)])
+        g = space.norms(W[3:] - W[2:-1], axis=1) - inst.dist
+        ns = np.arange(n0, n0 + k)
+        stops = ((ns % 2 == 0) & (ns >= 2) & (np.abs(g) < tol)
+                 & (space.norms(W[2:-1] - W[:-3], axis=1) < tol))
+        if stops.any():
+            k, converged = int(np.argmax(stops)) + 1, True
+        if m.domain == "proximal":
+            ProximalProjector(inst).project_many(W[2:2 + k], first_row=n0)
+        orbit.append(W[3:3 + k])
+        gap_blocks.append(g[:k])
+        prev, n0 = W[k:k + 3], n0 + k
+    n = n0 - 1
+    X = np.vstack(orbit)
     points, companions = X[:-1], X[1:]
-    if m.domain == "proximal":
-        ProximalProjector(inst).project_many(points)
-    gaps = space.norms(companions - points, axis=1) - inst.dist
+    gaps = np.concatenate(gap_blocks)
     star = n - n % 2  # the last even iterate
     trace = IterationTrace(points=points, companions=companions, gaps=gaps,
                            converged=converged, iterations_used=n, dist=inst.dist,
@@ -203,10 +211,10 @@ def noncyclic_projection_iteration(m, x0, tol: float = DEFAULT_TOL,
 
     The start must already realize dist(A, B); it is never projected
     implicitly.  (x_n, y_n) converges to a best proximity pair when T is a
-    certified noncyclic contraction.  The loop iterates x alone; the
-    companions of the whole run are the translates x_n + v, from one
-    `project_many` call after it, which also checks that every iterate
-    stayed in A and its translate in B.
+    certified noncyclic contraction.  The loop iterates x alone, to the first
+    k with ||x_k - x_{k-1}|| < tol; each block's companions are the translates
+    x_n + v, from one `project_many` call that also checks that its iterates
+    stayed in A and their translates in B (the first block's with the start).
     """
     inst = m.instance
     _require_limits(tol, max_iter)
@@ -214,14 +222,18 @@ def noncyclic_projection_iteration(m, x0, tol: float = DEFAULT_TOL,
     x = _require_start(m, x0, proximal=True)
     space = inst.space
 
-    orbit = [x]
-    converged = False
-    while not converged and len(orbit) <= max_iter:
-        orbit.append(m.apply(orbit[-1]))
-        converged = space.distance(orbit[-1], orbit[-2]) < tol
-    # every companion, and the domain check of every iterate, in one call
-    X = np.array(orbit)
-    Y = ProximalProjector(inst).project_many(X, "A")
+    orbit, companions = [], []
+    rows, n, converged = x[None, :], 0, False  # the start, checked with the first block
+    while not orbit or (not converged and n < max_iter):
+        block = m.iterate(rows[-1], min(BLOCK, max_iter - n))
+        small = space.norms(np.diff(np.vstack([rows[-1:], block]), axis=0), axis=1) < tol
+        if small.any():
+            block, converged = block[:int(np.argmax(small)) + 1], True
+        first_row, rows = (n + 1, block) if orbit else (0, np.vstack([rows, block]))
+        companions.append(ProximalProjector(inst).project_many(rows, "A", first_row))
+        orbit.append(rows)
+        n += len(block)
+    X, Y = np.vstack(orbit), np.vstack(companions)
     gaps = space.norms(X - Y, axis=1) - inst.dist
     x, y = X[-1], Y[-1]
     residual = max(space.distance(x, m.apply(x)),
@@ -239,20 +251,17 @@ def noncyclic_projection_iteration(m, x0, tol: float = DEFAULT_TOL,
 
 def _orbit(m, head: np.ndarray, count: int) -> np.ndarray:
     """The first `count` points of the orbit under m that begins with the
-    rows of `head`, applying m only past them."""
-    pts = list(head[:count])
-    while len(pts) < count:
-        pts.append(m.apply(pts[-1]))
-    return np.array(pts)
+    rows of `head`, iterating m only past them."""
+    head = head[:count]
+    return np.vstack([head, m.iterate(head[-1], count - len(head))])
 
 
 def _even_identity_deviation(composed_orbit: np.ndarray, outer, space) -> float:
     """Max over n <= IDENTITY_TERMS of d(composed^2n x0, outer^2n x0), where
     composed_orbit is the composition's orbit from x0 = composed_orbit[0]."""
     outer_orbit = _orbit(outer, composed_orbit[:1], 2 * IDENTITY_TERMS + 1)
-    devs = [space.distance(composed_orbit[2 * n], outer_orbit[2 * n])
-            for n in range(1, IDENTITY_TERMS + 1)]
-    return float(max(devs))
+    even = slice(2, 2 * IDENTITY_TERMS + 1, 2)
+    return float(np.max(space.norms(composed_orbit[even] - outer_orbit[even], axis=1)))
 
 
 def solve_cyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from proxipair import solvers
 from proxipair.errors import DomainError, PreconditionError
 from proxipair.geometry import Ball, LpSpace, Polytope, ProximityInstance
-from proxipair.mappings import MapSpec
+from proxipair.mappings import BLOCK, MapSpec
 from proxipair.operators import ProximalProjector, compose_with_projector
 from proxipair.solvers import (
     DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     IDENTITY_TERMS,
     noncyclic_projection_iteration,
     picard_cyclic,
@@ -46,13 +48,16 @@ def map_swap(seg):
     return MapSpec.affine(seg, "cyclic", [[1.0, 0.0], [0.0, -1.0]], [0.0, 1.0], name="swap")
 
 
-def with_hole(inst, mode, matrix, offset, hole, image, name):
+def with_hole(inst, mode, matrix, offset, hole, image, name, calls=None):
     """The affine map x -> matrix x + offset, except that it sends the single
     point `hole` to `image`.  Sampled certification never draws that point,
-    so the map certifies as a contraction of its mode."""
+    so the map certifies as a contraction of its mode.  Each evaluation
+    appends to `calls`, when given."""
     matrix, offset = np.array(matrix), np.array(offset)
 
     def func(x):
+        if calls is not None:
+            calls.append(1)
         return np.array(image) if np.array_equal(x, hole) else matrix @ x + offset
 
     return MapSpec.blackbox(inst, mode, func, name=name)
@@ -236,10 +241,16 @@ def test_noncyclic_companions_cost_the_same_whatever_the_run_length(seg, monkeyp
 
 def test_noncyclic_iterate_off_the_proximal_set_raises(seg):
     # S would keep (2, 0.5) on the line y = 0.5, outside A
+    calls = []
     holed = with_hole(seg, "noncyclic", [[0.5, 0.0], [0.0, 1.0]], [0.5, 0.0],
-                      hole=[1.5, 0.0], image=[2.0, 0.5], name="S-holed")
-    with pytest.raises(DomainError, match="not in side A"):
+                      hole=[1.5, 0.0], image=[2.0, 0.5], name="S-holed", calls=calls)
+    holed.mode_check, holed.contraction  # certify first; certification applies it too
+    calls.clear()
+    with pytest.raises(DomainError, match=re.escape("point [2.0, 0.5] (row 2) is not in "
+                                                    "side A")):
         noncyclic_projection_iteration(holed, [2.0, 0.0])
+    # the run ends with the block that left A, not after max_iter steps
+    assert len(calls) < 2 * BLOCK
 
 
 def test_noncyclic_constant_map_on_balls(balls):
@@ -319,53 +330,58 @@ def test_noncyclic_reduction_matches_direct_solver(seg):
     assert reduced.odd_membership_deviation <= 1e-8
 
 
-def count_composed_applies(monkeypatch) -> list:
-    calls = []
-    real = MapSpec.apply
-
-    def counted(m, x):
-        if m.domain == "proximal":
-            calls.append(1)
-        return real(m, x)
-
-    monkeypatch.setattr(MapSpec, "apply", counted)
-    return calls
+def record_orbits(monkeypatch) -> list:
+    """The orbits that `solvers._orbit` returns, in the order it makes them."""
+    orbits = []
+    real = solvers._orbit
+    monkeypatch.setattr(solvers, "_orbit",
+                        lambda *args: orbits.append(real(*args)) or orbits[-1])
+    return orbits
 
 
 def test_noncyclic_reduction_builds_its_orbit_once(seg, monkeypatch):
     # the inner Picard run's orbit (its 33 points and last companion),
     # extended to 2 * IDENTITY_TERMS + 2 points, is the one composed orbit
-    # that the identity and odd-membership measurements read
+    # that the identity and odd-membership measurements read; the other
+    # orbit is S's own, from the same start
     S = map_S(seg)
-    calls = count_composed_applies(monkeypatch)
     inner = picard_cyclic(compose_with_projector(S), [2.0, 0.0])
     assert len(inner.trace.points) == 33
-    applied = len(calls)
-    calls.clear()
+    orbits = record_orbits(monkeypatch)
     solve_noncyclic_via_reduction(S, [2.0, 0.0])
-    assert len(calls) == applied + 2 * IDENTITY_TERMS + 2 - 34
+    composed_orbit, outer_orbit = orbits
+    assert len(composed_orbit) == 2 * IDENTITY_TERMS + 2
+    assert_array_equal(composed_orbit[:33], inner.trace.points)
+    assert_array_equal(composed_orbit[33], inner.trace.companions[-1])
+    assert len(outer_orbit) == 2 * IDENTITY_TERMS + 1
+    assert_array_equal(outer_orbit[0], inner.trace.points[0])
 
 
 @pytest.mark.parametrize("max_iter", [0, 1, 5, 17, DEFAULT_MAX_ITER])
 def test_reductions_apply_the_composed_map_only_past_the_inner_orbit(seg, monkeypatch,
                                                                      max_iter):
     # the cyclic reduction reads 2 * IDENTITY_TERMS + 1 composed iterates,
-    # the noncyclic one 2 * IDENTITY_TERMS + 2; each extends the inner
-    # run's orbit (Picard's points and its last companion) to that length
+    # the noncyclic one 2 * IDENTITY_TERMS + 2; each starts with the inner
+    # run's rows (Picard's points and its last companion), bit for bit, and
+    # iterates the composed map only past them
     T, S = map_T(seg), map_S(seg)
-    calls = count_composed_applies(monkeypatch)
+    orbits = record_orbits(monkeypatch)
     for reduce, inner_solve, m, needed in (
             (solve_cyclic_via_reduction, noncyclic_projection_iteration, T,
              2 * IDENTITY_TERMS + 1),
             (solve_noncyclic_via_reduction, picard_cyclic, S,
              2 * IDENTITY_TERMS + 2)):
-        calls.clear()
-        inner = inner_solve(compose_with_projector(m), [2.0, 0.0], max_iter=max_iter)
-        applied = len(calls)
-        orbit = len(inner.trace.points) + (inner_solve is picard_cyclic)
-        calls.clear()
+        composed = compose_with_projector(m)
+        trace = inner_solve(composed, [2.0, 0.0], max_iter=max_iter).trace
+        head = np.vstack([trace.points, trace.companions[-1:]]
+                         if inner_solve is picard_cyclic else [trace.points])
+        orbits.clear()
         reduce(m, [2.0, 0.0], max_iter=max_iter)
-        assert len(calls) == applied + max(needed - orbit, 0), reduce.__name__
+        orbit = orbits[0]
+        assert len(orbit) == needed, reduce.__name__
+        kept = min(len(head), needed)
+        assert_array_equal(orbit[:kept], head[:kept])
+        assert_array_equal(orbit[kept:], composed.iterate(head[-1], needed - kept))
 
 
 def test_reductions_report_the_inherited_modulus(seg):
@@ -391,19 +407,24 @@ def test_solvers_reject_negative_max_iter(seg, max_iter):
 
 def test_reductions_raise_on_an_iterate_off_the_proximal_sets(seg):
     # P(2, 0) = (2, 1); the holed maps send it to (1.5, 0.5), which is in
-    # neither body, and the domain check after the inner run must refuse
-    # it as the run's row 1.  The inner solver of the cyclic reduction
-    # checks on side A, that of the noncyclic one infers each side.
+    # neither body, and the domain check of the inner run's first block
+    # must refuse it as the run's row 1.  The inner solver of the cyclic
+    # reduction checks on side A, that of the noncyclic one infers each side.
+    calls = []
     T = with_hole(seg, "cyclic", [[0.5, 0.0], [0.0, -1.0]], [0.5, 1.0],
-                  hole=[2.0, 1.0], image=[1.5, 0.5], name="T-holed")
+                  hole=[2.0, 1.0], image=[1.5, 0.5], name="T-holed", calls=calls)
     S = with_hole(seg, "noncyclic", [[0.5, 0.0], [0.0, 1.0]], [0.5, 0.0],
-                  hole=[2.0, 1.0], image=[1.5, 0.5], name="S-holed")
+                  hole=[2.0, 1.0], image=[1.5, 0.5], name="S-holed", calls=calls)
     for solve, m, message in (
             (solve_cyclic_via_reduction, T, "is not in side A"),
             (solve_noncyclic_via_reduction, S, "is in neither body")):
+        m.mode_check, compose_with_projector(m)  # certify first; that applies m too
+        calls.clear()
         with pytest.raises(DomainError,
                            match=re.escape(f"point [1.5, 0.5] (row 1) {message}")):
             solve(m, [2.0, 0.0])
+        # the run ends with the block that left, not after max_iter steps
+        assert len(calls) < 2 * BLOCK, solve.__name__
     # each inner solver on its own
     for solve, m, message in (
             (noncyclic_projection_iteration, T, "is not in side A"),
@@ -413,25 +434,27 @@ def test_reductions_raise_on_an_iterate_off_the_proximal_sets(seg):
             solve(compose_with_projector(m), [2.0, 0.0])
 
 
-def test_reductions_check_the_domain_at_a_cost_independent_of_the_run(seg,
-                                                                       monkeypatch):
+def test_reductions_check_the_domain_once_per_block(seg, monkeypatch):
     T, S = map_T(seg), map_S(seg)
     calls = []
     real = ProximalProjector.project_many
     monkeypatch.setattr(ProximalProjector, "project_many",
                         lambda P, *a, **k: calls.append(1) or real(P, *a, **k))
-    # the inner run's start test and its check, and one check of the
-    # identity orbit; the noncyclic reduction also takes its pair's
-    # companion P(p)
-    for solve, m, expected in ((solve_cyclic_via_reduction, T, 3),
-                               (solve_noncyclic_via_reduction, S, 4)):
+    # the inner run's start test, one check per block of the inner run, and
+    # one check of the identity orbit; the noncyclic reduction also takes
+    # its pair's companion P(p).  The projection iteration's first block
+    # holds the start and its first BLOCK iterates; Picard's blocks decide
+    # BLOCK values of n each, from n = 0.
+    for solve, m, fixed, blocks in (
+            (solve_cyclic_via_reduction, T, 2, lambda n: max(1, math.ceil(n / BLOCK))),
+            (solve_noncyclic_via_reduction, S, 3, lambda n: math.ceil((n + 1) / BLOCK))):
         counts = {}
         for max_iter in (1, 5, DEFAULT_MAX_ITER):
             calls.clear()
             res = solve(m, [2.0, 0.0], max_iter=max_iter)
             counts[res.trace.iterations_used] = len(calls)
         assert len(counts) == 3
-        assert set(counts.values()) == {expected}, (solve.__name__, counts)
+        assert counts == {n: fixed + blocks(n) for n in counts}, solve.__name__
 
 
 def test_reductions_on_constant_ball_maps(balls):
@@ -463,6 +486,143 @@ def test_uniqueness_across_starts(seg):
     for p, q in pairs[1:]:
         assert np.max(np.abs(p - pairs[0][0])) <= 1e-6
         assert np.max(np.abs(q - pairs[0][1])) <= 1e-6
+
+
+# ------------------------------------------------------ orbits in blocks
+
+
+def scalar_orbit(m, x, count):
+    """The next `count` iterates of x, one `apply` at a time."""
+    rows = []
+    for _ in range(count):
+        x = m.apply(x)
+        rows.append(x)
+    return np.array(rows).reshape(count, len(x))
+
+
+def slow_maps(inst):
+    """T and S of the segment pair with the factor 0.8 for 0.5 on x, so
+    that runs take about 90 iterations, several blocks."""
+    return (MapSpec.affine(inst, "cyclic", [[0.8, 0.0], [0.0, -1.0]], [0.2, 1.0],
+                           name="T8"),
+            MapSpec.affine(inst, "noncyclic", [[0.8, 0.0], [0.0, 1.0]], [0.2, 0.0],
+                           name="S8"))
+
+
+def shifting(seg):
+    # noncyclic as declared, but its side pattern breaks mid-block: A's
+    # piece walks (1, 0) along A by 0.1 a step and leaves it after (2, 0),
+    # and the other piece halves the point, back into A
+    return MapSpec.sidewise(seg, "noncyclic", np.eye(2), [0.1, 0.0],
+                            0.5 * np.eye(2), [0.0, 0.0], name="shift")
+
+
+@pytest.mark.parametrize("case", ["one-piece", "noncyclic two-piece",
+                                  "cyclic two-piece from A", "cyclic two-piece from B",
+                                  "broken pattern"])
+def test_iterate_matches_a_scalar_apply_loop(seg, case):
+    m, x0 = {
+        "one-piece": (map_T(seg), [2.0, 0.0]),
+        # T after P is noncyclic, S after P cyclic; both are two-piece maps
+        "noncyclic two-piece": (compose_with_projector(map_T(seg)), [2.0, 0.0]),
+        "cyclic two-piece from A": (compose_with_projector(map_S(seg)), [2.0, 0.0]),
+        "cyclic two-piece from B": (compose_with_projector(map_S(seg)), [2.0, 1.0]),
+        "broken pattern": (shifting(seg), [1.0, 0.0]),
+    }[case]
+    count = 3 * BLOCK + 5
+    rows = m.iterate(x0, count)
+    assert rows.shape == (count, 2)
+    assert_allclose(rows, scalar_orbit(m, np.array(x0), count), rtol=0, atol=1e-12)
+    assert m.iterate(x0, 0).shape == (0, 2)
+
+
+def test_iterate_of_a_broken_pattern_takes_each_piece(seg):
+    rows = shifting(seg).iterate([1.0, 0.0], BLOCK)
+    in_a = seg.A.member_many(rows, 1e-7)
+    assert in_a[:10].all() and not in_a[10:].all() and in_a[11:].any()
+
+
+def test_a_run_leaving_in_a_later_block_names_its_row_in_the_run(seg):
+    # S8, except that once armed its evaluation number `leave` goes to
+    # y = 0.5, off both bodies: row `leave` of the run, in its second block
+    leave, armed, steps = BLOCK + 8, [], []
+
+    def func(x):
+        if armed:
+            steps.append(1)
+        return (np.array([x[0], 0.5]) if len(steps) == leave
+                else np.array([0.8 * x[0] + 0.2, x[1]]))
+
+    S = MapSpec.blackbox(seg, "noncyclic", func, name="S8-leaving")
+    S.mode_check, compose_with_projector(S)  # certify unarmed
+    armed.append(True)
+    for solve, m, message in (
+            (noncyclic_projection_iteration, S, "is not in side A"),
+            (picard_cyclic, S.composed, "is in neither body")):
+        steps.clear()
+        with pytest.raises(DomainError, match=re.escape(f"(row {leave}) {message}")):
+            solve(m, [2.0, 0.0])
+        assert len(steps) == 2 * BLOCK  # two blocks, not max_iter steps
+
+
+def scalar_picard_stop(m, x, tol, max_iter):
+    """Picard's stopping rule on an apply loop: (iterations_used, converged)."""
+    space, orbit = m.instance.space, [x]
+    for n in range(max_iter + 1):
+        orbit.append(m.apply(orbit[n]))
+        if (n % 2 == 0 and n >= 2 and space.distance(orbit[n], orbit[n - 2]) < tol
+                and abs(space.distance(orbit[n], orbit[n + 1]) - m.instance.dist) < tol):
+            return n, True
+    return max_iter, False
+
+
+def scalar_projection_stop(m, x, tol, max_iter):
+    """The projection iteration's stopping rule on an apply loop."""
+    space, orbit, converged = m.instance.space, [x], False
+    while not converged and len(orbit) <= max_iter:
+        orbit.append(m.apply(orbit[-1]))
+        converged = space.distance(orbit[-1], orbit[-2]) < tol
+    return len(orbit) - 1, converged
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                      2 * BLOCK, DEFAULT_MAX_ITER])
+@pytest.mark.parametrize("composed", [False, True])
+def test_direct_solvers_stop_where_a_scalar_loop_stops(seg, max_iter, composed):
+    T8, S8 = slow_maps(seg)
+    if composed:  # two-piece maps of domain "proximal"; the modes swap
+        S8, T8 = compose_with_projector(T8), compose_with_projector(S8)
+    x0 = np.array([2.0, 0.0])
+    for solve, rule, m in ((picard_cyclic, scalar_picard_stop, T8),
+                           (noncyclic_projection_iteration, scalar_projection_stop, S8)):
+        res = solve(m, x0, max_iter=max_iter)
+        expected = rule(m, x0, DEFAULT_TOL, max_iter)
+        assert (res.trace.iterations_used, res.converged) == expected, solve.__name__
+        points = res.trace.points
+        assert_allclose(points[1:], scalar_orbit(m, x0, len(points) - 1), rtol=0, atol=1e-12)
+
+
+def test_stopping_distances_are_the_stack_norms_of_the_orbit():
+    # at p = 1.5 the norm of one vector may differ in the last bit from its
+    # norm as a row of a stack; the solvers decide on the stack's
+    sp = LpSpace(2, 1.5)
+    seg = ProximityInstance(Polytope(sp, [[1.0, 0.0], [2.0, 0.0]]),
+                            Polytope(sp, [[1.0, 1.0], [2.0, 1.0]]))
+    T8, S8 = slow_maps(seg)
+    res = picard_cyclic(T8, [2.0, 0.0])
+    trace, n = res.trace, res.trace.iterations_used
+    assert res.converged and n > 2 * BLOCK
+    gaps = sp.norms(trace.companions - trace.points, axis=1) - seg.dist
+    assert_array_equal(trace.gaps, gaps)
+    repeats = sp.norms(trace.points[2:] - trace.points[:-2], axis=1)
+    stops = [k for k in range(2, n + 1, 2)
+             if repeats[k - 2] < DEFAULT_TOL and abs(gaps[k]) < DEFAULT_TOL]
+    assert stops == [n]
+
+    res = noncyclic_projection_iteration(S8, [2.0, 0.0])
+    steps = sp.norms(np.diff(res.trace.points, axis=0), axis=1)
+    assert res.converged and len(steps) == res.trace.iterations_used > 2 * BLOCK
+    assert steps[-1] < DEFAULT_TOL and np.all(steps[:-1] >= DEFAULT_TOL)
 
 
 # ------------------------------------------------------- trace and summary
