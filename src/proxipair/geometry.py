@@ -4,8 +4,8 @@ Everything downstream (projectors, solvers, certification) reduces to three
 primitives defined here: the lp norm, the metric projection onto a convex
 body, and the distance between a pair of bodies computed by alternating
 projections.  Projections come in closed form for balls, boxes, points,
-segments and 2-D polygons; a polytope of dimension >= 3 given by its face
-halfspaces is projected at p = 2 by Dykstra's scheme over those halfspaces.
+segments and 2-D polygons; a polytope is the hull of its vertices, and one
+of dimension >= 3 that is not a point or a segment has no projection.
 
 Every certifier, check and solver applies these primitives to tall, thin
 stacks of points: thousands of rows of a few coordinates each.  numpy
@@ -186,18 +186,18 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class ConvexBody:
     """Closed convex subset of an LpSpace with a nearest-point projection.
 
-    Subclasses implement the projection and the membership of an (n, dim)
-    stack, an anchor point and sampling; `project` and `member` are the
-    one-row calls.  Balls and boxes test one point's membership directly,
-    for the solvers' per-step piece selection.  Bodies are immutable after
-    construction.  `box` is (lo, hi) when the body is an axis-aligned box,
-    which a point and an axis-aligned segment are too, and None otherwise.
+    Subclasses implement the exact projection and the membership of an
+    (n, dim) stack, an anchor point and sampling; `project` and `member` are
+    the one-row calls; only a ball overrides `member`, for speed.  Bodies
+    are immutable after construction.  `box` is (lo, hi) when the body is an
+    axis-aligned box, which a point and an axis-aligned segment are too, and
+    None otherwise.
     """
 
     space: LpSpace
     box: tuple[np.ndarray, np.ndarray] | None = None
 
-    def project_many(self, X: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    def project_many(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def member(self, x, tol: float = DEFAULT_TOL) -> bool:
@@ -232,7 +232,7 @@ class Ball(ConvexBody):
             raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
         object.__setattr__(self, "radius", r)
 
-    def project_many(self, X, tol=DEFAULT_TOL):
+    def project_many(self, X):
         # Radial pullback is the exact lp nearest point for every p in
         # (1, inf): stationarity of ||x-y||_p^p on the sphere forces y - c
         # colinear with x - c, with a nonnegative multiplier.
@@ -245,8 +245,12 @@ class Ball(ConvexBody):
         return D * scale[:, None] + self.center
 
     def member(self, x, tol=DEFAULT_TOL):
-        # a one-row stack, as in member_many: numpy's p-th root of a scalar
-        # may differ in the last bit from its root of an array
+        # skips member_many's stack checks: the solvers test one point a
+        # step, and the inherited call made solve-balls about 2% slower
+        # (40 alternating rounds in one process, 2-core x86, dim 3, p = 3).
+        # The norm is still taken on a one-row stack, as in member_many:
+        # numpy's p-th root of a scalar may differ in the last bit from its
+        # root of an array
         D = (self.space.check_vector(x) - self.center)[None, :]
         return bool(self.space.norms(D, axis=1)[0] <= self.radius + tol)
 
@@ -286,14 +290,10 @@ class Box(ConvexBody):
         object.__setattr__(self, "lo", _readonly(lo))
         object.__setattr__(self, "hi", _readonly(hi))
 
-    def project_many(self, X, tol=DEFAULT_TOL):
+    def project_many(self, X):
         # clamp is exact for every p: the objective separates per coordinate
         X = _as_matrix(X, self.space.dim)
         return _clamp_rows(X, self.lo, self.hi)
-
-    def member(self, x, tol=DEFAULT_TOL):
-        x = self.space.check_vector(x)
-        return bool(((x >= self.lo - tol) & (x <= self.hi + tol)).all())
 
     def member_many(self, X, tol=DEFAULT_TOL):
         X = _as_matrix(X, self.space.dim)
@@ -325,18 +325,30 @@ class Box(ConvexBody):
 def _hull_edges_2d(vertices: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
     """Hull edges (v0, v1) of 2-D vertices in counter-clockwise order.
 
-    Returns None when the vertices are affinely degenerate (point / segment),
-    which callers handle through the lower-dimensional paths.
+    Andrew's monotone chain (Inform. Process. Lett. 9, 1979) on the distinct
+    vertices, taken in lexicographic order: the lower chain left to right,
+    then the upper one back, each dropping every point that does not turn
+    left, so collinear points are dropped too.  Returns None when the
+    vertices are affinely degenerate (point / segment), which callers handle
+    through the lower-dimensional paths.
     """
-    from scipy.spatial import ConvexHull, QhullError
+    points = np.unique(vertices, axis=0)  # sorted by x, then y
 
-    try:
-        hull = ConvexHull(vertices)
-    except QhullError:
+    def chain(rows):
+        out = []
+        for c in rows:
+            while len(out) >= 2:
+                a, b = out[-2], out[-1]
+                if (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) > 0.0:
+                    break  # a, b, c turn left
+                out.pop()
+            out.append(c)
+        return out[:-1]
+
+    hull = chain(points) + chain(points[::-1])
+    if len(hull) < 3:
         return None
-    order = hull.vertices  # counter-clockwise in 2-D
-    return [(vertices[order[i]], vertices[order[(i + 1) % len(order)]])
-            for i in range(len(order))]
+    return [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
 
 
 def _edges_to_halfspaces(edges: list[tuple[np.ndarray, np.ndarray]]
@@ -353,15 +365,15 @@ def _edges_to_halfspaces(edges: list[tuple[np.ndarray, np.ndarray]]
 class Polytope(ConvexBody):
     """Convex hull of finitely many vertices.
 
-    Projection support depends on shape: single points and axis-aligned
-    segments are boxes, projected by a clamp at every p; general segments,
-    2-D polygons, and polytopes of dimension >= 3 carrying an explicit
-    halfspace list work at p = 2 (Dykstra over the face halfspaces).
+    The vertex list is the body's one description.  Projection support
+    depends on shape: single points and axis-aligned segments are boxes,
+    projected by a clamp at every p; general segments and 2-D polygons work
+    at p = 2.  Any other polytope, such as a 3-D simplex or three collinear
+    points, has no projection or membership test.
     """
 
     space: LpSpace
     vertices: np.ndarray
-    halfspaces: tuple[tuple[np.ndarray, float], ...] | None = None
 
     def __post_init__(self):
         V = np.atleast_2d(np.asarray(self.vertices, dtype=float))
@@ -369,12 +381,6 @@ class Polytope(ConvexBody):
             raise ValueError(
                 f"vertices must be a nonempty (k, {self.space.dim}) array, got {V.shape}")
         object.__setattr__(self, "vertices", _readonly(V))
-        if self.halfspaces is not None:
-            hs = tuple((_readonly(self.space.check_vector(a)), float(b))
-                       for a, b in self.halfspaces)
-            if any(not a.any() for a, _ in hs):
-                raise ValueError("a halfspace needs a nonzero normal")
-            object.__setattr__(self, "halfspaces", hs)
         W = _readonly(np.unique(V, axis=0))
         object.__setattr__(self, "_distinct", W)
         if len(W) == 1 or (len(W) == 2 and np.count_nonzero(W[1] - W[0]) == 1):
@@ -409,15 +415,13 @@ class Polytope(ConvexBody):
 
     @functools.cached_property
     def _face_halfspaces(self) -> tuple[tuple[np.ndarray, float], ...]:
-        if self.halfspaces is not None:
-            return self.halfspaces
         if self._hull_edges is None:
             raise UnsupportedProjectionError(
-                "polytope with >= 3 vertices needs dim == 2 or an explicit "
-                "halfspace list")
+                "a polytope of >= 3 distinct vertices is supported only in dim 2, "
+                "with vertices that are not collinear")
         return tuple(_edges_to_halfspaces(self._hull_edges))
 
-    def project_many(self, X, tol=DEFAULT_TOL):
+    def project_many(self, X):
         X = _as_matrix(X, self.space.dim)
         if self.box is not None:
             # clamp is exact for every p, as for a Box
@@ -432,17 +436,8 @@ class Polytope(ConvexBody):
         if self.space.p != 2.0:
             raise UnsupportedProjectionError(
                 f"polytope projection only available at p=2, got p={self.space.p}")
-        faces = self._face_halfspaces
-        if self.halfspaces is not None:
-            return _dykstra_halfspaces(faces, X, tol)
-        return _project_polygon_edges(self.space, self._hull_edges, faces, X)
-
-    def member(self, x, tol=DEFAULT_TOL):
-        if self.box is None:
-            return super().member(x, tol)
-        x = self.space.check_vector(x)
-        lo, hi = self._box_window(tol)
-        return bool(((x >= lo) & (x <= hi)).all())
+        return _project_polygon_edges(self.space, self._hull_edges,
+                                      self._face_halfspaces, X)
 
     def member_many(self, X, tol=DEFAULT_TOL):
         X = _as_matrix(X, self.space.dim)
@@ -464,11 +459,10 @@ class Polytope(ConvexBody):
     def sample(self, rng, n):
         """Convex combinations of the distinct vertices, flat-Dirichlet weights.
 
-        One rule for a point, a segment, a polygon and a halfspace-listed
-        polytope.  The draw is uniform on a segment (and on any simplex),
-        but not on larger polytopes, where it crowds towards the vertex
-        centroid.  Certifying a map only needs samples that cover the body,
-        not uniform ones.
+        One rule for every polytope.  The draw is uniform on a segment (and
+        on any simplex), but not on larger polytopes, where it crowds towards
+        the vertex centroid.  Certifying a map only needs samples that cover
+        the body, not uniform ones.
         """
         W = self._distinct
         return rng.dirichlet(np.ones(len(W)), n) @ W
@@ -490,8 +484,7 @@ def _project_polygon_edges(space: LpSpace, edges: list[tuple[np.ndarray, np.ndar
 
     Points inside the face halfspaces stay put; for points outside the
     nearest point lies on the boundary, so it is the best of the per-edge
-    segment projections.  Unlike halfspace-Dykstra this does not degrade on
-    sliver polygons.
+    segment projections.  Being exact, it does not degrade on sliver polygons.
     """
     normals, offsets = (np.array(v) for v in zip(*faces))
     inside = _reduce_rows(np.logical_and, _affine_rows(X, normals, -offsets) <= 0.0)
@@ -515,39 +508,10 @@ def _project_polygon_edges(space: LpSpace, edges: list[tuple[np.ndarray, np.ndar
     return out
 
 
-def _dykstra_halfspaces(faces: Sequence[tuple[np.ndarray, float]],
-                        X0: np.ndarray, tol: float) -> np.ndarray:
-    """p=2 projection onto an intersection of halfspaces by Dykstra's scheme.
-
-    Keeps one increment per face, batched over rows.  Stops when one full
-    sweep moves nothing (within tol*1e-3) and every row is within tol of
-    every face.
-    """
-    normals, offsets = (np.array(v) for v in zip(*faces))
-    scales = np.linalg.norm(normals, axis=1)
-
-    def violation(Y):
-        return float(np.max(np.maximum(0.0, Y @ normals.T - offsets) / scales))
-
-    X = np.array(X0, dtype=float, order="C")
-    increments = [np.zeros_like(X) for _ in faces]
-    for _ in range(DEFAULT_MAX_ITER):
-        X_prev = X
-        for i, (a, b) in enumerate(zip(normals, offsets)):
-            Y = X + increments[i]
-            X = Y - (np.maximum(0.0, Y @ a - b) / float(a @ a))[:, None] * a
-            increments[i] = Y - X
-        if float(np.max(np.abs(X - X_prev))) < tol * 1e-3 and violation(X) <= tol:
-            return X
-    raise ProjectionConvergenceError(
-        f"Dykstra hit the iteration cap ({DEFAULT_MAX_ITER}) before tolerance",
-        achieved_gap=violation(X), iterations=DEFAULT_MAX_ITER)
-
-
-def project(body: ConvexBody, x, tol: float = DEFAULT_TOL) -> np.ndarray:
+def project(body: ConvexBody, x) -> np.ndarray:
     """Nearest point of `body` to x in the body's own lp norm."""
     x = body.space.check_vector(x)
-    return body.project_many(x[None, :], tol)[0]
+    return body.project_many(x[None, :])[0]
 
 
 @dataclass
@@ -573,13 +537,13 @@ def distance_between(A: ConvexBody, B: ConvexBody, tol: float = DEFAULT_TOL
         raise DimensionMismatchError("bodies live in different spaces")
     space = A.space
     b = space.check_vector(B.anchor())
-    a = project(A, b, tol)
-    b = project(B, a, tol)
+    a = project(A, b)
+    b = project(B, a)
     converged = False
     iterations = 1
     for k in range(2, DEFAULT_MAX_ITER + 1):
-        a_next = project(A, b, tol)
-        b_next = project(B, a_next, tol)
+        a_next = project(A, b)
+        b_next = project(B, a_next)
         iterations = k
         moved = space.distance(a_next, a)
         a, b = a_next, b_next
@@ -638,7 +602,7 @@ class ProximityInstance:
         X = _as_matrix(X, self.space.dim)
 
         def dist_to(Y, body):
-            return self.space.norms(Y - body.project_many(Y, self.tol), axis=1)
+            return self.space.norms(Y - body.project_many(Y), axis=1)
 
         image = X + self.v if side == "A" else X - self.v
         return np.maximum(dist_to(X, self.body(side)),
@@ -650,8 +614,8 @@ class ProximityInstance:
         other = self.opposite_body(side)
         X = _as_matrix(X, self.space.dim)
         for _ in range(MAX_SWEEPS):
-            Y = other.project_many(X, self.tol)
-            X_next = body.project_many(Y, self.tol)
+            Y = other.project_many(X)
+            X_next = body.project_many(Y)
             moved = float(np.max(self.space.norms(X_next - X, axis=1)))
             X = X_next
             if moved < self.tol:
@@ -677,7 +641,7 @@ class ProximityInstance:
         """
         for ball, other in ((self.A, self.B), (self.B, self.A)):
             if isinstance(ball, Ball):
-                nearest = project(other, ball.center, self.tol)
+                nearest = project(other, ball.center)
                 if self.space.distance(ball.center, nearest) >= ball.radius - self.tol:
                     return True
         if self.dist <= self.tol:

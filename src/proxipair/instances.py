@@ -28,7 +28,9 @@ from .solvers import (
     solve_noncyclic_via_reduction,
 )
 
-BODY_KINDS = ("ball", "box", "polytope")
+_BODY_FIELDS = {"ball": ("center", "radius"), "box": ("lower", "upper"),
+                "polytope": ("vertices",)}
+BODY_KINDS = tuple(_BODY_FIELDS)
 MAP_KINDS = ("affine", "constant-pair", "sidewise-affine")
 SOLVERS = {
     "picard": picard_cyclic,
@@ -102,6 +104,10 @@ def _parse_body(obj, dim: int, path: str) -> dict:
     kind = _require(obj, "kind", path)
     if kind not in BODY_KINDS:
         _fail(f"{path}.kind", f"unknown body kind {kind!r}; expected one of {BODY_KINDS}")
+    for key in obj:
+        if key != "kind" and key not in _BODY_FIELDS[kind]:
+            _fail(f"{path}.{key}", f"unknown field for a {kind}, which has only "
+                  f"{' and '.join(_BODY_FIELDS[kind])}")
     out = {"kind": kind}
     if kind == "ball":
         out["center"] = _vector(_require(obj, "center", path), dim, f"{path}.center")
@@ -119,16 +125,6 @@ def _parse_body(obj, dim: int, path: str) -> dict:
             _fail(f"{path}.vertices", "expected a nonempty list of vertices")
         out["vertices"] = [_vector(v, dim, f"{path}.vertices[{i}]")
                            for i, v in enumerate(verts)]
-        if obj.get("halfspaces") is not None:
-            hs = obj["halfspaces"]
-            if not isinstance(hs, (list, tuple)):
-                _fail(f"{path}.halfspaces", "expected a list")
-            out["halfspaces"] = [
-                {"normal": _vector(_require(h, "normal", f"{path}.halfspaces[{i}]"),
-                                   dim, f"{path}.halfspaces[{i}].normal"),
-                 "offset": _number(_require(h, "offset", f"{path}.halfspaces[{i}]"),
-                                   f"{path}.halfspaces[{i}].offset")}
-                for i, h in enumerate(hs)]
     return out
 
 
@@ -235,11 +231,7 @@ def _build_body(spec: dict, space: LpSpace, path: str) -> ConvexBody:
             return Ball(space, spec["center"], spec["radius"])
         if spec["kind"] == "box":
             return Box(space, spec["lower"], spec["upper"])
-        halfspaces = None
-        if spec.get("halfspaces"):
-            halfspaces = tuple((np.array(h["normal"]), h["offset"])
-                               for h in spec["halfspaces"])
-        return Polytope(space, spec["vertices"], halfspaces)
+        return Polytope(space, spec["vertices"])
     except ValueError as exc:
         raise InstanceFormatError(f"{path}: {exc}") from exc
 

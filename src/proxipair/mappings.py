@@ -222,7 +222,7 @@ def _target_deviations(m, side: Side, images: np.ndarray) -> np.ndarray:
     if m.domain == "proximal":
         return inst.proximal_deviations(images, target)
     body = inst.body(target)
-    return inst.space.norms(images - body.project_many(images, inst.tol), axis=1)
+    return inst.space.norms(images - body.project_many(images), axis=1)
 
 
 @dataclass

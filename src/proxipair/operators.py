@@ -202,7 +202,7 @@ def verify_projector_properties(inst: ProximityInstance,
             witness=None if passed else tuple(w[i] for w in witnesses))
 
     def nearest(X, side: Side):
-        return inst.opposite_body(side).project_many(X, inst.tol)
+        return inst.opposite_body(side).project_many(X)
 
     p_xs = nearest(xs, "A")
     p_ys = nearest(ys, "B")
@@ -253,7 +253,7 @@ def verify_projector_properties(inst: ProximityInstance,
                  float(inst.space.norms(np.ptp(ys, axis=0))))
     scale = max(spread, 1.0)
     jitter = rng.normal(size=xs.shape) * (1e-3 * scale)
-    xs2 = inst.proximalize(inst.A.project_many(xs + jitter, inst.tol), "A")
+    xs2 = inst.proximalize(inst.A.project_many(xs + jitter), "A")
     p_xs2 = nearest(xs2, "A")
     moved_in = inst.space.norms(xs - xs2, axis=1)
     moved_out = inst.space.norms(p_xs - p_xs2, axis=1)

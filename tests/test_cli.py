@@ -28,15 +28,23 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def test_import_leaves_scipy_out():
-    # scipy is imported by the first polygon hull only: with scipy.spatial,
-    # importing the package takes about three times as long, and every
-    # command pays for it
-    code = "import sys, proxipair, proxipair.cli; sys.exit('scipy' in sys.modules)"
+def test_import_leaves_scipy_out(tmp_path):
+    # the program computes polygon hulls itself: importing scipy.spatial
+    # would make a process that meets a polygon start about three times
+    # as slowly
+    doc = {"name": "triangles", "space": {"dim": 2, "p": 2.0},
+           "bodies": {"A": {"kind": "polytope", "vertices": [[0, 0], [2, 0], [0, 2]]},
+                      "B": {"kind": "polytope", "vertices": [[3, 3], [5, 3], [3, 5]]}}}
+    doc_path = tmp_path / "triangles.json"
+    doc_path.write_text(json.dumps(doc))
+    code = ("import sys; from proxipair.cli import main; "
+            f"code = main(['verify', {str(doc_path)!r}, '--out', {str(tmp_path)!r}]); "
+            "sys.exit(code or 3 * ('scipy' in sys.modules))")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], timeout=60,
+    done = subprocess.run([sys.executable, "-c", code], timeout=60, capture_output=True,
                           env={**os.environ, "PYTHONPATH": path})
-    assert done.returncode == 0
+    assert done.returncode == 0, done.stderr
+    assert b"5/5 checks passed" in done.stdout
 
 
 def test_solve_segpair_writes_everything(tmp_path, capsys):

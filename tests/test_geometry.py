@@ -404,15 +404,11 @@ def test_single_vertex_polytope_any_p(p):
     assert_allclose(project(pt, [0.0, 0.0, 0.0]), [1.0, 2.0, 3.0], atol=0)
 
 
-def test_polytope_dim3_needs_halfspaces():
+def test_polytope_dim3_projection_is_unsupported():
     sp = LpSpace(3, 2.0)
     simplex = Polytope(sp, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(UnsupportedProjectionError):
         project(simplex, [1.0, 1.0, 1.0])
-    faces = [([-1.0, 0.0, 0.0], 0.0), ([0.0, -1.0, 0.0], 0.0),
-             ([0.0, 0.0, -1.0], 0.0), ([1.0, 1.0, 1.0], 1.0)]
-    simplex = Polytope(sp, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], halfspaces=faces)
-    assert_allclose(project(simplex, [1.0, 1.0, 1.0]), [1 / 3, 1 / 3, 1 / 3], atol=1e-9)
 
 
 def _random_bodies(sp, rng):
@@ -480,18 +476,44 @@ def test_polygon_face_halfspaces_are_built_once(monkeypatch):
     assert calls == []
 
 
+def test_hull_edges_match_scipy_convex_hull(rng):
+    # an independent reference: qhull lists a 2-D hull's vertices counter-
+    # clockwise, without the points inside it or on its edges
+    from scipy.spatial import ConvexHull, QhullError
+
+    for _ in range(200):
+        # even coordinates on a small grid: many duplicates, interior points
+        # and points on hull edges, which the edge midpoints add exactly
+        X = 2.0 * rng.integers(0, 5, (rng.integers(3, 25), 2))
+        try:
+            order = ConvexHull(X).vertices
+        except QhullError:  # qhull rejects collinear sets
+            continue
+        X = np.vstack([X, X[:3], (X[order] + np.roll(X[order], -1, axis=0)) / 2.0])
+        edges = geometry._hull_edges_2d(X)
+        starts = np.array([v0 for v0, _ in edges])
+        assert_array_equal([v1 for _, v1 in edges], np.roll(starts, -1, axis=0))
+        ref = X[order]
+        assert len(starts) == len(ref)
+        first = int(np.flatnonzero((ref == starts[0]).all(axis=1))[0])
+        assert_array_equal(starts, np.roll(ref, -first, axis=0))
+
+
+def test_hull_edges_of_a_point_or_collinear_points_are_none(rng):
+    assert geometry._hull_edges_2d(np.array([[1.0, 2.0]] * 3)) is None
+    t = rng.uniform(-1.0, 1.0, (10, 1))
+    for X in ([0.0, 1.0] + t * [2.0, 0.0], [1.0, 0.0] + np.round(8 * t) * [1.0, 2.0]):
+        assert geometry._hull_edges_2d(X) is None
+
+
 def _polytope_shapes():
     sp2, sp3 = LpSpace(2, 2.0), LpSpace(3, 2.0)
-    simplex_faces = [([-1.0, 0.0, 0.0], 0.0), ([0.0, -1.0, 0.0], 0.0),
-                     ([0.0, 0.0, -1.0], 0.0), ([1.0, 1.0, 1.0], 1.0)]
     return {
         "point": Polytope(sp2, [[1.0, -1.0], [1.0, -1.0]]),
         "axis-segment": Polytope(sp3, [[0.0, 1.0, 2.0], [0.0, 4.0, 2.0]]),
         "short-axis-segment": Polytope(sp2, [[0.5, 1.0], [0.25, 1.0]]),
         "segment": Polytope(sp2, [[0.0, 0.0], [2.0, 1.0]]),
         "polygon": Polytope(sp2, [[0.0, 0.0], [2.0, 0.0], [2.5, 1.5], [0.0, 2.0]]),
-        "halfspaces": Polytope(sp3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                               halfspaces=simplex_faces),
     }
 
 

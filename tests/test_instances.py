@@ -166,23 +166,29 @@ def test_parse_reports_nonfinite_number():
         parse_instance(raw)
 
 
-def test_build_rejects_a_zero_halfspace_normal(tmp_path, capsys):
+def test_verify_rejects_a_field_the_body_kind_does_not_define(tmp_path, capsys):
+    # the 3-D unit simplex with the unit cube's faces: read as either body,
+    # it would pass verify, so a field a polytope lacks must not be dropped
     simplex = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    faces = [{"normal": [-1.0, 0.0, 0.0], "offset": 0.0},
-             {"normal": [0.0, -1.0, 0.0], "offset": 0.0},
-             {"normal": [0.0, 0.0, 0.0], "offset": 1.0},
-             {"normal": [1.0, 1.0, 1.0], "offset": 1.0}]
-    doc = {"name": "zero-normal", "space": {"dim": 3, "p": 2.0},
-           "bodies": {"A": {"kind": "polytope", "vertices": simplex, "halfspaces": faces},
-                      "B": {"kind": "box", "lower": [3.0, 0.0, 0.0],
-                            "upper": [4.0, 1.0, 1.0]}}}
-    with pytest.raises(InstanceFormatError, match="bodies.A: .*nonzero normal"):
-        build(parse_instance(doc))
-    path = tmp_path / "zero-normal.json"
+    cube = [{"normal": list(s * e), "offset": float(s > 0)}
+            for s in (-1.0, 1.0) for e in np.eye(3)]
+    doc = {"name": "simplex-cube", "space": {"dim": 3, "p": 2.0},
+           "bodies": {"A": {"kind": "polytope", "vertices": simplex, "halfspaces": cube},
+                      "B": {"kind": "box", "lower": [3.0, 3.0, 3.0],
+                            "upper": [4.0, 4.0, 4.0]}}}
+    with pytest.raises(InstanceFormatError, match=r"^bodies\.A\.halfspaces: unknown field"):
+        parse_instance(doc)
+    path = tmp_path / "simplex-cube.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "bodies.A" in err[0]
+    assert len(err) == 1 and err[0].startswith("error: ") and "bodies.A.halfspaces" in err[0]
+    for kind, extra in (("ball", "lower"), ("box", "center")):
+        raw = _segpair_dict()
+        raw["bodies"]["B"] = {"kind": kind, "center": [0.0, 0.0], "radius": 1.0,
+                              "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+        with pytest.raises(InstanceFormatError, match=rf"^bodies\.B\.{extra}: unknown"):
+            parse_instance(raw)
 
 
 # ------------------------------------------------- mode re-certification

@@ -116,7 +116,7 @@ def test_project_is_the_translation_by_v(name, rng):
         assert inst.dist == 0.0 and not np.any(inst.v)
     for side in ("A", "B"):
         X = inst.sample_proximal(side, 40, rng)
-        nearest = inst.opposite_body(side).project_many(X, inst.tol)
+        nearest = inst.opposite_body(side).project_many(X)
         assert_allclose(P.project_many(X), nearest, atol=1e-12, rtol=0)
         assert_allclose(P.project_many(X, side), nearest, atol=1e-12, rtol=0)
         for x, y in zip(X, nearest):
@@ -325,7 +325,7 @@ def test_composed_map_is_outer_after_the_projection(name, rng):
         X = inst.sample_proximal(side, 30, rng)
         translated = outer.apply_many(P.project_many(X))
         nearest = outer.apply_many(
-            inst.opposite_body(side).project_many(X, inst.tol))
+            inst.opposite_body(side).project_many(X))
         assert_allclose(translated, nearest, atol=1e-12, rtol=0)
         assert_allclose(composed.apply_many(X), translated, atol=1e-12, rtol=0)
         assert_allclose([composed.apply(x) for x in X], translated, atol=1e-12, rtol=0)
