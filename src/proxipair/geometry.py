@@ -365,11 +365,12 @@ def _edges_to_halfspaces(edges: list[tuple[np.ndarray, np.ndarray]]
 class Polytope(ConvexBody):
     """Convex hull of finitely many vertices.
 
-    The vertex list is the body's one description.  Projection support
-    depends on shape: single points and axis-aligned segments are boxes,
-    projected by a clamp at every p; general segments and 2-D polygons work
-    at p = 2.  Any other polytope, such as a 3-D simplex or three collinear
-    points, has no projection or membership test.
+    The vertex list is the body's one description.  Distinct vertices that
+    are exactly collinear are the segment between the two extremes, in any
+    dim, and are reduced to those two.  Projection support depends on shape:
+    single points and axis-aligned segments are boxes, projected by a clamp
+    at every p; general segments and 2-D polygons work at p = 2.  Any other
+    polytope, such as a 3-D simplex, has no projection or membership test.
     """
 
     space: LpSpace
@@ -381,7 +382,13 @@ class Polytope(ConvexBody):
             raise ValueError(
                 f"vertices must be a nonempty (k, {self.space.dim}) array, got {V.shape}")
         object.__setattr__(self, "vertices", _readonly(V))
-        W = _readonly(np.unique(V, axis=0))
+        W = np.unique(V, axis=0)  # lexicographic: along the line, when collinear
+        D = W - W[0]
+        # collinear: every row of D is a multiple of its last, nonzero row,
+        # so that each 2x2 minor of the two rows is exactly 0
+        if len(W) > 2 and np.array_equal(D[:, :, None] * D[-1], D[:, None, :] * D[-1][:, None]):
+            W = W[[0, -1]]
+        W = _readonly(W)
         object.__setattr__(self, "_distinct", W)
         if len(W) == 1 or (len(W) == 2 and np.count_nonzero(W[1] - W[0]) == 1):
             object.__setattr__(self, "box", (_readonly(W.min(axis=0)),

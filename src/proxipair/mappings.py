@@ -149,19 +149,32 @@ class MapSpec:
         step takes A's piece (`on_a`) or the other: the k-th iterate is
         P_k x + S_k for k <= BLOCK, and in_a[k - 1] says whether step k + 1
         takes A's piece.  Cyclic two-piece maps alternate pieces, others keep
-        the first, so for even m, P_{m+j} = P_j P_m and S_{m+j} = P_j S_m + S_j.
-        P is stacked (BLOCK * dim, dim): one matrix-vector product gives a block."""
+        the first, so for even m, P_{m+j} = P_j P_m and S_{m+j} = P_j S_m + S_j:
+        the products double in place from m = 2.  When both pieces the orbit
+        uses have zero matrices, P is zero and S_k is the offset of step k's
+        piece, with no product taken.  P is stacked (BLOCK * dim, dim): one
+        matrix-vector product gives a block."""
         if on_a not in self._blocks:
             pieces = ((self.matrix, self.offset), (self.matrix_b, self.offset_b))
             alternate = self.matrix_b is not None and self.mode == "cyclic"
             piece = [int(not on_a) ^ (alternate and k % 2) for k in range(BLOCK + 1)]
             (M, c), (M2, c2) = pieces[piece[0]], pieces[piece[1]]
-            # products as broadcast sums: a first BLAS matrix product allocates a buffer
-            P, S = np.stack([M, (M2[:, :, None] * M).sum(1)]), np.stack([c, M2 @ c + c2])
-            while len(P) < BLOCK:  # steps m + 1 .. 2m take the pieces of steps 1 .. m
-                P, S = (np.concatenate([P, (P[..., None] * P[-1]).sum(2)]),
-                        np.concatenate([S, (P * S[-1]).sum(2) + S]))
-            self._blocks[on_a] = np.vstack(P[:BLOCK]), S[:BLOCK], np.array(piece[1:]) == 0
+            dim = len(c)
+            P, S = np.zeros((BLOCK, dim, dim)), np.empty((BLOCK, dim))
+            if M.any() or M2.any():
+                # einsum (optimize=False) and broadcast sums take no BLAS
+                # matrix product, whose first call allocates a buffer
+                P[0], S[0], S[1] = M, c, M2 @ c + c2
+                np.einsum("ab,bc->ac", M2, M, out=P[1])
+                m = 2
+                while m < BLOCK:  # steps m + 1 .. 2m take the pieces of steps 1 .. m
+                    n = min(m, BLOCK - m)
+                    np.einsum("kab,bc->kac", P[:n], P[m - 1], out=P[m:m + n])
+                    S[m:m + n] = (P[:n] * S[m - 1]).sum(2) + S[:n]
+                    m += n
+            else:
+                S[:] = [pieces[k][1] for k in piece[:BLOCK]]
+            self._blocks[on_a] = P.reshape(BLOCK * dim, dim), S, np.array(piece[1:]) == 0
         return self._blocks[on_a]
 
     def iterate(self, x, count: int) -> np.ndarray:

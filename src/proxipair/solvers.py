@@ -215,6 +215,7 @@ def noncyclic_projection_iteration(m, x0, tol: float = DEFAULT_TOL,
     k with ||x_k - x_{k-1}|| < tol; each block's companions are the translates
     x_n + v, from one `project_many` call that also checks that its iterates
     stayed in A and their translates in B (the first block's with the start).
+    The run has converged when the residual it reports is below tol too.
     """
     inst = m.instance
     _require_limits(tol, max_iter)
@@ -239,6 +240,7 @@ def noncyclic_projection_iteration(m, x0, tol: float = DEFAULT_TOL,
     residual = max(space.distance(x, m.apply(x)),
                    space.distance(y, m.apply(y)),
                    abs(space.distance(x, y) - inst.dist))
+    converged = converged and residual < tol
     trace = IterationTrace(points=X, companions=Y, gaps=gaps, converged=converged,
                            iterations_used=len(X) - 1, dist=inst.dist, alternating=False,
                            predicted_iterations=_predict_iterations(

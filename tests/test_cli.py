@@ -14,6 +14,7 @@ from proxipair.errors import InstanceFormatError
 from proxipair.geometry import Ball, ProximityInstance
 from proxipair.instances import (
     BuiltInstance,
+    build,
     builtin_instance,
     generate_random_instance,
     parse_instance,
@@ -234,6 +235,41 @@ def test_solve_refuses_constant_pair_that_misses_the_pair(tmp_path, capsys):
     assert err.startswith("error: map is not a contraction on cross pairs (alpha_hat=")
     assert err.count("\n") == 1
     assert not list(tmp_path.glob("*.summary.json"))
+
+
+def test_project_with_a_large_residual_does_not_converge(tmp_path, capsys):
+    # within 1e-12 of a constant pair whose B image misses b* by 1e-3: the
+    # sampled modulus is below 1 and the first step is below tol, but the
+    # residual d(y, Ty) is 1e-3
+    doc = json.loads(serialize_instance(builtin_instance("ballpair")))
+    doc["maps"] = [{"name": "near-constant", "mode": "noncyclic", "kind": "sidewise-affine",
+                    "matrix_a": [[1e-12, 0.0], [0.0, 1e-12]], "offset_a": [-1.0, 0.0],
+                    "matrix_b": [[1e-12, 0.0], [0.0, 1e-12]], "offset_b": [1.001, 0.0]}]
+    doc["runs"] = [{"name": "project", "solver": "project", "map": "near-constant",
+                    "x0": [-1.0, 0.0]}]
+    path = tmp_path / "near-constant.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("solve", str(path), "--out", str(tmp_path)) == 2
+    assert "project: did not converge in 1 iterations" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "ballpair-project.summary.json").read_text())
+    assert summary["converged"] is False
+    assert summary["residual"] == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_segment_declared_with_an_interior_vertex(tmp_path):
+    def doc(vertices):
+        return {"name": "diagonal", "space": {"dim": 2, "p": 2.0}, "tol": 1e-9,
+                "bodies": {"A": {"kind": "polytope", "vertices": vertices},
+                           "B": {"kind": "polytope", "vertices": [[2.0, 0.0], [4.0, 2.0]]}}}
+
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(doc([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])))
+    assert run_cli("verify", str(path), "--out", str(tmp_path)) == 0
+    three, two = (build(parse_instance(doc(v))).instance
+                  for v in ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [[0.0, 0.0], [2.0, 2.0]]))
+    assert three.dist == pytest.approx(two.dist, abs=1e-12)
+    for p, q in zip(three.realizing_pair, two.realizing_pair):
+        np.testing.assert_allclose(p, q, rtol=0, atol=1e-12)
 
 
 def test_touching_balls_solve_and_verify(tmp_path, capsys):

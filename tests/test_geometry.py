@@ -506,6 +506,21 @@ def test_hull_edges_of_a_point_or_collinear_points_are_none(rng):
         assert geometry._hull_edges_2d(X) is None
 
 
+def test_collinear_vertices_are_the_segment_between_the_extremes():
+    sp2, sp3 = LpSpace(2, 2.0), LpSpace(3, 2.0)
+    diagonal = Polytope(sp2, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0], [0.5, 0.5]])
+    assert_array_equal(diagonal.distinct_vertices, [[0.0, 0.0], [2.0, 2.0]])
+    skew = Polytope(sp3, [[2.0, -4.0, 6.0], [0.0, 0.0, 0.0], [1.0, -2.0, 3.0]])
+    assert_array_equal(skew.distinct_vertices, [[0.0, 0.0, 0.0], [2.0, -4.0, 6.0]])
+    assert_allclose(project(skew, [1.0, 1.0, 1.0]), [1 / 7, -2 / 7, 3 / 7], atol=1e-15)
+    axis = Polytope(sp3, [[0.0, 1.0, 2.0], [0.0, 3.0, 2.0], [0.0, 2.0, 2.0]])
+    assert_array_equal(axis.box[0], [0.0, 1.0, 2.0])
+    assert_array_equal(axis.box[1], [0.0, 3.0, 2.0])
+    # one unit in the last place off the line: a triangle
+    thin = Polytope(sp2, [[0.0, 0.0], [1.0, 1.0 + 2.0 ** -52], [2.0, 2.0]])
+    assert len(thin.distinct_vertices) == 3
+
+
 def _polytope_shapes():
     sp2, sp3 = LpSpace(2, 2.0), LpSpace(3, 2.0)
     return {
@@ -513,6 +528,7 @@ def _polytope_shapes():
         "axis-segment": Polytope(sp3, [[0.0, 1.0, 2.0], [0.0, 4.0, 2.0]]),
         "short-axis-segment": Polytope(sp2, [[0.5, 1.0], [0.25, 1.0]]),
         "segment": Polytope(sp2, [[0.0, 0.0], [2.0, 1.0]]),
+        "collinear": Polytope(sp3, [[0.0, 1.0, 0.0], [1.0, 3.0, -1.0], [0.5, 2.0, -0.5]]),
         "polygon": Polytope(sp2, [[0.0, 0.0], [2.0, 0.0], [2.5, 1.5], [0.0, 2.0]]),
     }
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from proxipair import solvers
+from proxipair import mappings, solvers
 from proxipair.errors import DomainError, PreconditionError
 from proxipair.geometry import Ball, LpSpace, Polytope, ProximityInstance
 from proxipair.mappings import BLOCK, MapSpec
@@ -534,6 +534,59 @@ def test_iterate_matches_a_scalar_apply_loop(seg, case):
     assert rows.shape == (count, 2)
     assert_allclose(rows, scalar_orbit(m, np.array(x0), count), rtol=0, atol=1e-12)
     assert m.iterate(x0, 0).shape == (0, 2)
+
+
+def concatenated_products(m, on_a):
+    """`MapSpec._products` by the concatenating doubling it replaced: the
+    reference its in-place doubling must equal bit for bit."""
+    block = mappings.BLOCK
+    pieces = ((m.matrix, m.offset), (m.matrix_b, m.offset_b))
+    alternate = m.matrix_b is not None and m.mode == "cyclic"
+    piece = [int(not on_a) ^ (alternate and k % 2) for k in range(block + 1)]
+    (M, c), (M2, c2) = pieces[piece[0]], pieces[piece[1]]
+    P, S = np.stack([M, (M2[:, :, None] * M).sum(1)]), np.stack([c, M2 @ c + c2])
+    while len(P) < block:
+        P, S = (np.concatenate([P, (P[..., None] * P[-1]).sum(2)]),
+                np.concatenate([S, (P * S[-1]).sum(2) + S]))
+    return np.vstack(P[:block]), S[:block], np.array(piece[1:]) == 0
+
+
+@pytest.mark.parametrize("block", [BLOCK, 20, 3])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_products_equal_the_concatenating_doubling(dim, block, monkeypatch):
+    monkeypatch.setattr(mappings, "BLOCK", block)
+    rng = np.random.default_rng(dim)
+    sp = LpSpace(dim, 2.0)
+    inst = ProximityInstance(Ball(sp, -2.0 * np.eye(dim)[0], 1.0),
+                             Ball(sp, 2.0 * np.eye(dim)[0], 1.0))
+    for _ in range(5):
+        M, M2 = rng.uniform(-1.0, 1.0, (2, dim, dim))
+        c, c2 = rng.uniform(-3.0, 3.0, (2, dim))
+        zero = np.zeros((dim, dim))
+        for Ma, Mb in ((M, M2), (M, M), (zero, zero), (zero, M2), (M, zero)):
+            maps = [MapSpec.affine(inst, "noncyclic", Ma, c)] + [
+                MapSpec.sidewise(inst, mode, Ma, c, Mb, c2) for mode in ("noncyclic", "cyclic")]
+            for m in maps:
+                for on_a in (True,) if m.matrix_b is None else (True, False):
+                    got, want = m._products(on_a), concatenated_products(m, on_a)
+                    for g, w in zip(got, want):
+                        assert g.shape == w.shape
+                        assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("mode", ["cyclic", "noncyclic"])
+@pytest.mark.parametrize("composed", [False, True])
+@pytest.mark.parametrize("x0", [[-2.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [2.0, 0.5]])
+def test_iterate_of_a_constant_pair_equals_the_apply_loop(balls, mode, composed, x0):
+    # the constant-pair lowering: zero matrices, A sent to a (b when
+    # cyclic) and B to b (a); composed with P the matrices stay zero
+    a, b = [-1.0, 0.0], [1.0, 0.0]
+    on_a, on_b = (b, a) if mode == "cyclic" else (a, b)
+    m = MapSpec.sidewise(balls, mode, np.zeros((2, 2)), on_a, np.zeros((2, 2)), on_b)
+    if composed:
+        m = compose_with_projector(m)
+    count = 3 * BLOCK + 5
+    assert_array_equal(m.iterate(x0, count), scalar_orbit(m, np.array(x0), count))
 
 
 def test_iterate_of_a_broken_pattern_takes_each_piece(seg):

@@ -9,15 +9,15 @@ example, `python3 tools/compare_outputs.py HEAD .` compares the last
 commit with the working tree.  Runs `proxipair solve` and `proxipair
 verify` on the builtins `segpair` and `ballpair` and on the instance
 documents of seeds 1 and 2 of every workload in `perfbench/inputs.py`,
-on the PLANTED documents, whose verify fails, and on the FACES documents,
+on the PLANTED documents, whose verify fails, on the FACES documents,
 whose verify passes with proximal sets that are a segment and a point,
-once against each tree's `src`, in a subprocess per tree.  The builtins
-are run a second time with `--seed 5`, so that a change to how the seed
-reaches the certifiers' and checks' samples shows up.  Then it reports
-whether the exit codes are equal, how many output files are
-byte-identical, every key, flag, integer or string that differs (in the
-JSON outputs, the CSV traces and the printed lines), and the worst
-absolute difference between floats.
+and on the EDGES documents, once against each tree's `src`, in a
+subprocess per tree.  The builtins are run a second time with `--seed 5`,
+so that a change to how the seed reaches the certifiers' and checks'
+samples shows up.  Then it reports whether the exit codes are equal, how
+many output files are byte-identical, every key, flag, integer or string
+that differs (in the JSON outputs, the CSV traces and the printed lines),
+and the worst absolute difference between floats.
 
 Exits 0 when the exit codes and every non-float value are equal and no
 float differs by more than FLOAT_BOUND; 1 otherwise.  This script imports
@@ -127,6 +127,25 @@ FACES = [
                "x0": [0.75, 0.75]}]},
 ]
 
+# Documents at two edges of the input: a ball pair with a noncyclic map
+# within 1e-12 of a constant pair whose B image misses b* by 1e-3, so that
+# its `project` run stops on a step below tol with a residual of 1e-3 and
+# must not report convergence, and the segments of segments-diagonal with
+# A declared by three vertices, one of them inside it.
+EDGES = [
+    {"name": "ballpair-near-constant", "space": {"dim": 2, "p": 2.0}, "tol": 1e-9,
+     "bodies": {"A": {"kind": "ball", "center": [-2.0, 0.0], "radius": 1.0},
+                "B": {"kind": "ball", "center": [2.0, 0.0], "radius": 1.0}},
+     "maps": [{"name": "near-constant", "mode": "noncyclic", "kind": "sidewise-affine",
+               "matrix_a": [[1e-12, 0.0], [0.0, 1e-12]], "offset_a": [-1.0, 0.0],
+               "matrix_b": [[1e-12, 0.0], [0.0, 1e-12]], "offset_b": [1.001, 0.0]}],
+     "runs": [{"name": "project", "solver": "project", "map": "near-constant",
+               "x0": [-1.0, 0.0]}]},
+    {**FACES[2], "name": "segments-diagonal-midpoint",
+     "bodies": {**FACES[2]["bodies"],
+                "A": {"kind": "polytope", "vertices": [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]}}},
+]
+
 # Runs in the subprocess: each call of `cli.main`, its exit code and its
 # printed lines, with its own output directory.
 RUNNER = """
@@ -208,7 +227,7 @@ def _calls(docs_dir: Path) -> list:
             directory = docs_dir / f"seed{seed}" / workload
             inputs.write_documents(docs, directory)
             refs += [str(inputs.document_path(directory, d)) for d in docs]
-    for label, docs in (("planted", PLANTED), ("faces", FACES)):
+    for label, docs in (("planted", PLANTED), ("faces", FACES), ("edges", EDGES)):
         inputs.write_documents(docs, docs_dir / label)
         refs += [str(inputs.document_path(docs_dir / label, d)) for d in docs]
     args = [[ref] for ref in refs] + [[ref, "--seed", BUILTIN_SEED] for ref in BUILTINS]
