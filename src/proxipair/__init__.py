@@ -31,15 +31,14 @@ from .instances import (
     serialize_instance,
 )
 from .mappings import (
+    CheckResult,
     ContractionCertificate,
     MapSpec,
-    ModeCheck,
     certify_contraction,
     certify_mode,
     flip_mode,
 )
 from .operators import (
-    CheckResult,
     ProximalProjector,
     check_commutation,
     compose_with_projector,

@@ -55,14 +55,12 @@ _TINY = np.finfo(float).tiny  # smallest normal float
 Side = Literal["A", "B"]
 
 
-def _reduce_rows(ufunc: np.ufunc, X: np.ndarray, axis: int = -1) -> np.ndarray:
-    """`ufunc` reduced over `axis`; on a 2-D stack, column by column.
+def _reduce_rows(ufunc: np.ufunc, X: np.ndarray) -> np.ndarray:
+    """`ufunc` reduced along each row of an (n, dim) stack, column by column.
 
     At dim 1 the result is X's one column itself, not a copy.
     """
-    if X.ndim == 2 and axis in (1, -1):
-        return functools.reduce(ufunc, X.T)
-    return ufunc.reduce(X, axis=axis)
+    return functools.reduce(ufunc, X.T)
 
 
 def _clamp_rows(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -130,20 +128,23 @@ class LpSpace:
                 f"expected a vector of length {self.dim}, got shape {arr.shape}")
         return arr
 
-    def _direct(self, X: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-        """The sums of |x_i|^p along `axis`, and their p-th roots."""
+    def _direct(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sums of |x_i|^p along the rows, and their p-th roots."""
         if self.p == 2.0:
-            s = _reduce_rows(np.add, X * X, axis)
+            s = _reduce_rows(np.add, X * X)
             return s, np.sqrt(s)
-        s = _reduce_rows(np.add, np.abs(X) ** self.p, axis)
+        s = _reduce_rows(np.add, np.abs(X) ** self.p)
         return s, s ** (1.0 / self.p)
 
     # norms runs this on every call; as a decorator errstate costs about
     # 1.4 us a call, as a `with` block about 2.2 us
     _direct_or_raise = np.errstate(over="raise", under="raise")(_direct)
 
-    def norms(self, X: np.ndarray, axis: int = -1) -> np.ndarray:
-        """lp norms along `axis`; works on single vectors and stacks alike.
+    def norms(self, X: np.ndarray) -> np.ndarray:
+        """lp norms of the rows of an (n, dim) stack, or the norm of one vector.
+
+        One vector is taken as a one-row stack: numpy's p-th root of a
+        scalar may differ in the last bit from its root of an array.
 
         The sum of |x_i|^p is taken directly.  Where it leaves the normal
         floats (at p = 2 that happens for an |x_i| above 1e154 or nonzero
@@ -155,20 +156,21 @@ class LpSpace:
         only after one of these went up.
         """
         X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            return self.norms(X[None, :])[0]
         try:
-            return self._direct_or_raise(X, axis)[1]
+            return self._direct_or_raise(X)[1]
         except FloatingPointError:
             pass
         with np.errstate(over="ignore", under="ignore"):
-            s, out = self._direct(X, axis)
+            s, out = self._direct(X)
         A = np.abs(X)
-        m = _reduce_rows(np.maximum, A, axis)
+        m = _reduce_rows(np.maximum, A)
         # rows of zeros, or with an entry that is not finite, keep the direct sum
         redo = ((s < _TINY) & (m > 0.0)) | ((s == math.inf) & (m < math.inf))
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            scaled = m * _reduce_rows(np.add, (A / np.expand_dims(m, axis)) ** self.p,
-                                      axis) ** (1.0 / self.p)
-        return np.where(redo, scaled, out)[()]
+            scaled = m * _reduce_rows(np.add, (A / m[:, None]) ** self.p) ** (1.0 / self.p)
+        return np.where(redo, scaled, out)
 
     def norm(self, x) -> float:
         return float(self.norms(self.check_vector(x)))
@@ -238,7 +240,7 @@ class Ball(ConvexBody):
         # colinear with x - c, with a nonnegative multiplier.
         X = _as_matrix(X, self.space.dim)
         D = X - self.center
-        r = self.space.norms(D, axis=1)
+        r = self.space.norms(D)
         scale = np.ones_like(r)
         outside = r > self.radius
         scale[outside] = self.radius / r[outside]
@@ -247,16 +249,13 @@ class Ball(ConvexBody):
     def member(self, x, tol=DEFAULT_TOL):
         # skips member_many's stack checks: the solvers test one point a
         # step, and the inherited call made solve-balls about 2% slower
-        # (40 alternating rounds in one process, 2-core x86, dim 3, p = 3).
-        # The norm is still taken on a one-row stack, as in member_many:
-        # numpy's p-th root of a scalar may differ in the last bit from its
-        # root of an array
-        D = (self.space.check_vector(x) - self.center)[None, :]
-        return bool(self.space.norms(D, axis=1)[0] <= self.radius + tol)
+        # (40 alternating rounds in one process, 2-core x86, dim 3, p = 3)
+        D = self.space.check_vector(x) - self.center
+        return bool(self.space.norms(D) <= self.radius + tol)
 
     def member_many(self, X, tol=DEFAULT_TOL):
         X = _as_matrix(X, self.space.dim)
-        return self.space.norms(X - self.center, axis=1) <= self.radius + tol
+        return self.space.norms(X - self.center) <= self.radius + tol
 
     def sample(self, rng, n):
         # Exact and uniform at every dimension (Barthe, Guedon, Mendelson and
@@ -504,7 +503,7 @@ def _project_polygon_edges(space: LpSpace, edges: list[tuple[np.ndarray, np.ndar
     best_d = None
     for v0, v1 in edges:
         cand = _segment_nearest(Y, v0, v1 - v0)[0]
-        dist = space.norms(Y - cand, axis=1)
+        dist = space.norms(Y - cand)
         if best is None:
             best, best_d = cand, dist
         else:
@@ -532,32 +531,33 @@ class DistanceResult:
     iterations: int
 
 
+def _alternate(onto: ConvexBody, other: ConvexBody, X: np.ndarray, tol: float,
+               max_sweeps: int) -> tuple[np.ndarray, int | None]:
+    """X <- proj_onto(proj_other(X)) on an (n, dim) stack until no row moves by
+    tol: the last X and the sweeps taken, or None for them after max_sweeps."""
+    for sweep in range(1, max_sweeps + 1):
+        X_next = onto.project_many(other.project_many(X))
+        moved = float(np.max(onto.space.norms(X_next - X)))
+        X = X_next
+        if moved < tol:
+            return X, sweep
+    return X, None
+
+
 def distance_between(A: ConvexBody, B: ConvexBody, tol: float = DEFAULT_TOL
                      ) -> DistanceResult:
     """dist(A, B) by alternating projections, with the realizing pair.
 
-    a_{k+1} = proj_A(b_k), b_{k+1} = proj_B(a_{k+1}); stops when consecutive
-    a-iterates move less than tol.  After DEFAULT_MAX_ITER steps the last
-    pair is returned with converged=False.
+    a_1 = proj_A(anchor of B), a_{k+1} = proj_A(proj_B(a_k)), b_k = proj_B(a_k);
+    stops when consecutive a-iterates move less than tol.  After
+    DEFAULT_MAX_ITER steps the last pair is returned with converged=False.
     """
     if A.space != B.space:
         raise DimensionMismatchError("bodies live in different spaces")
-    space = A.space
-    b = space.check_vector(B.anchor())
-    a = project(A, b)
-    b = project(B, a)
-    converged = False
-    iterations = 1
-    for k in range(2, DEFAULT_MAX_ITER + 1):
-        a_next = project(A, b)
-        b_next = project(B, a_next)
-        iterations = k
-        moved = space.distance(a_next, a)
-        a, b = a_next, b_next
-        if moved < tol:
-            converged = True
-            break
-    return DistanceResult(space.distance(a, b), a, b, converged, iterations)
+    X, sweeps = _alternate(A, B, project(A, B.anchor())[None, :], tol, DEFAULT_MAX_ITER - 1)
+    a, b = X[0], project(B, X[0])
+    iterations = DEFAULT_MAX_ITER if sweeps is None else sweeps + 1
+    return DistanceResult(A.space.distance(a, b), a, b, sweeps is not None, iterations)
 
 
 class ProximityInstance:
@@ -609,7 +609,7 @@ class ProximityInstance:
         X = _as_matrix(X, self.space.dim)
 
         def dist_to(Y, body):
-            return self.space.norms(Y - body.project_many(Y), axis=1)
+            return self.space.norms(Y - body.project_many(Y))
 
         image = X + self.v if side == "A" else X - self.v
         return np.maximum(dist_to(X, self.body(side)),
@@ -617,18 +617,12 @@ class ProximityInstance:
 
     def proximalize(self, X: np.ndarray, side: Side) -> np.ndarray:
         """Drive points of `side` into its proximal set by alternating projections."""
-        body = self.body(side)
-        other = self.opposite_body(side)
-        X = _as_matrix(X, self.space.dim)
-        for _ in range(MAX_SWEEPS):
-            Y = other.project_many(X)
-            X_next = body.project_many(Y)
-            moved = float(np.max(self.space.norms(X_next - X, axis=1)))
-            X = X_next
-            if moved < self.tol:
-                return X
-        raise ProjectionConvergenceError(
-            "proximal refinement did not converge", iterations=MAX_SWEEPS)
+        X, sweeps = _alternate(self.body(side), self.opposite_body(side),
+                               _as_matrix(X, self.space.dim), self.tol, MAX_SWEEPS)
+        if sweeps is None:
+            raise ProjectionConvergenceError(
+                "proximal refinement did not converge", iterations=MAX_SWEEPS)
+        return X
 
     @functools.cached_property
     def proximal_sets_are_points(self) -> bool:

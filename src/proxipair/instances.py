@@ -295,7 +295,7 @@ def build(doc: InstanceDoc, seed: int = 0) -> BuiltInstance:
     maps = {}
     for spec in doc.maps:
         m = _build_map(spec, instance)
-        if not m.mode_check.ok:
+        if not m.mode_check.passed:
             raise InstanceFormatError(
                 f"map {spec['name']!r} is declared {spec['mode']} but failed "
                 f"certification (worst deviation {m.mode_check.worst_deviation:.3e})")

@@ -22,7 +22,8 @@ realizing pair alone, which is exact.
 
 A map keeps what has been established about it: `MapSpec.mode_check` and
 `MapSpec.contraction` run `certify_mode` and `certify_contraction` the first
-time a caller reads them, and keep the result.
+time a caller reads them, and keep the result.  The mode certificate is a
+`CheckResult`, the record of every check of the package.
 """
 
 from __future__ import annotations
@@ -50,6 +51,50 @@ MAX_GRID_AXES = 16  # past it, 2 points per axis exceed 2**16 (Box.corners stops
 # piece; it absorbs the rounding of points computed to lie on A's boundary
 MEMBER_TOL = 1e-7
 BLOCK = 32  # steps of `MapSpec.iterate` taken from one set of k-step products
+
+
+@dataclass
+class CheckResult:
+    """One check: its worst deviation against a threshold, and whether it passed.
+
+    `witness` holds the points of a failed check's worst deviation, or None;
+    `to_dict` leaves it out of the JSON record.
+    """
+
+    name: str
+    tag: str
+    passed: bool
+    worst_deviation: float
+    threshold: float
+    flags: list = field(default_factory=list)
+    details: str = ""
+    witness: tuple | None = None
+
+    @classmethod
+    def worst_of(cls, name: str, tag: str, devs, threshold: float, witnesses=(),
+                 **fields) -> "CheckResult":
+        """The check of the deviations `devs` (an array or a list): the largest,
+        the first on a tie, is its worst deviation, and it passes when that
+        is at most `threshold`.  A failed check keeps the row of the worst
+        deviation in each of `witnesses` as its witness."""
+        devs = np.asarray(devs)
+        i = int(devs.argmax())  # on short arrays a fraction of np.argmax's or max's cost
+        worst = float(devs[i])
+        passed = worst <= threshold
+        witness = tuple(w[i] for w in witnesses) if witnesses and not passed else None
+        return cls(name=name, tag=tag, passed=passed, worst_deviation=worst,
+                   threshold=threshold, witness=witness, **fields)
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "tag": self.tag,
+            "passed": bool(self.passed),
+            "worst_deviation": float(self.worst_deviation),
+            "threshold": float(self.threshold),
+            "flags": list(self.flags),
+            "details": self.details,
+        }
 
 
 def opposite(side: Side) -> Side:
@@ -137,7 +182,7 @@ class MapSpec:
         return cls(instance, mode, name=name, func=func)
 
     @functools.cached_property
-    def mode_check(self) -> ModeCheck:
+    def mode_check(self) -> CheckResult:
         return certify_mode(self)
 
     @functools.cached_property
@@ -235,17 +280,7 @@ def _target_deviations(m, side: Side, images: np.ndarray) -> np.ndarray:
     if m.domain == "proximal":
         return inst.proximal_deviations(images, target)
     body = inst.body(target)
-    return inst.space.norms(images - body.project_many(images), axis=1)
-
-
-@dataclass
-class ModeCheck:
-    """Outcome of mode certification, with a violating point when it fails."""
-
-    ok: bool
-    exact: bool
-    worst_deviation: float
-    witness: tuple[np.ndarray, np.ndarray] | None = None
+    return inst.space.norms(images - body.project_many(images))
 
 
 def _constant_images(m) -> tuple[np.ndarray, np.ndarray] | None:
@@ -268,7 +303,7 @@ def _exact_points(m, k: int) -> np.ndarray | None:
     return _vertex_set(inst.body("AB"[k])) if m.is_affine and m.domain == "full" else None
 
 
-def certify_mode(m) -> ModeCheck:
+def certify_mode(m) -> CheckResult:
     """Check the declared mode on both sides, within 10 * tol.
 
     Affine maps on vertex-enumerable bodies are checked exactly through
@@ -276,26 +311,24 @@ def certify_mode(m) -> ModeCheck:
     lies in a convex target iff its vertices do), and so are maps of domain
     "proximal" when the proximal sets are points, and maps whose pieces all
     have the zero matrix, on a* and b*; every other side is checked on its
-    half of the instance's `cross_samples(DEFAULT_MODE_SAMPLES, ...)`.
+    half of the instance's `cross_samples(DEFAULT_MODE_SAMPLES, ...)`.  The
+    check is flagged "exact" when both sides were; a failed one's witness is
+    the point farthest off its target, A's on a tie, and its image.
     """
     inst = m.instance
-    exact = True
-    worst = 0.0
-    witness = None
+    flags = ["exact"]
+    sides = []
     for k, side in enumerate(("A", "B")):
         pts = _exact_points(m, k)
         if pts is None:
             pts = inst.cross_samples(DEFAULT_MODE_SAMPLES, m.domain == "proximal")[k]
-            exact = False
+            flags = []
         imgs = m.apply_many(pts)
-        devs = _target_deviations(m, side, imgs)
-        i = int(np.argmax(devs))
-        if devs[i] > worst:
-            worst = float(devs[i])
-            witness = (pts[i], imgs[i])
-    ok = worst <= 10.0 * inst.tol
-    return ModeCheck(ok=ok, exact=exact, worst_deviation=worst,
-                     witness=None if ok else witness)
+        sides.append((_target_deviations(m, side, imgs), pts, imgs))
+    devs, *witnesses = max(sides, key=lambda s: s[0][s[0].argmax()])
+    return CheckResult.worst_of(f"map-{m.name}-mode", "map-has-declared-mode", devs,
+                                10.0 * inst.tol, witnesses, flags=flags,
+                                details=f"declared {m.mode}")
 
 
 def _cross_pairs(m) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +349,7 @@ def _reaches_past_dist(inst) -> bool:
     for body, other in zip((inst.A, inst.B), inst.realizing_pair[::-1]):
         V = _vertex_set(body)
         V = body.anchor()[None, :] if V is None else V
-        if np.any(inst.space.norms(V - other, axis=1) - inst.dist > inst.tol):
+        if np.any(inst.space.norms(V - other) - inst.dist > inst.tol):
             return True
     return False
 
@@ -359,8 +392,8 @@ def _grid_alpha(m, lo: np.ndarray, hi: np.ndarray, dist: float, tol: float):
     k = max(2, min(41, int(round(GRID_BUDGET ** (1.0 / n_free))))) if n_free else 1
     axes = [np.linspace(l, h, k) if h > l else np.array([l]) for l, h in zip(lo, hi)]
     Z = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    before = m.instance.space.norms(Z, axis=1) - dist
-    after = m.instance.space.norms(_affine_rows(Z, m.matrix), axis=1) - dist
+    before = m.instance.space.norms(Z) - dist
+    after = m.instance.space.norms(_affine_rows(Z, m.matrix)) - dist
     valid = before > tol
     ratios = np.where(valid, after / np.where(valid, before, 1.0), -np.inf)
     i = int(np.argmax(ratios))
@@ -383,14 +416,14 @@ def certify_contraction(m) -> ContractionCertificate:
     dist = inst.dist
     images = _constant_images(m) if m.domain == "full" else None
     if images is not None and _reaches_past_dist(inst):
-        excess = float(inst.space.norms(np.subtract(*images)[None, :], axis=1)[0]) - dist
+        excess = inst.space.distance(*images) - dist
         return ContractionCertificate(
             alpha_hat=max(excess, 0.0) / inst.tol, samples=1, method="exact",
             degenerate=False, worst_pair=inst.realizing_pair if excess > 0 else None)
 
     xs, ys = _cross_pairs(m)
-    before = inst.space.norms(xs - ys, axis=1)
-    after = inst.space.norms(m.apply_many(xs) - m.apply_many(ys), axis=1)
+    before = inst.space.norms(xs - ys)
+    after = inst.space.norms(m.apply_many(xs) - m.apply_many(ys))
     valid = before - dist > inst.tol
     evaluated = int(len(xs))
     alpha = 0.0

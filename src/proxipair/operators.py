@@ -9,7 +9,8 @@ between them.  `verify_projector_properties` checks all of that numerically;
 contraction behavior, checking its preconditions once per map, and
 `check_commutation` measures how far a map is from commuting with the
 projector.  Both checks return `CheckResult`s, the one check record of the
-package, which `verification` collects into the verify report.  Whether the
+package (defined in `mappings`, whose mode certificate is one too), which
+`verification` collects into the verify report.  Whether the
 proximal sets are single points, which makes the checks that sample them
 vacuous and flags them `degenerate`, is decided once by the instance
 (`ProximityInstance.proximal_sets_are_points`), not from the samples.
@@ -43,13 +44,13 @@ check is that precondition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .geometry import ProximityInstance, Side, _as_matrix
-from .mappings import MEMBER_TOL, ContractionCertificate, MapSpec, flip_mode
+from .mappings import MEMBER_TOL, CheckResult, ContractionCertificate, MapSpec, flip_mode
 
 PROPERTY_TOL = 1e-8
 COMMUTATION_THRESHOLD = 1e-8
@@ -128,35 +129,6 @@ class ProximalProjector:
             raise self._refuse(X[i], side, fault, row)
 
 
-@dataclass
-class CheckResult:
-    """One check: its worst deviation against a threshold, and whether it passed.
-
-    `witness` holds the points of a failed check's worst deviation, or None;
-    `to_dict` leaves it out of the JSON record.
-    """
-
-    name: str
-    tag: str
-    passed: bool
-    worst_deviation: float
-    threshold: float
-    flags: list = field(default_factory=list)
-    details: str = ""
-    witness: tuple | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "tag": self.tag,
-            "passed": bool(self.passed),
-            "worst_deviation": float(self.worst_deviation),
-            "threshold": float(self.threshold),
-            "flags": list(self.flags),
-            "details": self.details,
-        }
-
-
 def verify_projector_properties(inst: ProximityInstance,
                                 samples: int = 1000) -> list[CheckResult]:
     """Numerically certify the five defining properties of the projector.
@@ -180,9 +152,8 @@ def verify_projector_properties(inst: ProximityInstance,
     so a wrong v fails check 1 instead of raising.  Singleton proximal sets
     make several checks vacuous, so when the instance's
     `proximal_sets_are_points` says they are, every check carries the flag
-    `degenerate`.  A check passes when its worst
-    deviation is at most PROPERTY_TOL; a failed one keeps the points of its
-    worst deviation as its witness.  The points are the instance's proximal
+    `degenerate`.  Each check is `CheckResult.worst_of` its deviations
+    against PROPERTY_TOL.  The points are the instance's proximal
     `cross_samples(samples)`; pairings, weights and jitter are drawn from a
     generator of the instance's seed.
     """
@@ -192,14 +163,9 @@ def verify_projector_properties(inst: ProximityInstance,
 
     def result(name: str, tag: str, devs: np.ndarray, witnesses,
                note: str = "") -> CheckResult:
-        i = int(np.argmax(devs))
-        worst = float(devs[i])
-        passed = worst <= PROPERTY_TOL
-        return CheckResult(
-            name=f"projector-{name}", tag=tag, passed=passed, worst_deviation=worst,
-            threshold=PROPERTY_TOL, flags=list(flags),
-            details=f"worst over {samples} proximal samples per side" + note,
-            witness=None if passed else tuple(w[i] for w in witnesses))
+        return CheckResult.worst_of(
+            f"projector-{name}", tag, devs, PROPERTY_TOL, witnesses, flags=list(flags),
+            details=f"worst over {samples} proximal samples per side" + note)
 
     def nearest(X, side: Side):
         return inst.opposite_body(side).project_many(X)
@@ -210,8 +176,8 @@ def verify_projector_properties(inst: ProximityInstance,
     # 1: cyclicity and distance realization, both sides at once; the
     # nearest-point images must also be the translates x + v and y - v
     def landing_devs(points, images, target: Side, translates):
-        realize = np.abs(inst.space.norms(points - images, axis=1) - inst.dist)
-        shift = inst.space.norms(images - translates, axis=1)
+        realize = np.abs(inst.space.norms(points - images) - inst.dist)
+        shift = inst.space.norms(images - translates)
         return np.maximum.reduce([inst.proximal_deviations(images, target),
                                   realize, shift])
 
@@ -222,8 +188,8 @@ def verify_projector_properties(inst: ProximityInstance,
 
     # 2: isometry over randomly matched cross pairs
     j = rng.integers(0, len(ys), size=len(xs))
-    before = inst.space.norms(xs - ys[j], axis=1)
-    after = inst.space.norms(p_xs - p_ys[j], axis=1)
+    before = inst.space.norms(xs - ys[j])
+    after = inst.space.norms(p_xs - p_ys[j])
     checks.append(result("isometry", "projection-preserves-distances",
                          np.abs(after - before), (xs, ys[j])))
 
@@ -233,7 +199,7 @@ def verify_projector_properties(inst: ProximityInstance,
         lam = rng.uniform(0.0, 1.0, size=len(points))
         z = points * lam[:, None] + points[k] * (1.0 - lam)[:, None]
         combo = images * lam[:, None] + images[k] * (1.0 - lam)[:, None]
-        return inst.space.norms(nearest(z, side) - combo, axis=1), z
+        return inst.space.norms(nearest(z, side) - combo), z
 
     dev3a, za = affine_devs(xs, p_xs, "A")
     dev3b, zb = affine_devs(ys, p_ys, "B")
@@ -243,8 +209,7 @@ def verify_projector_properties(inst: ProximityInstance,
     # 4: involution
     back_x = nearest(p_xs, "B")
     back_y = nearest(p_ys, "A")
-    dev4 = np.concatenate([inst.space.norms(back_x - xs, axis=1),
-                           inst.space.norms(back_y - ys, axis=1)])
+    dev4 = np.concatenate([inst.space.norms(back_x - xs), inst.space.norms(back_y - ys)])
     checks.append(result("involution", "projection-is-involutive", dev4,
                          (np.vstack([xs, ys]), np.vstack([back_x, back_y]))))
 
@@ -255,8 +220,8 @@ def verify_projector_properties(inst: ProximityInstance,
     jitter = rng.normal(size=xs.shape) * (1e-3 * scale)
     xs2 = inst.proximalize(inst.A.project_many(xs + jitter), "A")
     p_xs2 = nearest(xs2, "A")
-    moved_in = inst.space.norms(xs - xs2, axis=1)
-    moved_out = inst.space.norms(p_xs - p_xs2, axis=1)
+    moved_in = inst.space.norms(xs - xs2)
+    moved_out = inst.space.norms(p_xs - p_xs2)
     checks.append(result("continuity", "projection-continuous",
                          np.maximum(0.0, moved_out - moved_in), (xs, xs2),
                          note="; nonexpansiveness on nearby pairs; implied by isometry"))
@@ -306,7 +271,7 @@ def compose_with_projector(outer) -> MapSpec:
     composed = MapSpec(inst, flip_mode(outer.mode), name=f"{outer.name or 'map'}*P",
                        domain="proximal", **pieces)
     check = composed.mode_check
-    if not check.ok:
+    if not check.passed:
         x, image = (w.tolist() for w in check.witness)
         raise PreconditionError(
             f"map does not preserve the proximal sets: composed with P it maps "
@@ -321,7 +286,8 @@ def compose_with_projector(outer) -> MapSpec:
 
 def check_commutation(m, samples: int = 1000) -> CheckResult:
     """The check `map-<name>-commutation`: max ||T(Px) - P(Tx)|| over the
-    instance's proximal `cross_samples(samples, proximal=True)` of both sides.
+    instance's proximal `cross_samples(samples, proximal=True)` of both sides;
+    a failed check's witness is (x, T(Px), P(Tx)) at the worst x, A's on a tie.
 
     When T sends a proximal point off the proximal sets, P(Tx) does not
     exist: the check fails at an infinite deviation, with P's DomainError,
@@ -329,24 +295,18 @@ def check_commutation(m, samples: int = 1000) -> CheckResult:
     """
     inst = m.instance
     projector = ProximalProjector(inst)
-    check = CheckResult(name=f"map-{m.name}-commutation",
-                        tag="map-commutes-with-projection", passed=False,
-                        worst_deviation=0.0, threshold=COMMUTATION_THRESHOLD,
-                        details=f"max over {samples} proximal points per side")
+    name, tag = f"map-{m.name}-commutation", "map-commutes-with-projection"
+    details = f"max over {samples} proximal points per side"
+    sides = []
     for side, pts in zip(("A", "B"), inst.cross_samples(samples, proximal=True)):
         t_p = m.apply_many(projector.project_many(pts, side))
         try:
             p_t = projector.project_many(m.apply_many(pts))
         except DomainError as exc:
-            check.worst_deviation = math.inf
-            check.details += f"; {exc}"
-            return check
-        devs = inst.space.norms(t_p - p_t, axis=1)
-        i = int(np.argmax(devs))
-        if devs[i] >= check.worst_deviation:
-            check.worst_deviation = float(devs[i])
-            check.witness = (pts[i], t_p[i], p_t[i])
-    check.passed = check.worst_deviation <= COMMUTATION_THRESHOLD
-    if check.passed:
-        check.witness = None  # kept for a failed check only
-    return check
+            return CheckResult(name, tag, passed=False, worst_deviation=math.inf,
+                               threshold=COMMUTATION_THRESHOLD,
+                               details=f"{details}; {exc}")
+        sides.append((inst.space.norms(t_p - p_t), pts, t_p, p_t))
+    devs, *witnesses = max(sides, key=lambda s: s[0][s[0].argmax()])
+    return CheckResult.worst_of(name, tag, devs, COMMUTATION_THRESHOLD, witnesses,
+                                details=details)

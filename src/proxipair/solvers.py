@@ -51,7 +51,6 @@ class IterationTrace:
     points: np.ndarray
     companions: np.ndarray
     gaps: np.ndarray
-    converged: bool
     iterations_used: int
     dist: float
     alternating: bool
@@ -122,7 +121,7 @@ def _require_contraction(m, expected_mode: str) -> ContractionCertificate:
         raise PreconditionError(
             f"solver needs a {expected_mode} map, got mode {m.mode!r}")
     mode_check = m.mode_check
-    if not mode_check.ok:
+    if not mode_check.passed:
         raise PreconditionError(
             f"map failed {expected_mode} mode certification "
             f"(worst deviation {mode_check.worst_deviation:.3e})")
@@ -179,10 +178,10 @@ def picard_cyclic(m, x0, tol: float = DEFAULT_TOL,
     while not converged and n0 <= max_iter:
         k = min(BLOCK, max_iter + 1 - n0)
         W = np.vstack([prev, m.iterate(prev[-1], k)])
-        g = space.norms(W[3:] - W[2:-1], axis=1) - inst.dist
+        g = space.norms(W[3:] - W[2:-1]) - inst.dist
         ns = np.arange(n0, n0 + k)
         stops = ((ns % 2 == 0) & (ns >= 2) & (np.abs(g) < tol)
-                 & (space.norms(W[2:-1] - W[:-3], axis=1) < tol))
+                 & (space.norms(W[2:-1] - W[:-3]) < tol))
         if stops.any():
             k, converged = int(np.argmax(stops)) + 1, True
         if m.domain == "proximal":
@@ -196,8 +195,7 @@ def picard_cyclic(m, x0, tol: float = DEFAULT_TOL,
     gaps = np.concatenate(gap_blocks)
     star = n - n % 2  # the last even iterate
     trace = IterationTrace(points=points, companions=companions, gaps=gaps,
-                           converged=converged, iterations_used=n, dist=inst.dist,
-                           alternating=True,
+                           iterations_used=n, dist=inst.dist, alternating=True,
                            predicted_iterations=_predict_iterations(
                                gaps[0], cert.alpha_hat, tol))
     return SolveResult(kind="best_proximity_point", residual=abs(gaps[star]),
@@ -227,7 +225,7 @@ def noncyclic_projection_iteration(m, x0, tol: float = DEFAULT_TOL,
     rows, n, converged = x[None, :], 0, False  # the start, checked with the first block
     while not orbit or (not converged and n < max_iter):
         block = m.iterate(rows[-1], min(BLOCK, max_iter - n))
-        small = space.norms(np.diff(np.vstack([rows[-1:], block]), axis=0), axis=1) < tol
+        small = space.norms(np.diff(np.vstack([rows[-1:], block]), axis=0)) < tol
         if small.any():
             block, converged = block[:int(np.argmax(small)) + 1], True
         first_row, rows = (n + 1, block) if orbit else (0, np.vstack([rows, block]))
@@ -235,13 +233,13 @@ def noncyclic_projection_iteration(m, x0, tol: float = DEFAULT_TOL,
         orbit.append(rows)
         n += len(block)
     X, Y = np.vstack(orbit), np.vstack(companions)
-    gaps = space.norms(X - Y, axis=1) - inst.dist
+    gaps = space.norms(X - Y) - inst.dist
     x, y = X[-1], Y[-1]
     residual = max(space.distance(x, m.apply(x)),
                    space.distance(y, m.apply(y)),
                    abs(space.distance(x, y) - inst.dist))
     converged = converged and residual < tol
-    trace = IterationTrace(points=X, companions=Y, gaps=gaps, converged=converged,
+    trace = IterationTrace(points=X, companions=Y, gaps=gaps,
                            iterations_used=len(X) - 1, dist=inst.dist, alternating=False,
                            predicted_iterations=_predict_iterations(
                                space.distance(X[0], m.apply(X[0])),
@@ -263,7 +261,7 @@ def _even_identity_deviation(composed_orbit: np.ndarray, outer, space) -> float:
     composed_orbit is the composition's orbit from x0 = composed_orbit[0]."""
     outer_orbit = _orbit(outer, composed_orbit[:1], 2 * IDENTITY_TERMS + 1)
     even = slice(2, 2 * IDENTITY_TERMS + 1, 2)
-    return float(np.max(space.norms(composed_orbit[even] - outer_orbit[even], axis=1)))
+    return float(np.max(space.norms(composed_orbit[even] - outer_orbit[even])))
 
 
 def solve_cyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,

@@ -3,33 +3,27 @@
 Given a built instance this runs the projector property suite, commutation,
 mode-flip and inherited-modulus checks for the declared maps, executes the
 declared solver runs, and validates the orbit identities the reductions rely
-on.  Each check is a `CheckResult`, defined in `operators`, whose projector
-and commutation checks return it: its worst observed deviation against an
-explicit threshold.  The report is JSON-ready for the command line.  The
-map checks read the certificates kept on each map and on its composition
-with P (`MapSpec.mode_check`, `contraction` and `composed`): the mode-flip
-check is the composed map's mode check, and only the inherited-modulus
-check samples a composed map again.  The checks take their points from the
-instance's samples, on which the maps were certified; only the uniqueness
-starts and the projector checks' further draws have generators of their
-own, seeded with the instance's seed.
+on.  Each check is a `CheckResult`, defined in `mappings`: its worst
+observed deviation against an explicit threshold.  The report is JSON-ready
+for the command line.  The map checks read the certificates kept on each map
+and on its composition with P (`MapSpec.mode_check`, `contraction` and
+`composed`): the mode-flip check is the composed map's mode check, renamed,
+and only the inherited-modulus check samples a composed map again.  The
+checks take their points from the instance's samples, on which the maps were
+certified; only the uniqueness starts and the projector checks' further
+draws have generators of their own, seeded with the instance's seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import PreconditionError, ProxipairError
 from .instances import BuiltInstance
-from .mappings import certify_contraction
-from .operators import (
-    CheckResult,
-    check_commutation,
-    compose_with_projector,
-    verify_projector_properties,
-)
+from .mappings import CheckResult, certify_contraction
+from .operators import check_commutation, compose_with_projector, verify_projector_properties
 
 IDENTITY_THRESHOLD = 1e-9
 ODD_MEMBERSHIP_THRESHOLD = 1e-8
@@ -70,9 +64,7 @@ def _map_checks(built: BuiltInstance, samples: int, flags: list) -> list:
     checks = []
     for name, m in built.maps.items():
         if m.mode == "noncyclic":
-            commutation = check_commutation(m, samples=samples)
-            commutation.flags = list(flags)
-            checks.append(commutation)
+            checks.append(replace(check_commutation(m, samples=samples), flags=list(flags)))
         if not m.contraction.alpha_hat < 1.0:
             continue
         flip = CheckResult(name=f"map-{name}-mode-flip", tag="composition-flips-mode",
@@ -89,9 +81,9 @@ def _map_checks(built: BuiltInstance, samples: int, flags: list) -> list:
         except ProxipairError as exc:
             flip.details = modulus.details = str(exc)
         else:
-            flip.passed = True
-            flip.worst_deviation = composed.mode_check.worst_deviation
-            flip.details = f"composed map certifies as {composed.mode}"
+            flip = replace(composed.mode_check, name=flip.name, tag=flip.tag,
+                           flags=flip.flags,
+                           details=f"composed map certifies as {composed.mode}")
             modulus.passed = resampled <= inherited + INHERITED_MODULUS_SLACK
             modulus.worst_deviation = max(resampled - inherited, 0.0)
             modulus.details = (f"re-sampled alpha {resampled:.6g}, "
@@ -130,35 +122,25 @@ def _run_checks(built: BuiltInstance, outcomes: dict) -> list:
 
         alpha = result.alpha_hat
         gaps = result.trace.gaps
-        excess = gaps[1:] - alpha * gaps[:-1]
-        worst = max(float(np.max(excess)), 0.0) if len(excess) else 0.0
+        # the excess of each gap over alpha times the one before, and 0
+        excess = np.append(gaps[1:] - alpha * gaps[:-1], 0.0)
         # a trace whose gaps all stay within the slack of 0 cannot fail
         closed = bool(np.all(np.abs(gaps) <= GAP_DECAY_SLACK))
-        checks.append(CheckResult(
-            name=f"run-{run_name}-gap-decay",
-            tag="gap-decays-geometrically",
-            passed=worst <= GAP_DECAY_SLACK,
-            worst_deviation=worst,
-            threshold=GAP_DECAY_SLACK,
-            flags=["vacuous"] if closed else [],
+        checks.append(CheckResult.worst_of(
+            f"run-{run_name}-gap-decay", "gap-decays-geometrically", excess,
+            GAP_DECAY_SLACK, flags=["vacuous"] if closed else [],
             details=f"per-step decay factor bound {alpha:.4f}"
                     + ("; every gap is within the slack of 0" if closed else "")))
 
         if result.identity_deviation is not None:
-            checks.append(CheckResult(
-                name=f"run-{run_name}-orbit-identity",
-                tag="even-subsequence-identity",
-                passed=result.identity_deviation <= IDENTITY_THRESHOLD,
-                worst_deviation=result.identity_deviation,
-                threshold=IDENTITY_THRESHOLD,
+            checks.append(CheckResult.worst_of(
+                f"run-{run_name}-orbit-identity", "even-subsequence-identity",
+                [result.identity_deviation], IDENTITY_THRESHOLD,
                 details="composition orbit matches direct orbit at even steps"))
         if result.odd_membership_deviation is not None:
-            checks.append(CheckResult(
-                name=f"run-{run_name}-odd-membership",
-                tag="odd-iterates-remain-proximal",
-                passed=result.odd_membership_deviation <= ODD_MEMBERSHIP_THRESHOLD,
-                worst_deviation=result.odd_membership_deviation,
-                threshold=ODD_MEMBERSHIP_THRESHOLD,
+            checks.append(CheckResult.worst_of(
+                f"run-{run_name}-odd-membership", "odd-iterates-remain-proximal",
+                [result.odd_membership_deviation], ODD_MEMBERSHIP_THRESHOLD,
                 details="odd composition iterates stay in the proximal part of B"))
     return checks
 
@@ -173,30 +155,24 @@ def _uniqueness_checks(built: BuiltInstance, flags: list, outcomes: dict) -> lis
               if spec["solver"] in ("picard", "project")]
     for run_name in direct:
         starts = inst.sample_proximal("A", UNIQUENESS_STARTS - 1, rng)
+        name, tag = f"run-{run_name}-uniqueness", "limit-independent-of-start"
         solutions = []
-        details = ""
-        passed = True
-        worst = 0.0
         for x0 in [*starts, None]:
             result = outcomes[run_name] if x0 is None else _outcome(built, run_name, x0)
             if isinstance(result, ProxipairError):
-                passed, worst, details = False, float("inf"), str(result)
+                checks.append(CheckResult(name, tag, passed=False,
+                                          worst_deviation=float("inf"),
+                                          threshold=UNIQUENESS_THRESHOLD,
+                                          flags=list(flags), details=str(result)))
                 break
             solutions.append(result.x_star if result.x_star is not None
                              else result.pair[0])
-        if passed:
+        else:
             pts = np.array(solutions)
-            worst = float(np.max(inst.space.norms(pts - pts[0], axis=1)))
-            passed = worst <= UNIQUENESS_THRESHOLD
-            details = f"{UNIQUENESS_STARTS} starts sampled from the proximal part of A"
-        checks.append(CheckResult(
-            name=f"run-{run_name}-uniqueness",
-            tag="limit-independent-of-start",
-            passed=passed,
-            worst_deviation=worst,
-            threshold=UNIQUENESS_THRESHOLD,
-            flags=list(flags),
-            details=details))
+            checks.append(CheckResult.worst_of(
+                name, tag, inst.space.norms(pts - pts[0]), UNIQUENESS_THRESHOLD,
+                flags=list(flags),
+                details=f"{UNIQUENESS_STARTS} starts sampled from the proximal part of A"))
     return checks
 
 
@@ -208,11 +184,10 @@ def run_verification(built: BuiltInstance, samples: int = 1000) -> VerificationR
     """
     if samples < 1:
         raise PreconditionError(f"samples must be at least 1, got {samples}")
+    # Singleton proximal sets make every check that samples them vacuous,
+    # and every such check carries this flag, the projector checks too
+    flags = ["degenerate"] if built.instance.proximal_sets_are_points else []
     checks = verify_projector_properties(built.instance, samples=samples)
-    # Singleton proximal sets make every check that samples them vacuous;
-    # the projector checks carry that flag, and so does every later check
-    # that samples the proximal sets.
-    flags = checks[0].flags
     checks.extend(_map_checks(built, samples, flags))
     # each declared run is made once; the uniqueness checks reuse its outcome
     outcomes = {name: _outcome(built, name) for name in built.runs}

@@ -205,7 +205,7 @@ def test_build_keeps_the_mode_certificate():
     built = build(builtin_instance("segpair"), seed=3)
     T = built.maps["T"]
     inst = built.instance
-    assert inst.seed == 3 and "mode_check" in vars(T) and T.mode_check.ok
+    assert inst.seed == 3 and "mode_check" in vars(T) and T.mode_check.passed
     stream = np.random.default_rng(3)  # the seed reaches every certifier's samples
     xs, ys = inst.cross_samples(20)
     assert np.array_equal(xs, inst.A.sample(stream, 20))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from proxipair import instances, mappings
 from proxipair.errors import DimensionMismatchError, PreconditionError
@@ -16,7 +16,9 @@ from proxipair.instances import (
 )
 from proxipair.mappings import (
     DEFAULT_CONTRACTION_SAMPLES,
+    DEFAULT_MODE_SAMPLES,
     MEMBER_TOL,
+    CheckResult,
     MapSpec,
     certify_contraction,
     certify_mode,
@@ -213,20 +215,20 @@ def test_declared_maps_match_rowwise_reference(bodies, kind, rng):
 
 def test_certify_mode_cyclic_exact(seg):
     check = certify_mode(map_T(seg))
-    assert check.ok
-    assert check.exact
+    assert check.passed
+    assert "exact" in check.flags
     assert check.worst_deviation <= 1e-12
 
 
 def test_certify_mode_noncyclic_exact(seg):
-    assert certify_mode(map_S(seg)).ok
+    assert certify_mode(map_S(seg)).passed
 
 
 def test_certify_mode_rejects_wrong_declaration(seg):
     # the noncyclic map declared cyclic must fail with a witness
     wrong = MapSpec.affine(seg, "cyclic", [[0.5, 0.0], [0.0, 1.0]], [0.5, 0.0])
     check = certify_mode(wrong)
-    assert not check.ok
+    assert not check.passed
     x, img = check.witness
     assert seg.A.member(x, 1e-9)
     assert img[1] == pytest.approx(0.0)  # image stayed on A instead of B
@@ -235,8 +237,78 @@ def test_certify_mode_rejects_wrong_declaration(seg):
 def test_certify_mode_blackbox_sampled(balls):
     cyc, non = const_maps(balls)
     ck = certify_mode(cyc)
-    assert ck.ok and not ck.exact
-    assert certify_mode(non).ok
+    assert ck.passed and "exact" not in ck.flags
+    assert certify_mode(non).passed
+
+
+@pytest.mark.parametrize("path", ["vertices", "constant-pair", "point-proximal-sets"])
+def test_certify_mode_flags_each_exact_path(seg, balls, path):
+    if path == "vertices":
+        m = map_T(seg)
+    elif path == "constant-pair":
+        m = planted_ballpair(0.0).maps["const-cyclic"]
+    else:  # a callable, decided on (a*, b*) alone
+        m = MapSpec(balls, "noncyclic", func=lambda x: x, domain="proximal")
+    check = certify_mode(m)
+    assert check.passed and check.flags == ["exact"] and check.witness is None
+    assert certify_mode(MapSpec.blackbox(balls, "noncyclic", lambda x: x)).flags == []
+
+
+def test_worst_of_scores_the_first_maximum():
+    rows = np.arange(10.0).reshape(5, 2)
+    devs = np.array([0.5, 2.0, 1.0, 2.0, 0.0])
+    check = CheckResult.worst_of("c", "t", devs, 1.0, (rows, -rows), flags=["f"],
+                                 details="d")
+    # a tie goes to the first row, and a failed check keeps that row of each witness
+    assert (check.passed, check.worst_deviation, check.threshold) == (False, 2.0, 1.0)
+    assert_array_equal(check.witness[0], rows[1])
+    assert_array_equal(check.witness[1], -rows[1])
+    assert (check.name, check.tag, check.flags, check.details) == ("c", "t", ["f"], "d")
+    # at the threshold it passes, and keeps no witness
+    passed = CheckResult.worst_of("c", "t", devs, 2.0, (rows,))
+    assert passed.passed and passed.worst_deviation == 2.0 and passed.witness is None
+
+
+def test_worst_of_accepts_a_one_element_list():
+    check = CheckResult.worst_of("c", "t", [3e-9], 1e-9)
+    assert not check.passed and check.worst_deviation == 3e-9 and check.witness is None
+    assert CheckResult.worst_of("c", "t", [1e-9], 1e-9).passed
+
+
+def _former_mode_witness(m):
+    """The worst deviation and witness as the former mode record chose them:
+    each side's first argmax, B's only when strictly worse than A's."""
+    worst, witness = 0.0, None
+    for k, side in enumerate("AB"):
+        pts = mappings._exact_points(m, k)
+        if pts is None:
+            pts = m.instance.cross_samples(DEFAULT_MODE_SAMPLES, m.domain == "proximal")[k]
+        imgs = m.apply_many(pts)
+        devs = mappings._target_deviations(m, side, imgs)
+        i = int(np.argmax(devs))
+        if devs[i] > worst:
+            worst, witness = float(devs[i]), (pts[i], imgs[i])
+    return worst, witness
+
+
+def test_failed_mode_check_keeps_the_former_witness(seg, balls):
+    cyc, _ = const_maps(balls)
+    wrong = [
+        # a tie across the sides, on vertices: both stay at distance 1
+        MapSpec.affine(seg, "cyclic", [[0.5, 0.0], [0.0, 1.0]], [0.5, 0.0]),
+        # B's side is worse, on vertices: A moves 0.25 off A, B 0.75 off B
+        MapSpec.affine(seg, "noncyclic", [[1.0, 0.0], [0.0, 1.5]], [0.0, 0.25]),
+        # sampled: every point ties within its side, and the sides tie
+        MapSpec.blackbox(balls, "noncyclic", cyc.apply),
+        # sampled, with a spread of deviations on each side
+        MapSpec.blackbox(balls, "noncyclic", lambda x: x + np.array([0.5, 0.25])),
+    ]
+    for m in wrong:
+        check = certify_mode(m)
+        worst, (x, image) = _former_mode_witness(m)
+        assert not check.passed and check.worst_deviation == worst
+        assert_array_equal(check.witness[0], x)
+        assert_array_equal(check.witness[1], image)
 
 
 def test_cyclic_square_maps_A_into_A(seg, rng):
@@ -244,7 +316,7 @@ def test_cyclic_square_maps_A_into_A(seg, rng):
     xs = seg.A.sample(rng, 200)
     sq = T.apply_many(T.apply_many(xs))
     proj = seg.A.project_many(sq)
-    assert float(np.max(seg.space.norms(sq - proj, axis=1))) <= 1e-9
+    assert float(np.max(seg.space.norms(sq - proj))) <= 1e-9
 
 
 def test_noncyclic_nonexpansive_preserves_proximal_sets(seg, rng):
@@ -335,15 +407,15 @@ def test_constant_pair_modulus_is_exact():
     inst = built.instance
     for m in built.maps.values():
         check, cert = m.mode_check, m.contraction
-        assert check.ok and check.exact
+        assert check.passed and "exact" in check.flags
         assert cert.method == "exact" and cert.samples == 1 and not cert.degenerate
         assert cert.alpha_hat == pytest.approx(1e-3 / inst.tol, rel=1e-9)
         # (a*, b*) breaks d(Tx, Ty) <= alpha d(x, y) + (1 - alpha) dist for every alpha
         assert_allclose(np.array(cert.worst_pair), np.array(inst.realizing_pair))
         # the exact supremum bounds every sampled ratio
         xs, ys = inst.cross_samples(1000)
-        before = inst.space.norms(xs - ys, axis=1) - inst.dist
-        after = inst.space.norms(m.apply_many(xs) - m.apply_many(ys), axis=1) - inst.dist
+        before = inst.space.norms(xs - ys) - inst.dist
+        after = inst.space.norms(m.apply_many(xs) - m.apply_many(ys)) - inst.dist
         assert np.all(after[before > inst.tol] / before[before > inst.tol] <= cert.alpha_hat)
     with pytest.raises(PreconditionError, match="not relatively nonexpansive"):
         compose_with_projector(built.maps["const-cyclic"])
@@ -361,7 +433,7 @@ def test_zero_matrix_affine_map_is_exact(seg):
     assert not cert.degenerate
     # B's side is decided on b* alone, whose image c is off B
     check = certify_mode(m)
-    assert check.exact and not check.ok
+    assert "exact" in check.flags and not check.passed
     assert_allclose(check.witness[0], seg.realizing_pair[1])
     assert check.worst_deviation == pytest.approx(1.0)
 
@@ -378,7 +450,7 @@ def test_constant_pair_on_touching_balls_stays_sampled():
     m = build(parse_instance(doc)).maps["c"]
     assert m.instance.dist <= MEMBER_TOL
     assert certify_contraction(m).method == "sampled"
-    assert not certify_mode(m).exact
+    assert "exact" not in certify_mode(m).flags
 
 
 def test_constant_pair_on_two_points_stays_degenerate():
@@ -387,7 +459,7 @@ def test_constant_pair_on_two_points_stays_degenerate():
     inst = ProximityInstance(Polytope(sp, [[0.0, 0.0]]), Polytope(sp, [[0.0, 1.0]]))
     m = MapSpec.sidewise(inst, "noncyclic", np.zeros((2, 2)), [0.0, 0.0],
                          np.zeros((2, 2)), [0.0, 1.0])
-    assert certify_mode(m).exact
+    assert "exact" in certify_mode(m).flags
     cert = certify_contraction(m)
     assert cert.method == "sampled" and cert.degenerate
 
@@ -435,7 +507,7 @@ def test_box_pair_affine_contraction_certifies(rng):
     anchor = np.array([0.5, 1.0, 0.0])
     M = np.diag([0.5, 0.5, 1.0])
     S = MapSpec.affine(inst, "noncyclic", M, (np.eye(3) - M) @ anchor)
-    assert certify_mode(S).exact
+    assert "exact" in certify_mode(S).flags
     cert = certify_contraction(S)
     assert cert.method == "grid"
     assert 0.0 < cert.alpha_hat < 1.0
@@ -461,8 +533,8 @@ def _product_grid_alpha(m, bounds_a, bounds_b, k: int = 6) -> float:
     inst = m.instance
     X, Y = grid(*bounds_a), grid(*bounds_b)
     x, y = np.repeat(X, len(Y), axis=0), np.tile(Y, (len(X), 1))
-    before = inst.space.norms(x - y, axis=1) - inst.dist
-    after = inst.space.norms(m.apply_many(x) - m.apply_many(y), axis=1) - inst.dist
+    before = inst.space.norms(x - y) - inst.dist
+    after = inst.space.norms(m.apply_many(x) - m.apply_many(y)) - inst.dist
     valid = before > inst.tol
     return float(np.max(after[valid] / before[valid]))
 
@@ -550,7 +622,7 @@ def _certificates_in_order(order: list) -> dict:
     out = {}
     for name, m in maps.items():
         mode, con = m.mode_check, m.contraction
-        out[name] = (mode.ok, mode.exact, mode.worst_deviation, con.alpha_hat,
+        out[name] = (mode.passed, "exact" in mode.flags, mode.worst_deviation, con.alpha_hat,
                      con.samples, con.method, np.asarray(con.worst_pair).tolist())
     return out
 

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from proxipair.errors import DomainError, PreconditionError
 from proxipair.geometry import Ball, Box, LpSpace, Polytope, ProximityInstance
@@ -267,8 +267,8 @@ def test_compose_flips_mode_both_ways(seg):
     TP = compose_with_projector(map_T(seg))
     assert SP.mode == "cyclic"
     assert TP.mode == "noncyclic"
-    assert certify_mode(SP).ok
-    assert certify_mode(TP).ok
+    assert certify_mode(SP).passed
+    assert certify_mode(TP).passed
 
 
 def test_composed_map_values(seg):
@@ -334,7 +334,7 @@ def test_composed_map_is_outer_after_the_projection(name, rng):
 def test_composed_map_inherits_certificate(seg):
     for outer in (map_S(seg), map_T(seg)):
         composed = compose_with_projector(outer)
-        assert composed.mode_check.ok and composed.mode != outer.mode
+        assert composed.mode_check.passed and composed.mode != outer.mode
         cert = vars(composed)["contraction"]  # kept, not estimated on first use
         assert cert.method == "inherited" and cert.samples == 0
         assert cert.alpha_hat == vars(outer)["contraction"].alpha_hat
@@ -349,7 +349,7 @@ def test_composed_map_on_point_proximal_sets_is_certified_on_the_realizing_pair(
     assert contractions
     for m in contractions:
         composed = compose_with_projector(m)
-        assert composed.mode_check.ok and composed.mode_check.exact
+        assert composed.mode_check.passed and "exact" in composed.mode_check.flags
         cert = certify_contraction(composed)
         assert cert.samples == 1
         assert cert.degenerate and cert.alpha_hat == 0.0
@@ -439,12 +439,22 @@ def test_commutation_fails_for_sidewise_skew(seg):
         return np.array([3.0 - x[0], 1.0])
 
     K = MapSpec.blackbox(seg, "noncyclic", skew, name="skew")
-    assert certify_mode(K).ok
+    assert certify_mode(K).passed
     check = check_commutation(K)
     assert not check.passed
     assert check.worst_deviation > 0.5
     x, t_p, p_t = check.witness
     assert seg.space.norm(t_p - p_t) == pytest.approx(check.worst_deviation)
+    # the witness is the first worst sample, A's before B's
+    projector = ProximalProjector(seg)
+    rows = []
+    for side, pts in zip("AB", seg.cross_samples(1000, proximal=True)):
+        devs = seg.space.norms(K.apply_many(projector.project_many(pts, side))
+                               - projector.project_many(K.apply_many(pts)))
+        rows += zip(devs.tolist(), pts)
+    worst, first = max(rows, key=lambda row: row[0])
+    assert check.worst_deviation == worst
+    assert_array_equal(x, first)
 
 
 def test_commutation_fails_with_the_domain_error_when_the_map_leaves_the_proximal_sets():
@@ -456,7 +466,7 @@ def test_commutation_fails_with_the_domain_error_when_the_map_leaves_the_proxima
                              Box(sp, [3.0, 0.0], [4.0, 1.0]))
     half = MapSpec.sidewise(inst, "noncyclic", 0.5 * np.eye(2), [0.0, 0.0],
                             0.5 * np.eye(2), [2.0, 0.0], name="half")
-    assert certify_mode(half).ok
+    assert certify_mode(half).passed
     check = check_commutation(half, samples=50)
     assert check.name == "map-half-commutation"
     assert not check.passed

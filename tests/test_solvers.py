@@ -665,15 +665,15 @@ def test_stopping_distances_are_the_stack_norms_of_the_orbit():
     res = picard_cyclic(T8, [2.0, 0.0])
     trace, n = res.trace, res.trace.iterations_used
     assert res.converged and n > 2 * BLOCK
-    gaps = sp.norms(trace.companions - trace.points, axis=1) - seg.dist
+    gaps = sp.norms(trace.companions - trace.points) - seg.dist
     assert_array_equal(trace.gaps, gaps)
-    repeats = sp.norms(trace.points[2:] - trace.points[:-2], axis=1)
+    repeats = sp.norms(trace.points[2:] - trace.points[:-2])
     stops = [k for k in range(2, n + 1, 2)
              if repeats[k - 2] < DEFAULT_TOL and abs(gaps[k]) < DEFAULT_TOL]
     assert stops == [n]
 
     res = noncyclic_projection_iteration(S8, [2.0, 0.0])
-    steps = sp.norms(np.diff(res.trace.points, axis=0), axis=1)
+    steps = sp.norms(np.diff(res.trace.points, axis=0))
     assert res.converged and len(steps) == res.trace.iterations_used > 2 * BLOCK
     assert steps[-1] < DEFAULT_TOL and np.all(steps[:-1] >= DEFAULT_TOL)
 

@@ -103,10 +103,18 @@ def test_verify_proximalizes_tilted_polygons_only_in_the_continuity_probe(monkey
 
 
 def test_mode_flip_checks_present_for_contractions_only():
-    report = run_verification(build(builtin_instance("segpair")))
-    flips = {c.name for c in report.checks if c.tag == "composition-flips-mode"}
+    built = build(builtin_instance("segpair"))
+    report = run_verification(built)
+    flips = {c.name: c for c in report.checks if c.tag == "composition-flips-mode"}
     # swap and identity are isometries, not contractions, so no flip check
-    assert flips == {"map-T-mode-flip", "map-S-mode-flip"}
+    assert set(flips) == {"map-T-mode-flip", "map-S-mode-flip"}
+    # each is its composed map's own mode check, renamed
+    for name in ("T", "S"):
+        composed, flip = built.maps[name].composed, flips[f"map-{name}-mode-flip"]
+        own = composed.mode_check
+        assert (flip.passed, flip.worst_deviation, flip.threshold) == (
+            own.passed, own.worst_deviation, own.threshold)
+        assert flip.details == f"composed map certifies as {composed.mode}"
 
 
 def test_inherited_modulus_checks_present_for_contractions_only():
@@ -243,7 +251,7 @@ def test_map_leaving_the_proximal_sets_on_a_face_fails_the_mode_flip():
         return np.array(a_star if inst.A.member(x) else b_star)
 
     m = MapSpec.blackbox(inst, "noncyclic", func, name="face")
-    assert m.mode_check.ok and m.contraction.alpha_hat == 0.0
+    assert m.mode_check.passed and m.contraction.alpha_hat == 0.0
     built.maps["face"] = m
     report = run_verification(built)
     check = next(c for c in report.checks if c.name == "map-face-mode-flip")

@@ -9,10 +9,10 @@ example, `python3 tools/compare_outputs.py HEAD .` compares the last
 commit with the working tree.  Runs `proxipair solve` and `proxipair
 verify` on the builtins `segpair` and `ballpair` and on the instance
 documents of seeds 1 and 2 of every workload in `perfbench/inputs.py`,
-on the PLANTED documents, whose verify fails, on the FACES documents,
-whose verify passes with proximal sets that are a segment and a point,
-and on the EDGES documents, once against each tree's `src`, in a
-subprocess per tree.  The builtins are run a second time with `--seed 5`,
+on the PLANTED documents, whose verify fails or whose build refuses a
+map's declared mode, on the FACES documents, whose verify passes with
+proximal sets that are a segment and a point, and on the EDGES documents,
+once against each tree's `src`, in a subprocess per tree.  The builtins are run a second time with `--seed 5`,
 so that a change to how the seed reaches the certifiers' and checks'
 samples shows up.  Then it reports whether the exit codes are equal, how
 many output files are byte-identical, every key, flag, integer or string
@@ -52,7 +52,12 @@ SHOWN = 20  # non-float differences listed in full
 # too: segpair with a noncyclic map that reflects B but not A (a finite
 # commutation failure), and two boxes with a map that sends the proximal
 # faces off the domain of P (a commutation failure at an infinite
-# deviation, with P's error in its details).
+# deviation, with P's error in its details).  On the third, segpair with its
+# cyclic T declared noncyclic, `solve` and `verify` both exit 1 when the
+# instance is built, with the mode check's "failed certification (worst
+# deviation ...)" line.
+_SEGPAIR_BODIES = {"A": {"kind": "polytope", "vertices": [[1.0, 0.0], [2.0, 0.0]]},
+                   "B": {"kind": "polytope", "vertices": [[1.0, 1.0], [2.0, 1.0]]}}
 _SEGPAIR_MAPS = [
     {"name": "T", "mode": "cyclic", "kind": "affine",
      "matrix": [[0.5, 0.0], [0.0, -1.0]], "offset": [0.5, 1.0]},
@@ -71,8 +76,7 @@ _SEGPAIR_RUNS = [
 ]
 PLANTED = [
     {"name": "segpair-skew", "space": {"dim": 2, "p": 2.0}, "tol": 1e-9,
-     "bodies": {"A": {"kind": "polytope", "vertices": [[1.0, 0.0], [2.0, 0.0]]},
-                "B": {"kind": "polytope", "vertices": [[1.0, 1.0], [2.0, 1.0]]}},
+     "bodies": _SEGPAIR_BODIES,
      "maps": _SEGPAIR_MAPS + [
          {"name": "skew", "mode": "noncyclic", "kind": "sidewise-affine",
           "matrix_a": [[1.0, 0.0], [0.0, 1.0]], "offset_a": [0.0, 0.0],
@@ -84,6 +88,8 @@ PLANTED = [
      "maps": [{"name": "half", "mode": "noncyclic", "kind": "sidewise-affine",
                "matrix_a": [[0.5, 0.0], [0.0, 0.5]], "offset_a": [0.0, 0.0],
                "matrix_b": [[0.5, 0.0], [0.0, 0.5]], "offset_b": [2.0, 0.0]}]},
+    {"name": "segpair-misdeclared", "space": {"dim": 2, "p": 2.0}, "tol": 1e-9,
+     "bodies": _SEGPAIR_BODIES, "maps": [dict(_SEGPAIR_MAPS[0], mode="noncyclic")]},
 ]
 
 # Documents on which `verify` passes, one for each answer of the rule that
