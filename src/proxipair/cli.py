@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -34,8 +33,7 @@ EXIT_NOT_CONVERGED = 2
 
 
 def _out_dir(args) -> Path:
-    out = os.environ.get("PROXIPAIR_OUT") or args.out
-    path = Path(out)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -170,8 +168,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default="out",
-                        help="output directory (env PROXIPAIR_OUT overrides)")
+    common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--seed", type=int, default=0,
                         help="random seed: of the generator for gen and bench; "
                              "for solve and verify, the instance's, from which "

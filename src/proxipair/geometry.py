@@ -23,6 +23,14 @@ M @ X.T, 36 us; they agree bit for bit up to dim 11, past it to rounding.
 differ from C order in the last bit, so `_segment_nearest` takes its
 product on a C-ordered difference.
 
+A 2-D polygon is its counter-clockwise hull, kept once as arrays
+(`Polytope._faces`): the hull vertices, edge vectors, outward normals,
+offsets and normal lengths.  Membership reads the normals and offsets, and
+the projection takes every edge's nearest point in one pass over an
+(edges, rows, 2) stack.  Its products are batched `np.matmul`s, which
+equal `_segment_nearest`'s bit for bit; elementwise sums and `einsum`
+differed from them in the last bit in about a quarter of the entries.
+
 `ProximityInstance` keeps dist(A, B), a realizing pair (a*, b*) and their
 difference v = b* - a*, which every realizing pair shares: x is in A0 when
 x is in A and x + v in B (`proximal_deviations`).  It decides once whether
@@ -321,15 +329,16 @@ class Box(ConvexBody):
         return C
 
 
-def _hull_edges_2d(vertices: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """Hull edges (v0, v1) of 2-D vertices in counter-clockwise order.
+def _hull_edges_2d(vertices: np.ndarray) -> np.ndarray | None:
+    """The hull of 2-D vertices as its vertex array H, in counter-clockwise
+    order: edge i runs from H[i] to H[i + 1], the last back to H[0].
 
     Andrew's monotone chain (Inform. Process. Lett. 9, 1979) on the distinct
     vertices, taken in lexicographic order: the lower chain left to right,
     then the upper one back, each dropping every point that does not turn
-    left, so collinear points are dropped too.  Returns None when the
-    vertices are affinely degenerate (point / segment), which callers handle
-    through the lower-dimensional paths.
+    left, so collinear points are dropped too.  Returns None when the hull
+    has fewer than three vertices (a point or a segment), which callers
+    handle through the lower-dimensional paths.
     """
     points = np.unique(vertices, axis=0)  # sorted by x, then y
 
@@ -345,19 +354,7 @@ def _hull_edges_2d(vertices: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] 
         return out[:-1]
 
     hull = chain(points) + chain(points[::-1])
-    if len(hull) < 3:
-        return None
-    return [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
-
-
-def _edges_to_halfspaces(edges: list[tuple[np.ndarray, np.ndarray]]
-                         ) -> list[tuple[np.ndarray, float]]:
-    out = []
-    for v0, v1 in edges:
-        d = v1 - v0
-        a = np.array([d[1], -d[0]])  # outward for CCW orientation
-        out.append((a, float(a @ v0)))
-    return out
+    return np.array(hull) if len(hull) >= 3 else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,55 +406,51 @@ class Polytope(ConvexBody):
             window = self._box_windows[tol] = (lo - margin, hi + margin)
         return window
 
-    def _segment(self) -> tuple[np.ndarray, np.ndarray] | None:
-        W = self._distinct
-        if len(W) != 2:
-            return None
-        return W[0], W[1]
-
     @functools.cached_property
-    def _hull_edges(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
-        return _hull_edges_2d(self._distinct) if self.space.dim == 2 else None
-
-    @functools.cached_property
-    def _face_halfspaces(self) -> tuple[tuple[np.ndarray, float], ...]:
-        if self._hull_edges is None:
+    def _faces(self) -> tuple[np.ndarray, ...]:
+        """(H, D, N, offsets, lengths) of a 2-D polygon: its hull vertices
+        (`_hull_edges_2d`), the edge vectors D[i] = H[i + 1] - H[i], the
+        outward normals N[i] = (D[i, 1], -D[i, 0]), the offsets N[i] . H[i]
+        and the normals' lengths.  The polygon is the points x with N x <=
+        offsets; the batched `np.matmul` of the offsets equals each N[i] @ H[i]
+        bit for bit."""
+        H = _hull_edges_2d(self._distinct) if self.space.dim == 2 else None
+        if H is None:
             raise UnsupportedProjectionError(
                 "a polytope of >= 3 distinct vertices is supported only in dim 2, "
                 "with vertices that are not collinear")
-        return tuple(_edges_to_halfspaces(self._hull_edges))
+        D = np.roll(H, -1, axis=0) - H
+        N = np.stack([D[:, 1], -D[:, 0]], axis=1)  # outward for CCW orientation
+        offsets = np.matmul(N[:, None, :], H[:, :, None])[:, 0, 0]
+        return H, D, N, offsets, np.linalg.norm(N, axis=1)
 
     def project_many(self, X):
         X = _as_matrix(X, self.space.dim)
         if self.box is not None:
             # clamp is exact for every p, as for a Box
             return _clamp_rows(X, *self.box)
-        seg = self._segment()
-        if seg is not None:
-            v0, v1 = seg
+        W = self._distinct
+        if len(W) == 2:
             if self.space.p != 2.0:
                 raise UnsupportedProjectionError(
                     f"general segment projection only available at p=2, got p={self.space.p}")
-            return _segment_nearest(X, v0, v1 - v0)[0]
+            return _segment_nearest(X, W[0], W[1] - W[0])[0]
         if self.space.p != 2.0:
             raise UnsupportedProjectionError(
                 f"polytope projection only available at p=2, got p={self.space.p}")
-        return _project_polygon_edges(self.space, self._hull_edges,
-                                      self._face_halfspaces, X)
+        return _project_polygon_edges(self.space, self._faces, X)
 
     def member_many(self, X, tol=DEFAULT_TOL):
         X = _as_matrix(X, self.space.dim)
         if self.box is not None:
             return _in_box_rows(X, *self._box_window(tol))
-        seg = self._segment()
-        if seg is not None:
-            v0, v1 = seg
-            nearest, t = _segment_nearest(X, v0, v1 - v0)
+        W = self._distinct
+        if len(W) == 2:
+            nearest, t = _segment_nearest(X, W[0], W[1] - W[0])
             return ((-tol <= t) & (t <= 1.0 + tol)
                     & (_reduce_rows(np.maximum, np.abs(X - nearest)) <= tol))
-        normals, offsets = (np.array(v) for v in zip(*self._face_halfspaces))
-        excess = _affine_rows(X, normals, -offsets) / np.linalg.norm(normals, axis=1)
-        return _reduce_rows(np.logical_and, excess <= tol)
+        _, _, N, offsets, lengths = self._faces
+        return _reduce_rows(np.logical_and, _affine_rows(X, N, -offsets) / lengths <= tol)
 
     def anchor(self):
         return self.vertices.mean(axis=0)
@@ -483,34 +476,29 @@ def _vertex_set(body: ConvexBody) -> np.ndarray | None:
     return None
 
 
-def _project_polygon_edges(space: LpSpace, edges: list[tuple[np.ndarray, np.ndarray]],
-                           faces: Sequence[tuple[np.ndarray, float]],
+def _project_polygon_edges(space: LpSpace, faces: tuple[np.ndarray, ...],
                            X: np.ndarray) -> np.ndarray:
-    """Exact p=2 projection onto a 2-D polygon via its hull edges.
+    """Exact p=2 projection onto a 2-D polygon, given as its `Polytope._faces`.
 
-    Points inside the face halfspaces stay put; for points outside the
-    nearest point lies on the boundary, so it is the best of the per-edge
-    segment projections.  Being exact, it does not degrade on sliver polygons.
+    Points inside every face halfspace stay put; for points outside the
+    nearest point lies on the boundary, so it is the nearest of the per-edge
+    segment projections, the first edge's on a tie.  All edges are taken in
+    one pass over an (edges, rows, 2) stack.  Being exact, it does not
+    degrade on sliver polygons.
     """
-    normals, offsets = (np.array(v) for v in zip(*faces))
-    inside = _reduce_rows(np.logical_and, _affine_rows(X, normals, -offsets) <= 0.0)
+    H, D, N, offsets, _ = faces
+    inside = _reduce_rows(np.logical_and, _affine_rows(X, N, -offsets) <= 0.0)
     out = np.array(X, dtype=float)
     todo = ~inside
     if not np.any(todo):
         return out
     Y = X[todo]
-    best = None
-    best_d = None
-    for v0, v1 in edges:
-        cand = _segment_nearest(Y, v0, v1 - v0)[0]
-        dist = space.norms(Y - cand)
-        if best is None:
-            best, best_d = cand, dist
-        else:
-            better = dist < best_d
-            best[better] = cand[better]
-            best_d[better] = dist[better]
-    out[todo] = best
+    # as `_segment_nearest` on every edge: t = (y - H[i]) . D[i] / D[i] . D[i]
+    numerators = np.matmul(np.subtract(Y, H[:, None, :]), D[:, :, None])[:, :, 0]
+    t = numerators / np.matmul(D[:, None, :], D[:, :, None])[:, 0]
+    cand = D[:, None, :] * np.clip(t, 0.0, 1.0)[:, :, None] + H[:, None, :]
+    dist = space.norms((Y - cand).reshape(-1, 2)).reshape(t.shape)
+    out[todo] = cand[dist.argmin(axis=0), np.arange(len(Y))]
     return out
 
 

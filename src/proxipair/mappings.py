@@ -11,7 +11,8 @@ over cross pairs, reporting the smallest alpha consistent with the samples.
 For an affine map Tx - Ty = M(x - y), so the modulus is a supremum over
 the difference body A - B, which is a box when A and B are.  An estimate
 of at most 1 is relative nonexpansiveness on the same pairs.  A map whose
-pieces all have the zero matrix is certified exactly, on a* and b*.
+pieces all have the zero matrix is certified exactly, on a* and b*, which
+every other modulus estimate evaluates too.
 
 The samples come from the instance: `ProximityInstance.cross_samples(n,
 proximal)` draws n points of A and then n of B from the instance's seed, of
@@ -29,6 +30,7 @@ time a caller reads them, and keep the result.  The mode certificate is a
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
@@ -69,6 +71,14 @@ class CheckResult:
     flags: list = field(default_factory=list)
     details: str = ""
     witness: tuple | None = None
+
+    @classmethod
+    def failed(cls, name: str, tag: str, threshold: float, details: str,
+               **fields) -> "CheckResult":
+        """A check that failed at an infinite deviation, such as one whose
+        evaluation raised; `details` says why."""
+        return cls(name=name, tag=tag, passed=False, worst_deviation=math.inf,
+                   threshold=threshold, details=details, **fields)
 
     @classmethod
     def worst_of(cls, name: str, tag: str, devs, threshold: float, witnesses=(),
@@ -374,14 +384,13 @@ class ContractionCertificate:
     and "sampled" are lower estimates of the true modulus.  `samples`
     counts the sampled and vertex pairs plus the grid differences evaluated
     (1 when exact, 0 when inherited).  A worst pair found on the grid is a
-    pair of A x B with the worst difference.  degenerate flags instances
-    where every cross pair already realizes dist(A, B), so no ratio is defined.
+    pair of A x B with the worst difference.  `worst_pair` is None when no
+    pair set a ratio, as when every cross pair realizes dist(A, B).
     """
 
     alpha_hat: float
     samples: int
     method: ContractionMethod
-    degenerate: bool
     worst_pair: tuple[np.ndarray, np.ndarray] | None
 
 
@@ -411,6 +420,10 @@ def certify_contraction(m) -> ContractionCertificate:
     points or axis-aligned segments is also searched on a grid over the box
     A - B = [lo_A - hi_B, hi_A - lo_B], refined around the worst difference,
     and gets the method "grid", unless A - B has over MAX_GRID_AXES free axes.
+    Then (a*, b*), not counted in `samples`, is evaluated: images farther
+    apart than dist + tol break the inequality for every alpha, so alpha_hat
+    is at least the exact path's excess / tol, with (a*, b*) the worst pair
+    when that is the largest.
     """
     inst = m.instance
     dist = inst.dist
@@ -419,7 +432,7 @@ def certify_contraction(m) -> ContractionCertificate:
         excess = inst.space.distance(*images) - dist
         return ContractionCertificate(
             alpha_hat=max(excess, 0.0) / inst.tol, samples=1, method="exact",
-            degenerate=False, worst_pair=inst.realizing_pair if excess > 0 else None)
+            worst_pair=inst.realizing_pair if excess > 0 else None)
 
     xs, ys = _cross_pairs(m)
     before = inst.space.norms(xs - ys)
@@ -454,7 +467,9 @@ def certify_contraction(m) -> ContractionCertificate:
                 center, half = worst_pair[0] - worst_pair[1], (hi - lo) * 8.0 ** (-r)
                 window = (np.maximum(lo, center - half), np.minimum(hi, center + half))
 
+    excess = inst.space.distance(*m.apply_many(np.stack(inst.realizing_pair))) - dist
+    if excess > inst.tol and excess / inst.tol > alpha:
+        alpha, worst_pair = excess / inst.tol, inst.realizing_pair
     return ContractionCertificate(alpha_hat=max(alpha, 0.0), samples=evaluated,
-                                  method=method, degenerate=worst_pair is None,
-                                  worst_pair=worst_pair)
+                                  method=method, worst_pair=worst_pair)
 

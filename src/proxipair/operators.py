@@ -43,7 +43,6 @@ check is that precondition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,8 +277,7 @@ def compose_with_projector(outer) -> MapSpec:
             f"the point {x} to {image}, {check.worst_deviation:.3e} away from "
             f"the proximal set its mode requires")
     vars(composed)["contraction"] = ContractionCertificate(
-        alpha_hat=modulus.alpha_hat, samples=0, method="inherited",
-        degenerate=modulus.degenerate, worst_pair=None)
+        alpha_hat=modulus.alpha_hat, samples=0, method="inherited", worst_pair=None)
     object.__setattr__(outer, "composed", composed)
     return composed
 
@@ -303,9 +301,7 @@ def check_commutation(m, samples: int = 1000) -> CheckResult:
         try:
             p_t = projector.project_many(m.apply_many(pts))
         except DomainError as exc:
-            return CheckResult(name, tag, passed=False, worst_deviation=math.inf,
-                               threshold=COMMUTATION_THRESHOLD,
-                               details=f"{details}; {exc}")
+            return CheckResult.failed(name, tag, COMMUTATION_THRESHOLD, f"{details}; {exc}")
         sides.append((inst.space.norms(t_p - p_t), pts, t_p, p_t))
     devs, *witnesses = max(sides, key=lambda s: s[0][s[0].argmax()])
     return CheckResult.worst_of(name, tag, devs, COMMUTATION_THRESHOLD, witnesses,

@@ -127,8 +127,10 @@ def _require_contraction(m, expected_mode: str) -> ContractionCertificate:
             f"(worst deviation {mode_check.worst_deviation:.3e})")
     cert = m.contraction
     if not cert.alpha_hat < 1.0:
+        at = "" if cert.worst_pair is None else " at the pair {}, {}".format(
+            *(w.tolist() for w in cert.worst_pair))
         raise PreconditionError(
-            f"map is not a contraction on cross pairs (alpha_hat={cert.alpha_hat})")
+            f"map is not a contraction on cross pairs (alpha_hat={cert.alpha_hat}{at})")
     return cert
 
 

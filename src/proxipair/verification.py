@@ -67,28 +67,28 @@ def _map_checks(built: BuiltInstance, samples: int, flags: list) -> list:
             checks.append(replace(check_commutation(m, samples=samples), flags=list(flags)))
         if not m.contraction.alpha_hat < 1.0:
             continue
-        flip = CheckResult(name=f"map-{name}-mode-flip", tag="composition-flips-mode",
-                           passed=False, worst_deviation=float("inf"),
-                           threshold=built.instance.tol * 10.0, flags=list(flags))
-        modulus = CheckResult(name=f"map-{name}-inherited-modulus",
-                              tag="composition-keeps-modulus", passed=False,
-                              worst_deviation=float("inf"),
-                              threshold=INHERITED_MODULUS_SLACK, flags=list(flags))
+        flip = f"map-{name}-mode-flip", "composition-flips-mode"
+        modulus = f"map-{name}-inherited-modulus", "composition-keeps-modulus"
         try:
             composed = compose_with_projector(m)
             inherited = composed.contraction.alpha_hat
             resampled = certify_contraction(composed).alpha_hat
         except ProxipairError as exc:
-            flip.details = modulus.details = str(exc)
-        else:
-            flip = replace(composed.mode_check, name=flip.name, tag=flip.tag,
-                           flags=flip.flags,
-                           details=f"composed map certifies as {composed.mode}")
-            modulus.passed = resampled <= inherited + INHERITED_MODULUS_SLACK
-            modulus.worst_deviation = max(resampled - inherited, 0.0)
-            modulus.details = (f"re-sampled alpha {resampled:.6g}, "
-                               f"inherited alpha {inherited:.6g}")
-        checks += [flip, modulus]
+            checks += [
+                CheckResult.failed(*flip, built.instance.tol * 10.0, str(exc),
+                                   flags=list(flags)),
+                CheckResult.failed(*modulus, INHERITED_MODULUS_SLACK, str(exc),
+                                   flags=list(flags))]
+            continue
+        checks += [
+            replace(composed.mode_check, name=flip[0], tag=flip[1], flags=list(flags),
+                    details=f"composed map certifies as {composed.mode}"),
+            CheckResult(*modulus,
+                        passed=resampled <= inherited + INHERITED_MODULUS_SLACK,
+                        worst_deviation=max(resampled - inherited, 0.0),
+                        threshold=INHERITED_MODULUS_SLACK, flags=list(flags),
+                        details=f"re-sampled alpha {resampled:.6g}, "
+                                f"inherited alpha {inherited:.6g}")]
     return checks
 
 
@@ -106,10 +106,9 @@ def _run_checks(built: BuiltInstance, outcomes: dict) -> list:
     residual_threshold = built.doc.tol * 10.0
     for run_name, result in outcomes.items():
         if isinstance(result, ProxipairError):
-            checks.append(CheckResult(
-                name=f"run-{run_name}-converges", tag="solver-run-converges",
-                passed=False, worst_deviation=float("inf"),
-                threshold=residual_threshold, details=str(result)))
+            checks.append(CheckResult.failed(f"run-{run_name}-converges",
+                                             "solver-run-converges", residual_threshold,
+                                             str(result)))
             continue
         checks.append(CheckResult(
             name=f"run-{run_name}-converges",
@@ -160,10 +159,8 @@ def _uniqueness_checks(built: BuiltInstance, flags: list, outcomes: dict) -> lis
         for x0 in [*starts, None]:
             result = outcomes[run_name] if x0 is None else _outcome(built, run_name, x0)
             if isinstance(result, ProxipairError):
-                checks.append(CheckResult(name, tag, passed=False,
-                                          worst_deviation=float("inf"),
-                                          threshold=UNIQUENESS_THRESHOLD,
-                                          flags=list(flags), details=str(result)))
+                checks.append(CheckResult.failed(name, tag, UNIQUENESS_THRESHOLD,
+                                                 str(result), flags=list(flags)))
                 break
             solutions.append(result.x_star if result.x_star is not None
                              else result.pair[0])

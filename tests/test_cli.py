@@ -20,6 +20,7 @@ from proxipair.instances import (
     parse_instance,
     serialize_instance,
 )
+from proxipair.solvers import noncyclic_projection_iteration
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -238,9 +239,9 @@ def test_solve_refuses_constant_pair_that_misses_the_pair(tmp_path, capsys):
 
 
 def test_project_with_a_large_residual_does_not_converge(tmp_path, capsys):
-    # within 1e-12 of a constant pair whose B image misses b* by 1e-3: the
-    # sampled modulus is below 1 and the first step is below tol, but the
-    # residual d(y, Ty) is 1e-3
+    # within 1e-12 of a constant pair whose B image misses b* by 1e-3:
+    # d(T a*, T b*) = dist + 1e-3, so the certificate refuses the map at
+    # (a*, b*), although its sampled pairs alone gave alpha_hat 0.00686
     doc = json.loads(serialize_instance(builtin_instance("ballpair")))
     doc["maps"] = [{"name": "near-constant", "mode": "noncyclic", "kind": "sidewise-affine",
                     "matrix_a": [[1e-12, 0.0], [0.0, 1e-12]], "offset_a": [-1.0, 0.0],
@@ -249,11 +250,21 @@ def test_project_with_a_large_residual_does_not_converge(tmp_path, capsys):
                     "x0": [-1.0, 0.0]}]
     path = tmp_path / "near-constant.json"
     path.write_text(json.dumps(doc))
-    assert run_cli("solve", str(path), "--out", str(tmp_path)) == 2
-    assert "project: did not converge in 1 iterations" in capsys.readouterr().out
-    summary = json.loads((tmp_path / "ballpair-project.summary.json").read_text())
-    assert summary["converged"] is False
-    assert summary["residual"] == pytest.approx(1e-3, rel=1e-6)
+    assert run_cli("solve", str(path), "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "not a contraction" in err[0]
+    assert "at the pair [-1.0, 0.0], [1.0, 0.0]" in err[0]
+    m = build(parse_instance(doc)).maps["near-constant"]
+    assert m.contraction.alpha_hat == pytest.approx(1e-3 / 1e-9, rel=1e-6)
+    # with the sampled certificate planted, the step after the start is
+    # below tol but the residual d(y, Ty) is 1e-3: the run must not converge
+    vars(m)["contraction"] = mappings.ContractionCertificate(
+        alpha_hat=0.006864163419027252, samples=10_000, method="sampled", worst_pair=None)
+    result = noncyclic_projection_iteration(m, [-1.0, 0.0])
+    assert not result.converged
+    assert result.trace.iterations_used == 1
+    assert result.residual == pytest.approx(1e-3, rel=1e-6)
 
 
 def test_segment_declared_with_an_interior_vertex(tmp_path):
@@ -311,13 +322,12 @@ def test_verify_makes_each_declared_run_once(tmp_path, monkeypatch):
     assert len(calls) == 12
 
 
-def test_env_overrides_out_flag(tmp_path, monkeypatch):
-    env_dir = tmp_path / "from-env"
-    monkeypatch.setenv("PROXIPAIR_OUT", str(env_dir))
-    code = run_cli("gen", "--seed", "2", "--out", str(tmp_path / "ignored"))
-    assert code == 0
-    assert (env_dir / "separated-boxes-0002.json").exists()
-    assert not (tmp_path / "ignored").exists()
+def test_out_flag_holds_while_proxipair_out_is_set(tmp_path, monkeypatch):
+    # --out is the one setting of the output directory
+    monkeypatch.setenv("PROXIPAIR_OUT", str(tmp_path / "from-env"))
+    assert run_cli("gen", "--seed", "2", "--out", str(tmp_path / "out")) == 0
+    assert (tmp_path / "out" / "separated-boxes-0002.json").exists()
+    assert not (tmp_path / "from-env").exists()
 
 
 def test_bench_runs_batch(tmp_path, capsys):

@@ -473,14 +473,65 @@ def test_polygon_face_halfspaces_are_built_once(monkeypatch):
     assert tri.member([0.5, 0.5])
     tri.project_many([[2.0, 2.0]])
     calls = []
-    real = geometry._edges_to_halfspaces
-    monkeypatch.setattr(geometry, "_edges_to_halfspaces",
-                        lambda edges: calls.append(1) or real(edges))
+    monkeypatch.setattr(geometry, "_hull_edges_2d", lambda V: calls.append(1))
     assert tri.member([0.5, 0.5])
     assert not tri.member([2.0, 2.0])
     assert_allclose(tri.project_many([[2.0, 2.0], [0.5, 0.5]]),
                     [[1.0, 1.0], [0.5, 0.5]], atol=1e-12)
     assert calls == []
+    assert "_faces" in vars(tri)
+
+
+def _project_polygon_per_edge(sp, H, X):
+    """The reference for the polygon projection: inside rows stay, every
+    other row takes the nearest of `_segment_nearest` over the edges, one
+    edge at a time, a later edge only when strictly nearer."""
+    edges = [(H[i], H[(i + 1) % len(H)]) for i in range(len(H))]
+    normals = np.array([[v1[1] - v0[1], v0[0] - v1[0]] for v0, v1 in edges])
+    offsets = np.array([float(a @ v0) for a, (v0, _) in zip(normals, edges)])
+    inside = np.all(geometry._affine_rows(X, normals, -offsets) <= 0.0, axis=1)
+    out = np.array(X)
+    Y = X[~inside]
+    best = best_d = None
+    for v0, v1 in edges:
+        cand = geometry._segment_nearest(Y, v0, v1 - v0)[0]
+        dist = sp.norms(Y - cand)
+        if best is None:
+            best, best_d = cand, dist
+        else:
+            nearer = dist < best_d
+            best[nearer], best_d[nearer] = cand[nearer], dist[nearer]
+    out[~inside] = best
+    return out, Y
+
+
+def test_polygon_projection_equals_the_per_edge_loop_bit_for_bit(rng):
+    sp = LpSpace(2, 2.0)
+    ties = 0
+    for _ in range(200):
+        V = rng.normal(size=(rng.integers(3, 12), 2)) * rng.uniform(0.01, 100.0)
+        poly = Polytope(sp, V)
+        H = poly._faces[0]
+        assert_array_equal(H, geometry._hull_edges_2d(V))
+        # points around the polygon, and points in the cone outside each
+        # vertex, which are nearest to that vertex on both of its edges: edge
+        # i reaches H[i + 1] as H[i] + D[i], which may differ in the last
+        # bit, at the same distance, and edge i + 1 as H[i + 1] itself
+        N = poly._faces[2] / poly._faces[4][:, None]
+        cone = (H + rng.uniform(0.0, 10.0, (len(H), 1))
+                * (N + np.roll(N, 1, axis=0)) * rng.uniform(0.1, 1.0, (len(H), 1)))
+        X = np.vstack([rng.normal(size=(300, 2)) * 2.0 * np.abs(V).max(), cone])
+        ref, Y = _project_polygon_per_edge(sp, H, X)
+        assert _same_bits(poly.project_many(X), ref)
+        # how many rows meet two edges' different candidates at one distance
+        D = np.roll(H, -1, axis=0) - H
+        cands = [geometry._segment_nearest(Y, h, d)[0] for h, d in zip(H, D)]
+        dists = np.array([sp.norms(Y - c) for c in cands])
+        first = dists.argmin(axis=0)
+        for j, i in enumerate(first):
+            later = np.flatnonzero(dists[i + 1:, j] == dists[i, j]) + i + 1
+            ties += any(not np.array_equal(cands[k][j], cands[i][j]) for k in later)
+    assert ties > 0
 
 
 def test_hull_edges_match_scipy_convex_hull(rng):
@@ -497,13 +548,11 @@ def test_hull_edges_match_scipy_convex_hull(rng):
         except QhullError:  # qhull rejects collinear sets
             continue
         X = np.vstack([X, X[:3], (X[order] + np.roll(X[order], -1, axis=0)) / 2.0])
-        edges = geometry._hull_edges_2d(X)
-        starts = np.array([v0 for v0, _ in edges])
-        assert_array_equal([v1 for _, v1 in edges], np.roll(starts, -1, axis=0))
+        H = geometry._hull_edges_2d(X)
         ref = X[order]
-        assert len(starts) == len(ref)
-        first = int(np.flatnonzero((ref == starts[0]).all(axis=1))[0])
-        assert_array_equal(starts, np.roll(ref, -first, axis=0))
+        assert len(H) == len(ref)
+        first = int(np.flatnonzero((ref == H[0]).all(axis=1))[0])
+        assert_array_equal(H, np.roll(ref, -first, axis=0))
 
 
 def test_hull_edges_of_a_point_or_collinear_points_are_none(rng):

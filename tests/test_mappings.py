@@ -339,7 +339,6 @@ def segpair_alpha_oracle():
 def test_contraction_modulus_matches_grid_oracle(seg):
     cert = certify_contraction(map_T(seg))
     assert cert.method == "grid"
-    assert not cert.degenerate
     assert_allclose(cert.alpha_hat, segpair_alpha_oracle(), atol=1e-6)
     # closed form of the maximum, attained at the endpoint pair
     assert_allclose(cert.alpha_hat,
@@ -377,7 +376,7 @@ def test_constant_map_contracts_to_zero(balls):
     cert = certify_contraction(cyc)
     assert cert.alpha_hat == 0.0
     assert cert.method == "sampled"
-    assert not cert.degenerate
+    assert cert.worst_pair is not None
     assert cert.alpha_hat < 1.0
 
 
@@ -387,7 +386,6 @@ def test_degenerate_instance_flagged():
     inst = ProximityInstance(Polytope(sp, [[0.0, 0.0]]), Polytope(sp, [[0.0, 1.0]]))
     m = MapSpec.affine(inst, "noncyclic", np.eye(2))
     cert = certify_contraction(m)
-    assert cert.degenerate
     assert cert.worst_pair is None
 
 
@@ -408,7 +406,7 @@ def test_constant_pair_modulus_is_exact():
     for m in built.maps.values():
         check, cert = m.mode_check, m.contraction
         assert check.passed and "exact" in check.flags
-        assert cert.method == "exact" and cert.samples == 1 and not cert.degenerate
+        assert cert.method == "exact" and cert.samples == 1
         assert cert.alpha_hat == pytest.approx(1e-3 / inst.tol, rel=1e-9)
         # (a*, b*) breaks d(Tx, Ty) <= alpha d(x, y) + (1 - alpha) dist for every alpha
         assert_allclose(np.array(cert.worst_pair), np.array(inst.realizing_pair))
@@ -422,7 +420,7 @@ def test_constant_pair_modulus_is_exact():
     # hitting the realizing pair gives 0, as the sampled estimate did
     for m in planted_ballpair(0.0).maps.values():
         assert (m.contraction.method, m.contraction.alpha_hat) == ("exact", 0.0)
-        assert not m.contraction.degenerate and m.contraction.worst_pair is None
+        assert m.contraction.worst_pair is None
 
 
 def test_zero_matrix_affine_map_is_exact(seg):
@@ -430,7 +428,6 @@ def test_zero_matrix_affine_map_is_exact(seg):
     m = MapSpec.affine(seg, "noncyclic", np.zeros((2, 2)), [1.5, 0.0])
     cert = certify_contraction(m)
     assert (cert.method, cert.alpha_hat, cert.samples) == ("exact", 0.0, 1)
-    assert not cert.degenerate
     # B's side is decided on b* alone, whose image c is off B
     check = certify_mode(m)
     assert "exact" in check.flags and not check.passed
@@ -461,7 +458,7 @@ def test_constant_pair_on_two_points_stays_degenerate():
                          np.zeros((2, 2)), [0.0, 1.0])
     assert "exact" in certify_mode(m).flags
     cert = certify_contraction(m)
-    assert cert.method == "sampled" and cert.degenerate
+    assert cert.method == "sampled" and cert.worst_pair is None
 
 
 # ------------------------------------------------------------ nonexpansive

@@ -352,7 +352,7 @@ def test_composed_map_on_point_proximal_sets_is_certified_on_the_realizing_pair(
         assert composed.mode_check.passed and "exact" in composed.mode_check.flags
         cert = certify_contraction(composed)
         assert cert.samples == 1
-        assert cert.degenerate and cert.alpha_hat == 0.0
+        assert cert.worst_pair is None and cert.alpha_hat == 0.0
 
 
 def test_composed_map_keeps_contraction_modulus(seg):
@@ -370,22 +370,25 @@ def test_compose_rejects_expansive_map(seg):
 
 
 def test_compose_rejects_a_map_that_leaves_the_proximal_sets():
-    # the identity, except that A's proximal edge x = 1 moves to x = 0.5:
-    # d(Tx, Ty) = d(x, y) on the sampled pairs, so alpha_hat is 1.0 and the
-    # composition is refused only for leaving the proximal sets
+    # the identity, except that A's proximal edge x = 1 moves to x = 0.5 but
+    # for a* = (1, 0.5): d(Tx, Ty) = d(x, y) on the sampled pairs and on
+    # (a*, b*), so alpha_hat is 1.0 and the composition is refused only for
+    # leaving the proximal sets
     sp = LpSpace(2, 2.0)
     inst = ProximityInstance(Box(sp, [0.0, 0.0], [1.0, 1.0]),
                              Box(sp, [2.0, 0.0], [3.0, 1.0]))
+    assert_allclose(inst.realizing_pair[0], [1.0, 0.5])
     moves_edge = MapSpec.blackbox(
-        inst, "noncyclic", lambda x: np.array([0.5, x[1]]) if x[0] == 1.0 else x)
+        inst, "noncyclic",
+        lambda x: np.array([0.5, x[1]]) if x[0] == 1.0 and x[1] != 0.5 else x)
     assert certify_contraction(moves_edge).alpha_hat == 1.0
     with pytest.raises(PreconditionError,
                        match="does not preserve the proximal sets") as err:
         compose_with_projector(moves_edge)
-    # the named point is proximal, (1, y) or its translate (2, y), at the
-    # height y of the realizing pair
+    # the named point is proximal, (1, y) or its translate (2, y), at a
+    # height y that the map moves
     named = json.loads(re.search(r"\[[^\]]*\]", str(err.value)).group())
-    assert named[0] in (1.0, 2.0) and named[1] == inst.realizing_pair[0][1]
+    assert named[0] in (1.0, 2.0) and 0.0 <= named[1] <= 1.0 and named[1] != 0.5
 
 
 def test_composed_domain_is_proximal(balls):

@@ -233,10 +233,10 @@ def test_map_leaving_the_proximal_sets_fails_commutation_with_a_reason():
 
 
 def test_map_leaving_the_proximal_sets_on_a_face_fails_the_mode_flip():
-    # a* on A and b* on B, except that the face x0 == 1 of A goes to
-    # (0.5, x1).  Body samples never hit that face, so the map certifies as a
-    # noncyclic contraction; composed with P it sends B0 - v, which is that
-    # face, into A but off A0
+    # a* on A and b* on B, except that the face x0 == 1 of A, but for a*
+    # itself, goes to (0.5, x1).  Body samples never hit that face, so the
+    # map certifies as a noncyclic contraction; composed with P it sends
+    # B0 - v, which is that face, into A but off A0
     doc = parse_instance({
         "name": "boxes-face", "space": {"dim": 2, "p": 2.0},
         "bodies": {"A": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
@@ -246,7 +246,7 @@ def test_map_leaving_the_proximal_sets_on_a_face_fails_the_mode_flip():
     a_star, b_star = inst.realizing_pair
 
     def func(x):
-        if x[0] == 1.0:
+        if x[0] == 1.0 and x[1] != a_star[1]:
             return np.array([0.5, x[1]])
         return np.array(a_star if inst.A.member(x) else b_star)
 

@@ -11,7 +11,8 @@ verify` on the builtins `segpair` and `ballpair` and on the instance
 documents of seeds 1 and 2 of every workload in `perfbench/inputs.py`,
 on the PLANTED documents, whose verify fails or whose build refuses a
 map's declared mode, on the FACES documents, whose verify passes with
-proximal sets that are a segment and a point, and on the EDGES documents,
+proximal sets that are a segment and a point, and with maps on polygons,
+and on the EDGES documents,
 once against each tree's `src`, in a subprocess per tree.  The builtins are run a second time with `--seed 5`,
 so that a change to how the seed reaches the certifiers' and checks'
 samples shows up.  Then it reports whether the exit codes are equal, how
@@ -99,13 +100,18 @@ PLANTED = [
 # the distance to that corner and to B's (2, 2), run from the corner.  A
 # third, two parallel diagonal segments, is the one document whose bodies
 # are general (not axis-aligned) segments; its maps contract by 1/4 towards
-# c = (0.75, 0.75), the middle of A0, and c + v, v = (0.5, -0.5).
+# c = (0.75, 0.75), the middle of A0, and c + v, v = (0.5, -0.5).  The
+# fourth is the polygon pair with a noncyclic map that halves the distance
+# of the first coordinate to 0.5, so that maps and P's domain check meet
+# polygons.
+_POLYGON_BODIES = {
+    "A": {"kind": "polytope",
+          "vertices": [[-1.0, -1.0], [1.0, -1.0], [1.0, 0.0], [-1.0, 0.0]]},
+    "B": {"kind": "polytope",
+          "vertices": [[0.0, 0.5], [1.5, 0.5], [1.2, 1.5], [0.2, 1.5]]}}
 FACES = [
     {"name": "polygons-parallel", "space": {"dim": 2, "p": 2.0}, "tol": 1e-9,
-     "bodies": {"A": {"kind": "polytope",
-                      "vertices": [[-1.0, -1.0], [1.0, -1.0], [1.0, 0.0], [-1.0, 0.0]]},
-                "B": {"kind": "polytope",
-                      "vertices": [[0.0, 0.5], [1.5, 0.5], [1.2, 1.5], [0.2, 1.5]]}}},
+     "bodies": _POLYGON_BODIES},
     {"name": "boxes-diagonal", "space": {"dim": 2, "p": 3.0}, "tol": 1e-9,
      "bodies": {"A": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
                 "B": {"kind": "box", "lower": [2.0, 2.0], "upper": [3.0, 3.0]}},
@@ -131,12 +137,19 @@ FACES = [
                "x0": [0.75, 0.75]},
               {"name": "reduce-S", "solver": "reduce-noncyclic", "map": "S",
                "x0": [0.75, 0.75]}]},
+    {"name": "polygons-parallel-maps", "space": {"dim": 2, "p": 2.0}, "tol": 1e-9,
+     "bodies": _POLYGON_BODIES,
+     "maps": [{"name": "S", "mode": "noncyclic", "kind": "affine",
+               "matrix": [[0.5, 0.0], [0.0, 1.0]], "offset": [0.25, 0.0]}],
+     "runs": [{"name": "project-S", "solver": "project", "map": "S", "x0": [0.0, 0.0]},
+              {"name": "reduce-S", "solver": "reduce-noncyclic", "map": "S",
+               "x0": [1.0, 0.0]}]},
 ]
 
 # Documents at two edges of the input: a ball pair with a noncyclic map
 # within 1e-12 of a constant pair whose B image misses b* by 1e-3, so that
-# its `project` run stops on a step below tol with a residual of 1e-3 and
-# must not report convergence, and the segments of segments-diagonal with
+# its certificate must refuse it at (a*, b*), where the sampled pairs alone
+# would give alpha_hat 0.00686, and the segments of segments-diagonal with
 # A declared by three vertices, one of them inside it.
 EDGES = [
     {"name": "ballpair-near-constant", "space": {"dim": 2, "p": 2.0}, "tol": 1e-9,
@@ -243,7 +256,6 @@ def _calls(docs_dir: Path) -> list:
 def _run_tree(tree: Path, calls: list, out: Path) -> list:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env.pop("PROXIPAIR_OUT", None)  # it would override --out
     proc = subprocess.run([sys.executable, "-c", RUNNER, json.dumps(calls), str(out)],
                           env=env, capture_output=True, text=True, cwd=tree)
     if proc.returncode != 0:
