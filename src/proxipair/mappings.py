@@ -7,12 +7,15 @@ declared mode and the contraction modulus
 
     d(Tx, Ty) <= alpha * d(x, y) + (1 - alpha) * dist(A, B)
 
-over cross pairs, reporting the smallest alpha consistent with the samples.
-For an affine map Tx - Ty = M(x - y), so the modulus is a supremum over
-the difference body A - B, which is a box when A and B are.  An estimate
-of at most 1 is relative nonexpansiveness on the same pairs.  A map whose
-pieces all have the zero matrix is certified exactly, on a* and b*, which
-every other modulus estimate evaluates too.
+over cross pairs.  For an affine map Tx - Ty = M(x - y), so the modulus is
+a supremum over the difference body A - B, which is a box when A and B
+are.  A one-piece affine map on such a pair that splits along the gap axis
+(see `_split_modulus`) gets a proven upper bound on the modulus, from the
+norm of one block of M, and is not sampled.  Every other map gets the
+smallest alpha consistent with the pairs it is evaluated on, a lower
+estimate; an estimate of at most 1 is relative nonexpansiveness on the same
+pairs.  A map whose pieces all have the zero matrix is certified exactly,
+on a* and b*, which every lower estimate evaluates too.
 
 The samples come from the instance: `ProximityInstance.cross_samples(n,
 proximal)` draws n points of A and then n of B from the instance's seed, of
@@ -127,7 +130,8 @@ class MapSpec:
     one-row stack, with one matrix product per piece that some row selects.
     A callable is evaluated one row at a time.  `iterate` gives an orbit as a
     stack, from cached block products for a map with matrices, by a scalar
-    loop for a callable.
+    loop for a callable; `block_size` says how many steps a solver asks for
+    at a time.
 
     `mode` is the declared behavior; `mode_check` checks it and
     `contraction` estimates the modulus, each on first use, and the map
@@ -231,6 +235,13 @@ class MapSpec:
                 S[:] = [pieces[k][1] for k in piece[:BLOCK]]
             self._blocks[on_a] = P.reshape(BLOCK * dim, dim), S, np.array(piece[1:]) == 0
         return self._blocks[on_a]
+
+    def block_size(self, done: int) -> int:
+        """How many iterates a solver takes at once after `done` of them: BLOCK
+        for a map with matrices, whose block costs one product; for a
+        callable 1, then as many as it has taken, up to BLOCK, so that a run
+        that stops at step n >= 1 evaluates it at most 2n - 1 times."""
+        return BLOCK if self.func is None else min(BLOCK, max(done, 1))
 
     def iterate(self, x, count: int) -> np.ndarray:
         """The next `count` iterates T(x), T^2(x), ... as a (count, dim) stack, by
@@ -364,34 +375,88 @@ def _reaches_past_dist(inst) -> bool:
     return False
 
 
-ContractionMethod = Literal["exact", "grid", "sampled", "inherited"]
+ContractionMethod = Literal["exact", "bound", "grid", "sampled", "inherited"]
 
 
 @dataclass
 class ContractionCertificate:
-    """Smallest contraction modulus consistent with the evaluated cross pairs.
+    """A contraction modulus alpha_hat and where it comes from (`method`).
 
-    The sampled pairs are row i of A's and of B's points in the instance's
-    `cross_samples`, the same points for every map of the instance; a map of
-    domain "proximal" on point proximal sets has the one pair (a*, b*).
-    `method` says where alpha_hat comes from: "exact" for the supremum of a
-    map whose pieces all have the zero matrix, "grid" when a grid over the
+    "exact" is the supremum of a map whose pieces all have the zero matrix.
+    "bound" is a proven upper bound on the modulus of a map that splits
+    along the gap axis (`_split_modulus`); no pair is evaluated for it.
+    "grid" and "sampled" are lower estimates: the smallest modulus
+    consistent with the evaluated cross pairs.  "grid" when a grid over the
     difference body A - B, refined around the worst difference, was also
-    searched (affine maps on boxes, points and axis-aligned segments),
+    searched (other affine maps on boxes, points and axis-aligned segments),
     "sampled" when only sampled pairs (plus vertex pairs, for affine maps on
-    polytopal bodies) were, and "inherited" when it was carried over from
-    the outer map of a composition with the proximal projection.  "grid"
-    and "sampled" are lower estimates of the true modulus.  `samples`
-    counts the sampled and vertex pairs plus the grid differences evaluated
-    (1 when exact, 0 when inherited).  A worst pair found on the grid is a
+    polytopal bodies) were.  The sampled pairs are row i of A's and of B's
+    points in the instance's `cross_samples`, the same points for every map
+    of the instance; a map of domain "proximal" on point proximal sets has
+    the one pair (a*, b*).  "inherited" is carried over from the outer map
+    of a composition with the proximal projection.  `samples` counts the
+    sampled and vertex pairs plus the grid differences evaluated (1 when
+    exact, 0 when bound or inherited).  A worst pair found on the grid is a
     pair of A x B with the worst difference.  `worst_pair` is None when no
-    pair set a ratio, as when every cross pair realizes dist(A, B).
+    pair set a ratio, as when every cross pair realizes dist(A, B), and for
+    a bound.
     """
 
     alpha_hat: float
     samples: int
     method: ContractionMethod
     worst_pair: tuple[np.ndarray, np.ndarray] | None
+
+
+def _split_modulus(m) -> float | None:
+    """A proven modulus of m when it splits along the gap axis, else None.
+
+    m splits when it is one affine piece x -> M x + c of domain "full" on
+    boxes (points, axis-aligned segments) A and B that are apart along
+    exactly one axis i, flat along i in both bodies, while M e_i = +-e_i and
+    row i of M is 0 on the free axes F, along which A or B extends.  Each is
+    decided by exact comparisons of the bodies' bounds.  Then every cross
+    difference z = x - y has z_i = D, with |D| = dist(A, B), and z_j = 0 off
+    F and i, so ||z||^p = |D|^p + ||z_F||^p and ||Mz||^p = |D|^p +
+    ||M' z_F||^p, where M' is M without row i, on the columns F.  As
+    h(s) = (|D|^p + s^p)^(1/p) - |D| is convex and increasing with h(0) = 0,
+    h(ms) <= m h(s) for m <= 1, so (d(Tx, Ty) - dist) / (d(x, y) - dist) <=
+    m for every m >= ||M'||_p.  m is the Riesz-Thorin bound
+    ||M'||_1^(1/p) ||M'||_inf^(1 - 1/p), exact for a signed diagonal M',
+    and taken as ||M'||_1 itself when the two norms are equal.
+    """
+    boxes = m.instance.A.box, m.instance.B.box
+    if not m.is_affine or m.domain != "full" or None in boxes:
+        return None
+    (lo_a, hi_a), (lo_b, hi_b) = boxes
+    apart = np.flatnonzero((hi_a < lo_b) | (hi_b < lo_a))
+    if len(apart) != 1:
+        return None
+    free = (lo_a < hi_a) | (lo_b < hi_b)
+    i, M = apart[0], m.matrix
+    # with M[i, i] = +-1, row i is 0 on the free axes only if i is flat
+    if abs(M[i, i]) != 1.0 or np.count_nonzero(M[:, i]) != 1 or M[i, free].any():
+        return None
+    block = np.abs(np.delete(M, i, axis=0)[:, free])
+    col, row = (float(block.sum(axis=k).max(initial=0.0)) for k in (0, 1))
+    p = m.instance.space.p
+    return col if col == row else col ** (1.0 / p) * row ** (1.0 - 1.0 / p)
+
+
+def worst_ratio(m, xs: np.ndarray, ys: np.ndarray
+                ) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
+    """The largest (d(Tx, Ty) - dist) / (d(x, y) - dist) over the rows x of
+    xs and y of ys with d(x, y) - dist > tol, and its pair; (0.0, None) when
+    no pair has one."""
+    inst = m.instance
+    before = inst.space.norms(xs - ys) - inst.dist
+    after = inst.space.norms(m.apply_many(xs) - m.apply_many(ys)) - inst.dist
+    valid = np.flatnonzero(before > inst.tol)
+    if not len(valid):
+        return 0.0, None
+    ratios = after[valid] / before[valid]
+    i = int(np.argmax(ratios))
+    return float(ratios[i]), (xs[valid[i]], ys[valid[i]])
 
 
 def _grid_alpha(m, lo: np.ndarray, hi: np.ndarray, dist: float, tol: float):
@@ -410,16 +475,19 @@ def _grid_alpha(m, lo: np.ndarray, hi: np.ndarray, dist: float, tol: float):
 
 
 def certify_contraction(m) -> ContractionCertificate:
-    """Estimate the contraction modulus over cross pairs.
+    """Certify or estimate the contraction modulus over cross pairs.
 
     A map of domain "full" that is c_A on A and c_B on B gets the supremum
     max(0, ||c_A - c_B|| - dist) / tol when the bodies have a cross pair past
     dist + tol: A x B is connected, so d(x, y) - dist comes down to tol.  When
     positive, it comes with the pair (a*, b*), which breaks the inequality for
-    every alpha.  Otherwise sampled pairs contribute.  An affine map on boxes,
-    points or axis-aligned segments is also searched on a grid over the box
-    A - B = [lo_A - hi_B, hi_A - lo_B], refined around the worst difference,
-    and gets the method "grid", unless A - B has over MAX_GRID_AXES free axes.
+    every alpha.  A map that splits along the gap axis with a modulus bound
+    m < 1 (`_split_modulus`) gets alpha_hat = m, with method "bound", and no
+    pair is evaluated.  Otherwise sampled pairs contribute (`worst_ratio`).
+    An affine map on boxes, points or axis-aligned segments is also searched
+    on a grid over the box A - B = [lo_A - hi_B, hi_A - lo_B], refined around
+    the worst difference, and gets the method "grid", unless A - B has over
+    MAX_GRID_AXES free axes.
     Then (a*, b*), not counted in `samples`, is evaluated: images farther
     apart than dist + tol break the inequality for every alpha, so alpha_hat
     is at least the exact path's excess / tol, with (a*, b*) the worst pair
@@ -434,19 +502,14 @@ def certify_contraction(m) -> ContractionCertificate:
             alpha_hat=max(excess, 0.0) / inst.tol, samples=1, method="exact",
             worst_pair=inst.realizing_pair if excess > 0 else None)
 
+    bound = _split_modulus(m)
+    if bound is not None and bound < 1.0:
+        return ContractionCertificate(alpha_hat=bound, samples=0, method="bound",
+                                      worst_pair=None)
+
     xs, ys = _cross_pairs(m)
-    before = inst.space.norms(xs - ys)
-    after = inst.space.norms(m.apply_many(xs) - m.apply_many(ys))
-    valid = before - dist > inst.tol
+    alpha, worst_pair = worst_ratio(m, xs, ys)
     evaluated = int(len(xs))
-    alpha = 0.0
-    worst_pair = None
-    if np.any(valid):
-        ratios = (after[valid] - dist) / (before[valid] - dist)
-        i = int(np.argmax(ratios))
-        alpha = float(ratios[i])
-        idx = np.nonzero(valid)[0][i]
-        worst_pair = (xs[idx], ys[idx])
 
     method: ContractionMethod = "sampled"
     boxes = inst.A.box, inst.B.box

@@ -8,14 +8,15 @@ All solvers check their preconditions against the map's certificates
 flag non-convergence instead of raising.
 
 A run computes its orbit x_0, x_1, ... in blocks of up to BLOCK iterates
-(`MapSpec.iterate`), decides its stopping rule on each block's stacked
-norms, which are also the trace's gaps, and stacks the blocks into one
-(n, dim) array for the trace, the residual and the reductions.  No solver
-projects onto a body or evaluates P step by step: P is the translation by
-v = b* - a* (`ProximityInstance.v`), a map composed with P is a MapSpec of
-domain "proximal", and a run checks each block's points against P's domain
-in one `ProximalProjector.project_many` call, which also gives the
-projection iteration its companions y_n = P(x_n).  A proximal start passes
+(`MapSpec.iterate`, sized by `MapSpec.block_size`), decides its stopping
+rule on each block's stacked norms, which are also the trace's gaps, and
+stacks the blocks into one (n, dim) array for the trace, the residual and
+the reductions.  No solver projects onto a body or evaluates P step by
+step: P is the translation by v = b* - a* (`ProximityInstance.v`), a map
+composed with P is a MapSpec of domain "proximal", and a run checks each
+block's points against P's domain in one `ProximalProjector.project_many`
+call, which also gives the projection iteration its companions
+y_n = P(x_n).  A proximal start passes
 the same check; a run that leaves the proximal sets ends with that block, in
 a DomainError naming the point and its row in the run.  A reduction's
 composed orbit is its inner run's, extended by the composed map only past it.
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .geometry import Side
-from .mappings import BLOCK, ContractionCertificate, ContractionMethod
+from .mappings import ContractionCertificate, ContractionMethod
 from .operators import ProximalProjector, compose_with_projector
 
 DEFAULT_TOL = 1e-9
@@ -178,7 +179,7 @@ def picard_cyclic(m, x0, tol: float = DEFAULT_TOL,
     orbit, gap_blocks, prev = [x[None, :]], [], np.repeat(x[None, :], 3, axis=0)
     n0, converged = 0, False
     while not converged and n0 <= max_iter:
-        k = min(BLOCK, max_iter + 1 - n0)
+        k = min(m.block_size(n0), max_iter + 1 - n0)
         W = np.vstack([prev, m.iterate(prev[-1], k)])
         g = space.norms(W[3:] - W[2:-1]) - inst.dist
         ns = np.arange(n0, n0 + k)
@@ -226,7 +227,7 @@ def noncyclic_projection_iteration(m, x0, tol: float = DEFAULT_TOL,
     orbit, companions = [], []
     rows, n, converged = x[None, :], 0, False  # the start, checked with the first block
     while not orbit or (not converged and n < max_iter):
-        block = m.iterate(rows[-1], min(BLOCK, max_iter - n))
+        block = m.iterate(rows[-1], min(m.block_size(n), max_iter - n))
         small = space.norms(np.diff(np.vstack([rows[-1:], block]), axis=0)) < tol
         if small.any():
             block, converged = block[:int(np.argmax(small)) + 1], True

@@ -1,15 +1,19 @@
 """Instance-level verification: every structural claim checked numerically.
 
 Given a built instance this runs the projector property suite, commutation,
-mode-flip and inherited-modulus checks for the declared maps, executes the
-declared solver runs, and validates the orbit identities the reductions rely
-on.  Each check is a `CheckResult`, defined in `mappings`: its worst
-observed deviation against an explicit threshold.  The report is JSON-ready
-for the command line.  The map checks read the certificates kept on each map
-and on its composition with P (`MapSpec.mode_check`, `contraction` and
-`composed`): the mode-flip check is the composed map's mode check, renamed,
-and only the inherited-modulus check samples a composed map again.  The
-checks take their points from the instance's samples, on which the maps were
+mode-flip, inherited-modulus and lowering checks for the declared maps,
+executes the declared solver runs, and validates the orbit identities the
+reductions rely on.  Each check is a `CheckResult`, defined in `mappings`:
+its worst observed deviation against an explicit threshold.  The report is
+JSON-ready for the command line.  The map checks read the certificates kept
+on each map and on its composition with P (`MapSpec.mode_check`,
+`contraction` and `composed`): the mode-flip check is the composed map's
+mode check, renamed.  The inherited-modulus check evaluates the composed
+map's worst ratio: on the proximal samples of the other checks when the
+outer map's modulus is a proven bound, on a fresh 10,000-pair proximal
+draw when it is a lower estimate.  The lowering check holds the composed
+map to the outer map at the translates x + v and x - v.  The checks take
+their points from the instance's samples, on which the maps were
 certified; only the uniqueness starts and the projector checks' further
 draws have generators of their own, seeded with the instance's seed.
 """
@@ -22,7 +26,7 @@ import numpy as np
 
 from .errors import PreconditionError, ProxipairError
 from .instances import BuiltInstance
-from .mappings import CheckResult, certify_contraction
+from .mappings import CheckResult, certify_contraction, worst_ratio
 from .operators import check_commutation, compose_with_projector, verify_projector_properties
 
 IDENTITY_THRESHOLD = 1e-9
@@ -51,17 +55,25 @@ class VerificationReport:
 
 
 def _map_checks(built: BuiltInstance, samples: int, flags: list) -> list:
-    """Commutation for noncyclic maps; mode flip and inherited modulus for
-    certified contractions.
+    """Commutation for noncyclic maps; mode flip, inherited modulus and
+    lowering for certified contractions.
 
-    The inherited-modulus check re-samples the composed map and compares its
-    modulus with the one it inherited from the outer map, which keeps the
-    inheritance claim itself under test.  The mode flip passes once the
-    composition exists: `compose_with_projector` raises unless the composed
-    map, of the flipped mode, passes its mode check.  Every check here
-    samples the proximal sets, so each carries `flags`.
+    The inherited-modulus check compares the composed map's worst ratio on
+    proximal pairs with the modulus it inherited from the outer map, which
+    keeps the inheritance claim itself under test.  Those pairs are the
+    proximal `cross_samples(samples)` when the outer modulus is a proven
+    bound, and the composed map's own 10,000 sampled pairs when it is a lower
+    estimate, which fewer pairs would not reach.  The mode flip passes once
+    the composition exists: `compose_with_projector` raises unless the
+    composed map, of the flipped mode, passes its mode check.  The lowering
+    check holds the composed map at x in A0 (B0) to the outer map at x + v
+    (x - v), on the same proximal samples, so that a wrong lowering of P
+    fails.  Every check here samples the proximal sets, so each carries
+    `flags`.
     """
     checks = []
+    inst = built.instance
+    xs, ys = inst.cross_samples(samples, proximal=True)
     for name, m in built.maps.items():
         if m.mode == "noncyclic":
             checks.append(replace(check_commutation(m, samples=samples), flags=list(flags)))
@@ -69,26 +81,39 @@ def _map_checks(built: BuiltInstance, samples: int, flags: list) -> list:
             continue
         flip = f"map-{name}-mode-flip", "composition-flips-mode"
         modulus = f"map-{name}-inherited-modulus", "composition-keeps-modulus"
+        lowering = f"map-{name}-lowering", "composition-lowers-projector"
         try:
             composed = compose_with_projector(m)
             inherited = composed.contraction.alpha_hat
-            resampled = certify_contraction(composed).alpha_hat
+            if m.contraction.method == "bound":
+                observed = worst_ratio(composed, xs, ys)[0]
+                how = f"alpha {observed:.6g} on {samples} proximal pairs"
+            else:
+                observed = certify_contraction(composed).alpha_hat
+                how = f"re-sampled alpha {observed:.6g}"
         except ProxipairError as exc:
             checks += [
-                CheckResult.failed(*flip, built.instance.tol * 10.0, str(exc),
-                                   flags=list(flags)),
+                CheckResult.failed(*flip, inst.tol * 10.0, str(exc), flags=list(flags)),
                 CheckResult.failed(*modulus, INHERITED_MODULUS_SLACK, str(exc),
+                                   flags=list(flags)),
+                CheckResult.failed(*lowering, IDENTITY_THRESHOLD, str(exc),
                                    flags=list(flags))]
             continue
+        points = np.vstack([xs, ys])
+        outer = m.apply_many(np.vstack([xs + inst.v, ys - inst.v]))
         checks += [
             replace(composed.mode_check, name=flip[0], tag=flip[1], flags=list(flags),
                     details=f"composed map certifies as {composed.mode}"),
             CheckResult(*modulus,
-                        passed=resampled <= inherited + INHERITED_MODULUS_SLACK,
-                        worst_deviation=max(resampled - inherited, 0.0),
+                        passed=observed <= inherited + INHERITED_MODULUS_SLACK,
+                        worst_deviation=max(observed - inherited, 0.0),
                         threshold=INHERITED_MODULUS_SLACK, flags=list(flags),
-                        details=f"re-sampled alpha {resampled:.6g}, "
-                                f"inherited alpha {inherited:.6g}")]
+                        details=f"{how}, inherited alpha {inherited:.6g}"),
+            CheckResult.worst_of(
+                *lowering, inst.space.norms(composed.apply_many(points) - outer),
+                IDENTITY_THRESHOLD, (points, outer), flags=list(flags),
+                details=f"{composed.name} against {name} at x + v on A0 and x - v "
+                        f"on B0, over {samples} proximal points per side")]
     return checks
 
 

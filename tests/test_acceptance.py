@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from proxipair.geometry import distance_between
+from proxipair.geometry import LpSpace, Polytope, ProximityInstance, distance_between
 from proxipair.instances import (
     build,
     builtin_instance,
     generate_random_instance,
     parse_instance,
 )
+from proxipair.mappings import MapSpec, certify_contraction
 from proxipair.operators import (
     check_commutation,
     verify_projector_properties,
@@ -206,11 +207,27 @@ def test_criterion_08_contraction_modulus_oracle(segpair):
     u = np.linspace(1.0 / n, 1.0, n)
     ratio = (np.sqrt(u * u / 4.0 + 1.0) - 1.0) / (np.sqrt(u * u + 1.0) - 1.0)
     oracle = float(np.max(ratio))
-    alpha = certs["T"].alpha_hat
-    assert alpha == pytest.approx(0.2850, abs=1e-3)
-    assert alpha == pytest.approx(oracle, abs=1e-9)
-    assert certs["S"].alpha_hat == pytest.approx(oracle, abs=1e-9)
-    _report(8, f"alpha_hat {alpha:.10f} vs grid oracle {oracle:.10f}")
+    assert oracle == pytest.approx(0.2850, abs=1e-3)
+    # T and S split along the gap axis: alpha_hat is the proven bound, the
+    # norm 0.5 of the block of M along the segments
+    for name in ("T", "S"):
+        assert (certs[name].method, certs[name].alpha_hat) == ("bound", 0.5)
+        assert oracle <= certs[name].alpha_hat
+    # with B moved 2 along the segments the gap is diagonal, T does not
+    # split, and its grid estimate meets that geometry's oracle
+    sp = LpSpace(2, 2.0)
+    moved = ProximityInstance(Polytope(sp, [[1.0, 0.0], [2.0, 0.0]]),
+                              Polytope(sp, [[3.0, 1.0], [4.0, 1.0]]))
+    T = built.maps["T"]
+    cert = certify_contraction(MapSpec.affine(moved, "cyclic", T.matrix, T.offset))
+    u = np.linspace(1.0, 3.0, n)[1:]
+    d = np.sqrt(2.0)
+    ratio = (np.sqrt(u * u / 4.0 + 1.0) - d) / (np.sqrt(u * u + 1.0) - d)
+    moved_oracle = float(np.max(ratio))
+    assert cert.method == "grid"
+    assert cert.alpha_hat == pytest.approx(moved_oracle, abs=1e-9)
+    _report(8, f"oracle {oracle:.10f} <= bound 0.5; moved B: grid alpha_hat "
+               f"{cert.alpha_hat:.10f} vs oracle {moved_oracle:.10f}")
 
 
 def test_criterion_09_gap_decay(segpair, ballpair, generated):

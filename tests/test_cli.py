@@ -67,7 +67,7 @@ def test_solve_segpair_writes_everything(tmp_path, capsys):
         assert header == "index,side,x0,x1,y0,y1,gap"
     direct = json.loads((tmp_path / "segpair-picard-T.summary.json").read_text())
     reduced = json.loads((tmp_path / "segpair-reduce-T.summary.json").read_text())
-    assert direct["alpha_method"] == "grid"
+    assert (direct["alpha_method"], direct["alpha_hat"]) == ("bound", 0.5)
     assert reduced["alpha_method"] == "inherited"
     assert reduced["alpha_hat"] == direct["alpha_hat"]
 
@@ -450,11 +450,11 @@ def _count_certifier_calls(monkeypatch, *argv):
                            "certify_mode on a composed map": 2}),
     ("solve", "segpair", {"certify_mode": 6, "certify_contraction": 2,
                           "certify_mode on a composed map": 2}),
-    # verify reads each composition's mode check for the mode-flip check and
-    # re-samples its modulus once for the inherited-modulus check
-    ("verify", "segpair", {"certify_mode": 6, "certify_contraction": 6,
-                           "certify_mode on a composed map": 2,
-                           "certify_contraction on a composed map": 2}),
+    # verify reads each composition's mode check for the mode-flip check;
+    # T and S have bounds, so the inherited-modulus check certifies nothing
+    # again and evaluates the composition on the checks' proximal samples
+    ("verify", "segpair", {"certify_mode": 6, "certify_contraction": 4,
+                           "certify_mode on a composed map": 2}),
 ])
 def test_each_map_is_certified_once(tmp_path, monkeypatch, command, instance,
                                     expected):

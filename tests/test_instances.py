@@ -212,7 +212,7 @@ def test_build_keeps_the_mode_certificate():
     assert np.array_equal(ys, inst.B.sample(stream, 20))
     assert "contraction" not in vars(T)  # estimated when a solver first needs it
     built.run("picard-T")
-    assert vars(T)["contraction"].method == "grid"
+    assert vars(T)["contraction"].method == "bound"
 
 
 # -------------------------------------------------------------- generator

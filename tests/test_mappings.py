@@ -34,6 +34,15 @@ def seg():
 
 
 @pytest.fixture(scope="module")
+def moved():
+    # seg with B moved 2 along the segments: the gap (2, 1) is diagonal, so
+    # no map splits along a gap axis and affine maps keep the grid
+    sp = LpSpace(2, 2.0)
+    return ProximityInstance(Polytope(sp, [[1.0, 0.0], [2.0, 0.0]]),
+                             Polytope(sp, [[3.0, 1.0], [4.0, 1.0]]))
+
+
+@pytest.fixture(scope="module")
 def balls():
     sp = LpSpace(2, 2.0)
     return ProximityInstance(Ball(sp, [-2.0, 0.0], 1.0), Ball(sp, [2.0, 0.0], 1.0))
@@ -336,16 +345,33 @@ def segpair_alpha_oracle():
     return float(np.max(r))
 
 
-def test_contraction_modulus_matches_grid_oracle(seg):
+def test_split_map_gets_the_bound_above_the_oracle(seg):
+    # T moves the pairs' gap axis rigidly and halves the other: its modulus
+    # is the proven bound 0.5, above the supremum of the ratio, attained at
+    # the endpoint pair
+    oracle = segpair_alpha_oracle()
+    assert_allclose(oracle, (math.sqrt(1.25) - 1.0) / (math.sqrt(2.0) - 1.0), atol=1e-9)
     cert = certify_contraction(map_T(seg))
+    assert (cert.method, cert.alpha_hat, cert.samples) == ("bound", 0.5, 0)
+    assert cert.worst_pair is None
+    assert oracle <= cert.alpha_hat
+
+
+def test_contraction_modulus_matches_grid_oracle(moved):
+    # z = x - y = (-u, -1) for u in [1, 3], so the ratio is
+    # (sqrt(u^2/4 + 1) - sqrt 2) / (sqrt(u^2 + 1) - sqrt 2), largest at u = 3
+    cert = certify_contraction(map_T(moved))
     assert cert.method == "grid"
-    assert_allclose(cert.alpha_hat, segpair_alpha_oracle(), atol=1e-6)
+    u = np.linspace(1.0, 3.0, 400_001)[1:]
+    d = math.sqrt(2.0)
+    oracle = np.max((np.sqrt(u * u / 4.0 + 1.0) - d) / (np.sqrt(u * u + 1.0) - d))
+    assert_allclose(cert.alpha_hat, oracle, atol=1e-9)
     # closed form of the maximum, attained at the endpoint pair
     assert_allclose(cert.alpha_hat,
-                    (math.sqrt(1.25) - 1.0) / (math.sqrt(2.0) - 1.0), atol=1e-12)
+                    (math.sqrt(3.25) - d) / (math.sqrt(10.0) - d), atol=1e-12)
     x, y = cert.worst_pair
     assert_allclose(x, [1.0, 0.0], atol=1e-9)
-    assert_allclose(y, [2.0, 1.0], atol=1e-9)
+    assert_allclose(y, [4.0, 1.0], atol=1e-9)
 
 
 def test_contraction_modulus_same_for_both_modes(seg):
@@ -355,11 +381,11 @@ def test_contraction_modulus_same_for_both_modes(seg):
     assert_allclose(a1, a2, atol=1e-12)
 
 
-def test_contraction_certificate_stable_under_doubling(seg, monkeypatch):
+def test_contraction_certificate_stable_under_doubling(moved, monkeypatch):
     monkeypatch.setattr(mappings, "DEFAULT_CONTRACTION_SAMPLES", 5000)
-    c1 = certify_contraction(map_T(seg))
+    c1 = certify_contraction(map_T(moved))
     monkeypatch.setattr(mappings, "DEFAULT_CONTRACTION_SAMPLES", 10_000)
-    c2 = certify_contraction(map_T(seg))
+    c2 = certify_contraction(map_T(moved))
     assert abs(c1.alpha_hat - c2.alpha_hat) <= 1e-3
 
 
@@ -369,6 +395,103 @@ def test_isometries_are_not_contractions(seg):
     assert certify_contraction(swap).alpha_hat == 1.0
     assert not certify_contraction(swap).alpha_hat < 1.0
     assert certify_contraction(ident).alpha_hat == 1.0
+
+
+def test_split_maps_whose_bound_is_not_below_1_keep_the_grid(seg):
+    # swap and identity split along the gap axis, but with ||M'|| = 1 the
+    # bound proves nothing, so they are searched and keep the grid estimate
+    swap = MapSpec.affine(seg, "cyclic", [[1.0, 0.0], [0.0, -1.0]], [0.0, 1.0])
+    ident = MapSpec.affine(seg, "noncyclic", np.eye(2))
+    for m in (swap, ident):
+        assert mappings._split_modulus(m) == 1.0
+        cert = certify_contraction(m)
+        assert (cert.method, cert.alpha_hat) == ("grid", 1.0)
+        assert cert.samples == DEFAULT_CONTRACTION_SAMPLES + 4 + 4 * 41
+
+
+@pytest.mark.parametrize("entry,why", [
+    ((1, 0), "row 1, the gap axis, is not 0 on the free axis 0"),
+    ((0, 1), "column 1 is not +-e_1"),
+    ((1, 1), "M[1, 1] is not +-1"),
+])
+def test_maps_that_do_not_split_keep_the_grid(seg, entry, why):
+    # T with one entry changed: no proven bound, so the map is searched
+    M = np.array([[0.5, 0.0], [0.0, -1.0]])
+    M[entry] += 0.1
+    m = MapSpec.affine(seg, "cyclic", M, [0.5, 1.0])
+    assert mappings._split_modulus(m) is None, why
+    cert = certify_contraction(m)
+    assert cert.method == "grid" and cert.samples > 0
+    assert cert.worst_pair is not None
+
+
+def _split_map(rng, dim: int, p: float, gap: float, block: str):
+    """A box pair `gap` apart along one axis i and flat along it, with each
+    other axis free in one body or both or flat in both at one coordinate,
+    and a map with M e_i = +-e_i, row i 0 on the free axes, and a block M'
+    (rows other than i, free columns) that is "dense", one dense "row" or a
+    signed "diagonal", scaled to a Riesz-Thorin bound in [0.3, 0.95]."""
+    sp = LpSpace(dim, p)
+    i = int(rng.integers(dim))
+    lo_a, lo_b = rng.uniform(-1.0, 1.0, dim), rng.uniform(-1.0, 1.0, dim)
+    ext_a, ext_b = rng.uniform(0.5, 2.0, dim), rng.uniform(0.5, 2.0, dim)
+    for j in range(dim):
+        kind = rng.integers(4) if j != i else 4
+        if kind == 1:
+            ext_a[j] = 0.0  # B extends along j
+        elif kind == 2:
+            ext_b[j] = 0.0  # A extends along j
+        elif kind == 3:
+            ext_a[j] = ext_b[j] = 0.0
+            lo_b[j] = lo_a[j]
+        elif kind == 4:
+            ext_a[j] = ext_b[j] = 0.0
+            lo_b[j] = lo_a[j] + rng.choice([-1.0, 1.0]) * gap
+        if kind in (0, 1, 2):  # the intervals along j overlap
+            lo_b[j] = rng.uniform(lo_a[j] - ext_b[j], lo_a[j] + ext_a[j])
+    inst = ProximityInstance(Box(sp, lo_a, lo_a + ext_a), Box(sp, lo_b, lo_b + ext_b))
+    free = (ext_a > 0) | (ext_b > 0)
+    M = rng.normal(size=(dim, dim))
+    if block == "diagonal":
+        M = np.diag(np.diag(M))
+    elif block == "row":
+        M[np.arange(dim) != (i + int(rng.integers(1, dim))) % dim] = 0.0
+    M[:, i] = 0.0
+    M[i, i] = rng.choice([-1.0, 1.0])
+    M[i, free] = 0.0
+    rows = np.abs(np.delete(M, i, axis=0)[:, free])
+    col, row = rows.sum(axis=0).max(initial=0.0), rows.sum(axis=1).max(initial=0.0)
+    norm = col ** (1.0 / p) * row ** (1.0 - 1.0 / p)
+    if norm > 0.0:
+        M[np.arange(dim) != i] *= rng.uniform(0.3, 0.95) / norm
+    mode = "cyclic" if M[i, i] < 0 else "noncyclic"
+    return MapSpec.affine(inst, mode, M, rng.normal(size=dim))
+
+
+@pytest.mark.parametrize("block", ["dense", "row", "diagonal"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_bound_is_above_the_grid_and_every_sampled_ratio(dim, p, block, monkeypatch):
+    rng = np.random.default_rng([dim, int(2 * p), len(block)])
+    # at a gap of 0.01 the ratios come near ||M'||_p, which a bound below
+    # it, as min(||M'||_1, ||M'||_inf) for a row, would not reach
+    for gap in (0.01, rng.uniform(0.3, 2.0)):
+        m = _split_map(rng, dim, p, gap, block)
+        bound = certify_contraction(m)
+        assert bound.method == "bound" and bound.samples == 0
+        assert bound.alpha_hat < 1.0
+        xs, ys = m.instance.cross_samples(DEFAULT_CONTRACTION_SAMPLES)
+        sampled, _ = mappings.worst_ratio(m, xs, ys)
+        assert sampled <= bound.alpha_hat + 1e-12
+        with monkeypatch.context() as patched:
+            patched.setattr(mappings, "_split_modulus", lambda m: None)
+            grid = certify_contraction(m)
+        assert grid.method == "grid"
+        assert sampled <= grid.alpha_hat + 1e-12
+        assert grid.alpha_hat <= bound.alpha_hat + 1e-12
+        if block == "diagonal" and gap == 0.01:
+            # the bound is exact for a signed diagonal: the grid comes close
+            assert grid.alpha_hat >= 0.95 * bound.alpha_hat
 
 
 def test_constant_map_contracts_to_zero(balls):
@@ -496,7 +619,8 @@ def test_doubling_map_fails_nonexpansive(seg):
 
 
 def test_box_pair_affine_contraction_certifies(rng):
-    # flat boxes along the gap axis, diagonal contraction toward an anchor
+    # flat boxes along the gap axis, diagonal contraction toward an anchor:
+    # the map splits, and its modulus is the bound 0.5
     sp = LpSpace(3, 2.0)
     A = Box(sp, [0.0, 0.0, 0.0], [1.0, 2.0, 0.0])
     B = Box(sp, [0.0, 0.0, 1.5], [1.0, 2.0, 1.5])
@@ -506,6 +630,12 @@ def test_box_pair_affine_contraction_certifies(rng):
     S = MapSpec.affine(inst, "noncyclic", M, (np.eye(3) - M) @ anchor)
     assert "exact" in certify_mode(S).flags
     cert = certify_contraction(S)
+    assert (cert.method, cert.alpha_hat, cert.samples) == ("bound", 0.5, 0)
+    # with B also past A along axis 1 the pair is apart along two axes, so
+    # the same map does not split and is searched on the grid
+    apart = ProximityInstance(A, Box(sp, [0.0, 3.0, 1.5], [1.0, 5.0, 1.5]))
+    cert = certify_contraction(MapSpec.affine(apart, "noncyclic", M,
+                                              (np.eye(3) - M) @ anchor))
     assert cert.method == "grid"
     assert 0.0 < cert.alpha_hat < 1.0
 
@@ -540,20 +670,27 @@ def _product_grid_alpha(m, bounds_a, bounds_b, k: int = 6) -> float:
 @pytest.mark.parametrize("kind", ["box", "segment"])
 def test_difference_grid_is_not_beaten_by_a_product_grid(kind, p):
     rng = np.random.default_rng([7, int(p * 2), kind == "box"])
-    dim = 3
+    dim = 3 if kind == "box" else 4
     sp = LpSpace(dim, p)
     for _ in range(3):
         # B lies past A along axis 0 and meets A's shadow on the other axes,
         # so dist(A, B) is the gap along axis 0 and every ratio is >= 0
         if kind == "box":
             ext_a, ext_b = rng.uniform(0.0, 2.0, dim), rng.uniform(0.0, 2.0, dim)
-        else:  # A along axis 1, B along axis 1 or 2
+        else:  # A along axis 1, B along axis 1, 2 or 3
+            along = int(rng.integers(1, dim))
             ext_a = rng.uniform(0.5, 2.0) * np.eye(dim)[1]
-            ext_b = rng.uniform(0.5, 2.0) * np.eye(dim)[int(rng.integers(1, dim))]
+            ext_b = rng.uniform(0.5, 2.0) * np.eye(dim)[along]
         lo_a = rng.uniform(-1.0, 1.0, dim)
         hi_a = lo_a + ext_a
         lo_b = rng.uniform(lo_a, hi_a) - rng.uniform(0.0, 1.0) * ext_b
         lo_b[0] = hi_a[0] + rng.uniform(0.3, 2.0)
+        if kind == "segment":
+            # ... but segments flat along axis 0 would split there, so B also
+            # lies past A along an axis `past` where both are flat: the gap is
+            # diagonal, and the maps, rigid along it, keep the grid
+            past = 3 if along == 2 else 2
+            lo_b[past] = hi_a[past] + rng.uniform(0.3, 2.0)
         hi_b = lo_b + ext_b
         if kind == "box":
             A, B = Box(sp, lo_a, hi_a), Box(sp, lo_b, hi_b)
@@ -561,6 +698,8 @@ def test_difference_grid_is_not_beaten_by_a_product_grid(kind, p):
             A, B = Polytope(sp, [lo_a, hi_a]), Polytope(sp, [lo_b, hi_b])
         inst = ProximityInstance(A, B)
         betas = np.concatenate([[1.0], rng.uniform(0.2, 0.8, dim - 1)])
+        if kind == "segment":
+            betas[past] = 1.0
         for m in _shrink_maps(inst, betas, float(hi_a[0] + lo_b[0])):
             cert = certify_contraction(m)
             assert cert.method == "grid"
@@ -574,13 +713,28 @@ def test_difference_grid_is_not_beaten_by_a_product_grid(kind, p):
 
 
 def test_difference_grid_is_small_at_dim_6():
-    # 10,000 samples, 32 x 32 vertex pairs (the boxes are flat along the gap
-    # axis) and 4 rounds of 1024 differences; a product grid of A x B
-    # evaluates about 4.2 million pairs
+    # the generated boxes are flat along the gap axis and meet each other's
+    # shadow, so both maps split: their bound is the largest beta off the
+    # gap axis, and nothing is sampled
     built = build(generate_random_instance(0, dim=6, p=1.5))
-    assert len(built.instance.A.corners()) == len(built.instance.B.corners()) == 32
+    inst = built.instance
+    assert len(inst.A.corners()) == len(inst.B.corners()) == 32
+    gap = int(np.flatnonzero(inst.v)[0])
     for m in built.maps.values():
         cert = m.contraction
+        betas = np.abs(np.diag(m.matrix))
+        assert (cert.method, cert.samples) == ("bound", 0)
+        assert cert.alpha_hat == np.delete(betas, gap).max()
+    # with B moved past A along another axis too, the maps do not split:
+    # 10,000 samples, 32 x 32 vertex pairs and 4 rounds of 1024
+    # differences, where a product grid of A x B evaluates about 4.2 million
+    # pairs
+    (lo_a, hi_a), (lo_b, hi_b) = inst.A.box, inst.B.box
+    j = (gap + 1) % 6
+    shift = (hi_a[j] - lo_b[j] + 1.0) * np.eye(6)[j]
+    apart = ProximityInstance(inst.A, Box(inst.space, lo_b + shift, hi_b + shift))
+    for m in built.maps.values():
+        cert = certify_contraction(MapSpec.affine(apart, m.mode, m.matrix, m.offset))
         assert cert.method == "grid"
         assert cert.samples == 10_000 + 32 * 32 + 4 * 1024
         assert 0.0 < cert.alpha_hat < 1.0

@@ -355,12 +355,19 @@ def test_composed_map_on_point_proximal_sets_is_certified_on_the_realizing_pair(
         assert cert.worst_pair is None and cert.alpha_hat == 0.0
 
 
-def test_composed_map_keeps_contraction_modulus(seg):
-    alpha_outer = certify_contraction(map_S(seg)).alpha_hat
-    SP = compose_with_projector(map_S(seg))
-    alpha_comp = certify_contraction(SP).alpha_hat
+def test_composed_map_keeps_contraction_modulus():
+    # segments along axis 2 apart along axes 0 and 1: S halves the third
+    # coordinate about 0.5 and does not split along one gap axis, so the
+    # outer estimate is the grid's, which the composition's samples meet
+    sp = LpSpace(3, 3.0)
+    inst = ProximityInstance(Polytope(sp, [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+                             Polytope(sp, [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]))
+    S = MapSpec.affine(inst, "noncyclic", np.diag([1.0, 1.0, 0.5]), [0.0, 0.0, 0.25])
+    outer = certify_contraction(S)
+    assert outer.method == "grid"
+    alpha_comp = certify_contraction(compose_with_projector(S)).alpha_hat
     assert alpha_comp < 1.0
-    assert abs(alpha_comp - alpha_outer) < 0.05
+    assert abs(alpha_comp - outer.alpha_hat) < 0.05
 
 
 def test_compose_rejects_expansive_map(seg):

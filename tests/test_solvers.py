@@ -253,6 +253,32 @@ def test_noncyclic_iterate_off_the_proximal_set_raises(seg):
     assert len(calls) < 2 * BLOCK
 
 
+def test_blackbox_runs_take_blocks_from_1(balls, seg):
+    # a callable's first block is 1 step, and each next block as long as the
+    # run so far, up to BLOCK; a map with matrices takes BLOCK at once
+    cyc, non = const_maps(balls)
+    assert [non.block_size(n) for n in (0, 1, 2, 3, 5, 31, 32, 100)] == [
+        1, 1, 2, 3, 5, 31, 32, 32]
+    assert map_T(seg).block_size(0) == BLOCK
+    calls = []
+    counted = {m.mode: MapSpec.blackbox(balls, m.mode, lambda x, f=m.func: calls.append(1)
+                                        or f(x), name=m.name) for m in (cyc, non)}
+    for m in counted.values():
+        m.mode_check, m.contraction  # certification applies the map too
+    # from a* the projection run stops at step 1: 1 call in the loop, 2 for
+    # the residual and 1 for the prediction, where a first block of BLOCK
+    # steps made BLOCK + 3
+    calls.clear()
+    res = noncyclic_projection_iteration(counted["noncyclic"], [-1.0, 0.0])
+    assert res.converged and res.trace.iterations_used == 1
+    assert len(calls) == 4
+    # Picard stops at step 2, decided with x_3: blocks of 1, 1 and 2 steps
+    calls.clear()
+    res = picard_cyclic(counted["cyclic"], [-1.0, 0.0])
+    assert res.converged and res.trace.iterations_used == 2
+    assert len(calls) == 4
+
+
 def test_noncyclic_constant_map_on_balls(balls):
     _, non = const_maps(balls)
     res = noncyclic_projection_iteration(non, [-1.0, 0.0])

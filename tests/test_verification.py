@@ -26,6 +26,25 @@ def skew_doc():
     return parse_instance(doc.to_dict())
 
 
+def offset_doc():
+    """Segments along axis 2 that lie apart along axes 0 and 1, at p = 3, with
+    maps that halve the third coordinate about 0.5: the pair is not apart
+    along one axis, so the maps do not split and keep the grid estimate."""
+    return parse_instance({
+        "name": "segments-offset", "space": {"dim": 3, "p": 3.0},
+        "bodies": {"A": {"kind": "polytope", "vertices": [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]},
+                   "B": {"kind": "polytope", "vertices": [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]}},
+        "maps": [{"name": "T", "mode": "cyclic", "kind": "affine",
+                  "matrix": [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.5]],
+                  "offset": [1.0, 1.0, 0.25]},
+                 {"name": "S", "mode": "noncyclic", "kind": "affine",
+                  "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]],
+                  "offset": [0.0, 0.0, 0.25]}],
+        "runs": [{"name": "picard-T", "solver": "picard", "map": "T", "x0": [0.0, 0.0, 1.0]},
+                 {"name": "project-S", "solver": "project", "map": "S",
+                  "x0": [0.0, 0.0, 1.0]}]})
+
+
 def test_segpair_verifies_clean():
     report = run_verification(build(builtin_instance("segpair")))
     assert report.passed
@@ -61,11 +80,9 @@ def test_each_contraction_is_composed_with_the_projector_once(monkeypatch):
     assert len(checked) == 2
 
 
-def test_verification_draws_each_proximal_sample_once(monkeypatch):
-    # the projector checks, the commutation and mode-flip checks and the
-    # certificates share the instance's store: one draw per side and size,
-    # 1000 for the checks and the composed maps' mode checks, and 10,000
-    # for the re-sampled moduli
+def _proximal_draws(monkeypatch, doc) -> collections.Counter:
+    """How often `verify` of doc draws n proximal samples of each side, apart
+    from the uniqueness starts of its two direct runs."""
     calls = collections.Counter()
     real = ProximityInstance.sample_proximal
 
@@ -74,10 +91,24 @@ def test_verification_draws_each_proximal_sample_once(monkeypatch):
         return real(inst, side, n, rng)
 
     monkeypatch.setattr(ProximityInstance, "sample_proximal", counted)
-    built = build(builtin_instance("segpair"))
-    assert run_verification(built).passed
-    # the uniqueness starts of picard-T and project-S
+    assert run_verification(build(doc)).passed
     assert calls.pop(("A", UNIQUENESS_STARTS - 1)) == 2
+    return calls
+
+
+def test_verification_draws_each_proximal_sample_once(monkeypatch):
+    # the projector checks, the commutation, mode-flip, inherited-modulus
+    # and lowering checks and the composed maps' mode checks share the
+    # instance's store: one draw of 1000 per side.  T and S have proven
+    # bounds, so their compositions are not re-sampled on 10,000 pairs
+    calls = _proximal_draws(monkeypatch, builtin_instance("segpair"))
+    assert calls == {(side, 1000): 1 for side in "AB"}
+
+
+def test_verification_resamples_compositions_of_grid_maps(monkeypatch):
+    # grid estimates are lower estimates: the inherited-modulus check
+    # re-samples each composition on the store's 10,000 pairs per side
+    calls = _proximal_draws(monkeypatch, offset_doc())
     assert calls == {(side, n): 1 for side in "AB" for n in (1000, 10_000)}
 
 
@@ -125,6 +156,66 @@ def test_inherited_modulus_checks_present_for_contractions_only():
     assert all(c.passed for c in checks)
 
 
+def test_inherited_modulus_reads_the_method_of_the_outer_certificate():
+    # a bound is checked on the proximal samples, a grid estimate re-sampled
+    for doc, method, how in ((builtin_instance("segpair"), "bound", "alpha 0.28"),
+                             (offset_doc(), "grid", "re-sampled alpha 0.14")):
+        built = build(doc)
+        report = run_verification(built, samples=200)
+        for name in ("T", "S"):
+            assert built.maps[name].contraction.method == method
+            check = next(c for c in report.checks
+                         if c.name == f"map-{name}-inherited-modulus")
+            assert check.passed and check.details.startswith(how)
+            if method == "bound":
+                assert " on 200 proximal pairs, inherited alpha 0.5" in check.details
+
+
+def test_understated_bound_fails_inherited_modulus():
+    # a bound planted at 0.1 for T, whose ratios on proximal pairs reach
+    # about 0.285: the composed map's ratios on the checks' samples refute it
+    built = build(builtin_instance("segpair"))
+    T = built.maps["T"]
+    assert T.contraction.method == "bound"
+    vars(T)["contraction"] = mappings.ContractionCertificate(
+        alpha_hat=0.1, samples=0, method="bound", worst_pair=None)
+    report = run_verification(built, samples=200)
+    check = next(c for c in report.checks if c.name == "map-T-inherited-modulus")
+    assert not check.passed
+    assert check.worst_deviation > 0.1
+    assert check.details.endswith("on 200 proximal pairs, inherited alpha 0.1")
+
+
+def test_lowering_checks_present_for_contractions_only():
+    report = run_verification(build(builtin_instance("segpair")))
+    checks = {c.name: c for c in report.checks if c.tag == "composition-lowers-projector"}
+    assert set(checks) == {"map-T-lowering", "map-S-lowering"}
+    for check in checks.values():
+        assert check.passed and check.worst_deviation == 0.0
+        assert check.threshold == verification.IDENTITY_THRESHOLD
+
+
+@pytest.mark.parametrize("piece", ["offset", "offset_b"])
+def test_wrong_lowering_fails_the_lowering_check(piece):
+    # T's composition with P, planted with one piece's offset off by 1e-6:
+    # on that side of the proximal samples it is no longer T(x +- v).  Of
+    # the map checks only the lowering check sees it (the reduce-T run
+    # fails a check of its own too)
+    built = build(builtin_instance("segpair"))
+    T = built.maps["T"]
+    good = operators.compose_with_projector(T)
+    wrong = MapSpec(T.instance, good.mode, name=good.name, domain="proximal",
+                    matrix=good.matrix, offset=good.offset,
+                    matrix_b=good.matrix_b, offset_b=good.offset_b)
+    object.__setattr__(wrong, piece, getattr(good, piece) + np.array([1e-6, 0.0]))
+    vars(wrong)["contraction"] = good.contraction
+    object.__setattr__(T, "composed", wrong)
+    report = run_verification(built, samples=200)
+    failed = [c for c in report.checks if not c.passed and c.name.startswith("map-")]
+    assert [c.name for c in failed] == ["map-T-lowering"]
+    assert failed[0].worst_deviation == pytest.approx(1e-6, rel=1e-6)
+
+
 def test_understated_certificate_fails_inherited_modulus():
     built = build(builtin_instance("segpair"))
     T = built.maps["T"]
@@ -168,7 +259,7 @@ def test_singleton_proximal_sets_flag_every_sampling_check():
 
 def test_spread_proximal_sets_flag_nothing():
     report = run_verification(build(builtin_instance("segpair")))
-    assert len(_sampling_checks(report)) == 13
+    assert len(_sampling_checks(report)) == 15
     assert not any("degenerate" in c.flags for c in report.checks)
 
 

@@ -11,8 +11,9 @@ verify` on the builtins `segpair` and `ballpair` and on the instance
 documents of seeds 1 and 2 of every workload in `perfbench/inputs.py`,
 on the PLANTED documents, whose verify fails or whose build refuses a
 map's declared mode, on the FACES documents, whose verify passes with
-proximal sets that are a segment and a point, and with maps on polygons,
-and on the EDGES documents,
+proximal sets that are a segment and a point, with maps on polygons, and
+with affine maps that do not split along a gap axis, and on the EDGES
+documents,
 once against each tree's `src`, in a subprocess per tree.  The builtins are run a second time with `--seed 5`,
 so that a change to how the seed reaches the certifiers' and checks'
 samples shows up.  Then it reports whether the exit codes are equal, how
@@ -103,7 +104,10 @@ PLANTED = [
 # c = (0.75, 0.75), the middle of A0, and c + v, v = (0.5, -0.5).  The
 # fourth is the polygon pair with a noncyclic map that halves the distance
 # of the first coordinate to 0.5, so that maps and P's domain check meet
-# polygons.
+# polygons.  The fifth, two segments along axis 2 at p = 3 that lie apart
+# along axes 0 and 1, has one-piece affine maps that halve the third
+# coordinate about 0.5; the pair is not apart along a single axis, so the
+# maps do not split and keep the grid estimate.
 _POLYGON_BODIES = {
     "A": {"kind": "polytope",
           "vertices": [[-1.0, -1.0], [1.0, -1.0], [1.0, 0.0], [-1.0, 0.0]]},
@@ -144,6 +148,22 @@ FACES = [
      "runs": [{"name": "project-S", "solver": "project", "map": "S", "x0": [0.0, 0.0]},
               {"name": "reduce-S", "solver": "reduce-noncyclic", "map": "S",
                "x0": [1.0, 0.0]}]},
+    {"name": "segments-offset", "space": {"dim": 3, "p": 3.0}, "tol": 1e-9,
+     "bodies": {"A": {"kind": "polytope", "vertices": [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]},
+                "B": {"kind": "polytope", "vertices": [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]}},
+     "maps": [{"name": "T", "mode": "cyclic", "kind": "affine",
+               "matrix": [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.5]],
+               "offset": [1.0, 1.0, 0.25]},
+              {"name": "S", "mode": "noncyclic", "kind": "affine",
+               "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]],
+               "offset": [0.0, 0.0, 0.25]}],
+     "runs": [{"name": "picard-T", "solver": "picard", "map": "T", "x0": [0.0, 0.0, 1.0]},
+              {"name": "project-S", "solver": "project", "map": "S",
+               "x0": [0.0, 0.0, 1.0]},
+              {"name": "reduce-T", "solver": "reduce-cyclic", "map": "T",
+               "x0": [0.0, 0.0, 1.0]},
+              {"name": "reduce-S", "solver": "reduce-noncyclic", "map": "S",
+               "x0": [0.0, 0.0, 1.0]}]},
 ]
 
 # Documents at two edges of the input: a ball pair with a noncyclic map
