@@ -65,8 +65,7 @@ def _cmd_solve(args) -> int:
         summary["run"] = name
         summary["trace"] = trace_path.name
         with open(out / f"{stem}.summary.json", "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         status = "converged" if result.converged else "did not converge"
         print(f"{doc.name}/{name}: {status} in {result.trace.iterations_used} "
               f"iterations, residual {result.residual:.3e} "
@@ -88,8 +87,7 @@ def _cmd_verify(args) -> int:
     out = _out_dir(args)
     path = out / f"{doc.name}.verify.json"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     total = len(report.checks)
     passed = sum(c.passed for c in report.checks)
     print(f"{doc.name}: {passed}/{total} checks passed -> {path}")
@@ -153,8 +151,7 @@ def _cmd_bench(args) -> int:
     out = _out_dir(args)
     path = out / f"bench-{args.family}.json"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(rows, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
     print(f"{len(rows)} instances in {wall:.2f} s (wall) -> {path}")
     return code
 

@@ -102,7 +102,9 @@ def _in_box_rows(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _as_matrix(X: np.ndarray | Sequence, dim: int) -> np.ndarray:
     """Coerce one point or a stack of points into an (n, dim) float array."""
-    arr = np.atleast_2d(np.asarray(X, dtype=float))
+    arr = np.asarray(X, dtype=float)
+    if arr.ndim < 2:  # as np.atleast_2d, at a fraction of its cost
+        arr = arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise DimensionMismatchError(
             f"expected points of dimension {dim}, got shape {np.asarray(X).shape}")
@@ -149,7 +151,8 @@ class LpSpace:
     _direct_or_raise = np.errstate(over="raise", under="raise")(_direct)
 
     def norms(self, X: np.ndarray) -> np.ndarray:
-        """lp norms of the rows of an (n, dim) stack, or the norm of one vector.
+        """lp norms of the rows of an (n, dim) stack, or the norm of one vector,
+        or the (s, n) norms of an (s, n, dim) stack of stacks.
 
         One vector is taken as a one-row stack: numpy's p-th root of a
         scalar may differ in the last bit from its root of an array.
@@ -166,6 +169,8 @@ class LpSpace:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             return self.norms(X[None, :])[0]
+        if X.ndim == 3:
+            return self.norms(X.reshape(-1, X.shape[2])).reshape(X.shape[:2])
         try:
             return self._direct_or_raise(X)[1]
         except FloatingPointError:

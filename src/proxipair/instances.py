@@ -23,7 +23,9 @@ from .solvers import (
     DEFAULT_MAX_ITER,
     SolveResult,
     noncyclic_projection_iteration,
+    noncyclic_projection_iteration_many,
     picard_cyclic,
+    picard_cyclic_many,
     solve_cyclic_via_reduction,
     solve_noncyclic_via_reduction,
 )
@@ -265,9 +267,9 @@ class BuiltInstance:
     maps: dict
     runs: dict
 
-    def run(self, name: str, tol: float | None = None, max_iter: int = DEFAULT_MAX_ITER,
-            x0=None) -> SolveResult:
-        """Run a declared solver run, from its declared start unless x0 is given."""
+    def run(self, name: str, tol: float | None = None,
+            max_iter: int = DEFAULT_MAX_ITER) -> SolveResult:
+        """Run a declared solver run from its declared start."""
         if name not in self.runs:
             raise InstanceFormatError(
                 f"unknown run {name!r}; instance {self.doc.name!r} defines "
@@ -276,8 +278,15 @@ class BuiltInstance:
         solver = SOLVERS[spec["solver"]]
         mapping = self.maps[spec["map"]]
         effective = self.doc.tol if tol is None else tol
-        return solver(mapping, spec["x0"] if x0 is None else x0, tol=effective,
-                      max_iter=max_iter)
+        return solver(mapping, spec["x0"], tol=effective, max_iter=max_iter)
+
+    def run_many(self, name: str, starts) -> list:
+        """A declared "picard" or "project" run from each of `starts` in one
+        stacked run, at the document's tol: each start's SolveResult or error."""
+        spec = self.runs[name]
+        solve = (picard_cyclic_many if spec["solver"] == "picard"
+                 else noncyclic_projection_iteration_many)
+        return solve(self.maps[spec["map"]], starts, tol=self.doc.tol)
 
 
 def build(doc: InstanceDoc, seed: int = 0) -> BuiltInstance:

@@ -110,6 +110,14 @@ class CheckResult:
         }
 
 
+def through_first(mask: np.ndarray) -> list:
+    """For each row of an (s, k) mask, the length of its part up to and with
+    its first True, or k when it has none."""
+    k = mask.shape[1]
+    firsts = mask.argmax(axis=1).tolist() if k else [0] * len(mask)
+    return [j + 1 if k and mask[i, j] else k for i, j in enumerate(firsts)]
+
+
 def opposite(side: Side) -> Side:
     return "B" if side == "A" else "A"
 
@@ -244,26 +252,51 @@ class MapSpec:
         return BLOCK if self.func is None else min(BLOCK, max(done, 1))
 
     def iterate(self, x, count: int) -> np.ndarray:
-        """The next `count` iterates T(x), T^2(x), ... as a (count, dim) stack, by
-        blocks from `_products`, each cut at the first row that one `member_many`
-        puts on another piece than assumed; a callable by `apply`, step by step."""
-        space, A = self.instance.space, self.instance.A
-        x = space.check_vector(x)
-        out = np.empty((count, space.dim))
-        if self.func is not None:
-            for k in range(count):
-                out[k] = x = self.apply(x)
-            return out
-        on_a, done = self.matrix_b is None or A.member(x, MEMBER_TOL), 0
-        while done < count:
-            P, S, in_a = self._products(on_a)
-            k = min(BLOCK, count - done)
-            Y = (P[:k * space.dim] @ x).reshape(k, space.dim) + S[:k]
-            if self.matrix_b is not None:
-                rows_in_a = A.member_many(Y, MEMBER_TOL)
-                k = 1 + int(np.argmax(np.append(rows_in_a[:k - 1] != in_a[:k - 1], True)))
-                on_a = bool(rows_in_a[k - 1])
-            out[done:done + k], x, done = Y[:k], Y[k - 1], done + k
+        """The next `count` iterates T(x), T^2(x), ... as a (count, dim) stack, or
+        for an (s, dim) stack of starts as an (s, count, dim) one, each row its
+        one-start orbit bit for bit: by blocks (`_orbits`) for a map with
+        matrices, by `apply`, step by step, for a callable."""
+        space = self.instance.space
+        one = np.ndim(x) == 1
+        X = space.check_vector(x)[None, :] if one else _as_matrix(x, space.dim)
+        if self.func is None:
+            out = self._orbits(X, count, None if self.matrix_b is not None else [True] * len(X))
+        else:
+            out = np.empty((len(X), count, space.dim))
+            for row, x in zip(out, X):
+                for k in range(count):
+                    row[k] = x = self.apply(x)
+        return out[0] if one else out
+
+    def _orbits(self, X: np.ndarray, count: int, on_a: list | None) -> np.ndarray:
+        """`iterate` from rows whose first steps take A's piece where `on_a`
+        (None: one `member_many` says).  Rows of one piece take a block of up
+        to BLOCK steps from one batched product, `np.matmul` of the k-step
+        products with each row, which equals `P[:k * dim] @ x` bit for bit (a
+        product over all rows, X @ P.T, does not).  Each row's block ends at
+        its first iterate that one `member_many` puts on another piece than
+        assumed; rows that part ways go on as stacks of their own."""
+        A, dim = self.instance.A, X.shape[1]
+        out = np.empty((len(X), count, dim))
+        on_a = A.member_many(X, MEMBER_TOL).tolist() if on_a is None else on_a
+        ends = [(0, on) for on in on_a]  # each row's steps so far, and its next piece
+        while len(set(ends)) == 1 and ends[0][0] < count:
+            done, on = ends[0]
+            X, k = out[:, done - 1] if done else X, min(BLOCK, count - done)
+            # a one-step block is the piece itself, with no products built
+            M, c = (self.matrix, self.offset) if on else (self.matrix_b, self.offset_b)
+            P, S, in_a = self._products(on) if k > 1 else (M, c[None, :], None)
+            Y = out[:, done:done + k]
+            Y[:] = np.matmul(P[:k * dim], X[:, :, None]).reshape(len(X), k, dim) + S[:k]
+            ends = [(done + k, on)] * len(X)
+            if self.matrix_b is not None and k > 1:
+                Y_in_a = A.member_many(Y.reshape(-1, dim), MEMBER_TOL).reshape(len(X), k)
+                ends = [(done + cut, bool(Y_in_a[i, cut - 1]))
+                        for i, cut in enumerate(through_first(Y_in_a != in_a[:k]))]
+        for done, on in set(ends) if len(set(ends)) > 1 else ():
+            rows = [i for i, end in enumerate(ends) if end == (done, on)]
+            start = out[rows, done - 1] if done else X[rows]
+            out[rows, done:] = self._orbits(start, count - done, [on] * len(rows))
         return out
 
     @property

@@ -7,32 +7,35 @@ All solvers check their preconditions against the map's certificates
 (`mode_check` and `contraction`, made on first use and kept on the map) and
 flag non-convergence instead of raising.
 
-A run computes its orbit x_0, x_1, ... in blocks of up to BLOCK iterates
-(`MapSpec.iterate`, sized by `MapSpec.block_size`), decides its stopping
-rule on each block's stacked norms, which are also the trace's gaps, and
-stacks the blocks into one (n, dim) array for the trace, the residual and
-the reductions.  No solver projects onto a body or evaluates P step by
-step: P is the translation by v = b* - a* (`ProximityInstance.v`), a map
-composed with P is a MapSpec of domain "proximal", and a run checks each
+A direct run is a stack of starts (`picard_cyclic_many`,
+`noncyclic_projection_iteration_many`), one start a one-row stack, and each
+row's result is its start's alone, bit for bit.  The run computes the orbits
+of the starts still running in blocks of up to BLOCK iterates
+(`MapSpec.iterate`, sized by `MapSpec.block_size`), decides each stopping
+rule on the block's stacked norms, which are also the trace's gaps, and
+stacks each start's blocks into one (n, dim) array for its trace, its
+residual and the reductions.  No solver projects onto a body or evaluates P
+step by step: P is the translation by v = b* - a* (`ProximityInstance.v`), a
+map composed with P is a MapSpec of domain "proximal", and a run checks each
 block's points against P's domain in one `ProximalProjector.project_many`
-call, which also gives the projection iteration its companions
-y_n = P(x_n).  A proximal start passes
-the same check; a run that leaves the proximal sets ends with that block, in
-a DomainError naming the point and its row in the run.  A reduction's
-composed orbit is its inner run's, extended by the composed map only past it.
+call, which also gives the projection iteration its companions y_n = P(x_n).
+A start that fails the same check, or whose orbit leaves the proximal sets,
+ends in its own error, naming the point and its row in its run.  A
+reduction's composed orbit is its inner run's, extended only past it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import IO, Literal
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, ProxipairError
 from .geometry import Side
-from .mappings import ContractionCertificate, ContractionMethod
+from .mappings import ContractionCertificate, ContractionMethod, through_first
 from .operators import ProximalProjector, compose_with_projector
 
 DEFAULT_TOL = 1e-9
@@ -135,20 +138,44 @@ def _require_contraction(m, expected_mode: str) -> ContractionCertificate:
     return cert
 
 
-def _require_start(m, x0, proximal: bool) -> np.ndarray:
-    """x0 as a vector, once it is a point of A, or with `proximal` a point
-    of A0: it passes P's domain check, in A and its translate in B."""
+def _require_starts(m, starts, proximal: bool) -> tuple[np.ndarray, list]:
+    """The starts as an (s, dim) stack, and for each its PreconditionError or,
+    once it is a point of A, None; with `proximal`, once it is a point of A0
+    (it passes P's domain check, in A and its translate in B), its image
+    under P as a one-row stack."""
     inst = m.instance
-    x0 = inst.space.check_vector(x0)
-    if not proximal:
-        if not inst.A.member(x0, inst.tol):
-            raise PreconditionError(f"start {x0.tolist()} is not a point of A")
-        return x0
+    X0 = np.array([inst.space.check_vector(x0) for x0 in starts])
+    if proximal:
+        return X0, [PreconditionError(f"start {c}") if isinstance(c, DomainError) else c
+                    for c in _each(ProximalProjector(inst), list(X0[:, None]), "A", 0)]
+    return X0, [None if ok else PreconditionError(f"start {X0[i].tolist()} is not a point of A")
+                for i, ok in enumerate(inst.A.member_many(X0, inst.tol).tolist())]
+
+
+def _each(projector, blocks: list, side, first_row: int) -> list:
+    """P of each (n, dim) block, its rows numbered from first_row, from one
+    `project_many` call on all of them; once that raises, from one call per
+    block, which gives each block its own image or DomainError."""
     try:
-        ProximalProjector(inst).project_many(x0[None, :], "A")
+        out = projector.project_many(np.concatenate(blocks), side, first_row)
     except DomainError as exc:
-        raise PreconditionError(f"start {exc}") from exc
-    return x0
+        return [exc] if len(blocks) == 1 else [
+            _each(projector, [block], side, first_row)[0] for block in blocks]
+    ends = itertools.accumulate(map(len, blocks))
+    return [out[end - len(block):end] for block, end in zip(blocks, ends)]
+
+
+def _rows(stack: np.ndarray, rows: list) -> np.ndarray:
+    """The rows `rows` of a stack: the stack itself when they are all of it."""
+    return stack if len(rows) == len(stack) else stack[rows]
+
+
+def _alone(outcomes: list) -> SolveResult:
+    """The one outcome of a one-start run, raised when it is an error."""
+    (outcome,) = outcomes
+    if isinstance(outcome, ProxipairError):
+        raise outcome
+    return outcome
 
 
 def _predict_iterations(gap0: float, alpha: float, tol: float) -> int | None:
@@ -169,41 +196,56 @@ def picard_cyclic(m, x0, tol: float = DEFAULT_TOL,
     closed; the limit of the even subsequence is the best proximity point.
     Hitting max_iter returns the last even iterate with converged=False.
     """
-    inst = m.instance
+    return _alone(picard_cyclic_many(m, [x0], tol, max_iter))
+
+
+def picard_cyclic_many(m, starts, tol: float = DEFAULT_TOL,
+                       max_iter: int = DEFAULT_MAX_ITER) -> list:
+    """`picard_cyclic` from each of `starts`: for each, its SolveResult or
+    the ProxipairError of its run alone."""
+    inst, space = m.instance, m.instance.space
     _require_limits(tol, max_iter)
     cert = _require_contraction(m, "cyclic")
-    x = _require_start(m, x0, m.domain == "proximal")
-    space = inst.space
-
-    # W: x_{n0-2} .. x_{n0+k}, with x_0 for x_{-2} and x_{-1}; it decides n0 .. n0+k-1
-    orbit, gap_blocks, prev = [x[None, :]], [], np.repeat(x[None, :], 3, axis=0)
-    n0, converged = 0, False
-    while not converged and n0 <= max_iter:
+    X0, checked = _require_starts(m, starts, m.domain == "proximal")
+    out = [c if isinstance(c, PreconditionError) else None for c in checked]
+    live = [r for r, error in enumerate(out) if error is None]
+    orbits, gap_blocks = [[x[None, :]] for x in X0], [[] for _ in X0]
+    converged = [False] * len(X0)
+    # W: x_{n0-2} .. x_{n0+k} of each live start, with x_0 for x_{-2} and
+    # x_{-1}; it decides n0 .. n0+k-1
+    prev, n0 = _rows(X0, live)[:, None, :].repeat(3, axis=1), 0
+    while live and n0 <= max_iter:
         k = min(m.block_size(n0), max_iter + 1 - n0)
-        W = np.vstack([prev, m.iterate(prev[-1], k)])
-        g = space.norms(W[3:] - W[2:-1]) - inst.dist
-        ns = np.arange(n0, n0 + k)
-        stops = ((ns % 2 == 0) & (ns >= 2) & (np.abs(g) < tol)
-                 & (space.norms(W[2:-1] - W[:-3]) < tol))
-        if stops.any():
-            k, converged = int(np.argmax(stops)) + 1, True
-        if m.domain == "proximal":
-            ProximalProjector(inst).project_many(W[2:2 + k], first_row=n0)
-        orbit.append(W[3:3 + k])
-        gap_blocks.append(g[:k])
-        prev, n0 = W[k:k + 3], n0 + k
-    n = n0 - 1
-    X = np.vstack(orbit)
-    points, companions = X[:-1], X[1:]
-    gaps = np.concatenate(gap_blocks)
-    star = n - n % 2  # the last even iterate
-    trace = IterationTrace(points=points, companions=companions, gaps=gaps,
-                           iterations_used=n, dist=inst.dist, alternating=True,
-                           predicted_iterations=_predict_iterations(
-                               gaps[0], cert.alpha_hat, tol))
-    return SolveResult(kind="best_proximity_point", residual=abs(gaps[star]),
-                       converged=converged, trace=trace, alpha_hat=cert.alpha_hat,
-                       alpha_method=cert.method, map_name=m.name, x_star=points[star])
+        W = np.concatenate([prev, m.iterate(prev[:, -1], k)], axis=1)
+        # each step's length, and each iterate's distance from two steps back
+        D = space.norms(np.concatenate([W[:, 3:] - W[:, 2:-1], W[:, 2:-1] - W[:, :-3]]))
+        g = D[:len(W)] - inst.dist
+        # stop at an even n >= 2 whose gap has closed and whose x_n repeats x_{n-2}
+        stops = (np.abs(g) < tol) & (D[len(W):] < tol)
+        stops[:, (n0 + 1) % 2::2] = stops[:, :max(2 - n0, 0)] = False
+        ks, stopped = through_first(stops), stops.any(axis=1).tolist()
+        checked = (_each(ProximalProjector(inst), [w[2:2 + j] for w, j in zip(W, ks)],
+                         None, n0) if m.domain == "proximal" else [None] * len(W))
+        for i, r in enumerate(live):
+            out[r] = checked[i] if isinstance(checked[i], DomainError) else None
+            orbits[r].append(W[i, 3:3 + ks[i]])
+            gap_blocks[r].append(g[i, :ks[i]])
+            converged[r] = stopped[i]
+        keep = [i for i, r in enumerate(live) if out[r] is None and not stopped[i]]
+        live, prev, n0 = [live[i] for i in keep], _rows(W, keep)[:, k:], n0 + k
+    for r, error in enumerate(out):
+        if error is None:
+            X, gaps = np.vstack(orbits[r]), np.concatenate(gap_blocks[r])
+            n = len(X) - 2
+            star = n - n % 2  # the last even iterate
+            trace = IterationTrace(points=X[:-1], companions=X[1:], gaps=gaps,
+                                   iterations_used=n, dist=inst.dist, alternating=True,
+                                   predicted_iterations=_predict_iterations(
+                                       gaps[0], cert.alpha_hat, tol))
+            out[r] = SolveResult(kind="best_proximity_point", residual=abs(gaps[star]),
+                                 converged=converged[r], trace=trace, alpha_hat=cert.alpha_hat,
+                                 alpha_method=cert.method, map_name=m.name, x_star=X[star])
+    return out
 
 
 def noncyclic_projection_iteration(m, x0, tol: float = DEFAULT_TOL,
@@ -215,41 +257,57 @@ def noncyclic_projection_iteration(m, x0, tol: float = DEFAULT_TOL,
     certified noncyclic contraction.  The loop iterates x alone, to the first
     k with ||x_k - x_{k-1}|| < tol; each block's companions are the translates
     x_n + v, from one `project_many` call that also checks that its iterates
-    stayed in A and their translates in B (the first block's with the start).
+    stayed in A and their translates in B (the start's, from the start test).
     The run has converged when the residual it reports is below tol too.
     """
-    inst = m.instance
+    return _alone(noncyclic_projection_iteration_many(m, [x0], tol, max_iter))
+
+
+def noncyclic_projection_iteration_many(m, starts, tol: float = DEFAULT_TOL,
+                                        max_iter: int = DEFAULT_MAX_ITER) -> list:
+    """`noncyclic_projection_iteration` from each of `starts`: for each, its
+    SolveResult or the ProxipairError of its run alone.  T at each run's
+    last x and y and at its start is one `iterate` step of all of them."""
+    inst, space = m.instance, m.instance.space
     _require_limits(tol, max_iter)
     cert = _require_contraction(m, "noncyclic")
-    x = _require_start(m, x0, proximal=True)
-    space = inst.space
-
-    orbit, companions = [], []
-    rows, n, converged = x[None, :], 0, False  # the start, checked with the first block
-    while not orbit or (not converged and n < max_iter):
-        block = m.iterate(rows[-1], min(m.block_size(n), max_iter - n))
-        small = space.norms(np.diff(np.vstack([rows[-1:], block]), axis=0)) < tol
-        if small.any():
-            block, converged = block[:int(np.argmax(small)) + 1], True
-        first_row, rows = (n + 1, block) if orbit else (0, np.vstack([rows, block]))
-        companions.append(ProximalProjector(inst).project_many(rows, "A", first_row))
-        orbit.append(rows)
-        n += len(block)
-    X, Y = np.vstack(orbit), np.vstack(companions)
-    gaps = space.norms(X - Y) - inst.dist
-    x, y = X[-1], Y[-1]
-    residual = max(space.distance(x, m.apply(x)),
-                   space.distance(y, m.apply(y)),
-                   abs(space.distance(x, y) - inst.dist))
-    converged = converged and residual < tol
-    trace = IterationTrace(points=X, companions=Y, gaps=gaps,
-                           iterations_used=len(X) - 1, dist=inst.dist, alternating=False,
-                           predicted_iterations=_predict_iterations(
-                               space.distance(X[0], m.apply(X[0])),
-                               cert.alpha_hat, tol))
-    return SolveResult(kind="best_proximity_pair", residual=residual,
-                       converged=converged, trace=trace, alpha_hat=cert.alpha_hat,
-                       alpha_method=cert.method, map_name=m.name, pair=(x, y))
+    X0, checked = _require_starts(m, starts, proximal=True)
+    out = [c if isinstance(c, PreconditionError) else None for c in checked]
+    live = [r for r, error in enumerate(out) if error is None]
+    orbits, companions = [[x[None, :]] for x in X0], [[c] for c in checked]
+    converged = [False] * len(X0)
+    last, n = _rows(X0, live), 0
+    while live and n < max_iter:
+        k = min(m.block_size(n), max_iter - n)
+        W = np.concatenate([last[:, None], m.iterate(last, k)], axis=1)  # x_n .. x_{n+k}
+        stops = space.norms(np.diff(W, axis=1)) < tol
+        ks, stopped = through_first(stops), stops.any(axis=1).tolist()
+        rows = [w[1:j + 1] for w, j in zip(W, ks)]
+        checked = _each(ProximalProjector(inst), rows, "A", n + 1)
+        for i, r in enumerate(live):
+            out[r] = checked[i] if isinstance(checked[i], DomainError) else None
+            orbits[r].append(rows[i])
+            companions[r].append(checked[i])
+            converged[r] = stopped[i]
+        keep = [i for i, r in enumerate(live) if out[r] is None and not stopped[i]]
+        live, last, n = [live[i] for i in keep], _rows(W, keep)[:, -1], n + k
+    done = [r for r, error in enumerate(out) if error is None]
+    XY = [(np.vstack(orbits[r]), np.vstack(companions[r])) for r in done]
+    ends = np.array([p for X, Y in XY for p in (X[-1], Y[-1], X[0])]).reshape(-1, space.dim)
+    moved = space.norms(ends - m.iterate(ends, 1)[:, 0]).reshape(-1, 3).tolist()
+    for r, (X, Y), (dx, dy, d0) in zip(done, XY, moved):
+        gaps = space.norms(X - Y) - inst.dist
+        # the last gap is d(x, y) - dist(A, B) at the pair (x, y) = (X[-1], Y[-1])
+        residual = max(dx, dy, abs(float(gaps[-1])))
+        trace = IterationTrace(points=X, companions=Y, gaps=gaps,
+                               iterations_used=len(X) - 1, dist=inst.dist,
+                               alternating=False, predicted_iterations=_predict_iterations(
+                                   d0, cert.alpha_hat, tol))
+        out[r] = SolveResult(kind="best_proximity_pair", residual=residual,
+                             converged=converged[r] and residual < tol, trace=trace,
+                             alpha_hat=cert.alpha_hat, alpha_method=cert.method,
+                             map_name=m.name, pair=(X[-1], Y[-1]))
+    return out
 
 
 def _orbit(m, head: np.ndarray, count: int) -> np.ndarray:
@@ -281,9 +339,12 @@ def solve_cyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
     _require_contraction(m, "cyclic")
     composed = compose_with_projector(m)
     inner = noncyclic_projection_iteration(composed, x0, tol=tol, max_iter=max_iter)
-    orb = _orbit(composed, inner.trace.points, 2 * IDENTITY_TERMS + 1)
-    # check the orbit against P's domain as the inner run checks its iterates
-    ProximalProjector(inst).project_many(orb[:-1], "A")
+    points = inner.trace.points
+    orb = _orbit(composed, points, 2 * IDENTITY_TERMS + 1)
+    # check the orbit's extension against P's domain, as the inner run
+    # checked its iterates
+    if len(orb) - 1 > len(points):
+        ProximalProjector(inst).project_many(orb[len(points):-1], "A", len(points))
     p = inner.pair[0]
     residual = abs(inst.space.distance(p, m.apply(p)) - inst.dist)
     identity = _even_identity_deviation(orb, m, inst.space)
@@ -312,7 +373,9 @@ def solve_noncyclic_via_reduction(m, x0, tol: float = DEFAULT_TOL,
     orb = _orbit(composed, np.vstack([trace.points, trace.companions[-1:]]),
                  2 * IDENTITY_TERMS + 2)
     projector = ProximalProjector(inst)
-    projector.project_many(orb[:-1])  # as picard_cyclic checks
+    n = len(trace.points)  # the inner run checked its points; check the rest
+    if len(orb) - 1 > n:
+        projector.project_many(orb[n:-1], first_row=n)  # as picard_cyclic checks
     p = inner.x_star
     q = projector.project(p, "A")
     space = inst.space

@@ -12,10 +12,13 @@ mode check, renamed.  The inherited-modulus check evaluates the composed
 map's worst ratio: on the proximal samples of the other checks when the
 outer map's modulus is a proven bound, on a fresh 10,000-pair proximal
 draw when it is a lower estimate.  The lowering check holds the composed
-map to the outer map at the translates x + v and x - v.  The checks take
-their points from the instance's samples, on which the maps were
-certified; only the uniqueness starts and the projector checks' further
-draws have generators of their own, seeded with the instance's seed.
+map to the outer map at the translates x + v and x - v.  Each declared run
+is made once: a direct run ("picard" or "project") as one stacked run from
+its declared start and its UNIQUENESS_STARTS - 1 sampled uniqueness
+starts, which gives both its own checks and its uniqueness check.  The
+checks take their points from the instance's samples, on which the maps
+were certified; only the uniqueness starts and the projector checks'
+further draws have generators of their own, seeded with the instance's seed.
 """
 
 from __future__ import annotations
@@ -117,10 +120,10 @@ def _map_checks(built: BuiltInstance, samples: int, flags: list) -> list:
     return checks
 
 
-def _outcome(built: BuiltInstance, run_name: str, x0=None):
+def _outcome(built: BuiltInstance, run_name: str):
     """The run's SolveResult, or the error it raised."""
     try:
-        return built.run(run_name, x0=x0)
+        return built.run(run_name)
     except ProxipairError as exc:
         return exc
 
@@ -169,32 +172,23 @@ def _run_checks(built: BuiltInstance, outcomes: dict) -> list:
     return checks
 
 
-def _uniqueness_checks(built: BuiltInstance, flags: list, outcomes: dict) -> list:
-    """Each direct run from UNIQUENESS_STARTS - 1 sampled proximal starts and
-    its declared start, whose outcome `outcomes` already holds."""
+def _uniqueness_checks(built: BuiltInstance, flags: list, starts: dict) -> list:
+    """The uniqueness check of each direct run, from the outcomes in
+    `starts` of its UNIQUENESS_STARTS - 1 sampled proximal starts and of its
+    declared start, in that order: it fails with the first error among them."""
     checks = []
-    inst = built.instance
-    rng = np.random.default_rng(inst.seed)
-    direct = [name for name, spec in built.runs.items()
-              if spec["solver"] in ("picard", "project")]
-    for run_name in direct:
-        starts = inst.sample_proximal("A", UNIQUENESS_STARTS - 1, rng)
+    for run_name, outcomes in starts.items():
         name, tag = f"run-{run_name}-uniqueness", "limit-independent-of-start"
-        solutions = []
-        for x0 in [*starts, None]:
-            result = outcomes[run_name] if x0 is None else _outcome(built, run_name, x0)
-            if isinstance(result, ProxipairError):
-                checks.append(CheckResult.failed(name, tag, UNIQUENESS_THRESHOLD,
-                                                 str(result), flags=list(flags)))
-                break
-            solutions.append(result.x_star if result.x_star is not None
-                             else result.pair[0])
-        else:
-            pts = np.array(solutions)
-            checks.append(CheckResult.worst_of(
-                name, tag, inst.space.norms(pts - pts[0]), UNIQUENESS_THRESHOLD,
-                flags=list(flags),
-                details=f"{UNIQUENESS_STARTS} starts sampled from the proximal part of A"))
+        error = next((r for r in outcomes if isinstance(r, ProxipairError)), None)
+        if error is not None:
+            checks.append(CheckResult.failed(name, tag, UNIQUENESS_THRESHOLD, str(error),
+                                             flags=list(flags)))
+            continue
+        pts = np.array([r.x_star if r.x_star is not None else r.pair[0] for r in outcomes])
+        checks.append(CheckResult.worst_of(
+            name, tag, built.instance.space.norms(pts - pts[0]), UNIQUENESS_THRESHOLD,
+            flags=list(flags),
+            details=f"{UNIQUENESS_STARTS} starts sampled from the proximal part of A"))
     return checks
 
 
@@ -206,13 +200,25 @@ def run_verification(built: BuiltInstance, samples: int = 1000) -> VerificationR
     """
     if samples < 1:
         raise PreconditionError(f"samples must be at least 1, got {samples}")
+    inst = built.instance
     # Singleton proximal sets make every check that samples them vacuous,
     # and every such check carries this flag, the projector checks too
-    flags = ["degenerate"] if built.instance.proximal_sets_are_points else []
-    checks = verify_projector_properties(built.instance, samples=samples)
+    flags = ["degenerate"] if inst.proximal_sets_are_points else []
+    checks = verify_projector_properties(inst, samples=samples)
     checks.extend(_map_checks(built, samples, flags))
-    # each declared run is made once; the uniqueness checks reuse its outcome
-    outcomes = {name: _outcome(built, name) for name in built.runs}
+    rng = np.random.default_rng(inst.seed)
+    outcomes, starts = {}, {}
+    for name, spec in built.runs.items():
+        if spec["solver"] not in ("picard", "project"):
+            outcomes[name] = _outcome(built, name)
+            continue
+        # the declared start and the sampled ones, in one stacked run
+        sampled = inst.sample_proximal("A", UNIQUENESS_STARTS - 1, rng)
+        try:
+            declared, *others = built.run_many(name, np.vstack([spec["x0"], sampled]))
+        except ProxipairError as exc:
+            declared, *others = [exc] * UNIQUENESS_STARTS
+        outcomes[name], starts[name] = declared, [*others, declared]
     checks.extend(_run_checks(built, outcomes))
-    checks.extend(_uniqueness_checks(built, flags, outcomes))
+    checks.extend(_uniqueness_checks(built, flags, starts))
     return VerificationReport(instance_name=built.doc.name, checks=checks)

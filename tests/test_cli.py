@@ -312,14 +312,16 @@ def test_touching_balls_solve_and_verify(tmp_path, capsys):
 
 
 def test_verify_makes_each_declared_run_once(tmp_path, monkeypatch):
-    # segpair declares 4 runs, 2 of them direct; each direct run's
-    # uniqueness check adds 4 sampled starts to its declared one
+    # segpair declares 4 runs, 2 of them direct; each direct run is one
+    # stacked run from its declared start and the 4 sampled uniqueness starts
     calls = []
-    real = BuiltInstance.run
-    monkeypatch.setattr(BuiltInstance, "run",
-                        lambda built, *a, **k: calls.append(1) or real(built, *a, **k))
+    for method in ("run", "run_many"):
+        real = getattr(BuiltInstance, method)
+        monkeypatch.setattr(BuiltInstance, method,
+                            lambda built, name, *a, real=real, **k:
+                            calls.append(name) or real(built, name, *a, **k))
     assert run_cli("verify", "segpair", "--out", str(tmp_path)) == 0
-    assert len(calls) == 12
+    assert sorted(calls) == ["picard-T", "project-S", "reduce-S", "reduce-T"]
 
 
 def test_out_flag_holds_while_proxipair_out_is_set(tmp_path, monkeypatch):

@@ -17,7 +17,9 @@ from proxipair.solvers import (
     DEFAULT_TOL,
     IDENTITY_TERMS,
     noncyclic_projection_iteration,
+    noncyclic_projection_iteration_many,
     picard_cyclic,
+    picard_cyclic_many,
     solve_cyclic_via_reduction,
     solve_noncyclic_via_reduction,
 )
@@ -468,9 +470,9 @@ def test_reductions_check_the_domain_once_per_block(seg, monkeypatch):
                         lambda P, *a, **k: calls.append(1) or real(P, *a, **k))
     # the inner run's start test, one check per block of the inner run, and
     # one check of the identity orbit; the noncyclic reduction also takes
-    # its pair's companion P(p).  The projection iteration's first block
-    # holds the start and its first BLOCK iterates; Picard's blocks decide
-    # BLOCK values of n each, from n = 0.
+    # its pair's companion P(p).  The projection iteration's blocks hold
+    # BLOCK iterates each, past the start; Picard's blocks decide BLOCK
+    # values of n each, from n = 0.
     for solve, m, fixed, blocks in (
             (solve_cyclic_via_reduction, T, 2, lambda n: max(1, math.ceil(n / BLOCK))),
             (solve_noncyclic_via_reduction, S, 3, lambda n: math.ceil((n + 1) / BLOCK))):
@@ -481,6 +483,27 @@ def test_reductions_check_the_domain_once_per_block(seg, monkeypatch):
             counts[res.trace.iterations_used] = len(calls)
         assert len(counts) == 3
         assert counts == {n: fixed + blocks(n) for n in counts}, solve.__name__
+
+
+def test_reductions_check_the_orbit_past_the_inner_run(seg):
+    # the inner runs stop at max_iter = 5; the holed maps send the composed
+    # orbit's iterate 8 to (1.5, 0.5), off both bodies, so that the check
+    # of the orbit's extension refuses it as row 9 of the orbit
+    for reduce, mode, matrix, offset, message in (
+            (solve_cyclic_via_reduction, "cyclic", [[0.5, 0.0], [0.0, -1.0]],
+             [0.5, 1.0], "is not in side A"),
+            (solve_noncyclic_via_reduction, "noncyclic", [[0.5, 0.0], [0.0, 1.0]],
+             [0.5, 0.0], "is in neither body")):
+        plain = with_hole(seg, mode, matrix, offset, hole=[9.0, 9.0], image=None,
+                          name="plain")
+        x8 = compose_with_projector(plain).iterate([2.0, 0.0], 8)[-1]
+        hole = x8 + seg.v if seg.A.member(x8) else x8 - seg.v
+        holed = with_hole(seg, mode, matrix, offset, hole=hole, image=[1.5, 0.5],
+                          name="holed")
+        holed.mode_check, compose_with_projector(holed)  # certify first
+        with pytest.raises(DomainError,
+                           match=re.escape(f"point [1.5, 0.5] (row 9) {message}")):
+            reduce(holed, [2.0, 0.0], max_iter=5)
 
 
 def test_reductions_on_constant_ball_maps(balls):
@@ -547,19 +570,32 @@ def shifting(seg):
                                   "cyclic two-piece from A", "cyclic two-piece from B",
                                   "broken pattern"])
 def test_iterate_matches_a_scalar_apply_loop(seg, case):
-    m, x0 = {
-        "one-piece": (map_T(seg), [2.0, 0.0]),
+    # the first start alone, and all of them as one stack: they begin on
+    # different pieces (from B, with A's [1.5, 0]) or leave the pattern at
+    # different steps (broken pattern), and each row is its one-start orbit
+    # bit for bit
+    m, starts = {
+        "one-piece": (map_T(seg), [[2.0, 0.0], [1.0, 0.0], [1.5, 1.0]]),
         # T after P is noncyclic, S after P cyclic; both are two-piece maps
-        "noncyclic two-piece": (compose_with_projector(map_T(seg)), [2.0, 0.0]),
-        "cyclic two-piece from A": (compose_with_projector(map_S(seg)), [2.0, 0.0]),
-        "cyclic two-piece from B": (compose_with_projector(map_S(seg)), [2.0, 1.0]),
-        "broken pattern": (shifting(seg), [1.0, 0.0]),
+        "noncyclic two-piece": (compose_with_projector(map_T(seg)),
+                                [[2.0, 0.0], [1.25, 0.0], [1.5, 1.0]]),
+        "cyclic two-piece from A": (compose_with_projector(map_S(seg)),
+                                    [[2.0, 0.0], [1.0, 0.0]]),
+        "cyclic two-piece from B": (compose_with_projector(map_S(seg)),
+                                    [[2.0, 1.0], [1.5, 0.0], [1.2, 1.0]]),
+        "broken pattern": (shifting(seg), [[1.0, 0.0], [1.35, 0.0], [1.72, 0.0]]),
     }[case]
     count = 3 * BLOCK + 5
-    rows = m.iterate(x0, count)
+    rows = m.iterate(starts[0], count)
     assert rows.shape == (count, 2)
-    assert_allclose(rows, scalar_orbit(m, np.array(x0), count), rtol=0, atol=1e-12)
-    assert m.iterate(x0, 0).shape == (0, 2)
+    assert_allclose(rows, scalar_orbit(m, np.array(starts[0]), count), rtol=0, atol=1e-12)
+    assert m.iterate(starts[0], 0).shape == (0, 2)
+    stack = m.iterate(np.array(starts), count)
+    assert stack.shape == (len(starts), count, 2)
+    assert m.iterate(np.array(starts), 0).shape == (len(starts), 0, 2)
+    for row, x0 in zip(stack, starts):
+        assert_array_equal(row, m.iterate(x0, count))
+        assert_allclose(row, scalar_orbit(m, np.array(x0), count), rtol=0, atol=1e-12)
 
 
 def concatenated_products(m, on_a):
@@ -664,21 +700,118 @@ def scalar_projection_stop(m, x, tol, max_iter):
     return len(orbit) - 1, converged
 
 
+def assert_same_run(res, alone):
+    """res is the run `alone` bit for bit: trace, summary and all."""
+    for name in ("points", "companions", "gaps"):
+        assert_array_equal(getattr(res.trace, name), getattr(alone.trace, name))
+    assert res.summary() == alone.summary()
+
+
+# starts of the slow maps that stop in different blocks: at the fixed
+# point's x = 1 at once, in about 30, 50 and 90 steps
+SLOW_STARTS = [[2.0, 0.0], [1.0, 0.0], [1.5, 0.0], [1.000001, 0.0], [1.0001, 0.0]]
+
+
 @pytest.mark.parametrize("max_iter", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
                                       2 * BLOCK, DEFAULT_MAX_ITER])
 @pytest.mark.parametrize("composed", [False, True])
 def test_direct_solvers_stop_where_a_scalar_loop_stops(seg, max_iter, composed):
+    # each start alone, and all of them as one stack, whose rows are their
+    # one-start runs bit for bit
     T8, S8 = slow_maps(seg)
     if composed:  # two-piece maps of domain "proximal"; the modes swap
         S8, T8 = compose_with_projector(T8), compose_with_projector(S8)
-    x0 = np.array([2.0, 0.0])
-    for solve, rule, m in ((picard_cyclic, scalar_picard_stop, T8),
-                           (noncyclic_projection_iteration, scalar_projection_stop, S8)):
-        res = solve(m, x0, max_iter=max_iter)
-        expected = rule(m, x0, DEFAULT_TOL, max_iter)
-        assert (res.trace.iterations_used, res.converged) == expected, solve.__name__
-        points = res.trace.points
-        assert_allclose(points[1:], scalar_orbit(m, x0, len(points) - 1), rtol=0, atol=1e-12)
+    starts = np.array(SLOW_STARTS)
+    for solve, many, rule, m in (
+            (picard_cyclic, picard_cyclic_many, scalar_picard_stop, T8),
+            (noncyclic_projection_iteration, noncyclic_projection_iteration_many,
+             scalar_projection_stop, S8)):
+        for x0, res in zip(starts, many(m, starts, max_iter=max_iter)):
+            alone = solve(m, x0, max_iter=max_iter)
+            expected = rule(m, x0, DEFAULT_TOL, max_iter)
+            assert (alone.trace.iterations_used, alone.converged) == expected, solve.__name__
+            points = alone.trace.points
+            assert_allclose(points[1:], scalar_orbit(m, x0, len(points) - 1),
+                            rtol=0, atol=1e-12)
+            assert_same_run(res, alone)
+
+
+def stacked_cases(seg, balls):
+    """(name, cyclic map, noncyclic map, starts in A) of the map kinds
+    beyond one affine piece: two affine pieces, a constant pair, callables."""
+    T8, S8 = slow_maps(seg)
+    a, b = [-1.0, 0.0], [1.0, 0.0]
+    on_a = [[2.0, 0.0], [1.0, 0.0], [1.5, 0.0], [1.0001, 0.0]]
+    return [
+        ("sidewise", MapSpec.sidewise(seg, "cyclic", T8.matrix, T8.offset,
+                                      [[0.8, 0.0], [0.0, 0.0]], [0.2, 0.0]),
+         MapSpec.sidewise(seg, "noncyclic", S8.matrix, S8.offset,
+                          [[0.8, 0.0], [0.0, 1.0]], [0.2, 0.0]), on_a),
+        ("constant-pair", MapSpec.sidewise(balls, "cyclic", np.zeros((2, 2)), b,
+                                           np.zeros((2, 2)), a),
+         MapSpec.sidewise(balls, "noncyclic", np.zeros((2, 2)), a, np.zeros((2, 2)), b),
+         [a, [-2.0, 0.0], [-1.5, 0.5]]),
+        ("callable", MapSpec.blackbox(seg, "cyclic", lambda x: T8.matrix @ x + T8.offset),
+         MapSpec.blackbox(seg, "noncyclic", lambda x: S8.matrix @ x + S8.offset), on_a),
+    ]
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, BLOCK, BLOCK + 1, DEFAULT_MAX_ITER])
+@pytest.mark.parametrize("case", ["sidewise", "constant-pair", "callable"])
+def test_every_row_of_a_stack_is_its_one_start_run(seg, balls, case, max_iter):
+    # each kind and mode, from starts that stop in different blocks, and
+    # composed with P; a noncyclic run's starts are its proximal ones
+    _, cyclic, noncyclic, starts = next(c for c in stacked_cases(seg, balls)
+                                        if c[0] == case)
+    for solve, many, m, other in (
+            (picard_cyclic, picard_cyclic_many, cyclic, noncyclic),
+            (noncyclic_projection_iteration, noncyclic_projection_iteration_many,
+             noncyclic, cyclic)):
+        for m in (m, compose_with_projector(other)):  # composing flips the mode
+            if solve is noncyclic_projection_iteration or m.domain == "proximal":
+                kept = [x for x in starts if m.instance.proximal_deviations(
+                    np.array([x]), "A")[0] <= 1e-8]
+            else:
+                kept = starts
+            results = many(m, np.array(kept), max_iter=max_iter)
+            assert len(results) == len(kept)
+            for x0, res in zip(kept, results):
+                assert_same_run(res, solve(m, x0, max_iter=max_iter))
+
+
+def outcome(solve, *args, **kwargs):
+    try:
+        return solve(*args, **kwargs)
+    except (DomainError, PreconditionError) as exc:
+        return exc
+
+
+def test_a_stack_gives_each_row_its_own_error(seg):
+    # row 0 starts off A0, and S8's hole sends row 2's iterate 39 to
+    # (1.5, 0.5), off A, as row 40, in its seventh block (a callable's
+    # blocks take 1, 1, 2, 4, ... steps); rows 1 and 3 still converge
+    _, S8 = slow_maps(seg)
+    starts = np.array([[2.5, 0.0], [2.0, 0.0], [1.5, 0.0], [1.0001, 0.0]])
+    hole = scalar_orbit(S8, starts[2], 39)[-1]
+    holed = with_hole(seg, "noncyclic", S8.matrix, S8.offset, hole=hole,
+                      image=[1.5, 0.5], name="S8-holed")
+    results = noncyclic_projection_iteration_many(holed, starts)
+    alone = [outcome(noncyclic_projection_iteration, holed, x0) for x0 in starts]
+    assert [type(r) for r in results] == [PreconditionError, type(alone[1]),
+                                          DomainError, type(alone[3])]
+    assert str(results[0]) == str(alone[0]) and "start point [2.5, 0.0] (row 0)" in str(
+        alone[0])
+    assert str(results[2]) == str(alone[2]) and "(row 40) is not in side A" in str(alone[2])
+    for i in (1, 3):
+        assert results[i].converged
+        assert_same_run(results[i], alone[i])
+    # Picard names the start that is not a point of A
+    T8, _ = slow_maps(seg)
+    results = picard_cyclic_many(T8, starts)
+    assert str(results[0]) == str(outcome(picard_cyclic, T8, starts[0]))
+    assert "start [2.5, 0.0] is not a point of A" in str(results[0])
+    for x0, res in zip(starts[1:], results[1:]):
+        assert_same_run(res, picard_cyclic(T8, x0))
 
 
 def test_stopping_distances_are_the_stack_norms_of_the_orbit():

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from proxipair import mappings, operators, verification
+from proxipair.errors import DomainError
 from proxipair.geometry import ProximityInstance
 from proxipair.instances import build, builtin_instance, generate_random_instance, parse_instance
 from proxipair.mappings import MapSpec
+from proxipair.solvers import noncyclic_projection_iteration
 from proxipair.verification import GAP_DECAY_SLACK, UNIQUENESS_STARTS, run_verification
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -349,6 +351,35 @@ def test_map_leaving_the_proximal_sets_on_a_face_fails_the_mode_flip():
     assert not check.passed
     assert check.worst_deviation == float("inf")
     assert "map does not preserve the proximal sets" in check.details
+
+
+def test_uniqueness_reports_the_error_of_the_first_failing_start():
+    # S, but for a hole on the orbit of the second sampled uniqueness start:
+    # its iterate 3 goes to (1.5, 0.5), off A, as row 4 of the run.  The
+    # declared run converges, and the uniqueness check fails with that
+    # start's own error
+    built = build(builtin_instance("segpair"))
+    inst = built.instance
+    assert [n for n, r in built.runs.items() if r["solver"] in ("picard", "project")] == [
+        "picard-T", "project-S"]
+    rng = np.random.default_rng(inst.seed)  # picard-T's starts, then project-S's
+    starts = [inst.sample_proximal("A", UNIQUENESS_STARTS - 1, rng) for _ in range(2)][1]
+    S = built.maps["S"]
+    x = starts[1]
+    for _ in range(3):
+        x = S.matrix @ x + S.offset
+    holed = MapSpec.blackbox(
+        inst, "noncyclic",
+        lambda y: np.array([1.5, 0.5]) if np.array_equal(y, x) else S.matrix @ y + S.offset,
+        name="S")
+    built.maps["S"] = holed
+    with pytest.raises(DomainError) as alone:
+        noncyclic_projection_iteration(holed, starts[1])
+    assert "point [1.5, 0.5] (row 4) is not in side A" in str(alone.value)
+    checks = {c.name: c for c in run_verification(built).checks}
+    assert checks["run-project-S-converges"].passed
+    check = checks["run-project-S-uniqueness"]
+    assert not check.passed and check.details == str(alone.value)
 
 
 def test_isometry_run_fails_cleanly():
